@@ -11,11 +11,13 @@ With these, sum_j eps_j R_{x,e_j}e_j = Ric x, and the star action on a
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, SymBiform, Tensor, metric_trace, symmetrize
-from .young import _group_sum, basis_Ck, is_member_Ck, young_apply
+from .spaces import Space, SymBiform, Tensor, _group_sum, metric_trace, symmetrize
+from .subspace import image
+from .young import hook_content_dim, is_member_Ck, tableau_sum, young_apply
 
 __all__ = [
     "RicciData",
@@ -309,57 +311,47 @@ def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
     return sym.norm() <= tol * max(t.norm(), 1e-300)
 
 
-_NK_CACHE: dict[tuple, list[SymBiform]] = {}
+@lru_cache(maxsize=None)
+def _nk_stack(space: Space, m: int) -> np.ndarray:
+    """Read-only orthonormal basis of N_m stacked along the first axis."""
+    if m < 2:
+        raise ValueError(f"N_m needs degree m >= 2, got {m}")
+    n = space.dim
+    sym, bi = list(range(1, m + 1)), [m + 1, m + 2]
 
+    def project(batch: np.ndarray) -> np.ndarray:
+        # P A P on axes shifted by the batch axis: P symmetrizes slots 1..m
+        # and slots m+1, m+2, A antisymmetrizes the columns (1, m+1), (2, m+2)
+        out = tableau_sum(batch, sym, bi)
+        return _group_sum(_group_sum(out, sym), bi)
 
-def _sym_multi_indices(n: int, m: int) -> list[tuple[int, ...]]:
-    """Non-decreasing index tuples of length m over range(n)."""
-    import itertools
-
-    return list(itertools.combinations_with_replacement(range(n), m))
+    rows = image(project, (n,) * (m + 2), hook_content_dim(n, m - 2))
+    stack = rows.reshape((len(rows),) + (n,) * (m + 2))
+    for b in stack:
+        if not is_member_Nk(SymBiform(space, m, Tensor(space, b))):
+            raise RuntimeError("projected N_m basis vector fails the membership check")
+    stack.flags.writeable = False
+    return stack
 
 
 def nk_basis(space: Space, m: int) -> list[SymBiform]:
-    """Orthonormal basis (in coefficient space) of the subspace of degree-m
-    SymBiforms killed by symmetrization over the first m+1 slots."""
-    key = (space.dim, space.signature, m)
-    cached = _NK_CACHE.get(key)
-    if cached is not None:
-        return cached
-    n = space.dim
-    v = m + 2
-    sym_idx = _sym_multi_indices(n, m)
-    bi_idx = _sym_multi_indices(n, 2)
-    cols = []
-    col_tensors = []
-    for I in sym_idx:
-        for pq in bi_idx:
-            arr = np.zeros((n,) * v)
-            arr[I + pq] = 1.0
-            t = SymBiform(space, m, Tensor(space, arr)).tensor.data
-            col_tensors.append(t)
-            sym = _group_sum(t, list(range(m + 1)))
-            cols.append(sym.ravel())
-    Cmat = np.array(cols).T  # (n^v, ncols)
-    # full vt is only needed when rows < cols; economy mode keeps m=4 cheap
-    u, s, vt = np.linalg.svd(Cmat, full_matrices=Cmat.shape[0] < Cmat.shape[1])
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > 1e-10 * max(smax, 1e-300)))
-    null = vt[rank:]
-    basis = []
-    for row in null:
-        arr = sum(c * t for c, t in zip(row, col_tensors))
-        basis.append(SymBiform(space, m, Tensor(space, arr)))
-    _NK_CACHE[key] = basis
-    return basis
+    """Orthonormal basis of N_m, the degree-m SymBiforms killed by
+    symmetrization over the first m+1 slots (m >= 2).
+
+    N_m is the image of P A P, the Young symmetrizer of shape (m, 2) with
+    rows {1..m}, {m+1, m+2} enclosed in the row symmetrizer P.  It is
+    sampled on dim + 8 seeded Gaussian tensors; the numerical rank must
+    equal the hook-content dimension of C_{m-2}, or RuntimeError is raised,
+    and every vector is checked with is_member_Nk.  The stacked basis is
+    cached per (space, m) and is identical on every run.
+    """
+    return [SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space, m)]
 
 
 def random_nk(space: Space, m: int, seed: int) -> SymBiform:
-    basis = nk_basis(space, m)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(basis))
-    arr = sum(c * b.tensor.data for c, b in zip(coeff, basis))
-    return SymBiform(space, m, Tensor(space, arr))
+    stack = _nk_stack(space, m)
+    coeff = np.random.default_rng(seed).standard_normal(len(stack))
+    return SymBiform(space, m, Tensor(space, np.tensordot(coeff, stack, (0, 0))))
 
 
 def one_form_star_factor(space: Space) -> dict:

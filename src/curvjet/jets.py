@@ -40,7 +40,8 @@ from .spaces import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from .young import basis_Ck, ck_residuals, young_apply
+from .subspace import RTOL, kernel
+from .young import _ck_stack, ck_residuals, young_apply
 
 __all__ = [
     "TwoJet",
@@ -171,12 +172,6 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     return gap / scale
 
 
-@lru_cache(maxsize=None)
-def _ck_stack(space: Space, k: int) -> np.ndarray:
-    """Basis of C_k stacked along the first axis."""
-    return np.stack([b.data for b in basis_Ck(space, k)])
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -207,7 +202,7 @@ def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, floa
     ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
     residuals["ricci_identity"] = float(np.linalg.norm(gap)) / ricci_scale
 
-    return max(residuals.values()) <= tol, residuals
+    return all(v <= tol for v in residuals.values()), residuals
 
 
 def validate_section_jet(
@@ -238,7 +233,7 @@ def validate_section_jet(
     scale = max(sj.d2Rp.norm(), sj.background.norm() * sj.Rp.norm(), 1.0)
     residuals["ricci_identity"] = float(np.linalg.norm(gap)) / scale
 
-    return max(residuals.values()) <= tol, residuals
+    return all(v <= tol for v in residuals.values()), residuals
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +260,7 @@ def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray]:
                 columns.append(np.einsum("uv,abcd->uvabcd", seed_matrix, b))
     basis = np.stack(columns)
     cycles = np.stack([_bianchi_cycle(h).ravel() for h in basis])
-    pinv = np.linalg.pinv(cycles.T, rcond=1e-10)
+    pinv = np.linalg.pinv(cycles.T, rcond=RTOL)
     return basis, pinv
 
 
@@ -327,15 +322,7 @@ def _parallel_ricci_dirs(space: Space) -> np.ndarray:
     rows = np.stack(
         [ricci_derivative(Tensor(space, b)).data.ravel() for b in stack1]
     )
-    matrix = rows.T
-    _, singular, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
-    top = singular[0] if singular.size else 0.0
-    rank = int(np.sum(singular > 1e-10 * max(top, 1e-300)))
-    null = vt[rank:]
-    if null.shape[0] == 0:
-        return np.zeros((0,) + stack1.shape[1:])
-    flat = null @ stack1.reshape(len(stack1), -1)
-    return flat.reshape((null.shape[0],) + stack1.shape[1:])
+    return np.tensordot(kernel(rows.T), stack1, (1, 0))
 
 
 def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
@@ -590,29 +577,34 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
 
 
 @lru_cache(maxsize=None)
-@lru_cache(maxsize=None)
-def _extension_solver(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Correction directions in C_2 and the trace-cancellation system.
+def _extension_solver(
+    space: Space,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correction directions in C_2, the trace-cancellation system, its
+    pseudoinverse, and the free directions of the extension.
 
     Columns of the system matrix are the second Ricci derivatives of the
     C_2 basis; the pseudoinverse yields the minimum-norm coefficient
-    vector.  The nullity equals the totally trace-free part of C_2, the
-    direction space of the extension, and is reported because the
-    correction is not unique.
+    vector.  The free directions, stacked, are the C_2 elements with
+    vanishing second Ricci derivative (the totally trace-free part of C_2);
+    their number is reported because the correction is not unique.
     """
     directions = _ck_stack(space, 2)
     columns = np.stack([_hess_ric(d, space.eps).ravel() for d in directions])
     system = columns.T
-    pinv = np.linalg.pinv(system, rcond=1e-10)
-    singular = np.linalg.svd(system, compute_uv=False)
-    top = singular[0] if singular.size else 0.0
-    rank = int(np.sum(singular > 1e-10 * max(top, 1e-300)))
-    return directions, system, pinv, len(directions) - rank
+    pinv = np.linalg.pinv(system, rcond=RTOL)
+    free = np.tensordot(kernel(system), directions, (1, 0))
+    return directions, system, pinv, free
+
+
+def _hess_kernel_stack(space: Space) -> np.ndarray:
+    """Stacked C_2 directions with vanishing second Ricci derivative."""
+    return _extension_solver(space)[3]
 
 
 def extension_solution_dim(space: Space) -> int:
     """Dimension of the correction solution space used by einstein_extend."""
-    return _extension_solver(space)[3]
+    return len(_hess_kernel_stack(space))
 
 
 def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:

@@ -23,6 +23,11 @@ class CheckRecord:
     residual: float
     threshold: float
 
+    def __post_init__(self) -> None:
+        # numpy scalars would make ``passed`` a numpy bool, which JSON rejects
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "threshold", float(self.threshold))
+
     @property
     def passed(self) -> bool:
         return self.residual <= self.threshold

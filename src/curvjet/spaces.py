@@ -8,7 +8,7 @@ plain orthonormal-basis sums.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,21 +161,28 @@ def permute(t: Tensor, perm) -> Tensor:
     return Tensor(t.space, np.transpose(t.data, axes=[k - 1 for k in p]))
 
 
+def _group_sum(data: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Unnormalized sum over all permutations of the given (0-based) axes.
+
+    Uses the coset recursion  S_m = S_{m-1} ∘ (e + Σ_{j<m} (j m)), applying the
+    transposition layer for the largest m first; m! terms cost O(m²) passes.
+    """
+    out = data
+    for m in range(len(axes), 1, -1):
+        acc = out.copy()
+        for j in range(m - 1):
+            acc += np.swapaxes(out, axes[j], axes[m - 1])
+        out = acc
+    return out
+
+
 def symmetrize(t: Tensor, slots) -> Tensor:
     """Average over all permutations of the listed (1-based) slots."""
     sl = _check_slots(t.valence, slots)
     if not sl:
         raise ValueError("slots must be non-empty")
-    acc = np.zeros_like(t.data)
-    base = list(range(t.valence))
-    for sigma in itertools.permutations(sl):
-        axes = list(base)
-        for a, b in zip(sl, sigma):
-            axes[a - 1] = b - 1
-        acc += np.transpose(t.data, axes=axes)
-    import math
-
-    return Tensor(t.space, acc / math.factorial(len(sl)))
+    summed = _group_sum(t.data, [s - 1 for s in sl])
+    return Tensor(t.space, summed / math.factorial(len(sl)))
 
 
 def metric_trace(t: Tensor, i: int, j: int) -> Tensor:

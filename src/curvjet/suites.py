@@ -24,6 +24,7 @@ from .curvature import (
 from .identities import identity_names, verify_identity
 from .jets import (
     TwoJet,
+    _hess_kernel_stack,
     einstein_check,
     einstein_extend,
     fit_jacobi_relation,
@@ -92,19 +93,6 @@ def make_config(
 def _rel(a: np.ndarray, b: np.ndarray) -> float:
     gap = float(np.linalg.norm((a - b).ravel()))
     return gap / max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
-
-
-def _hess_kernel_stack(sp: Space) -> np.ndarray:
-    """Stacked C_2 directions with vanishing second Ricci derivative."""
-    basis = basis_Ck(sp, 2)
-    flat = np.stack([b.data.ravel() for b in basis])
-    cols = np.stack(
-        [(-np.einsum("abuivi,i->abuv", b.data, sp.eps)).ravel() for b in basis]
-    ).T
-    u, s, vt = np.linalg.svd(cols, full_matrices=True)
-    rank = int(np.sum(s > 1e-10 * max(s[0], 1e-300)))
-    null = vt[rank:]
-    return (null @ flat).reshape((null.shape[0],) + (sp.dim,) * 6)
 
 
 def suite_eigenvalue(cfg: RunConfig) -> list[CheckRecord]:

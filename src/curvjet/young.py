@@ -10,70 +10,42 @@ unnormalized group sums (no 1/|group| factors).
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
+
 import numpy as np
 
-from .spaces import Space, Tensor, metric_trace, symmetrize
+from .spaces import Space, Tensor, _group_sum, symmetrize
+from .subspace import image
 
 __all__ = [
     "young_apply",
     "tableau_apply",
     "young_eigenvalue",
+    "hook_content_dim",
     "is_member_Ck",
     "ck_residuals",
     "basis_Ck",
     "random_ck",
-    "DEFAULT_ORDER",
 ]
-
-# Row-then-column is the calibrated composition order: it reproduces the
-# eigenvalue 12 on g KN g at k=0.  The other order is kept selectable for
-# experiments but is not used by the library itself.
-DEFAULT_ORDER = "row_first"
-
-
-def _group_sum(data: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Unnormalized sum over all permutations of the given (0-based) axes.
-
-    Uses the coset recursion  S_m = S_{m-1} ∘ (e + Σ_{j<m} (j m)), applying the
-    transposition layer for the largest m first; m! terms cost O(m²) passes.
-    """
-    out = data
-    for m in range(len(axes), 1, -1):
-        acc = out.copy()
-        for j in range(m - 1):
-            acc += np.swapaxes(out, axes[j], axes[m - 1])
-        out = acc
-    return out
 
 
 def _alt_sum(data: np.ndarray, i: int, j: int) -> np.ndarray:
     return data - np.swapaxes(data, i, j)
 
 
-def tableau_sum(
-    data: np.ndarray,
-    row1: list[int],
-    row2: list[int],
-    order: str = DEFAULT_ORDER,
-) -> np.ndarray:
+def tableau_sum(data: np.ndarray, row1: list[int], row2: list[int]) -> np.ndarray:
     """Apply the unnormalized two-row tableau symmetrizer on the given axes.
 
-    Columns are the leading pairs of (row1, row2).
+    Rows are summed first, then the columns (the leading pairs of (row1,
+    row2)) are antisymmetrized; this order gives the eigenvalue 12 on
+    g KN g at k=0.
     """
-    cols = list(zip(row1, row2))
-    if order == "row_first":
-        out = _group_sum(data, row1)
-        out = _group_sum(out, row2)
-        for i, j in cols:
-            out = _alt_sum(out, i, j)
-        return out
-    if order == "column_first":
-        out = data
-        for i, j in cols:
-            out = _alt_sum(out, i, j)
-        out = _group_sum(out, row1)
-        return _group_sum(out, row2)
-    raise ValueError(f"unknown order {order!r}")
+    out = _group_sum(data, row1)
+    out = _group_sum(out, row2)
+    for i, j in zip(row1, row2):
+        out = _alt_sum(out, i, j)
+    return out
 
 
 def _label_axes(k: int) -> tuple[list[int], list[int]]:
@@ -84,30 +56,39 @@ def _label_axes(k: int) -> tuple[list[int], list[int]]:
     return row1, row2
 
 
-def young_apply(t: Tensor, k: int, order: str = DEFAULT_ORDER) -> Tensor:
+def young_apply(t: Tensor, k: int) -> Tensor:
     """Young symmetrizer of shape (k+2, 2) on a valence k+4 tensor."""
     if k < 0:
         raise ValueError("k must be >= 0")
     if t.valence != k + 4:
         raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
     row1, row2 = _label_axes(k)
-    return Tensor(t.space, tableau_sum(t.data, row1, row2, order))
+    return Tensor(t.space, tableau_sum(t.data, row1, row2))
 
 
-def tableau_apply(
-    t: Tensor, row1_slots, row2_slots, order: str = DEFAULT_ORDER
-) -> Tensor:
+def tableau_apply(t: Tensor, row1_slots, row2_slots) -> Tensor:
     """Tableau symmetrizer with explicit 1-based slot lists (slots = axes+1)."""
     r1 = [s - 1 for s in row1_slots]
     r2 = [s - 1 for s in row2_slots]
-    return Tensor(t.space, tableau_sum(t.data, r1, r2, order))
+    return Tensor(t.space, tableau_sum(t.data, r1, r2))
 
 
 def young_eigenvalue(k: int) -> float:
-    """Scale by which the shape (k+2,2) symmetrizer acts on its own image."""
-    import math
+    """Scale by which the shape (k+2,2) symmetrizer acts on its own image.
 
+    It equals the hook product of the shape.
+    """
     return 2.0 * (k + 3) * (k + 2) * math.factorial(k)
+
+
+def hook_content_dim(n: int, k: int) -> int:
+    """Dimension of C_k, the GL(n) irreducible of shape (k+2, 2).
+
+    Hook-content formula: the content product n(n-1) * prod_{c=0}^{k+1} (n+c)
+    over the hook product young_eigenvalue(k).
+    """
+    contents = n * (n - 1) * math.prod(n + c for c in range(k + 2))
+    return contents // int(young_eigenvalue(k))
 
 
 def _pair_antisym_residual(d: np.ndarray, i: int, j: int) -> float:
@@ -167,68 +148,48 @@ def is_member_Ck(t: Tensor, k: int, tol: float = 1e-9) -> bool:
     return all(v <= tol * scale for v in res.values())
 
 
-_BASIS_CACHE: dict[tuple, list[Tensor]] = {}
-
 # Hard cap on the ambient dimension n**(k+4) of the projection problem.
 _BASIS_AMBIENT_LIMIT = 100_000
 
 
-def basis_Ck(space: Space, k: int) -> list[Tensor]:
-    """Orthonormal numeric basis of C_k, built by projecting unit tensors.
-
-    Unit tensors are swept in lexicographic order; images are filtered by
-    Gram-Schmidt against the accepted rows with a relative 1e-8 cutoff and
-    consolidated by chunked SVD.  The result is cached per (dim, signature, k).
-    """
-    key = (space.dim, space.signature, k)
-    cached = _BASIS_CACHE.get(key)
-    if cached is not None:
-        return cached
+@lru_cache(maxsize=None)
+def _ck_stack(space: Space, k: int) -> np.ndarray:
+    """Read-only orthonormal basis of C_k stacked along the first axis."""
     if k not in (0, 1, 2):
         raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
-    n = space.dim
-    v = k + 4
-    N = n**v
-    if N > _BASIS_AMBIENT_LIMIT:
-        raise RuntimeError(
-            f"basis_Ck ambient dimension {N} exceeds the supported limit"
-        )
+    n, v = space.dim, k + 4
+    shape = (n,) * v
+    if n**v > _BASIS_AMBIENT_LIMIT:
+        raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
     row1, row2 = _label_axes(k)
-    q_rows: list[np.ndarray] = []
-    Q = np.zeros((0, N))
-    sigma_max = 0.0
-    chunk = 256
-    for start in range(0, N, chunk):
-        idx = np.arange(start, min(start + chunk, N))
-        batch = np.zeros((len(idx), N))
-        batch[np.arange(len(idx)), idx] = 1.0
-        batch = batch.reshape((len(idx),) + (n,) * v)
-        # batched symmetrizer: same tableau on axes shifted by the batch axis
-        img = tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2])
-        M = img.reshape(len(idx), N)
-        if Q.shape[0]:
-            M = M - (M @ Q.T) @ Q
-            M = M - (M @ Q.T) @ Q  # second pass kills rounding drift
-        u, s, vt = np.linalg.svd(M, full_matrices=False)
-        sigma_max = max(sigma_max, float(s[0]) if s.size else 0.0)
-        keep = s > 1e-8 * max(sigma_max, 1e-300)
-        if np.any(keep):
-            Q = np.vstack([Q, vt[keep]])
-    # final consolidation for strict orthonormality
-    u, s, vt = np.linalg.svd(Q, full_matrices=False)
-    Q = vt[s > 1e-8 * s[0]]
-    basis = [Tensor(space, Q[i].reshape((n,) * v)) for i in range(Q.shape[0])]
-    for b in basis:
-        if not is_member_Ck(b, k, tol=1e-7):
+    # batched symmetrizer: same tableau on axes shifted by the batch axis
+    rows = image(
+        lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
+        shape,
+        hook_content_dim(n, k),
+    )
+    stack = rows.reshape((len(rows),) + shape)
+    for b in stack:
+        if not is_member_Ck(Tensor(space, b), k, tol=1e-7):
             raise RuntimeError("projected basis vector fails the symmetry checks")
-    _BASIS_CACHE[key] = basis
-    return basis
+    stack.flags.writeable = False
+    return stack
+
+
+def basis_Ck(space: Space, k: int) -> list[Tensor]:
+    """Orthonormal numeric basis of C_k, the image of the Young symmetrizer.
+
+    The symmetrizer is applied to dim C_k + 8 seeded Gaussian tensors and
+    one SVD of the images gives the basis; the numerical rank must equal
+    the hook-content dimension, or RuntimeError is raised.  Every basis
+    vector is checked against the defining symmetries.  The stacked basis
+    is cached per (space, k) and is identical on every run.
+    """
+    return [Tensor(space, b) for b in _ck_stack(space, k)]
 
 
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
-    basis = basis_Ck(space, k)
-    rng = np.random.default_rng(seed)
-    coeff = rng.standard_normal(len(basis))
-    data = sum(c * b.data for c, b in zip(coeff, basis))
-    return Tensor(space, data)
+    stack = _ck_stack(space, k)
+    coeff = np.random.default_rng(seed).standard_normal(len(stack))
+    return Tensor(space, np.tensordot(coeff, stack, (0, 0)))

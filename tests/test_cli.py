@@ -84,6 +84,12 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["pass"] is True
 
+    def test_json_format_star_suite(self, capsys):
+        # star residuals are numpy scalars; the report must still serialize
+        code = main(["check", "--suite", "star", "--dim", "3", "--seeds", "1", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["pass"] is True
+
 
 class TestGen:
     def test_writes_valid_two_jet(self, tmp_path, capsys):

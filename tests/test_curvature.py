@@ -325,7 +325,7 @@ class TestNk:
 
     @pytest.mark.parametrize(
         "n,m,expected",
-        [(3, 2, 6), (3, 3, 15), (3, 4, 27), (4, 2, 20)],
+        [(3, 2, 6), (3, 3, 15), (3, 4, 27), (4, 2, 20), (4, 4, 126)],
     )
     def test_dimension_matches_curvature_space(self, n, m, expected):
         # dim N_{k+2} = dim C_k

@@ -109,6 +109,26 @@ class TestValidate:
         ok, res = validate_two_jet(bad)
         assert not ok and res["derivative"] > 1e-3
 
+    @pytest.mark.parametrize("part", ["R", "dR", "d2R"])
+    def test_nan_component_fails(self, part):
+        j = random_two_jet(E3, 0)
+        parts = {"R": j.R, "dR": j.dR, "d2R": j.d2R}
+        data = parts[part].data.copy()
+        data.flat[-1] = np.nan
+        parts[part] = Tensor(E3, data)
+        ok, _ = validate_two_jet(TwoJet(**parts))
+        assert not ok
+
+    @pytest.mark.parametrize("part", ["background", "Rp", "dRp", "d2Rp"])
+    def test_nan_section_component_fails(self, part):
+        sj = random_two_jet(E3, 0, background=random_ck(E3, 0, 1))
+        parts = {"background": sj.background, "Rp": sj.Rp, "dRp": sj.dRp, "d2Rp": sj.d2Rp}
+        data = parts[part].data.copy()
+        data.flat[-1] = np.nan
+        parts[part] = Tensor(E3, data)
+        ok, _ = validate_section_jet(SectionTwoJet(**parts))
+        assert not ok
+
     def test_rejects_wrong_valence(self):
         with pytest.raises(ValueError):
             TwoJet(random_tensor(E3, 3, 0), random_tensor(E3, 5, 1), random_tensor(E3, 6, 2))

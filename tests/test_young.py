@@ -6,8 +6,10 @@ import pytest
 from curvjet.curvature import jacobi_form, kn_pair, kulkarni
 from curvjet.spaces import Space, Tensor, random_tensor, sym_product, tensor_product
 from curvjet.young import (
+    _ck_stack,
     basis_Ck,
     ck_residuals,
+    hook_content_dim,
     is_member_Ck,
     random_ck,
     young_apply,
@@ -113,6 +115,9 @@ def test_second_bianchi_detects_violation():
         (4, 1, 60),
         (3, 2, 27),
         (4, 2, 126),
+        (5, 0, 50),
+        (5, 1, 175),
+        (5, 2, 420),
     ],
 )
 def test_basis_dimensions(n, k, expected):
@@ -120,15 +125,26 @@ def test_basis_dimensions(n, k, expected):
     sp = Space(n)
     basis = basis_Ck(sp, k)
     assert len(basis) == expected
+    assert expected == hook_content_dim(n, k)
     if k == 0:
         assert expected == n * n * (n * n - 1) // 12
 
 
-def test_basis_is_orthonormal_and_member():
-    basis = basis_Ck(E3, 0)
+@pytest.mark.parametrize("n,k", [(n, k) for n in (3, 4) for k in (0, 1, 2)])
+def test_basis_is_orthonormal_and_member(n, k):
+    basis = basis_Ck(Space(n), k)
     M = np.stack([b.data.ravel() for b in basis])
     assert np.allclose(M @ M.T, np.eye(len(basis)), atol=1e-10)
-    assert all(is_member_Ck(b, 0, tol=1e-8) for b in basis)
+    assert all(is_member_Ck(b, k, tol=1e-8) for b in basis)
+
+
+def test_basis_is_reproducible():
+    """The cached basis is rebuilt bit for bit from the fixed sample seed."""
+    sp = Space(4)
+    first = np.stack([b.data for b in basis_Ck(sp, 2)])
+    _ck_stack.cache_clear()
+    again = np.stack([b.data for b in basis_Ck(sp, 2)])
+    assert np.array_equal(first, again)
 
 
 def test_random_ck_deterministic_and_member():
