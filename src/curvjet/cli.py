@@ -75,9 +75,29 @@ def _emit(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _load(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+class DocumentError(Exception):
+    """An input document that cannot be read or does not parse."""
+
+
+def _load(path: str, parse):
+    """Read the JSON document at path and return parse(document)."""
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise DocumentError(f"{path} is not a JSON document: {exc}") from exc
+    try:
+        return parse(doc)
+    except KeyError as exc:
+        raise DocumentError(f"{path} lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DocumentError(f"{path} is malformed: {exc}") from exc
+
+
+def _one_jet_from_dict(doc: dict) -> tuple:
+    return tensor_from_dict(doc["R"]), tensor_from_dict(doc["dR"])
 
 
 def _print_pairs(pairs: dict, as_json: bool) -> None:
@@ -103,14 +123,17 @@ def cmd_gen(args) -> int:
 
 
 def cmd_check(args) -> int:
-    cfg = make_config(
-        dim=args.dim,
-        signature=_parse_signature(args.signature),
-        seed=args.seed,
-        tol=args.tol,
-        full=args.full,
-        seeds=args.seeds,
-    )
+    try:
+        cfg = make_config(
+            dim=args.dim,
+            signature=_parse_signature(args.signature),
+            seed=args.seed,
+            tol=args.tol,
+            full=args.full,
+            seeds=args.seeds,
+        )
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
     suites = args.suite if args.suite else ["all"]
     records = run_suites(suites, cfg)
     report = Report(tuple(records), {"suites": suites, **cfg.echo()})
@@ -125,9 +148,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_extend(args) -> int:
-    doc = _load(getattr(args, "in"))
-    R = tensor_from_dict(doc["R"])
-    dR = tensor_from_dict(doc["dR"])
+    R, dR = _load(getattr(args, "in"), _one_jet_from_dict)
     try:
         jet = einstein_extend(R, dR)
     except (ValueError, RuntimeError) as exc:
@@ -142,7 +163,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    jet = two_jet_from_dict(_load(getattr(args, "in")))
+    jet = _load(getattr(args, "in"), two_jet_from_dict)
     ok, res = validate_two_jet(jet)
     if not ok:
         print(f"error: input is not a valid two-jet: {res}", file=sys.stderr)
@@ -168,7 +189,7 @@ def cmd_metric(args) -> int:
         gm = random_poly_metric(_space_from_args(args), args.seed)
         _emit(poly_metric_to_dict(gm), args.out)
         return 0
-    gm = poly_metric_from_dict(_load(in_path))
+    gm = _load(in_path, poly_metric_from_dict)
     jet = curvature_two_jet(gm)
     ok, res = validate_two_jet(jet)
     if args.out is not None:
@@ -239,7 +260,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == name and getattr(args, "in") is None:
             print(f"error: {name} requires --in", file=sys.stderr)
             return 2
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DocumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -24,16 +24,10 @@ from .curvature import (
     star_action,
 )
 from .jets import TwoJet, hat_embed, jet_traces, random_two_jet, tilde_ops
-from .spaces import Space, SymBiform, Tensor, sym_product
+from .spaces import Space, SymBiform, Tensor, _rel, sym_product
 from .young import random_ck, tableau_apply, young_apply
 
 __all__ = ["verify_identity", "identity_names"]
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    gap = float(np.linalg.norm((a - b).ravel()))
-    scale = max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
-    return gap / scale
 
 
 def _pair_sum(F: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .spaces import (
     Space,
     SymBiform,
     Tensor,
+    _rel,
     metric_trace,
     sym_product,
     tensor_from_dict,
@@ -64,6 +65,10 @@ __all__ = [
     "two_jet_to_dict",
     "two_jet_from_dict",
 ]
+
+
+# dimensions in which random_two_jet can draw jets
+RANDOM_JET_DIMS = (3, 4, 5)
 
 
 @dataclass(frozen=True)
@@ -164,12 +169,6 @@ def _bianchi_cycle(d2: np.ndarray) -> np.ndarray:
         + np.transpose(d2, (0, 2, 3, 1, 4, 5))
         + np.transpose(d2, (0, 3, 1, 2, 4, 5))
     )
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    gap = float(np.linalg.norm((a - b).ravel()))
-    scale = max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
-    return gap / scale
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def random_two_jet(
     background the Ricci identity is the only coupling, so the symmetric
     part is free.
     """
-    if space.dim not in (3, 4, 5):
+    if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
     rng = np.random.default_rng(seed)
     stack0 = _ck_stack(space, 0)
@@ -615,9 +614,11 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     defect by a 1/80-scaled correction from C_2, which preserves the jet
     constraints.
 
-    Raises ValueError if the input is not an Einstein one-jet and
-    RuntimeError if the seed metric or the correction solve fails.
+    Raises ValueError if the input is not finite or not an Einstein one-jet,
+    and RuntimeError if the seed metric or the correction solve fails.
     """
+    if not (np.isfinite(R.data).all() and np.isfinite(dR.data).all()):
+        raise ValueError("one-jet has non-finite entries")
     sp = R.space
     ric_data = ricci(R)
     proportional_gap = ric_data.ric.data - (ric_data.scalar / sp.dim) * sp.metric_matrix()
@@ -626,9 +627,9 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if ricci_derivative(dR).norm() > tol * max(dR.norm(), 1.0):
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    from .polymetric import curvature_two_jet, seed_metric
+    from .polymetric import _seed_field, _two_jet_of_field
 
-    provisional = curvature_two_jet(seed_metric(R, dR))
+    provisional = _two_jet_of_field(_seed_field(R, dR), sp)
     if _rel(provisional.R.data, R.data) > 1e-8 or (
         dR.norm() > 0 and _rel(provisional.dR.data, dR.data) > 1e-8
     ):

@@ -7,15 +7,26 @@ inverse metric; the curvature tensor and its first two covariant
 derivatives are then evaluated exactly at the origin (polynomial arithmetic
 is exact under truncation, nothing is rounded).
 
+The jet arithmetic runs on dense coefficient fields rather than on the
+TruncPoly entries: a tensor-valued polynomial of total degree <= d in n
+variables is an array of shape (C(n+d, d), *tensor_shape) whose rows follow
+the monomials in graded order, so truncating to a lower degree is taking a
+prefix of rows.  Products are one batched einsum over the cached pairs of
+rows whose degrees fit under the cap, scattered into the product rows in a
+fixed order; derivatives are a cached row map with exponent multipliers.
+
 The cubic seed metric turns a one-jet (R, dR) into a germ whose curvature
 two-jet reproduces (R, dR); the sign convention of the quadratic and cubic
-coefficients is pinned by that round trip.
+coefficients is pinned by that round trip.  einstein_extend evaluates the
+seed field directly, without building the TruncPoly entries.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
+from functools import lru_cache
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
@@ -167,129 +178,176 @@ class PolyMetric:
 # ---------------------------------------------------------------------------
 # coefficient-field arithmetic
 #
-# A "field" is a dict mapping exponent tuples to ndarray coefficients; it
-# represents a tensor-valued polynomial.  Products contract tensor parts by
-# an einsum spec and drop terms above the requested total degree.
+# A "field" is a tensor-valued polynomial in n variables, stored densely as
+# an array of shape (C(n+d, d), *tensor_shape).  Row r holds the tensor
+# coefficient of the r-th monomial of total degree <= d in graded order:
+# the constant, then x_0 .. x_{n-1}, then the quadratic monomials, and so
+# on.  The rows of degree <= d' < d are a prefix, so truncation is slicing
+# and each step keeps only the rows it needs: for a two-jet, the inverse
+# metric and the Christoffel symbols to degree 3, their derivative and the
+# lowered curvature to degree 2, the covariant derivative to degree 1.
+# Products and derivatives run on index tables cached per (n, d).  Products
+# scatter with np.add.at in a fixed pair order, so every tensor entry is
+# summed in the same order and Gamma^k_ij == Gamma^k_ji holds bitwise.
 
 
-def _f_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for e, arr in b.items():
-        out[e] = out[e] + arr if e in out else arr
+def _rows(n: int, degree: int) -> int:
+    return math.comb(n + degree, degree)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    # the index tables are cached and shared by every caller
+    arr.flags.writeable = False
+    return arr
+
+
+def _exponent(n: int, variables) -> tuple[int, ...]:
+    """Exponent tuple of the product of the listed variables."""
+    e = [0] * n
+    for v in variables:
+        e[v] += 1
+    return tuple(e)
+
+
+@lru_cache(maxsize=None)
+def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent tuples of total degree <= degree, in graded order."""
+    return tuple(
+        _exponent(n, combo)
+        for total in range(degree + 1)
+        for combo in combinations_with_replacement(range(n), total)
+    )
+
+
+@lru_cache(maxsize=None)
+def _row_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
+    return {e: r for r, e in enumerate(_monomials(n, degree))}
+
+
+@lru_cache(maxsize=None)
+def _product_table(n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row pairs whose degrees sum to at most cap, and the row of their product."""
+    mons = _monomials(n, cap)
+    index = _row_index(n, cap)
+    left, right, target = [], [], []
+    for i, a in enumerate(mons):
+        for j, b in enumerate(mons):
+            if sum(a) + sum(b) <= cap:
+                left.append(i)
+                right.append(j)
+                target.append(index[tuple(x + y for x, y in zip(a, b))])
+    return tuple(_read_only(np.array(t)) for t in (left, right, target))
+
+
+@lru_cache(maxsize=None)
+def _gradient_table(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """For variable v and row k of degree <= cap: the row of x_v m_k, and x_v's exponent there."""
+    index = _row_index(n, cap + 1)
+    source = np.empty((n, _rows(n, cap)), dtype=np.intp)
+    factor = np.empty((n, _rows(n, cap)))
+    for k, e in enumerate(_monomials(n, cap)):
+        for v in range(n):
+            source[v, k] = index[tuple(x + (u == v) for u, x in enumerate(e))]
+            factor[v, k] = e[v] + 1
+    return _read_only(source), _read_only(factor)
+
+
+@lru_cache(maxsize=None)
+def _power_rows(n: int, order: int) -> np.ndarray:
+    """Row of x_{v_1} ... x_{v_order} for each ordered tuple (v_1, ..., v_order)."""
+    index = _row_index(n, order)
+    rows = [index[_exponent(n, vs)] for vs in product(range(n), repeat=order)]
+    return _read_only(np.array(rows))
+
+
+def _mul(a: np.ndarray, b: np.ndarray, spec: str, n: int, cap: int) -> np.ndarray:
+    """Product truncated at total degree cap; tensor parts contract by an einsum spec.
+
+    Both factors need rows up to degree cap.
+    """
+    left, right, target = _product_table(n, cap)
+    inputs, result = spec.split("->")
+    first, second = inputs.split(",")
+    terms = np.einsum(f"Z{first},Z{second}->Z{result}", a[left], b[right])
+    out = np.zeros((_rows(n, cap),) + terms.shape[1:])
+    np.add.at(out, target, terms)
     return out
 
 
-def _f_scale(a: dict, c: float) -> dict:
-    return {e: c * arr for e, arr in a.items()}
+def _grad(a: np.ndarray, n: int, cap: int) -> np.ndarray:
+    """Gradient truncated at degree cap, derivative slot first in the tensor part.
+
+    The field needs rows up to degree cap + 1.
+    """
+    source, factor = _gradient_table(n, cap)
+    terms = factor.reshape(factor.shape + (1,) * (a.ndim - 1)) * a[source]
+    return np.moveaxis(terms, 0, 1)
 
 
-def _f_mul(a: dict, b: dict, spec: str, cap: int) -> dict:
-    out: dict = {}
-    for ea, ta in a.items():
-        da = sum(ea)
-        if da > cap:
-            continue
-        for eb, tb in b.items():
-            if da + sum(eb) > cap:
-                continue
-            e = tuple(x + y for x, y in zip(ea, eb))
-            prod = np.einsum(spec, ta, tb)
-            if e in out:
-                out[e] = out[e] + prod
-            else:
-                out[e] = prod
-    return out
-
-
-def _f_diff(a: dict, v: int) -> dict:
-    out: dict = {}
-    for e, arr in a.items():
-        if e[v]:
-            lowered = list(e)
-            lowered[v] -= 1
-            key = tuple(lowered)
-            term = e[v] * arr
-            out[key] = out[key] + term if key in out else term
-    return out
-
-
-def _metric_field(gm: PolyMetric) -> dict:
+def _field_of_metric(gm: PolyMetric, degree: int) -> np.ndarray:
+    """Metric entries as a field of (n, n) matrices, truncated at degree."""
     n = gm.space.dim
-    field: dict = {}
+    index = _row_index(n, degree)
+    G = np.zeros((_rows(n, degree), n, n))
     for i in range(n):
         for k in range(n):
             for e, c in gm.entries[i][k].coeff.items():
-                field.setdefault(e, np.zeros((n, n)))[i, k] = c
-    return field
+                r = index.get(e)
+                if r is not None:
+                    G[r, i, k] = c
+    return G
 
 
-def _inverse_metric_field(G: dict, space: Space, cap: int) -> dict:
+def _inverse_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
     """Truncated Neumann series for the inverse metric; exact under truncation."""
-    n = space.dim
-    zero = (0,) * n
-    g0inv = np.diag(space.eps).astype(float)  # the signature matrix is its own inverse
-    B = {e: -(g0inv @ arr) for e, arr in G.items() if e != zero}
-    inv = {zero: g0inv.copy()}
-    cur = {zero: g0inv}
+    n = len(eps)
+    # the signature matrix is its own inverse
+    B = -eps[:, None] * G[: _rows(n, cap)]
+    B[0] = 0.0
+    inv = np.zeros_like(B)
+    inv[0] = np.diag(eps)
+    cur = inv
     for _ in range(cap):
-        cur = _f_mul(B, cur, "ij,jk->ik", cap)
-        if not cur:
-            break
-        inv = _f_add(inv, cur)
+        cur = _mul(B, cur, "ij,jk->ik", n, cap)
+        inv = inv + cur
     return inv
 
 
-def _christoffel_field(G: dict, Ginv: dict, n: int, cap: int) -> dict:
-    """Christoffel coefficients as a field of (n, n, n) arrays [k, i, j]."""
-    T: dict = {}
-    for a in range(n):
-        for e, arr in _f_diff(G, a).items():
-            T.setdefault(e, np.zeros((n, n, n)))[a] = arr
-    U = {
-        e: arr + np.transpose(arr, (1, 0, 2)) - np.transpose(arr, (1, 2, 0))
-        for e, arr in T.items()
-    }
-    return _f_scale(_f_mul(Ginv, U, "kl,ijl->kij", cap), 0.5)
+def _gamma_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
+    """Christoffel coefficients [r, k, i, j] to degree cap; G needs degree cap + 1."""
+    n = len(eps)
+    T = _grad(G, n, cap)  # [r, a, i, j] = d_a g_ij
+    U = T + np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (0, 2, 3, 1))
+    return 0.5 * _mul(_inverse_field(G, eps, cap), U, "kl,ijl->kij", n, cap)
 
 
-def _curvature_fields(G: dict, Ginv: dict, n: int) -> tuple:
-    """Lowered curvature, first and second covariant derivative at the origin."""
-    gamma = _christoffel_field(G, Ginv, n, cap=3)
+def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
+    """Lowered curvature and its first two covariant derivatives at the origin.
 
-    # derivative of the connection, arranged [i, j, k, l] = d_i Gamma^l_{jk}
-    dgamma: dict = {}
-    for i in range(n):
-        for e, arr in _f_diff(gamma, i).items():
-            dgamma.setdefault(e, np.zeros((n,) * 4))[i] = arr
-    t1 = {e: np.transpose(arr, (0, 2, 3, 1)) for e, arr in dgamma.items()}
-    t2 = {e: np.transpose(arr, (1, 0, 2, 3)) for e, arr in t1.items()}
-    t3 = _f_mul(gamma, gamma, "lim,mjk->ijkl", cap=2)
-    t4 = {e: np.transpose(arr, (1, 0, 2, 3)) for e, arr in t3.items()}
-    upper = _f_add(_f_add(t1, _f_scale(t2, -1.0)), _f_add(t3, _f_scale(t4, -1.0)))
+    G is a metric field with rows up to degree 4 at least.
+    """
+    n = sp.dim
+    gamma = _gamma_field(G, sp.eps, cap=3)
+
+    # derivative of the connection, arranged [r, i, j, k, l] = d_i Gamma^l_{jk}
+    t1 = np.transpose(_grad(gamma, n, 2), (0, 1, 3, 4, 2))
+    t2 = np.transpose(t1, (0, 2, 1, 3, 4))
+    t3 = _mul(gamma, gamma, "lim,mjk->ijkl", n, 2)
+    t4 = np.transpose(t3, (0, 2, 1, 3, 4))
+    upper = (t1 - t2) + (t3 - t4)
 
     # pairing with the metric; this orientation makes the commutator of the
     # stored second derivative match the curvature rotation, and reproduces
     # seed metrics with coefficient +1
-    lowered = _f_mul(upper, G, "ijkm,ml->ijkl", cap=2)
+    lowered = _mul(upper, G, "ijkm,ml->ijkl", n, 2)
 
-    cov5: dict = {}
-    for a in range(n):
-        for e, arr in _f_diff(lowered, a).items():
-            cov5.setdefault(e, np.zeros((n,) * 5))[a] = arr
+    cov5 = _grad(lowered, n, 1)
     for spec in ("mai,mjkl->aijkl", "maj,imkl->aijkl", "mak,ijml->aijkl", "mal,ijkm->aijkl"):
-        cov5 = _f_add(cov5, _f_scale(_f_mul(gamma, lowered, spec, cap=1), -1.0))
+        cov5 = cov5 - _mul(gamma, lowered, spec, n, 1)
 
-    zero = (0,) * n
-    cov0 = cov5.get(zero, np.zeros((n,) * 5))
-    gamma0 = gamma.get(zero, np.zeros((n,) * 3))
-
-    linear = np.zeros((n,) + (n,) * 5)
-    for b in range(n):
-        unit = tuple(1 if v == b else 0 for v in range(n))
-        if unit in cov5:
-            linear[b] = cov5[unit]
-
-    d2 = linear.copy()
+    cov0 = cov5[0]
+    gamma0 = gamma[0]
+    d2 = cov5[1 : n + 1].copy()  # linear rows: the derivative along e_b
     for spec in (
         "mba,mijkl->baijkl",
         "mbi,amjkl->baijkl",
@@ -299,7 +357,7 @@ def _curvature_fields(G: dict, Ginv: dict, n: int) -> tuple:
     ):
         d2 -= np.einsum(spec, gamma0, cov0)
 
-    return lowered.get(zero, np.zeros((n,) * 4)), cov0, d2
+    return TwoJet(Tensor(sp, lowered[0]), Tensor(sp, cov0), Tensor(sp, d2))
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +372,13 @@ def christoffel(gm: PolyMetric) -> np.ndarray:
     if gm.degree < 1:
         raise ValueError("truncation degree too low for Christoffel symbols")
     n = gm.space.dim
-    G = _metric_field(gm)
-    Ginv = _inverse_metric_field(G, gm.space, gm.degree)
-    gamma = _christoffel_field(G, Ginv, n, cap=gm.degree - 1)
+    cap = gm.degree - 1
+    gamma = _gamma_field(_field_of_metric(gm, gm.degree), gm.space.eps, cap)
+    mons = _monomials(n, cap)
     out = np.empty((n, n, n), dtype=object)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                table = {e: arr[k, i, j] for e, arr in gamma.items() if arr[k, i, j] != 0.0}
-                out[k, i, j] = TruncPoly(n, gm.degree - 1, table)
+    for k, i, j in np.ndindex(n, n, n):
+        column = gamma[:, k, i, j]
+        out[k, i, j] = TruncPoly(n, cap, {mons[r]: column[r] for r in np.flatnonzero(column)})
     return out
 
 
@@ -335,11 +391,7 @@ def curvature_two_jet(gm: PolyMetric) -> TwoJet:
     """
     if gm.degree < 4:
         raise ValueError("truncation degree must be at least 4 for a two-jet")
-    sp = gm.space
-    G = _metric_field(gm)
-    Ginv = _inverse_metric_field(G, sp, gm.degree)
-    R0, dR0, d2R0 = _curvature_fields(G, Ginv, sp.dim)
-    return TwoJet(Tensor(sp, R0), Tensor(sp, dR0), Tensor(sp, d2R0))
+    return _two_jet_of_field(_field_of_metric(gm, 4), gm.space)
 
 
 # Sign of the quadratic/cubic seed coefficients under this module's curvature
@@ -347,55 +399,46 @@ def curvature_two_jet(gm: PolyMetric) -> TwoJet:
 _SEED_SIGN = -1.0
 
 
-def seed_metric(R: Tensor, dR: Tensor) -> PolyMetric:
-    """Cubic metric germ whose curvature two-jet starts with (R, dR).
+def _seed_field(R: Tensor, dR: Tensor) -> np.ndarray:
+    """Metric field of the cubic seed germ of (R, dR), with rows up to degree 4.
 
     Entries are g0 plus one third of the Jacobi-slot arrangement of R and
     one sixth of the directional derivative term, both converted to a
-    bilinear form with the background metric.
+    bilinear form with the background metric.  The quartic rows are zero.
     """
     if R.valence != 4 or dR.valence != 5:
         raise ValueError("seed metric expects a one-jet (valences 4 and 5)")
     if dR.space != R.space:
         raise ValueError("one-jet components live on different spaces")
-    sp = R.space
-    n = sp.dim
-    eps = sp.eps
+    n = R.space.dim
+    # [i, j, k, l] = R[i, k, l, j] and [i, j, k, l, m] = dR[m, i, k, l, j]; the
+    # Jacobi arrangement is symmetric in (i, j) up to roundoff, so average it
+    # and the entries match bitwise
+    quad = np.transpose(R.data, (0, 3, 1, 2))
+    quad = _SEED_SIGN * (quad + np.transpose(quad, (1, 0, 2, 3))) / 6.0
+    cubic = np.transpose(dR.data, (1, 4, 2, 3, 0))
+    cubic = _SEED_SIGN * (cubic + np.transpose(cubic, (1, 0, 2, 3, 4))) / 12.0
 
-    entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            table: dict[tuple[int, ...], float] = {}
-            if i == j:
-                table[(0,) * n] = float(eps[i])
-            for k in range(n):
-                for l in range(n):
-                    # the Jacobi arrangement is symmetric in (i, j) up to
-                    # roundoff; average so the entries match bitwise
-                    c = _SEED_SIGN * (R.data[i, k, l, j] + R.data[j, k, l, i]) / 6.0
-                    if c != 0.0:
-                        e = [0] * n
-                        e[k] += 1
-                        e[l] += 1
-                        key = tuple(e)
-                        table[key] = table.get(key, 0.0) + c
-                    for m in range(n):
-                        c3 = (
-                            _SEED_SIGN
-                            * (dR.data[m, i, k, l, j] + dR.data[m, j, k, l, i])
-                            / 12.0
-                        )
-                        if c3 != 0.0:
-                            e = [0] * n
-                            e[m] += 1
-                            e[k] += 1
-                            e[l] += 1
-                            key = tuple(e)
-                            table[key] = table.get(key, 0.0) + c3
-            row.append(TruncPoly(n, 4, table))
-        entries.append(tuple(row))
-    return PolyMetric(sp, 4, tuple(entries))
+    G = np.zeros((_rows(n, 4), n, n))
+    G[0] = R.space.metric_matrix()
+    np.add.at(G, _power_rows(n, 2), np.moveaxis(quad.reshape(n, n, -1), 2, 0))
+    np.add.at(G, _power_rows(n, 3), np.moveaxis(cubic.reshape(n, n, -1), 2, 0))
+    return G
+
+
+def seed_metric(R: Tensor, dR: Tensor) -> PolyMetric:
+    """Cubic metric germ whose curvature two-jet starts with (R, dR)."""
+    G = _seed_field(R, dR)
+    n = R.space.dim
+    mons = _monomials(n, 4)
+    entries = tuple(
+        tuple(
+            TruncPoly(n, 4, {mons[r]: G[r, i, j] for r in np.flatnonzero(G[:, i, j])})
+            for j in range(n)
+        )
+        for i in range(n)
+    )
+    return PolyMetric(R.space, 4, entries)
 
 
 def random_poly_metric(
@@ -417,16 +460,9 @@ def random_poly_metric(
         tables[i][i][(0,) * n] = float(eps[i])
     for i in range(n):
         for j in range(i, n):
-            for total in range(1, degree + 1):
-                for combo in combinations_with_replacement(range(n), total):
-                    e = [0] * n
-                    for v in combo:
-                        e[v] += 1
-                    c = amplitude**total * rng.standard_normal()
-                    key = tuple(e)
-                    tables[i][j][key] = tables[i][j].get(key, 0.0) + c
-                    if j != i:
-                        tables[j][i][key] = tables[i][j][key]
+            for e in _monomials(n, degree)[1:]:
+                c = amplitude ** sum(e) * rng.standard_normal()
+                tables[i][j][e] = tables[j][i][e] = c
 
     entries = tuple(
         tuple(TruncPoly(n, degree, tables[i][j]) for j in range(n)) for i in range(n)

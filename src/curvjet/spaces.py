@@ -232,6 +232,13 @@ def sym_product(a, b):
     return out
 
 
+def _rel(a: np.ndarray, b: np.ndarray) -> float:
+    """Relative gap |a - b| / max(|a|, |b|, 1) in the Frobenius norm."""
+    gap = float(np.linalg.norm((a - b).ravel()))
+    scale = max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
+    return gap / scale
+
+
 def random_tensor(space: Space, valence: int, seed: int) -> Tensor:
     """Deterministic i.i.d. standard-normal entries for the given seed."""
     rng = np.random.default_rng(seed)

@@ -23,6 +23,7 @@ from .curvature import (
 )
 from .identities import identity_names, verify_identity
 from .jets import (
+    RANDOM_JET_DIMS,
     TwoJet,
     _hess_kernel_stack,
     einstein_check,
@@ -38,7 +39,7 @@ from .jets import (
 )
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
-from .spaces import Space, Tensor
+from .spaces import Space, Tensor, _rel
 from .young import basis_Ck, random_ck, young_apply, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites"]
@@ -87,12 +88,14 @@ def make_config(
 ) -> RunConfig:
     dims = (dim,) if dim is not None else ((3, 4, 5) if full else (3, 4))
     count = seeds if seeds is not None else (100 if full else 25)
+    if count < 1:
+        raise ValueError(f"need at least one seed, got {count}")
+    if dim is not None and signature is not None and dim != len(signature):
+        raise ValueError("the dimension contradicts the signature length")
+    for n in (len(signature),) if signature is not None else dims:
+        if n not in RANDOM_JET_DIMS:
+            raise ValueError(f"checks need a dimension in {RANDOM_JET_DIMS}, got {n}")
     return RunConfig(dims, signature, count, seed, tol, full)
-
-
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    gap = float(np.linalg.norm((a - b).ravel()))
-    return gap / max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
 
 
 def suite_eigenvalue(cfg: RunConfig) -> list[CheckRecord]:

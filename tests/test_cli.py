@@ -77,6 +77,23 @@ class TestCheck:
         assert code == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--suite", "star", "--seeds", "0"],
+            ["--suite", "einstein", "--seeds", "0"],
+            ["--dim", "2"],
+            ["--dim", "6", "--suite", "star"],
+            ["--signature", "1,-1", "--suite", "star"],
+            ["--dim", "3", "--signature", "1,1,1,-1", "--suite", "star"],
+        ],
+    )
+    def test_unsupported_configuration_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check"] + argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_json_format(self, capsys):
         code = main(
             ["check", "--suite", "eigenvalue", "--dim", "3", "--seeds", "1", "--format", "json"]
@@ -207,3 +224,25 @@ class TestMetric:
         out = capsys.readouterr().out
         assert code == 0 and "valid: True" in out
         two_jet_from_dict(json.loads(jet.read_text()))
+
+
+class TestDocumentLoading:
+    @pytest.fixture
+    def documents(self, tmp_path):
+        missing_key = tmp_path / "missing_key.json"
+        missing_key.write_text(json.dumps({"dim": 3}))
+        bad_json = tmp_path / "bad.json"
+        bad_json.write_text("{not json")
+        return {
+            "missing": tmp_path / "absent.json",
+            "bad_json": bad_json,
+            "missing_key": missing_key,
+        }
+
+    @pytest.mark.parametrize("command", ["metric", "extend", "fit"])
+    @pytest.mark.parametrize("case", ["missing", "bad_json", "missing_key"])
+    def test_unreadable_input_fails_with_error_line(self, documents, command, case, capsys):
+        path = documents[case]
+        assert main([command, "--in", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err

@@ -375,6 +375,14 @@ class TestExtend:
         with pytest.raises(ValueError, match="nonparallel"):
             einstein_extend(R, random_ck(E4, 1, 15))
 
+    @pytest.mark.parametrize("part", ["R", "dR"])
+    def test_rejects_nan(self, part):
+        R, dR = random_einstein_one_jet(E4, 16)
+        one_jet = {"R": R.data.copy(), "dR": dR.data.copy()}
+        one_jet[part][(0, 1, 0, 1) if part == "R" else (0, 0, 1, 0, 1)] = np.nan
+        with pytest.raises(ValueError):
+            einstein_extend(Tensor(E4, one_jet["R"]), Tensor(E4, one_jet["dR"]))
+
     @pytest.mark.parametrize("sp", [E3, E4])
     def test_round_trip(self, sp):
         for seed in range(3):

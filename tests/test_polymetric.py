@@ -10,6 +10,8 @@ from curvjet.jets import validate_two_jet
 from curvjet.polymetric import (
     PolyMetric,
     TruncPoly,
+    _seed_field,
+    _two_jet_of_field,
     christoffel,
     curvature_two_jet,
     poly_metric_from_dict,
@@ -130,6 +132,38 @@ class TestChristoffel:
         with pytest.raises(ValueError, match="degree"):
             christoffel(flat_metric(E3, degree=0))
 
+    @pytest.mark.parametrize("sp", [E3, Space(3, (1, -1, 1))])
+    def test_matches_truncpoly_arithmetic(self, sp):
+        # reference by TruncPoly products and derivatives: Neumann series
+        # for the inverse, then the Levi-Civita formula entry by entry
+        n, degree = sp.dim, 3
+        gm = random_poly_metric(sp, 8, degree=degree)
+        g = gm.entries
+        eps = sp.signature
+        B = [[-eps[i] * (g[i][k] - g[i][k].value0()) for k in range(n)] for i in range(n)]
+        inv = [[TruncPoly.constant(n, degree, eps[i] * (i == k)) for k in range(n)] for i in range(n)]
+        power = inv
+        for _ in range(degree):
+            power = [
+                [sum((B[i][j] * power[j][k] for j in range(n)), TruncPoly(n, degree, {}))
+                 for k in range(n)]
+                for i in range(n)
+            ]
+            inv = [[inv[i][k] + power[i][k] for k in range(n)] for i in range(n)]
+        gamma = christoffel(gm)
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    ref = TruncPoly(n, degree - 1, {})
+                    for l in range(n):
+                        u = g[j][l].diff(i) + g[i][l].diff(j) - g[i][j].diff(l)
+                        ref = ref + 0.5 * (inv[k][l] * u)
+                    got = gamma[k, i, j]
+                    for e in set(ref.coeff) | set(got.coeff):
+                        assert got.coeff.get(e, 0.0) == pytest.approx(
+                            ref.coeff.get(e, 0.0), rel=1e-12, abs=1e-14
+                        )
+
 
 class TestCurvatureTwoJet:
     def test_flat_metric_is_flat(self):
@@ -242,6 +276,19 @@ class TestSeedMetric:
             j = curvature_two_jet(seed_metric(R, dR))
             assert rel(j.R.data, R.data) < 1e-8
             assert rel(j.dR.data, dR.data) < 1e-8
+
+    @pytest.mark.parametrize("sp", [Space(4, (-1, 1, 1, 1)), Space(5)])
+    def test_seed_field_matches_public_path(self, sp):
+        # einstein_extend evaluates the seed field directly; it must agree
+        # with the jet of the PolyMetric that seed_metric builds
+        for seed in range(2):
+            R = random_ck(sp, 0, 60 + seed)
+            dR = random_ck(sp, 1, 70 + seed)
+            direct = _two_jet_of_field(_seed_field(R, dR), sp)
+            public = curvature_two_jet(seed_metric(R, dR))
+            for part in ("R", "dR", "d2R"):
+                a, b = getattr(direct, part).data, getattr(public, part).data
+                assert np.linalg.norm(a - b) <= 1e-12 * np.linalg.norm(b), part
 
     def test_origin_value_is_signature(self):
         gm = seed_metric(random_ck(E4, 0, 40), random_ck(E4, 1, 41))
