@@ -11,15 +11,13 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .jets import (
+    _eigenvalue_gap,
     einstein_check,
     einstein_extend,
     extension_solution_dim,
     fit_jacobi_relation,
-    jet_traces,
     random_two_jet,
     random_einstein_one_jet,
     two_jet_from_dict,
@@ -175,10 +173,7 @@ def cmd_fit(args) -> int:
         return 1
     pairs = {"c": fit.c, "residual": fit.residual}
     if einstein_check(jet)[0] and fit.residual < 1e-9:
-        n = jet.space.dim
-        lap = jet_traces(jet)[2].data
-        gap = np.linalg.norm(lap + ((n + 4.0) * fit.c / 2.0) * jet.R.data)
-        pairs["eigenvalue_residual"] = float(gap / max(jet.R.norm(), 1.0))
+        pairs["eigenvalue_residual"] = _eigenvalue_gap(jet, fit.c)
     _print_pairs(pairs, args.format == "json")
     return 0
 

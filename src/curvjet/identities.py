@@ -24,7 +24,7 @@ from .curvature import (
     star_action,
 )
 from .jets import TwoJet, hat_embed, jet_traces, random_two_jet, tilde_ops
-from .spaces import Space, SymBiform, Tensor, _rel, sym_product
+from .spaces import Space, SymBiform, Tensor, _rel, memoized, sym_product
 from .young import random_ck, tableau_apply, young_apply
 
 __all__ = ["verify_identity", "identity_names"]
@@ -40,6 +40,7 @@ def _pair_sum(F: np.ndarray) -> np.ndarray:
     )
 
 
+@memoized
 def _rotation_data(space: Space, seed: int):
     """Random curvature tensor with its rotation 6-tensor and derived traces."""
     R = random_ck(space, 0, seed)
@@ -114,6 +115,7 @@ def _ricci_rotation_vanishes(space: Space, seed: int) -> dict[str, float]:
     return {"residual": projected.norm() / max(float(np.linalg.norm(Gn)), 1.0)}
 
 
+@memoized
 def _ricci_flat_input(space: Space, seed: int) -> Tensor:
     # a Ricci-flat curvature tensor; vanishes identically below dim 4
     return decompose(random_ck(space, 0, seed)).weyl_part
@@ -166,6 +168,7 @@ def _projected_kulkarni(space: Space, seed: int) -> dict[str, float]:
     return out
 
 
+@memoized
 def _assoc_displays(space: Space, seed: int):
     """Shared data for the two associated-second-derivative displays."""
     j = random_two_jet(space, seed)
@@ -248,6 +251,7 @@ def identity_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
 
 
+@memoized
 def verify_identity(name: str, space: Space, seed: int = 0) -> dict[str, float]:
     """Evaluate a registered identity on seeded input; returns named residuals.
 

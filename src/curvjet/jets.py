@@ -36,6 +36,7 @@ from .spaces import (
     SymBiform,
     Tensor,
     _rel,
+    memoized,
     metric_trace,
     sym_product,
     tensor_from_dict,
@@ -263,6 +264,7 @@ def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray]:
     return basis, pinv
 
 
+@memoized
 def random_two_jet(
     space: Space, seed: int, background: Tensor | None = None
 ) -> TwoJet | SectionTwoJet:
@@ -272,7 +274,8 @@ def random_two_jet(
     second derivative solving the differentiated Bianchi identity on top of
     half the curvature rotation, and a random C_2 contribution.  With a
     background the Ricci identity is the only coupling, so the symmetric
-    part is free.
+    part is free.  In a run scope (``spaces.run_scope``) a plain jet is drawn
+    once per (space, seed); a call with a background is never memoized.
     """
     if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
@@ -324,6 +327,7 @@ def _parallel_ricci_dirs(space: Space) -> np.ndarray:
     return np.tensordot(kernel(rows.T), stack1, (1, 0))
 
 
+@memoized
 def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     """Random (R, dR) with Ricci curvature proportional to g and parallel.
 
@@ -569,6 +573,14 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
     c = float(R2 @ G) / float(G @ G)
     residual = float(np.linalg.norm(R2 - c * G)) / norm_R2
     return JacobiFit(c, residual)
+
+
+def _eigenvalue_gap(j: TwoJet, c: float) -> float:
+    """Relative gap of the eigenvalue corollary rough_lap = -(n + 4) c / 2 * R."""
+    n = j.space.dim
+    lap = _rough_lap(j.d2R.data, j.space.eps)
+    gap = np.linalg.norm(lap + ((n + 4.0) * c / 2.0) * j.R.data)
+    return float(gap / max(j.R.norm(), 1.0))
 
 
 # ---------------------------------------------------------------------------

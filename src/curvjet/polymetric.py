@@ -74,6 +74,19 @@ class TruncPoly:
     def constant(cls, nvars: int, degree: int, value: float) -> "TruncPoly":
         return cls(nvars, degree, {(0,) * nvars: value})
 
+    @classmethod
+    def _from_rows(cls, nvars: int, degree: int, column: np.ndarray) -> "TruncPoly":
+        """Entry whose row r holds the coefficient of the r-th graded monomial.
+
+        Zero rows are dropped; the exponents come from ``_monomials`` and are
+        not validated again.
+        """
+        poly = cls.__new__(cls)
+        poly.nvars, poly.degree = nvars, degree
+        mons = _monomials(nvars, degree)
+        poly.coeff = {mons[r]: float(column[r]) for r in np.flatnonzero(column)}
+        return poly
+
     def value0(self) -> float:
         """Value at the origin."""
         return self.coeff.get((0,) * self.nvars, 0.0)
@@ -374,11 +387,9 @@ def christoffel(gm: PolyMetric) -> np.ndarray:
     n = gm.space.dim
     cap = gm.degree - 1
     gamma = _gamma_field(_field_of_metric(gm, gm.degree), gm.space.eps, cap)
-    mons = _monomials(n, cap)
     out = np.empty((n, n, n), dtype=object)
     for k, i, j in np.ndindex(n, n, n):
-        column = gamma[:, k, i, j]
-        out[k, i, j] = TruncPoly(n, cap, {mons[r]: column[r] for r in np.flatnonzero(column)})
+        out[k, i, j] = TruncPoly._from_rows(n, cap, gamma[:, k, i, j])
     return out
 
 
@@ -426,19 +437,18 @@ def _seed_field(R: Tensor, dR: Tensor) -> np.ndarray:
     return G
 
 
+def _metric_of_field(space: Space, degree: int, G: np.ndarray) -> PolyMetric:
+    """PolyMetric whose entries are the columns of a (rows, n, n) metric field."""
+    n = space.dim
+    entries = tuple(
+        tuple(TruncPoly._from_rows(n, degree, G[:, i, j]) for j in range(n)) for i in range(n)
+    )
+    return PolyMetric(space, degree, entries)
+
+
 def seed_metric(R: Tensor, dR: Tensor) -> PolyMetric:
     """Cubic metric germ whose curvature two-jet starts with (R, dR)."""
-    G = _seed_field(R, dR)
-    n = R.space.dim
-    mons = _monomials(n, 4)
-    entries = tuple(
-        tuple(
-            TruncPoly(n, 4, {mons[r]: G[r, i, j] for r in np.flatnonzero(G[:, i, j])})
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return PolyMetric(R.space, 4, entries)
+    return _metric_of_field(R.space, 4, _seed_field(R, dR))
 
 
 def random_poly_metric(
@@ -453,21 +463,15 @@ def random_poly_metric(
         raise ValueError("perturbation needs degree at least 1")
     rng = np.random.default_rng(seed)
     n = space.dim
-    eps = space.eps
+    mons = _monomials(n, degree)
+    scale = np.array([amplitude ** sum(e) for e in mons[1:]])
 
-    tables = [[{} for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        tables[i][i][(0,) * n] = float(eps[i])
+    G = np.zeros((len(mons), n, n))
+    G[0] = space.metric_matrix()
     for i in range(n):
         for j in range(i, n):
-            for e in _monomials(n, degree)[1:]:
-                c = amplitude ** sum(e) * rng.standard_normal()
-                tables[i][j][e] = tables[j][i][e] = c
-
-    entries = tuple(
-        tuple(TruncPoly(n, degree, tables[i][j]) for j in range(n)) for i in range(n)
-    )
-    return PolyMetric(space, degree, entries)
+            G[1:, i, j] = G[1:, j, i] = scale * rng.standard_normal(len(mons) - 1)
+    return _metric_of_field(space, degree, G)
 
 
 def poly_metric_to_dict(gm: PolyMetric) -> dict:

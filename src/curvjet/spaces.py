@@ -3,13 +3,17 @@
 Tensors are stored as dense numpy arrays of shape (n,)*valence, row-major
 with slot 1 slowest.  All slot arguments in the public API are 1-based.
 Metric traces carry the signature signs, so the Euclidean case reduces to
-plain orthonormal-basis sums.
+plain orthonormal-basis sums.  The module also holds the run-scoped memo
+(``run_scope``, ``memoized``) through which one check run shares its seeded
+inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -237,6 +241,75 @@ def _rel(a: np.ndarray, b: np.ndarray) -> float:
     gap = float(np.linalg.norm((a - b).ravel()))
     scale = max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
     return gap / scale
+
+
+# ---------------------------------------------------------------------------
+# run-scoped memo of seeded inputs
+#
+# While a run scope is open, a memoized function computes each result once
+# per hashable argument tuple and hands the same object to every later
+# caller; the scope is the memo's lifetime, so nothing outlives a run.
+
+_MEMO: dict | None = None
+
+
+@contextmanager
+def run_scope():
+    """Share memoized results until the outermost scope closes."""
+    global _MEMO
+    outer = _MEMO is None
+    if outer:
+        _MEMO = {}
+    try:
+        yield
+    finally:
+        if outer:
+            _MEMO = None
+
+
+def _freeze(value):
+    # a shared result must not change under another caller
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif is_dataclass(value):
+        for f in fields(value):
+            _freeze(getattr(value, f.name))
+    elif isinstance(value, (tuple, dict)):
+        for v in value.values() if isinstance(value, dict) else value:
+            _freeze(v)
+    return value
+
+
+def _hand_out(value):
+    # dicts stay mutable, so each caller gets its own copy
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, tuple) and any(isinstance(v, dict) for v in value):
+        return tuple(_hand_out(v) for v in value)
+    return value
+
+
+def memoized(fn):
+    """Memoize ``fn`` inside a run scope; outside one, call straight through.
+
+    Calls with an unhashable argument are never memoized.  Arrays in a
+    memoized result are read-only and dicts are handed out as copies.
+    """
+
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        if _MEMO is None:
+            return fn(*args, **kwargs)
+        key = (fn, args, tuple(sorted(kwargs.items())))
+        try:
+            hit = _MEMO.get(key)
+        except TypeError:
+            return fn(*args, **kwargs)
+        if hit is None:
+            hit = _MEMO[key] = _freeze(fn(*args, **kwargs))
+        return _hand_out(hit)
+
+    return wrapper
 
 
 def random_tensor(space: Space, valence: int, seed: int) -> Tensor:

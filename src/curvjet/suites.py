@@ -4,10 +4,14 @@ Every suite maps a run configuration to records whose residuals are maxima
 over the configured seeds, so a single record summarizes one identity at one
 dimension.  The default configuration covers dimensions 3 and 4 with 25
 seeds; full mode widens to dimension 5 and 100 seeds for nightly runs.
+``run_suites`` holds one run scope (``spaces.run_scope``) open for all the
+suites it runs, so each seeded input (random tensors, jets, Einstein
+extensions, identity residuals) is built once per run and shared.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,14 +25,19 @@ from .curvature import (
     star_action,
     star_identity_residuals,
 )
-from .identities import identity_names, verify_identity
+from .identities import _ricci_flat_input, identity_names, verify_identity
 from .jets import (
     RANDOM_JET_DIMS,
     TwoJet,
+    _div_der,
+    _eigenvalue_gap,
     _hess_kernel_stack,
+    _hess_ric,
+    _rough_lap,
     einstein_check,
     einstein_extend,
     fit_jacobi_relation,
+    hat_embed,
     jet_traces,
     random_einstein_one_jet,
     random_two_jet,
@@ -39,13 +48,32 @@ from .jets import (
 )
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
-from .spaces import Space, Tensor, _rel
+from .spaces import Space, Tensor, _rel, memoized, run_scope
 from .young import basis_Ck, random_ck, young_apply, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites"]
 
 # keys of verify_identity results that document projection-only raw forms
 _REPORT_ONLY = {"raw_display"}
+
+
+def _worst(*values: float) -> float:
+    """The largest value, or NaN if any value is NaN (``max`` would drop it)."""
+    return math.nan if any(math.isnan(v) for v in values) else max(values)
+
+
+@memoized
+def _einstein_jet(sp: Space, seed: int) -> TwoJet:
+    """Einstein extension of the seeded Einstein one-jet."""
+    return einstein_extend(*random_einstein_one_jet(sp, seed))
+
+
+def _verdicts_agree(verdict: bool, rep: dict[str, float]) -> bool:
+    """Whether the definitional, tableau-trace and form-trace verdicts agree."""
+    one_jet = rep["ricci_proportional"] <= 1e-8 and rep["ricci_derivative"] <= 1e-8
+    tableau = one_jet and rep["tableau_trace_defect"] <= 1e-8
+    form = one_jet and rep["form_trace_defect"] <= 1e-8
+    return verdict == tableau == form
 
 
 @dataclass(frozen=True)
@@ -106,7 +134,7 @@ def suite_eigenvalue(cfg: RunConfig) -> list[CheckRecord]:
             worst = 0.0
             for seed in cfg.seed_range():
                 t = random_ck(sp, k, seed)
-                worst = max(worst, _rel(young_apply(t, k).data, factor * t.data))
+                worst = _worst(worst, _rel(young_apply(t, k).data, factor * t.data))
             out.append(CheckRecord(f"eigenvalue/n{sp.dim}/k{k}", worst, cfg.tol))
     return out
 
@@ -120,8 +148,8 @@ def suite_star(cfg: RunConfig) -> list[CheckRecord]:
             R = random_ck(sp, 0, seed)
             Rp = random_ck(sp, 0, seed + 10_000)
             for key, v in star_identity_residuals(R, Rp, seed=seed).items():
-                worst[key] = max(worst.get(key, 0.0), v)
-            worst_ric = max(worst_ric, ricci_of_star(R, Rp)[2])
+                worst[key] = _worst(worst.get(key, 0.0), v)
+            worst_ric = _worst(worst_ric, ricci_of_star(R, Rp)[2])
         for key in sorted(worst):
             out.append(CheckRecord(f"star/n{sp.dim}/{key}", worst[key], cfg.tol))
         out.append(CheckRecord(f"star/n{sp.dim}/ricci_of_star", worst_ric, cfg.tol))
@@ -134,13 +162,13 @@ def suite_weitzenbock(cfg: RunConfig) -> list[CheckRecord]:
         worst_special = 0.0
         worst_section = {"calibrated": 0.0, "strict": 0.0, "displayed_projected": 0.0}
         for seed in cfg.seed_range():
-            worst_special = max(
+            worst_special = _worst(
                 worst_special, weitzenbock_special(random_two_jet(sp, seed))["special"]
             )
             sj = random_two_jet(sp, seed, background=random_ck(sp, 0, seed + 20_000))
             res = weitzenbock_check(sj)
             for key in worst_section:
-                worst_section[key] = max(worst_section[key], res[key])
+                worst_section[key] = _worst(worst_section[key], res[key])
         out.append(CheckRecord(f"weitzenbock/n{sp.dim}/special", worst_special, cfg.tol))
         for key in sorted(worst_section):
             out.append(
@@ -159,7 +187,7 @@ def suite_weitzenbock(cfg: RunConfig) -> list[CheckRecord]:
                     Tensor(sp, np.zeros((n,) * 5)),
                     Tensor(sp, np.tensordot(coeff, kernel, (0, 0))),
                 )
-                worst_einstein = max(
+                worst_einstein = _worst(
                     worst_einstein, weitzenbock_special(j)["einstein_form"]
                 )
             out.append(
@@ -175,16 +203,14 @@ def suite_hierarchy(cfg: RunConfig) -> list[CheckRecord]:
         worst = {"divergence_derivative": 0.0, "laplacian_tableau": 0.0, "laplacian_divergence": 0.0}
         for seed in cfg.seed_range():
             d2 = random_ck(sp, 2, seed).data
-            hess = -np.einsum("abuivi,i->abuv", d2, eps)
-            dd = -np.einsum("aiizuv,i->azuv", d2, eps)
-            lap = -np.einsum("iiabcd,i->abcd", d2, eps)
-            worst["divergence_derivative"] = max(
+            hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
+            worst["divergence_derivative"] = _worst(
                 worst["divergence_derivative"],
                 _rel(dd, np.transpose(hess, (0, 2, 1, 3)) - np.transpose(hess, (0, 2, 3, 1))),
             )
             tab = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
-            worst["laplacian_tableau"] = max(worst["laplacian_tableau"], _rel(lap, 0.25 * tab))
-            worst["laplacian_divergence"] = max(
+            worst["laplacian_tableau"] = _worst(worst["laplacian_tableau"], _rel(lap, 0.25 * tab))
+            worst["laplacian_divergence"] = _worst(
                 worst["laplacian_divergence"], _rel(lap, dd - np.transpose(dd, (1, 0, 2, 3)))
             )
         for key in sorted(worst):
@@ -197,12 +223,10 @@ def suite_hierarchy(cfg: RunConfig) -> list[CheckRecord]:
             for _ in range(min(cfg.seeds, len(kernel))):
                 d2 = np.tensordot(rng.standard_normal(len(kernel)), kernel, (0, 0))
                 scale = max(float(np.linalg.norm(d2)), 1.0)
-                dd = -np.einsum("aiizuv,i->azuv", d2, eps)
-                lap = -np.einsum("iiabcd,i->abcd", d2, eps)
-                worst_chain = max(
+                worst_chain = _worst(
                     worst_chain,
-                    float(np.linalg.norm(dd)) / scale,
-                    float(np.linalg.norm(lap)) / scale,
+                    float(np.linalg.norm(_div_der(d2, eps))) / scale,
+                    float(np.linalg.norm(_rough_lap(d2, eps))) / scale,
                 )
             out.append(CheckRecord(f"hierarchy/n{sp.dim}/vanishing_chain", worst_chain, cfg.tol))
     return out
@@ -216,7 +240,7 @@ def suite_tilde(cfg: RunConfig) -> list[CheckRecord]:
             j = random_two_jet(sp, seed)
             lap = jet_traces(j)[2].data
             SS = star_action(j.R, j.R).data
-            worst_lap = max(worst_lap, _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * SS))
+            worst_lap = _worst(worst_lap, _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * SS))
         out.append(CheckRecord(f"tilde/n{sp.dim}/rough_laplacian_80_16", worst_lap, cfg.tol))
 
         worst_keys: dict[str, float] = {}
@@ -226,36 +250,31 @@ def suite_tilde(cfg: RunConfig) -> list[CheckRecord]:
                     if key in _REPORT_ONLY:
                         continue
                     full = f"{name}/{key}"
-                    worst_keys[full] = max(worst_keys.get(full, 0.0), v)
+                    worst_keys[full] = _worst(worst_keys.get(full, 0.0), v)
         for key in sorted(worst_keys):
             out.append(CheckRecord(f"tilde/n{sp.dim}/{key}", worst_keys[key], cfg.tol))
     return out
 
 
 def suite_embed(cfg: RunConfig) -> list[CheckRecord]:
-    from .curvature import decompose
-    from .jets import hat_embed
-
     out = []
     for sp in cfg.spaces():
         n = sp.dim
         eps = sp.eps
         worst_hess, worst_lap = 0.0, 0.0
         for seed in cfg.seed_range():
-            S = decompose(random_ck(sp, 0, seed)).weyl_part
+            S = _ricci_flat_input(sp, seed)
             hat = hat_embed(S).data
-            hess = -np.einsum("abuivi,i->abuv", hat, eps)
-            lap = -np.einsum("iiabcd,i->abcd", hat, eps)
             pair = np.transpose(S.data, (0, 2, 1, 3)) + np.transpose(S.data, (0, 2, 3, 1))
-            worst_hess = max(worst_hess, _rel(hess, -4.0 * (n + 4.0) * pair))
-            worst_lap = max(worst_lap, _rel(lap, -24.0 * (n + 4.0) * S.data))
+            worst_hess = _worst(worst_hess, _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair))
+            worst_lap = _worst(worst_lap, _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S.data))
         out.append(CheckRecord(f"embed/n{n}/hessian_constant", worst_hess, cfg.tol))
         out.append(CheckRecord(f"embed/n{n}/laplacian_constant", worst_lap, cfg.tol))
 
         for name in ("embed_trace_22", "embed_trace_32", "embed_trace_inner"):
             worst = 0.0
             for seed in cfg.seed_range():
-                worst = max(worst, verify_identity(name, sp, seed)["residual"])
+                worst = _worst(worst, verify_identity(name, sp, seed)["residual"])
             out.append(CheckRecord(f"embed/n{n}/{name}", worst, cfg.tol))
     return out
 
@@ -264,42 +283,24 @@ def suite_einstein(cfg: RunConfig) -> list[CheckRecord]:
     out = []
     for sp in cfg.spaces():
         disagreements = 0
-        total = 0
         worst_defect = 0.0
         worst_display = 0.0
         for seed in cfg.seed_range():
-            R, dR = random_einstein_one_jet(sp, seed)
-            j = einstein_extend(R, dR)
+            j = _einstein_jet(sp, seed)
             verdict, rep = einstein_check(j)
-            one_jet = (
-                rep["ricci_proportional"] <= 1e-8 and rep["ricci_derivative"] <= 1e-8
-            )
-            va = verdict
-            vb = one_jet and rep["tableau_trace_defect"] <= 1e-8
-            vc = one_jet and rep["form_trace_defect"] <= 1e-8
-            total += 1
-            if not (va == vb == vc):
-                disagreements += 1
-            worst_defect = max(worst_defect, max(rep.values()))
+            disagreements += not _verdicts_agree(verdict, rep)
+            worst_defect = _worst(worst_defect, *rep.values())
 
             tilde_hess = tilde_ops(j)[0].data
             SS = star_action(j.R, j.R).data
             display = -4.0 * (
                 np.transpose(SS, (0, 2, 1, 3)) + np.transpose(SS, (0, 2, 3, 1))
             )
-            worst_display = max(worst_display, _rel(tilde_hess, display))
+            worst_display = _worst(worst_display, _rel(tilde_hess, display))
 
             bad = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
-            verdict2, rep2 = einstein_check(bad)
-            one_jet2 = (
-                rep2["ricci_proportional"] <= 1e-8 and rep2["ricci_derivative"] <= 1e-8
-            )
-            va2 = verdict2
-            vb2 = one_jet2 and rep2["tableau_trace_defect"] <= 1e-8
-            vc2 = one_jet2 and rep2["form_trace_defect"] <= 1e-8
-            total += 1
-            if not (va2 == vb2 == vc2):
-                disagreements += 1
+            disagreements += not _verdicts_agree(*einstein_check(bad))
+        total = 2 * len(cfg.seed_range())
         out.append(
             CheckRecord(f"einstein/n{sp.dim}/verdict_agreement", disagreements / total, cfg.tol)
         )
@@ -319,19 +320,14 @@ def suite_fit(cfg: RunConfig) -> list[CheckRecord]:
         for lam in (1.0, -2.0, 0.5):
             j = TwoJet(lam * kn_pair(g, g), zero5, zero6)
             fit = fit_jacobi_relation(j)
-            worst_family = max(worst_family, abs(fit.c), fit.residual)
+            worst_family = _worst(worst_family, abs(fit.c), fit.residual)
             if fit.residual < 1e-9:
-                lap = jet_traces(j)[2].data
-                gap = np.linalg.norm(lap + ((n + 4.0) * fit.c / 2.0) * j.R.data)
-                worst_corollary = max(worst_corollary, gap / max(j.R.norm(), 1.0))
+                worst_corollary = _worst(worst_corollary, _eigenvalue_gap(j, fit.c))
         for seed in cfg.seed_range():
-            R, dR = random_einstein_one_jet(sp, seed)
-            j = einstein_extend(R, dR)
+            j = _einstein_jet(sp, seed)
             fit = fit_jacobi_relation(j)
             if fit.residual < 1e-9:
-                lap = jet_traces(j)[2].data
-                gap = np.linalg.norm(lap + ((n + 4.0) * fit.c / 2.0) * j.R.data)
-                worst_corollary = max(worst_corollary, gap / max(j.R.norm(), 1.0))
+                worst_corollary = _worst(worst_corollary, _eigenvalue_gap(j, fit.c))
         out.append(CheckRecord(f"fit/n{n}/symmetric_family", worst_family, cfg.tol))
         out.append(CheckRecord(f"fit/n{n}/corollary", worst_corollary, 10.0 * cfg.tol))
     return out
@@ -375,11 +371,11 @@ def suite_metric(cfg: RunConfig) -> list[CheckRecord]:
         for seed in cfg.seed_range():
             j = curvature_two_jet(random_poly_metric(sp, seed))
             _, res = validate_two_jet(j)
-            worst_valid = max(worst_valid, max(res.values()))
+            worst_valid = _worst(worst_valid, *res.values())
             R = random_ck(sp, 0, seed)
             dR = random_ck(sp, 1, seed + 30_000)
             back = curvature_two_jet(seed_metric(R, dR))
-            worst_trip = max(
+            worst_trip = _worst(
                 worst_trip, _rel(back.R.data, R.data), _rel(back.dR.data, dR.data)
             )
         out.append(CheckRecord(f"metric/n{n}/jet_validity", worst_valid, cfg.tol))
@@ -396,7 +392,7 @@ def suite_identities(cfg: RunConfig) -> list[CheckRecord]:
                 for key, v in verify_identity(name, sp, seed).items():
                     if key in _REPORT_ONLY:
                         continue
-                    worst[key] = max(worst.get(key, 0.0), v)
+                    worst[key] = _worst(worst.get(key, 0.0), v)
             for key in sorted(worst):
                 out.append(
                     CheckRecord(f"identities/n{sp.dim}/{name}/{key}", worst[key], cfg.tol)
@@ -430,6 +426,7 @@ def run_suites(names: list[str], cfg: RunConfig) -> list[CheckRecord]:
     if unknown:
         raise KeyError(f"unknown suite names: {sorted(unknown)}")
     records: list[CheckRecord] = []
-    for name in selected:
-        records.extend(_SUITES[name](cfg))
+    with run_scope():
+        for name in selected:
+            records.extend(_SUITES[name](cfg))
     return records

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, Tensor, _group_sum, symmetrize
+from .spaces import Space, Tensor, _group_sum, memoized, symmetrize
 from .subspace import image
 
 __all__ = [
@@ -188,6 +188,7 @@ def basis_Ck(space: Space, k: int) -> list[Tensor]:
     return [Tensor(space, b) for b in _ck_stack(space, k)]
 
 
+@memoized
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
     stack = _ck_stack(space, k)

@@ -1,4 +1,4 @@
-"""Core tensor plumbing: permutations, symmetrization, traces, products."""
+"""Core tensor plumbing: permutations, symmetrization, traces, products, run-scoped memo."""
 
 import json
 import math
@@ -9,13 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curvjet.identities import verify_identity
+from curvjet.jets import random_two_jet
 from curvjet.spaces import (
     Space,
     SymBiform,
     Tensor,
+    memoized,
     metric_trace,
     permute,
     random_tensor,
+    run_scope,
     space_from_dict,
     space_to_dict,
     sym_product,
@@ -24,6 +28,7 @@ from curvjet.spaces import (
     tensor_product,
     tensor_to_dict,
 )
+from curvjet.young import random_ck
 
 E3 = Space(3)
 E4 = Space(4)
@@ -272,3 +277,62 @@ class TestSerialization:
         assert set(doc) == {"dim", "signature", "valence", "data"}
         assert doc["dim"] == 3 and doc["valence"] == 2
         assert len(doc["data"]) == 9
+
+
+class TestRunScope:
+    def test_shared_and_read_only_inside_a_scope(self):
+        with run_scope():
+            a = random_ck(E3, 1, 5)
+            assert random_ck(E3, 1, 5) is a
+            assert not a.data.flags.writeable
+            with pytest.raises(ValueError):
+                a.data[0, 0, 0, 0, 0] = 1.0
+            jet = random_two_jet(E3, 5)
+            assert random_two_jet(E3, 5) is jet
+            assert not any(t.data.flags.writeable for t in (jet.R, jet.dR, jet.d2R))
+
+    def test_fresh_outside_a_scope(self):
+        a = random_ck(E3, 1, 5)
+        b = random_ck(E3, 1, 5)
+        assert a is not b and np.array_equal(a.data, b.data)
+        assert a.data.flags.writeable
+        with run_scope():
+            pass
+        assert random_ck(E3, 1, 5) is not a
+
+    def test_dicts_are_handed_out_as_copies(self):
+        with run_scope():
+            first = verify_identity("embed_trace_22", E4, 3)
+            first["residual"] = -1.0
+            again = verify_identity("embed_trace_22", E4, 3)
+            assert again["residual"] >= 0.0 and again is not first
+
+    def test_unhashable_arguments_bypass_the_memo(self):
+        background = random_ck(E3, 0, 9)
+        with run_scope():
+            a = random_two_jet(E3, 2, background=background)
+            assert random_two_jet(E3, 2, background=background) is not a
+            assert a.Rp.data.flags.writeable
+
+    def test_scope_nests_and_ends_with_the_outermost(self):
+        with run_scope():
+            a = random_ck(E3, 0, 4)
+            with run_scope():
+                assert random_ck(E3, 0, 4) is a
+            assert random_ck(E3, 0, 4) is a
+        assert random_ck(E3, 0, 4) is not a
+
+    def test_memoized_calls_through_outside_a_scope(self):
+        calls = []
+
+        @memoized
+        def draw(seed):
+            calls.append(seed)
+            return {"seed": seed}
+
+        draw(1)
+        draw(1)
+        with run_scope():
+            draw(1)
+            draw(1)
+        assert calls == [1, 1, 1]

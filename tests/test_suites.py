@@ -1,0 +1,80 @@
+"""Check suites: run scope, NaN-propagating aggregation, suite independence."""
+
+import math
+
+import pytest
+
+from curvjet import identities, spaces, suites
+from curvjet.spaces import Space, run_scope
+from curvjet.suites import _einstein_jet, _worst, make_config, run_suites, suite_names
+
+E3 = Space(3)
+
+
+@pytest.fixture(scope="module")
+def three_seeds():
+    cfg = make_config(seeds=3)
+    return cfg, run_suites(["all"], cfg)
+
+
+class TestWorst:
+    def test_finite_values_give_the_max(self):
+        assert _worst(0.0, 2.5e-12, 1e-13) == 2.5e-12
+        assert _worst(3.0) == 3.0
+
+    @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 0.0), (1.0, math.nan, 2.0)])
+    def test_nan_propagates(self, values):
+        assert math.isnan(_worst(*values))
+
+
+class TestNaNFails:
+    def test_identity_nan_on_a_middle_seed_fails(self, monkeypatch):
+        cfg = make_config(dim=3, seeds=3)
+        real = identities._REGISTRY["ricci_rotation_vanishes"]
+
+        def flaky(space, seed):
+            return {"residual": math.nan} if seed == cfg.base_seed + 1 else real(space, seed)
+
+        monkeypatch.setitem(identities._REGISTRY, "ricci_rotation_vanishes", flaky)
+        records = {r.name: r for r in run_suites(["identities"], cfg)}
+        bad = records["identities/n3/ricci_rotation_vanishes/residual"]
+        assert math.isnan(bad.residual) and not bad.passed
+        assert records["identities/n3/embed_trace_22/residual"].passed
+
+    def test_eigenvalue_nan_on_a_middle_seed_fails(self, monkeypatch):
+        cfg = make_config(dim=3, seeds=3)
+        real = suites._rel
+        calls = []
+
+        def flaky(a, b):
+            calls.append(None)
+            return math.nan if len(calls) == 2 else real(a, b)
+
+        monkeypatch.setattr(suites, "_rel", flaky)
+        records = run_suites(["eigenvalue"], cfg)
+        assert [r.passed for r in records] == [False, True, True]
+
+
+class TestRunSuites:
+    def test_memo_is_empty_after_a_run(self, monkeypatch):
+        run_suites(["star"], make_config(dim=3, seeds=1))
+        assert spaces._MEMO is None
+
+        def boom(cfg):
+            raise RuntimeError("suite failed")
+
+        monkeypatch.setitem(suites._SUITES, "star", boom)
+        with pytest.raises(RuntimeError):
+            run_suites(["eigenvalue", "star"], make_config(dim=3, seeds=1))
+        assert spaces._MEMO is None
+
+    def test_einstein_jet_is_shared_in_a_scope(self):
+        with run_scope():
+            assert _einstein_jet(E3, 2) is _einstein_jet(E3, 2)
+        assert _einstein_jet(E3, 2) is not _einstein_jet(E3, 2)
+
+    @pytest.mark.parametrize("name", [n for n in suite_names() if n != "all"])
+    def test_single_suite_matches_all(self, name, three_seeds):
+        cfg, everything = three_seeds
+        expected = [r for r in everything if r.name.startswith(f"{name}/")]
+        assert expected and run_suites([name], cfg) == expected
