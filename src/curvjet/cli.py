@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import __version__
@@ -43,10 +44,26 @@ def _parse_signature(text: str | None) -> tuple[int, ...] | None:
     try:
         sig = tuple(int(s) for s in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError("signature must be a comma list of +1/-1")
+        raise SystemExit2("signature must be a comma list of +1/-1") from None
     if not sig or any(s not in (1, -1) for s in sig):
-        raise argparse.ArgumentTypeError("signature entries must be +1 or -1")
+        raise SystemExit2("signature entries must be +1 or -1")
     return sig
+
+
+# a signature value such as -1,1,1,1 starts with a minus sign, so argparse
+# would read it as an unknown option rather than as the value of --signature
+_SIGNED_VALUE = re.compile(r"[+-]?\d")
+
+
+def _attach_signature(argv: list[str]) -> list[str]:
+    """Join "--signature VALUE" into "--signature=VALUE" when VALUE starts with a number."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--signature" and _SIGNED_VALUE.match(token):
+            out[-1] = f"--signature={token}"
+        else:
+            out.append(token)
+    return out
 
 
 def _space_from_args(args, default_dim: int = 4) -> Space:
@@ -250,7 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(_attach_signature(argv))
     for name in ("extend", "fit"):
         if args.command == name and getattr(args, "in") is None:
             print(f"error: {name} requires --in", file=sys.stderr)

@@ -140,12 +140,16 @@ def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
     return Tensor(A.space, -out)
 
 
-def _endo_kernel(R: Tensor) -> np.ndarray:
-    """M[a,d,j,c] = eps_j eps_c R[a,j,d,c]; contracting A's slots (j,c) against
-    M yields sum_j eps_j A(.., e_j, .., R_{x_a, e_j} x_d, ..)."""
+def _pair_kernel(R: Tensor) -> np.ndarray:
+    """K = M + M^T with M[a,d,j,c] = eps_j eps_c R[a,j,d,c] and M^T = M[d,a,c,j].
+
+    Contracting A's slots (j, c) against M yields the ordered-pair term
+    sum_j eps_j A(.., e_j, .., R_{x_a, e_j} x_d, ..); K adds the term of the
+    swapped pair, so one contraction covers an unordered slot pair.
+    """
     eps = R.space.eps
-    M = np.einsum("ajdc,j,c->adjc", R.data, eps, eps)
-    return M
+    M = R.data.transpose(0, 2, 1, 3) * np.multiply.outer(eps, eps)
+    return M + M.transpose(1, 0, 3, 2)
 
 
 def _ric_endo(R: Tensor) -> np.ndarray:
@@ -154,14 +158,17 @@ def _ric_endo(R: Tensor) -> np.ndarray:
     return rd.ric.data * R.space.eps[None, :]
 
 
-_LETTERS = "abcdefghijklmnop"
-
-
 def star_action(R: Tensor, A: Tensor) -> Tensor:
     """Curvature action R*A = -sum_i sum_j eps_j (R_{x_i,e_j}.A)(.., e_j at i, ..).
 
-    Expanded form: Ricci endomorphism applied in each slot, plus the pairwise
-    rotation terms; a 1-form maps to alpha o Ric.
+    Expanded form: the Ricci endomorphism applied in each slot, plus the
+    rotation term of each ordered slot pair (i, m), i != m,
+
+        einsum("..q..r..,adqr->..a..d..", A, M)   with q, a at slot i and r, d at m,
+
+    M as in _pair_kernel.  The terms of (i, m) and (m, i) are summed as one
+    contraction against K = M + M^T per unordered pair.  A 1-form maps to
+    alpha o Ric.
     """
     if R.valence != 4:
         raise ValueError("star_action needs a valence-4 curvature tensor")
@@ -171,24 +178,15 @@ def star_action(R: Tensor, A: Tensor) -> Tensor:
     if v == 0:
         return Tensor(A.space, np.zeros(()))
     E = _ric_endo(R)
-    M = _endo_kernel(R)
+    K = _pair_kernel(R)
     out = np.zeros_like(A.data)
     # Ricci terms: out[.., b at i, ..] = sum_a A[.., a at i, ..] E[b, a]
     for i in range(v):
-        term = np.tensordot(A.data, E, axes=([i], [1]))
-        out += np.moveaxis(term, -1, i)
-    # pairwise terms over ordered (i, m), i != m
-    base = list(_LETTERS[:v])
+        out += np.moveaxis(np.tensordot(A.data, E, axes=([i], [1])), -1, i)
     for i in range(v):
-        for m in range(v):
-            if m == i:
-                continue
-            sub_in = list(base)
-            sub_in[i] = "q"
-            sub_in[m] = "r"
-            sub_out = list(base)
-            spec = f"{''.join(sub_in)},{base[i]}{base[m]}qr->{''.join(sub_out)}"
-            out += np.einsum(spec, A.data, M)
+        for m in range(i + 1, v):
+            term = np.tensordot(A.data, K, axes=([i, m], [2, 3]))
+            out += np.moveaxis(term, (-2, -1), (i, m))
     return Tensor(A.space, out)
 
 
@@ -196,16 +194,12 @@ def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     """D[a, b, ...] = (R_{e_a, e_b} . T)(...), batched over all plane pairs."""
     if R.valence != 4:
         raise ValueError("pair_derivation needs a valence-4 curvature tensor")
-    v = T.valence
-    eps = R.space.eps
-    K = R.data * eps[None, None, None, :]  # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
-    n = R.space.dim
-    out = np.zeros((n, n) + T.data.shape)
-    for m in range(v):
-        res = np.tensordot(T.data, K, axes=([m], [3]))
-        # res axes: (T axes without m) + (a, b, u)
-        out += np.moveaxis(res, [-3, -2, -1], [0, 1, m + 2])
-    return -out
+    K = R.data * R.space.eps  # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
+    out = np.zeros((R.space.dim,) * 2 + T.data.shape)
+    for m in range(T.valence):
+        # axes (a, b, u) + T's axes without m; u moves to slot m
+        out -= np.moveaxis(np.tensordot(K, T.data, axes=([3], [m])), 2, m + 2)
+    return out
 
 
 def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, float]:

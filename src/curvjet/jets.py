@@ -42,7 +42,7 @@ from .spaces import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from .subspace import RTOL, kernel
+from .subspace import kernel, lstsq_factors
 from .young import _ck_stack, ck_residuals, young_apply
 
 __all__ = [
@@ -164,16 +164,22 @@ def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
 
 
 def _bianchi_cycle(d2: np.ndarray) -> np.ndarray:
-    # cyclic sum over (inner derivative, curvature slots 1 and 2)
-    return (
-        d2
-        + np.transpose(d2, (0, 2, 3, 1, 4, 5))
-        + np.transpose(d2, (0, 3, 1, 2, 4, 5))
-    )
+    # cyclic sum over (inner derivative, curvature slots 1 and 2); axes in
+    # front of the six jet slots are a batch
+    o = d2.ndim - 6
+    lead = list(range(o))
+    one = lead + [o, o + 2, o + 3, o + 1, o + 4, o + 5]
+    two = lead + [o, o + 3, o + 1, o + 2, o + 4, o + 5]
+    return d2 + np.transpose(d2, one) + np.transpose(d2, two)
 
 
 # ---------------------------------------------------------------------------
 # validation
+
+
+def _worst_slice(t: Tensor, k: int) -> float:
+    """Largest C_k residual over every slice of t and every symmetry (NaN if any is)."""
+    return float(np.max(list(ck_residuals(t, k).values())))
 
 
 def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
@@ -183,20 +189,12 @@ def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, floa
     slice against the once-differentiated Bianchi identities and globally
     against the Ricci identity.
     """
-    sp = j.space
     d2 = j.d2R.data
-
-    residuals: dict[str, float] = {}
-    residuals["curvature"] = max(ck_residuals(j.R, 0).values()) / max(j.R.norm(), 1.0)
-    residuals["derivative"] = max(ck_residuals(j.dR, 1).values()) / max(j.dR.norm(), 1.0)
-
-    scale2 = max(j.d2R.norm(), 1.0)
-    worst = 0.0
-    for x in range(sp.dim):
-        slice_res = ck_residuals(Tensor(sp, d2[x]), 1)
-        worst = max(worst, max(slice_res.values()))
-    residuals["second_derivative"] = worst / scale2
-
+    residuals = {
+        "curvature": _worst_slice(j.R, 0) / max(j.R.norm(), 1.0),
+        "derivative": _worst_slice(j.dR, 1) / max(j.dR.norm(), 1.0),
+        "second_derivative": _worst_slice(j.d2R, 1) / max(j.d2R.norm(), 1.0),
+    }
     rotation = pair_derivation(j.R, j.R)
     gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
     ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
@@ -209,25 +207,15 @@ def validate_section_jet(
     sj: SectionTwoJet, tol: float = 1e-8
 ) -> tuple[bool, dict[str, float]]:
     """Check a section jet: slicewise C_0 membership plus the Ricci identity."""
-    sp = sj.space
-    residuals: dict[str, float] = {}
-    residuals["background"] = max(ck_residuals(sj.background, 0).values()) / max(
-        sj.background.norm(), 1.0
-    )
-    residuals["section"] = max(ck_residuals(sj.Rp, 0).values()) / max(sj.Rp.norm(), 1.0)
-
-    worst = 0.0
-    for x in range(sp.dim):
-        worst = max(worst, max(ck_residuals(Tensor(sp, sj.dRp.data[x]), 0).values()))
-    residuals["derivative"] = worst / max(sj.dRp.norm(), 1.0)
-
-    worst = 0.0
-    for x in range(sp.dim):
-        for y in range(sp.dim):
-            slice_res = ck_residuals(Tensor(sp, sj.d2Rp.data[x, y]), 0)
-            worst = max(worst, max(slice_res.values()))
-    residuals["second_derivative"] = worst / max(sj.d2Rp.norm(), 1.0)
-
+    residuals = {
+        name: _worst_slice(t, 0) / max(t.norm(), 1.0)
+        for name, t in (
+            ("background", sj.background),
+            ("section", sj.Rp),
+            ("derivative", sj.dRp),
+            ("second_derivative", sj.d2Rp),
+        )
+    }
     rotation = pair_derivation(sj.background, sj.Rp)
     gap = sj.d2Rp.data - np.transpose(sj.d2Rp.data, (1, 0, 2, 3, 4, 5)) - rotation
     scale = max(sj.d2Rp.norm(), sj.background.norm() * sj.Rp.norm(), 1.0)
@@ -241,27 +229,33 @@ def validate_section_jet(
 
 
 @lru_cache(maxsize=None)
-def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray]:
-    """Basis of Sym^2 V* (x) C_0 and a solver for the Bianchi-cycle system.
+def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solver for the Bianchi-cycle system over Sym^2 V* (x) C_0.
 
-    The returned pseudoinverse maps a raveled cycle target to coefficients
-    over the basis; rank deficiency is expected (the homogeneous solutions
-    are exactly C_2) and handled by the minimum-norm solution.
+    The unknowns are coefficients c[p, i] of sym_p (x) b_i, where sym_p is
+    the symmetric unit matrix of the p-th pair x <= y (row-major) and b_i
+    the i-th C_0 basis tensor.  Returns the compact pseudoinverse factors
+    (ut, vs) of the system, for the minimum-norm solution ``vs @ (ut @ t)``
+    of a raveled cycle target t (rank deficiency is expected: the
+    homogeneous solutions are exactly C_2), and the (n, n) map from a
+    matrix entry to its pair p.
     """
     n = space.dim
     stack0 = _ck_stack(space, 0)
-    columns = []
-    for x in range(n):
-        for y in range(x, n):
-            seed_matrix = np.zeros((n, n))
-            seed_matrix[x, y] = 1.0
-            seed_matrix[y, x] = 1.0
-            for b in stack0:
-                columns.append(np.einsum("uv,abcd->uvabcd", seed_matrix, b))
-    basis = np.stack(columns)
-    cycles = np.stack([_bianchi_cycle(h).ravel() for h in basis])
-    pinv = np.linalg.pinv(cycles.T, rcond=RTOL)
-    return basis, pinv
+    upper = np.triu_indices(n)
+    pairs = np.empty((n, n), dtype=np.intp)
+    pairs[upper] = pairs[upper[::-1]] = np.arange(len(upper[0]))
+    # one pair at a time keeps the unknowns' full tensors out of memory
+    cycles = np.empty((len(upper[0]), len(stack0), n**6))
+    for p, (x, y) in enumerate(zip(*upper)):
+        sym = np.zeros((n, n))
+        sym[x, y] = sym[y, x] = 1.0
+        unknowns = np.multiply.outer(sym, stack0).transpose(2, 0, 1, 3, 4, 5, 6)
+        cycles[p] = _bianchi_cycle(unknowns).reshape(len(stack0), -1)
+    ut, vs, _ = lstsq_factors(cycles.reshape(-1, n**6).T)
+    for factor in (ut, vs, pairs):
+        factor.flags.writeable = False
+    return ut, vs, pairs
 
 
 @memoized
@@ -305,9 +299,9 @@ def random_two_jet(
     dR = Tensor(space, np.tensordot(rng.standard_normal(len(stack1)), stack1, (0, 0)))
 
     particular = 0.5 * pair_derivation(R, R)
-    basis, pinv = _h_solver(space)
-    coeff = pinv @ (-_bianchi_cycle(particular).ravel())
-    symmetric = np.tensordot(coeff, basis, (0, 0))
+    ut, vs, pairs = _h_solver(space)
+    coeff = (vs @ (ut @ -_bianchi_cycle(particular).ravel())).reshape(-1, len(stack0))
+    symmetric = np.tensordot(coeff[pairs], stack0, (2, 0))
     homogeneous = np.tensordot(rng.standard_normal(len(stack2)), stack2, (0, 0))
 
     j = TwoJet(R, dR, Tensor(space, particular + symmetric + homogeneous))
@@ -590,27 +584,28 @@ def _eigenvalue_gap(j: TwoJet, c: float) -> float:
 @lru_cache(maxsize=None)
 def _extension_solver(
     space: Space,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Correction directions in C_2, the trace-cancellation system, its
-    pseudoinverse, and the free directions of the extension.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Correction directions in C_2, the trace-cancellation system, the
+    compact factors (ut, vs) of its pseudoinverse, and the free directions
+    of the extension.
 
     Columns of the system matrix are the second Ricci derivatives of the
-    C_2 basis; the pseudoinverse yields the minimum-norm coefficient
+    C_2 basis; ``vs @ (ut @ target)`` is the minimum-norm coefficient
     vector.  The free directions, stacked, are the C_2 elements with
     vanishing second Ricci derivative (the totally trace-free part of C_2);
-    their number is reported because the correction is not unique.
+    their number is reported because the correction is not unique.  The
+    factors and the free directions come from one SVD of the system.
     """
     directions = _ck_stack(space, 2)
-    columns = np.stack([_hess_ric(d, space.eps).ravel() for d in directions])
-    system = columns.T
-    pinv = np.linalg.pinv(system, rcond=RTOL)
-    free = np.tensordot(kernel(system), directions, (1, 0))
-    return directions, system, pinv, free
+    system = np.stack([_hess_ric(d, space.eps).ravel() for d in directions], axis=1)
+    ut, vs, null = lstsq_factors(system)
+    free = np.tensordot(null, directions, (1, 0))
+    return directions, system, ut, vs, free
 
 
 def _hess_kernel_stack(space: Space) -> np.ndarray:
     """Stacked C_2 directions with vanishing second Ricci derivative."""
-    return _extension_solver(space)[3]
+    return _extension_solver(space)[4]
 
 
 def extension_solution_dim(space: Space) -> int:
@@ -647,9 +642,9 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     ):
         raise RuntimeError("extension failed: seed metric does not reproduce the one-jet")
 
-    directions, system, pinv, _ = _extension_solver(sp)
+    directions, system, ut, vs, _ = _extension_solver(sp)
     target = -80.0 * _hess_ric(provisional.d2R.data, sp.eps).ravel()
-    coeff = pinv @ target
+    coeff = vs @ (ut @ target)
     solve_gap = float(np.linalg.norm(system @ coeff - target))
     if solve_gap > 1e-6 * max(float(np.linalg.norm(target)), 1.0):
         raise RuntimeError(

@@ -11,9 +11,10 @@ The jet arithmetic runs on dense coefficient fields rather than on the
 TruncPoly entries: a tensor-valued polynomial of total degree <= d in n
 variables is an array of shape (C(n+d, d), *tensor_shape) whose rows follow
 the monomials in graded order, so truncating to a lower degree is taking a
-prefix of rows.  Products are one batched einsum over the cached pairs of
-rows whose degrees fit under the cap, scattered into the product rows in a
-fixed order; derivatives are a cached row map with exponent multipliers.
+prefix of rows.  A product multiplies the tensor parts of every cached pair
+of rows whose degrees fit under the cap in one batched matmul, then sums
+the pairs of each product row as one segment; derivatives are a cached row
+map with exponent multipliers.
 
 The cubic seed metric turns a one-jet (R, dR) into a germ whose curvature
 two-jet reproduces (R, dR); the sign convention of the quadratic and cubic
@@ -199,9 +200,11 @@ class PolyMetric:
 # and each step keeps only the rows it needs: for a two-jet, the inverse
 # metric and the Christoffel symbols to degree 3, their derivative and the
 # lowered curvature to degree 2, the covariant derivative to degree 1.
-# Products and derivatives run on index tables cached per (n, d).  Products
-# scatter with np.add.at in a fixed pair order, so every tensor entry is
-# summed in the same order and Gamma^k_ij == Gamma^k_ji holds bitwise.
+# Products and derivatives run on index tables cached per (n, d).  The pairs
+# of a product table are sorted by their product row, so the pairs that
+# land on one row are a contiguous segment and np.add.reduceat sums each
+# segment in one fixed order; every tensor entry is summed in the same
+# order, and Gamma^k_ij == Gamma^k_ji holds bitwise.
 
 
 def _rows(n: int, degree: int) -> int:
@@ -237,9 +240,20 @@ def _row_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: r for r, e in enumerate(_monomials(n, degree))}
 
 
+def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable order that groups equal keys, and the start of each group.
+
+    Every key in range(max + 1) occurs in the tables below, so group r sums
+    into row r.
+    """
+    order = np.argsort(keys, kind="stable")
+    return order, np.flatnonzero(np.diff(keys[order], prepend=-1))
+
+
 @lru_cache(maxsize=None)
 def _product_table(n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row pairs whose degrees sum to at most cap, and the row of their product."""
+    """Row pairs whose degrees sum to at most cap, grouped by the row of their
+    product, and the start of each product row's segment."""
     mons = _monomials(n, cap)
     index = _row_index(n, cap)
     left, right, target = [], [], []
@@ -249,7 +263,8 @@ def _product_table(n: int, cap: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
                 left.append(i)
                 right.append(j)
                 target.append(index[tuple(x + y for x, y in zip(a, b))])
-    return tuple(_read_only(np.array(t)) for t in (left, right, target))
+    order, starts = _segments(np.array(target))
+    return tuple(_read_only(t) for t in (np.array(left)[order], np.array(right)[order], starts))
 
 
 @lru_cache(maxsize=None)
@@ -266,25 +281,53 @@ def _gradient_table(n: int, cap: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _power_rows(n: int, order: int) -> np.ndarray:
-    """Row of x_{v_1} ... x_{v_order} for each ordered tuple (v_1, ..., v_order)."""
+def _power_segments(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ordered tuples (v_1, ..., v_order) grouped by the row of x_{v_1} ... x_{v_order}.
+
+    Segment r sums into the r-th monomial of degree ``order``.
+    """
     index = _row_index(n, order)
-    rows = [index[_exponent(n, vs)] for vs in product(range(n), repeat=order)]
-    return _read_only(np.array(rows))
+    first = _rows(n, order - 1)
+    rows = [index[_exponent(n, vs)] - first for vs in product(range(n), repeat=order)]
+    return tuple(_read_only(t) for t in _segments(np.array(rows)))
+
+
+@lru_cache(maxsize=None)
+def _contraction(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Plan of a two-factor einsum spec, batched over a leading pair axis, as a matmul.
+
+    Every index the factors share is summed.  Returns the axis orders that
+    put the factors in (pair, free, summed) and (pair, summed, free) form,
+    the axis order of the result, and the number of free axes of the first.
+    """
+    inputs, result = spec.split("->")
+    first, second = inputs.split(",")
+    summed = [c for c in first if c in second]
+    free_a = [c for c in first if c not in summed]
+    free_b = [c for c in second if c not in summed]
+    to_a = (0,) + tuple(1 + first.index(c) for c in free_a + summed)
+    to_b = (0,) + tuple(1 + second.index(c) for c in summed + free_b)
+    to_out = (0,) + tuple(1 + (free_a + free_b).index(c) for c in result)
+    return to_a, to_b, to_out, len(free_a)
 
 
 def _mul(a: np.ndarray, b: np.ndarray, spec: str, n: int, cap: int) -> np.ndarray:
     """Product truncated at total degree cap; tensor parts contract by an einsum spec.
 
-    Both factors need rows up to degree cap.
+    Both factors need rows up to degree cap.  The tensor parts of every row
+    pair are multiplied in one batched matmul, and the pairs of each product
+    row are summed as one segment.
     """
-    left, right, target = _product_table(n, cap)
-    inputs, result = spec.split("->")
-    first, second = inputs.split(",")
-    terms = np.einsum(f"Z{first},Z{second}->Z{result}", a[left], b[right])
-    out = np.zeros((_rows(n, cap),) + terms.shape[1:])
-    np.add.at(out, target, terms)
-    return out
+    left, right, starts = _product_table(n, cap)
+    to_a, to_b, to_out, n_free = _contraction(spec)
+    a, b = a[left].transpose(to_a), b[right].transpose(to_b)
+    free_a, summed = a.shape[1 : 1 + n_free], a.shape[1 + n_free :]
+    pairs = np.matmul(
+        a.reshape(len(left), math.prod(free_a), -1),
+        b.reshape(len(right), math.prod(summed), -1),
+    )
+    out = np.add.reduceat(pairs, starts, axis=0)
+    return out.reshape((len(starts),) + free_a + b.shape[1 + len(summed) :]).transpose(to_out)
 
 
 def _grad(a: np.ndarray, n: int, cap: int) -> np.ndarray:
@@ -432,8 +475,10 @@ def _seed_field(R: Tensor, dR: Tensor) -> np.ndarray:
 
     G = np.zeros((_rows(n, 4), n, n))
     G[0] = R.space.metric_matrix()
-    np.add.at(G, _power_rows(n, 2), np.moveaxis(quad.reshape(n, n, -1), 2, 0))
-    np.add.at(G, _power_rows(n, 3), np.moveaxis(cubic.reshape(n, n, -1), 2, 0))
+    for order, part in ((2, quad), (3, cubic)):
+        tuples, starts = _power_segments(n, order)
+        terms = np.moveaxis(part.reshape(n, n, -1), 2, 0)[tuples]
+        G[_rows(n, order - 1) : _rows(n, order)] = np.add.reduceat(terms, starts, axis=0)
     return G
 
 

@@ -4,7 +4,9 @@
 arXiv:0909.4061) made exact by a known rank: the image of a linear map whose
 rank is given in closed form is sampled on a fixed number of seeded Gaussian
 tensors and the singular values must show exactly that rank.  ``kernel``
-returns a null space under the same relative cutoff ``RTOL``.
+returns a null space under the same relative cutoff ``RTOL``, and
+``lstsq_factors`` the compact factors of the minimum-norm least-squares
+solve (the pseudoinverse, never formed) together with that null space.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["RTOL", "image", "kernel"]
+__all__ = ["RTOL", "image", "kernel", "lstsq_factors"]
 
 # relative singular-value cutoff shared by every rank decision
 RTOL = 1e-10
@@ -47,7 +49,18 @@ def image(
 
 def kernel(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal rows v spanning the null space {v : matrix @ v = 0}."""
-    _, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
-    rank = int(np.sum(s > RTOL * s.max(initial=0.0)))
-    return vt[rank:]
+    return lstsq_factors(matrix)[2]
 
+
+def lstsq_factors(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Compact factors (ut, vs) of the pseudoinverse, and the kernel, from one SVD.
+
+    With the singular triples above ``RTOL`` times the largest, ``ut`` is
+    U_r^T and ``vs`` is V_r diag(1 / s_r), so ``vs @ (ut @ b)`` is the
+    minimum-norm least-squares solution of ``matrix @ x = b``, equal to
+    ``np.linalg.pinv(matrix, rcond=RTOL) @ b``.  The third factor holds the
+    remaining right singular vectors, which span the null space.
+    """
+    u, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
+    rank = int(np.sum(s > RTOL * s.max(initial=0.0)))
+    return np.ascontiguousarray(u[:, :rank].T), vt[:rank].T / s[:rank], vt[rank:]

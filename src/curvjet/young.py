@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, Tensor, _group_sum, memoized, symmetrize
+from .spaces import Space, Tensor, _group_sum, memoized
 from .subspace import image
 
 __all__ = [
@@ -91,10 +91,6 @@ def hook_content_dim(n: int, k: int) -> int:
     return contents // int(young_eigenvalue(k))
 
 
-def _pair_antisym_residual(d: np.ndarray, i: int, j: int) -> float:
-    return float(np.linalg.norm(d + np.swapaxes(d, i, j)))
-
-
 def _second_bianchi_cycle(d: np.ndarray, a: int, c: int) -> np.ndarray:
     """d plus its two cyclic images over axes (a, c, c+1)."""
     v = d.ndim
@@ -106,33 +102,42 @@ def _second_bianchi_cycle(d: np.ndarray, a: int, c: int) -> np.ndarray:
     return d + np.transpose(d, ax1) + np.transpose(d, ax2)
 
 
-def ck_residuals(t: Tensor, k: int) -> dict[str, float]:
-    """Absolute residuals of the defining symmetries of C_k, keyed by name."""
+def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
+    """Absolute residuals of the defining symmetries of C_k, keyed by name.
+
+    A tensor of valence k + 4 + b is read as a batch of C_k candidates over
+    its b leading axes: each residual is then an array of shape (n,) * b
+    holding the norm of every slice, and a float when b is 0.
+    """
     if k not in (0, 1, 2):
         raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
-    if t.valence != k + 4:
+    if t.valence < k + 4:
         raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
     d = t.data
-    res: dict[str, float] = {}
-    c = k  # axis of curvature slot 1
-    res["antisym_12"] = _pair_antisym_residual(d, c, c + 1)
-    res["antisym_34"] = _pair_antisym_residual(d, c + 2, c + 3)
-    pair = np.transpose(
-        d, axes=list(range(k)) + [c + 2, c + 3, c, c + 1]
-    )
-    res["pair_symmetry"] = float(np.linalg.norm(d - pair))
-    # first Bianchi: cyclic sum over curvature slots (2,3,4)
-    cyc1 = np.transpose(d, axes=list(range(k)) + [c, c + 2, c + 3, c + 1])
-    cyc2 = np.transpose(d, axes=list(range(k)) + [c, c + 3, c + 1, c + 2])
-    res["first_bianchi"] = float(np.linalg.norm(d + cyc1 + cyc2))
+    b = t.valence - (k + 4)  # batch axes
+    lead = list(range(b + k))
+    c = b + k  # axis of curvature slot 1
+
+    def norms(x: np.ndarray):
+        per_slice = np.linalg.norm(x.reshape(x.shape[:b] + (-1,)), axis=-1)
+        return float(per_slice) if b == 0 else per_slice
+
+    res = {
+        "antisym_12": norms(d + np.swapaxes(d, c, c + 1)),
+        "antisym_34": norms(d + np.swapaxes(d, c + 2, c + 3)),
+        "pair_symmetry": norms(d - np.transpose(d, lead + [c + 2, c + 3, c, c + 1])),
+        # first Bianchi: cyclic sum over curvature slots (2,3,4)
+        "first_bianchi": norms(
+            d
+            + np.transpose(d, lead + [c, c + 2, c + 3, c + 1])
+            + np.transpose(d, lead + [c, c + 3, c + 1, c + 2])
+        ),
+    }
     if k >= 1:
         # second Bianchi: cyclic sum over (last derivative slot, c_1, c_2)
-        res["second_bianchi"] = float(
-            np.linalg.norm(_second_bianchi_cycle(d, k - 1, c))
-        )
+        res["second_bianchi"] = norms(_second_bianchi_cycle(d, c - 1, c))
     if k == 2:
-        sym = symmetrize(t, (1, 2))
-        res["derivative_symmetry"] = float(np.linalg.norm(d - sym.data))
+        res["derivative_symmetry"] = norms(d - 0.5 * (d + np.swapaxes(d, b, b + 1)))
     return res
 
 
@@ -143,6 +148,8 @@ def is_member_Ck(t: Tensor, k: int, tol: float = 1e-9) -> bool:
     C_1: trailing four slots in C_0, plus the differential Bianchi cycle.
     C_2: symmetric derivative pair, each contraction in C_1.
     """
+    if t.valence != k + 4:
+        raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
     scale = max(t.norm(), 1.0)
     res = ck_residuals(t, k)
     return all(v <= tol * scale for v in res.values())

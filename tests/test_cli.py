@@ -246,3 +246,54 @@ class TestDocumentLoading:
         assert main([command, "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+
+class TestLeadingMinusSignature:
+    # "--signature -1,1,1,1" must reach --signature as its value, not be read
+    # as an unknown option, on every subcommand
+    L4 = Space(4, (-1, 1, 1, 1))
+
+    def test_check(self, capsys):
+        argv = ["check", "--dim", "4", "--signature", "-1,1,1,1", "--suite", "star",
+                "--seeds", "1", "--format", "json"]
+        code = main(argv)
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0 and doc["pass"] is True
+        assert doc["config"]["signature"] == [-1, 1, 1, 1]
+
+    def test_gen(self, tmp_path, capsys):
+        path = tmp_path / "jet.json"
+        assert main(["gen", "--signature", "-1,1,1,1", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert two_jet_from_dict(json.loads(path.read_text())).space == self.L4
+
+    def test_metric(self, tmp_path, capsys):
+        path = tmp_path / "met.json"
+        assert main(["metric", "--signature", "-1,1,1,1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert json.loads(path.read_text())["signature"] == [-1, 1, 1, 1]
+
+    def test_extend(self, tmp_path, capsys):
+        g = self.L4.metric_tensor()
+        doc = one_jet_doc(0.5 * kn_pair(g, g), Tensor(self.L4, np.zeros((4,) * 5)))
+        src, dst = tmp_path / "one.json", tmp_path / "two.json"
+        src.write_text(json.dumps(doc))
+        code = main(["extend", "--signature", "-1,1,1,1", "--in", str(src), "--out", str(dst)])
+        capsys.readouterr()
+        assert code == 0
+        assert einstein_check(two_jet_from_dict(json.loads(dst.read_text())))[0]
+
+    def test_fit(self, tmp_path, capsys):
+        from curvjet.jets import random_two_jet
+
+        src = tmp_path / "jet.json"
+        src.write_text(json.dumps(two_jet_to_dict(random_two_jet(self.L4, 9))))
+        code = main(["fit", "--signature", "-1,1,1,1", "--in", str(src), "--format", "json"])
+        assert code == 0 and "residual" in json.loads(capsys.readouterr().out)
+
+    @pytest.mark.parametrize("value", ["-1,2", "-1,x", "-1,,1"])
+    def test_bad_signature_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--signature", value, "--suite", "star"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")

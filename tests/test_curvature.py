@@ -347,3 +347,33 @@ def test_sphere_factor_report():
     assert out["minus_half_kn"] == pytest.approx(3.0, abs=1e-12)
     assert out["plus_half_kn"] == pytest.approx(-3.0, abs=1e-12)
     assert out["match"] is None
+
+
+def star_action_per_ordered_pair(R: Tensor, A: Tensor) -> np.ndarray:
+    """Reference R*A from the star_action docstring: one einsum per ordered pair."""
+    eps = R.space.eps
+    M = np.einsum("ajdc,j,c->adjc", R.data, eps, eps)
+    E = ricci(R).ric.data * eps[None, :]
+    v = A.valence
+    out = np.zeros_like(A.data)
+    base = "abcdefgh"[:v]
+    for i in range(v):
+        sub_in = base[:i] + "z" + base[i + 1 :]
+        out += np.einsum(f"{sub_in},{base[i]}z->{base}", A.data, E)
+        for m in range(v):
+            if m != i:
+                sub_in = list(base)
+                sub_in[i], sub_in[m] = "q", "r"
+                out += np.einsum(f"{''.join(sub_in)},{base[i]}{base[m]}qr->{base}", A.data, M)
+    return out
+
+
+@pytest.mark.parametrize("signature", [(1, 1, 1), (-1, 1, 1, 1), (1, 1, -1, -1, 1)])
+@pytest.mark.parametrize("valence", [2, 4, 6])
+def test_star_action_matches_per_ordered_pair_reference(signature, valence):
+    sp = Space(len(signature), signature)
+    R = random_ck(sp, 0, 5)
+    A = random_tensor(sp, valence, 6)
+    ref = star_action_per_ordered_pair(R, A)
+    got = star_action(R, A).data
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

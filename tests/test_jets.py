@@ -416,3 +416,60 @@ class TestSerialization:
         doc["dim"] = 4
         with pytest.raises(ValueError):
             two_jet_from_dict(doc)
+
+
+class TestCompactSolvers:
+    # the compact SVD factors must reproduce the pseudoinverse solution
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1))])
+    def test_h_solver_matches_pinv(self, sp):
+        from curvjet.jets import _bianchi_cycle, _h_solver
+        from curvjet.subspace import RTOL
+        from curvjet.young import _ck_stack
+
+        n, stack0 = sp.dim, _ck_stack(sp, 0)
+        ut, vs, pairs = _h_solver(sp)
+        columns = []
+        for x in range(n):
+            for y in range(x, n):
+                sym = np.zeros((n, n))
+                sym[x, y] = sym[y, x] = 1.0
+                columns += [_bianchi_cycle(np.multiply.outer(sym, b)).ravel() for b in stack0]
+        pinv = np.linalg.pinv(np.array(columns).T, rcond=RTOL)
+        j = random_two_jet(sp, 4)
+        target = -_bianchi_cycle(0.5 * pair_derivation(j.R, j.R)).ravel()
+        expect = pinv @ target
+        got = vs @ (ut @ target)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+        upper = [(x, y) for x in range(n) for y in range(x, n)]
+        assert all(pairs[x, y] == pairs[y, x] == upper.index((x, y)) for x, y in upper)
+
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1))])
+    def test_extension_solver_matches_pinv(self, sp):
+        from curvjet.jets import _extension_solver
+        from curvjet.subspace import RTOL
+
+        _, system, ut, vs, _ = _extension_solver(sp)
+        target = np.random.default_rng(0).standard_normal(system.shape[0])
+        expect = np.linalg.pinv(system, rcond=RTOL) @ target
+        got = vs @ (ut @ target)
+        assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+class TestBatchedSliceChecks:
+    def test_nan_in_middle_slice_fails_two_jet(self):
+        j = random_two_jet(E3, 0)
+        d2 = j.d2R.data.copy()
+        d2[1, 1, 0, 1, 2, 0] = np.nan
+        ok, res = validate_two_jet(TwoJet(j.R, j.dR, Tensor(E3, d2)))
+        assert not ok and np.isnan(res["second_derivative"])
+
+    @pytest.mark.parametrize("part", ["dRp", "d2Rp"])
+    def test_nan_in_middle_slice_fails_section_jet(self, part):
+        sj = random_two_jet(E3, 0, background=random_ck(E3, 0, 1))
+        parts = {"background": sj.background, "Rp": sj.Rp, "dRp": sj.dRp, "d2Rp": sj.d2Rp}
+        data = parts[part].data.copy()
+        data[(1,) * (data.ndim - 4) + (0, 1, 2, 0)] = np.nan
+        parts[part] = Tensor(E3, data)
+        name = {"dRp": "derivative", "d2Rp": "second_derivative"}[part]
+        ok, res = validate_section_jet(SectionTwoJet(**parts))
+        assert not ok and np.isnan(res[name])

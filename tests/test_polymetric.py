@@ -310,3 +310,25 @@ class TestSerialization:
         doc["entries"].append([0, 1, [5, 0, 0], 1.0])  # exponent above degree
         with pytest.raises(ValueError):
             poly_metric_from_dict(doc)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_mul_matches_truncpoly_products(cap):
+    # field products against TruncPoly arithmetic, entry by entry, at n=5 and
+    # with a contraction that reorders the free indices
+    from curvjet.polymetric import _monomials, _mul, _rows
+
+    n = 5
+    rng = np.random.default_rng(cap)
+    a = rng.standard_normal((_rows(n, cap), 2, 3))
+    b = rng.standard_normal((_rows(n, cap), 3, 2, 2))
+    got = _mul(a, b, "ij,jkl->lik", n, cap)
+    mons = _monomials(n, cap)
+
+    def poly(column):
+        return TruncPoly(n, cap, dict(zip(mons, column)))
+
+    for l, i, k in np.ndindex(2, 2, 2):
+        ref = sum((poly(a[:, i, j]) * poly(b[:, j, k, l]) for j in range(3)), TruncPoly(n, cap))
+        expect = np.array([ref.coeff.get(e, 0.0) for e in mons])
+        assert np.allclose(got[:, l, i, k], expect, rtol=1e-13, atol=1e-13)

@@ -171,3 +171,17 @@ def test_mixed_product_eigenvalue():
             assert rel(lhs, -48.0 * rhs) < 1e-10
             dead = young_apply(tensor_product(R, g), 2)
             assert dead.norm() < 1e-10 * max(lhs.norm(), 1.0)
+
+
+@pytest.mark.parametrize("k,batch", [(0, 1), (0, 2), (1, 1), (2, 1)])
+def test_batched_residuals_match_per_slice_loop(k, batch):
+    sp = Space(3, (1, -1, 1))
+    data = random_tensor(sp, k + 4 + batch, 9).data
+    data[(0,) * batch] = random_ck(sp, k, 10).data  # one slice is a member
+    got = ck_residuals(Tensor(sp, data), k)
+    for index in np.ndindex((3,) * batch):
+        ref = ck_residuals(Tensor(sp, data[index]), k)
+        assert set(got) == set(ref)
+        for name, value in ref.items():
+            assert got[name][index] == value
+    assert max(got[name][(0,) * batch] for name in got) < 1e-12
