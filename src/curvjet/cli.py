@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from . import __version__
 from .jets import (
+    RANDOM_JET_DIMS,
     _eigenvalue_gap,
     einstein_check,
     einstein_extend,
@@ -125,6 +127,8 @@ def _print_pairs(pairs: dict, as_json: bool) -> None:
 
 def cmd_gen(args) -> int:
     sp = _space_from_args(args)
+    if sp.dim not in RANDOM_JET_DIMS:
+        raise SystemExit2(f"jets need a dimension in {RANDOM_JET_DIMS}, got {sp.dim}")
     if args.einstein:
         R, dR = random_einstein_one_jet(sp, args.seed)
         jet = einstein_extend(R, dR)
@@ -210,11 +214,31 @@ def cmd_metric(args) -> int:
     return 0 if ok else 1
 
 
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise SystemExit2(f"--seed must be an integer, got {text!r}") from None
+    if seed < 0:
+        raise SystemExit2(f"--seed must be >= 0, got {seed}")
+    return seed
+
+
+def _tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise SystemExit2(f"--tol must be a number, got {text!r}") from None
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise SystemExit2(f"--tol must be a finite positive number, got {text}")
+    return tol
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--dim", type=int, default=None, help="dimension (default 4)")
     sub.add_argument("--signature", default=None, help="comma list of +1/-1")
-    sub.add_argument("--seed", type=int, default=0, help="base random seed")
-    sub.add_argument("--tol", type=float, default=1e-9, help="residual threshold")
+    sub.add_argument("--seed", type=_seed, default=0, help="base random seed (>= 0)")
+    sub.add_argument("--tol", type=_tol, default=1e-9, help="residual threshold (> 0)")
     sub.add_argument("--in", dest="in", default=None, help="input document path")
     sub.add_argument("--out", default=None, help="output document path")
     sub.add_argument("--format", choices=("text", "json"), default="text")

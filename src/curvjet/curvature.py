@@ -10,13 +10,14 @@ With these, sum_j eps_j R_{x,e_j}e_j = Ric x, and the star action on a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, SymBiform, Tensor, _group_sum, metric_trace, symmetrize
-from .subspace import image
+from .spaces import Space, SymBiform, Tensor, _group_sum, metric_trace
+from .subspace import image, packing
 from .young import hook_content_dim, is_member_Ck, tableau_sum, young_apply
 
 __all__ = [
@@ -297,12 +298,16 @@ def jacobi_form(T: Tensor) -> SymBiform:
     return SymBiform(T.space, 2, Tensor(T.space, arranged))
 
 
+def _nk_defects(t: np.ndarray, m: int) -> np.ndarray:
+    """Norm of the symmetrization over the first m+1 slots of each tensor in the batch t."""
+    sym = _group_sum(t, list(range(1, m + 2))) / math.factorial(m + 1)
+    return np.linalg.norm(sym.reshape(len(t), -1), axis=1)
+
+
 def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
     """Test the defining property: symmetrization over the first m+1 slots vanishes."""
     t = h.tensor
-    m = h.m
-    sym = symmetrize(t, tuple(range(1, m + 2)))
-    return sym.norm() <= tol * max(t.norm(), 1e-300)
+    return bool(_nk_defects(t.data[None], h.m)[0] <= tol * max(t.norm(), 1e-300))
 
 
 @lru_cache(maxsize=None)
@@ -319,11 +324,16 @@ def _nk_stack(space: Space, m: int) -> np.ndarray:
         out = tableau_sum(batch, sym, bi)
         return _group_sum(_group_sum(out, sym), bi)
 
-    rows = image(project, (n,) * (m + 2), hook_content_dim(n, m - 2))
+    rows = image(
+        project, packing(n, (("sym", m), ("sym", 2))), hook_content_dim(n, m - 2)
+    )
     stack = rows.reshape((len(rows),) + (n,) * (m + 2))
-    for b in stack:
-        if not is_member_Nk(SymBiform(space, m, Tensor(space, b))):
-            raise RuntimeError("projected N_m basis vector fails the membership check")
+    # is_member_Nk on every vector at once; unpacked rows are exactly
+    # symmetric in slots 1..m and m+1, m+2, so the SymBiform averaging that
+    # is_member_Nk reads them through would leave them as they are
+    scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
+    if not np.all(_nk_defects(stack, m) <= 1e-8 * scale):
+        raise RuntimeError("projected N_m basis vector fails the membership check")
     stack.flags.writeable = False
     return stack
 
@@ -334,9 +344,10 @@ def nk_basis(space: Space, m: int) -> list[SymBiform]:
 
     N_m is the image of P A P, the Young symmetrizer of shape (m, 2) with
     rows {1..m}, {m+1, m+2} enclosed in the row symmetrizer P.  It is
-    sampled on dim + 8 seeded Gaussian tensors; the numerical rank must
-    equal the hook-content dimension of C_{m-2}, or RuntimeError is raised,
-    and every vector is checked with is_member_Nk.  The stacked basis is
+    sampled on dim + 8 seeded Gaussian tensors and its SVD runs in the
+    packed coordinates of Sym^m (x) Sym^2; the numerical rank must equal
+    the hook-content dimension of C_{m-2}, or RuntimeError is raised, and
+    every vector is checked with is_member_Nk.  The stacked basis is
     cached per (space, m) and is identical on every run.
     """
     return [SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space, m)]

@@ -42,7 +42,7 @@ from .spaces import (
     tensor_from_dict,
     tensor_to_dict,
 )
-from .subspace import kernel, lstsq_factors
+from .subspace import kernel, lstsq_factors, packing
 from .young import _ck_stack, ck_residuals, young_apply
 
 __all__ = [
@@ -239,20 +239,29 @@ def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     of a raveled cycle target t (rank deficiency is expected: the
     homogeneous solutions are exactly C_2), and the (n, n) map from a
     matrix entry to its pair p.
+
+    The cycle over (inner derivative, c_1, c_2) of a tensor antisymmetric in
+    (c_1, c_2) is totally antisymmetric in those slots, so each column lies
+    in V (x) L^3 (x) L^2; the system is formed and solved in its packed
+    coordinates, and ``ut`` is returned spread back to all n^6 entries.
     """
     n = space.dim
     stack0 = _ck_stack(space, 0)
     upper = np.triu_indices(n)
     pairs = np.empty((n, n), dtype=np.intp)
     pairs[upper] = pairs[upper[::-1]] = np.arange(len(upper[0]))
-    # one pair at a time keeps the unknowns' full tensors out of memory
-    cycles = np.empty((len(upper[0]), len(stack0), n**6))
-    for p, (x, y) in enumerate(zip(*upper)):
-        sym = np.zeros((n, n))
-        sym[x, y] = sym[y, x] = 1.0
-        unknowns = np.multiply.outer(sym, stack0).transpose(2, 0, 1, 3, 4, 5, 6)
-        cycles[p] = _bianchi_cycle(unknowns).reshape(len(stack0), -1)
-    ut, vs, _ = lstsq_factors(cycles.reshape(-1, n**6).T)
+    pk = packing(n, (("sym", 1), ("alt", 3), ("alt", 2)))
+    a, x, y, z, u, v = np.unravel_index(pk.rep, pk.shape)
+    # the cycle of sym_p (x) b_i at (a, x, y, z, u, v) is
+    # sum over the cyclic shifts (x, y, z) of sym_p[a, x] * b_i[y, z, u, v]
+    one_hot = np.eye(len(upper[0]))
+    packed = sum(
+        one_hot[pairs[a, p]][:, :, None] * stack0[:, q, r, u, v].T[:, None, :]
+        for p, q, r in ((x, y, z), (y, z, x), (z, x, y))
+    )
+    packed = packed.reshape(len(pk.rep), -1) * pk.weight[:, None]
+    ut, vs, _ = lstsq_factors(packed)
+    ut = pk.unpack(ut)
     for factor in (ut, vs, pairs):
         factor.flags.writeable = False
     return ut, vs, pairs

@@ -7,15 +7,32 @@ tensors and the singular values must show exactly that rank.  ``kernel``
 returns a null space under the same relative cutoff ``RTOL``, and
 ``lstsq_factors`` the compact factors of the minimum-norm least-squares
 solve (the pseudoinverse, never formed) together with that null space.
+
+Packed coordinates.  A symmetry class of valence-v tensors on R^n is given
+by consecutive slot groups, each symmetric (``"sym"``) or antisymmetric
+(``"alt"``).  Its ``Packing`` keeps one representative entry per orbit of
+the group action (sorted indices within each group, strictly increasing in
+an antisymmetric one) scaled by the square root of the orbit size, so
+packing is an isometry from the class onto R^P, and unpacking spreads each
+packed value back over its orbit with the permutation signs.  ``image``
+runs its SVD on the packed images: it first checks that the images lie in
+the declared class (unpacking the packed images must give them back to
+``RTOL``) and raises RuntimeError otherwise.  The rank gate and cutoff are
+those of the unpacked SVD, whose singular values the packed one shares.
+One single-slot group per axis is the trivial packing (P = n^v), for maps
+whose images have no symmetry.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["RTOL", "image", "kernel", "lstsq_factors"]
+__all__ = ["RTOL", "Packing", "packing", "image", "kernel", "lstsq_factors"]
 
 # relative singular-value cutoff shared by every rank decision
 RTOL = 1e-10
@@ -24,27 +41,123 @@ RTOL = 1e-10
 # expose a rank larger than claimed
 _OVERSAMPLE = 8
 
+# bytes of unpacked images per call of the sampled map
+_CHUNK_BYTES = 1 << 22
+
+
+@dataclass(frozen=True, eq=False)
+class Packing:
+    """Orbit coordinates of a symmetry class; build it with ``packing``.
+
+    ``rep`` holds the flat index of each orbit's representative entry and
+    ``weight`` the square root of the orbit size; ``index`` maps every
+    flat entry to its orbit and ``coef`` is the permutation sign over the
+    orbit's weight (0 on entries an antisymmetric group forces to vanish).
+    """
+
+    shape: tuple[int, ...]
+    rep: np.ndarray
+    weight: np.ndarray
+    index: np.ndarray
+    coef: np.ndarray
+
+    def pack(self, flat: np.ndarray) -> np.ndarray:
+        """Packed coordinates of class members, raveled along the last axis."""
+        return flat[..., self.rep] * self.weight
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Raveled tensors with the given packed coordinates."""
+        out = packed[..., self.index]
+        out *= self.coef
+        return out
+
+
+def _group_table(n: int, kind: str, size: int):
+    """Representatives, orbit sizes, and each entry's orbit and sign for one group."""
+    entries = np.indices((n,) * size).reshape(size, -1).T
+    ordered = np.sort(entries, axis=1)
+    codes = ordered @ n ** np.arange(size - 1, -1, -1)
+    if kind == "sym":
+        sign = np.ones(len(entries))
+    elif kind == "alt":
+        inversions = sum(
+            entries[:, i] > entries[:, j] for i in range(size) for j in range(i + 1, size)
+        )
+        repeated = np.any(ordered[:, 1:] == ordered[:, :-1], axis=1)
+        sign = np.where(repeated, 0.0, (-1.0) ** inversions)
+    else:
+        raise ValueError(f"group kind must be 'sym' or 'alt', got {kind!r}")
+    rep = np.flatnonzero((codes == np.arange(len(entries))) & (sign != 0.0))
+    slot = np.full(len(entries), -1)
+    slot[rep] = np.arange(len(rep))
+    index = np.maximum(slot[codes], 0)  # forced zeros point anywhere, with sign 0
+    orbit = np.bincount(index, weights=(sign != 0.0).astype(float), minlength=len(rep))
+    return rep, orbit, index, sign
+
+
+@lru_cache(maxsize=None)
+def packing(n: int, groups: tuple[tuple[str, int], ...]) -> Packing:
+    """Packing of the class given by consecutive (kind, size) slot groups.
+
+    Groups of size 0 are dropped; the entries are read in C order, first
+    group most significant.
+    """
+    rep, orbit, index, sign = (np.zeros(1, dtype=np.intp), np.ones(1),
+                               np.zeros(1, dtype=np.intp), np.ones(1))
+    valence = 0
+    for kind, size in groups:
+        if size < 0:
+            raise ValueError(f"group size must be >= 0, got {size}")
+        if size == 0:
+            continue
+        g_rep, g_orbit, g_index, g_sign = _group_table(n, kind, size)
+        rep = np.add.outer(rep * n**size, g_rep).ravel()
+        orbit = np.multiply.outer(orbit, g_orbit).ravel()
+        index = np.add.outer(index * len(g_rep), g_index).ravel()
+        sign = np.multiply.outer(sign, g_sign).ravel()
+        valence += size
+    weight = np.sqrt(orbit)
+    table = Packing((n,) * valence, rep, weight, index, sign / weight[index])
+    for array in (table.rep, table.weight, table.index, table.coef):
+        array.flags.writeable = False
+    return table
+
 
 def image(
-    apply: Callable[[np.ndarray], np.ndarray], shape: tuple[int, ...], rank: int
+    apply: Callable[[np.ndarray], np.ndarray], pk: Packing, rank: int
 ) -> np.ndarray:
     """``rank`` orthonormal rows spanning the image of a linear map.
 
-    ``apply`` maps a batch of tensors of the given shape (batch axis first)
-    to a batch of images.  The samples come from ``default_rng(0)``, so the
-    rows are identical on every run.  Raises RuntimeError unless the sampled
-    images have numerical rank exactly ``rank``.
+    ``apply`` maps a batch of tensors of shape ``pk.shape`` (batch axis
+    first) to a batch of images in the class of ``pk``.  The samples come
+    from ``default_rng(0)``, so the rows are identical on every run; they
+    are returned raveled, in full (unpacked) coordinates.  Raises
+    RuntimeError if an image leaves the class or unless the sampled images
+    have numerical rank exactly ``rank``.
     """
-    samples = np.random.default_rng(0).standard_normal((rank + _OVERSAMPLE,) + tuple(shape))
-    images = apply(samples).reshape(len(samples), -1)
-    _, s, vt = np.linalg.svd(images, full_matrices=False)
+    rng = np.random.default_rng(0)
+    count = rank + _OVERSAMPLE
+    # the map runs on chunks of samples, so the unpacked images are never
+    # held all at once; the draws are those of a single call
+    chunks = min(count, -(-count * 8 * len(pk.index) // _CHUNK_BYTES))
+    packed = np.empty((count, len(pk.rep)))
+    gap = scale = 0.0
+    for rows in np.array_split(np.arange(count), chunks):
+        images = apply(rng.standard_normal((len(rows),) + pk.shape)).reshape(len(rows), -1)
+        packed[rows] = pk.pack(images)
+        gap += float(np.linalg.norm(pk.unpack(packed[rows]) - images)) ** 2
+        scale += float(np.linalg.norm(images)) ** 2
+    ratio = math.sqrt(gap / (scale if scale > 0.0 else 1.0))
+    if not ratio <= RTOL:
+        raise RuntimeError(f"image leaves its symmetry class: relative gap {ratio:.3e}")
+    _, s, vt = np.linalg.svd(packed, full_matrices=False)
     s = np.append(s, 0.0)  # s[rank] exists even if rank is the ambient dimension
     if not (s[rank - 1] > RTOL * s[0] and s[rank] <= RTOL * s[0]):
         raise RuntimeError(
             f"image rank check failed: expected {rank}, singular ratios "
             f"{s[rank - 1] / s[0]:.3e} and {s[rank] / s[0]:.3e} around the cutoff {RTOL:.0e}"
         )
-    return vt[:rank]
+    return pk.unpack(vt[:rank])
 
 
 def kernel(matrix: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spaces import Space, Tensor, _group_sum, memoized
-from .subspace import image
+from .subspace import image, packing
 
 __all__ = [
     "young_apply",
@@ -102,25 +102,13 @@ def _second_bianchi_cycle(d: np.ndarray, a: int, c: int) -> np.ndarray:
     return d + np.transpose(d, ax1) + np.transpose(d, ax2)
 
 
-def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
-    """Absolute residuals of the defining symmetries of C_k, keyed by name.
-
-    A tensor of valence k + 4 + b is read as a batch of C_k candidates over
-    its b leading axes: each residual is then an array of shape (n,) * b
-    holding the norm of every slice, and a float when b is 0.
-    """
-    if k not in (0, 1, 2):
-        raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
-    if t.valence < k + 4:
-        raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
-    d = t.data
-    b = t.valence - (k + 4)  # batch axes
+def _ck_defects(d: np.ndarray, k: int, b: int) -> dict[str, np.ndarray]:
+    """Norms of the C_k symmetry defects of each slice over the b leading axes of d."""
     lead = list(range(b + k))
     c = b + k  # axis of curvature slot 1
 
-    def norms(x: np.ndarray):
-        per_slice = np.linalg.norm(x.reshape(x.shape[:b] + (-1,)), axis=-1)
-        return float(per_slice) if b == 0 else per_slice
+    def norms(x: np.ndarray) -> np.ndarray:
+        return np.linalg.norm(x.reshape(x.shape[:b] + (-1,)), axis=-1)
 
     res = {
         "antisym_12": norms(d + np.swapaxes(d, c, c + 1)),
@@ -139,6 +127,22 @@ def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
     if k == 2:
         res["derivative_symmetry"] = norms(d - 0.5 * (d + np.swapaxes(d, b, b + 1)))
     return res
+
+
+def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
+    """Absolute residuals of the defining symmetries of C_k, keyed by name.
+
+    A tensor of valence k + 4 + b is read as a batch of C_k candidates over
+    its b leading axes: each residual is then an array of shape (n,) * b
+    holding the norm of every slice, and a float when b is 0.
+    """
+    if k not in (0, 1, 2):
+        raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
+    if t.valence < k + 4:
+        raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
+    b = t.valence - (k + 4)  # batch axes
+    res = _ck_defects(t.data, k, b)
+    return res if b else {name: float(v) for name, v in res.items()}
 
 
 def is_member_Ck(t: Tensor, k: int, tol: float = 1e-9) -> bool:
@@ -169,16 +173,19 @@ def _ck_stack(space: Space, k: int) -> np.ndarray:
     if n**v > _BASIS_AMBIENT_LIMIT:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
     row1, row2 = _label_axes(k)
-    # batched symmetrizer: same tableau on axes shifted by the batch axis
+    # batched symmetrizer: same tableau on axes shifted by the batch axis; its
+    # images are symmetric in the derivative slots and antisymmetric in each
+    # curvature pair, so they are packed as Sym^k (x) L^2 (x) L^2
     rows = image(
         lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
-        shape,
+        packing(n, (("sym", k), ("alt", 2), ("alt", 2))),
         hook_content_dim(n, k),
     )
     stack = rows.reshape((len(rows),) + shape)
-    for b in stack:
-        if not is_member_Ck(Tensor(space, b), k, tol=1e-7):
-            raise RuntimeError("projected basis vector fails the symmetry checks")
+    # the membership test of is_member_Ck(tol=1e-7), on every vector at once
+    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
+    if not all(np.all(v <= 1e-7 * scale) for v in _ck_defects(stack, k, 1).values()):
+        raise RuntimeError("projected basis vector fails the symmetry checks")
     stack.flags.writeable = False
     return stack
 
@@ -187,10 +194,11 @@ def basis_Ck(space: Space, k: int) -> list[Tensor]:
     """Orthonormal numeric basis of C_k, the image of the Young symmetrizer.
 
     The symmetrizer is applied to dim C_k + 8 seeded Gaussian tensors and
-    one SVD of the images gives the basis; the numerical rank must equal
-    the hook-content dimension, or RuntimeError is raised.  Every basis
-    vector is checked against the defining symmetries.  The stacked basis
-    is cached per (space, k) and is identical on every run.
+    one SVD of the images, in the packed coordinates of Sym^k (x) L^2 (x)
+    L^2, gives the basis; the numerical rank must equal the hook-content
+    dimension, or RuntimeError is raised.  Every basis vector is checked
+    against the defining symmetries.  The stacked basis is cached per
+    (space, k) and is identical on every run.
     """
     return [Tensor(space, b) for b in _ck_stack(space, k)]
 

@@ -133,6 +133,31 @@ class TestGen:
         assert einstein_check(jet)[0]
 
 
+    @pytest.mark.parametrize("dim", ["2", "6"])
+    def test_dimension_without_jets_is_usage_error(self, dim, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--dim", dim])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestCommonOptions:
+    # --seed and --tol are validated once for every subcommand
+    @pytest.mark.parametrize("command", ["gen", "check", "metric"])
+    def test_negative_seed_is_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--seed", "-5"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    def test_bad_tolerance_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "--suite", "eigenvalue", "--dim", "3", "--tol", tol])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestExtend:
     def test_requires_input(self, capsys):
         assert main(["extend"]) == 2

@@ -1,12 +1,22 @@
-"""Subspace engine: seeded images with a hard rank check, null spaces."""
+"""Subspace engine: seeded images with a hard rank check, null spaces,
+and the packed coordinates of symmetry classes."""
+
+import itertools
+import math
 
 import numpy as np
 import pytest
 
+from curvjet.curvature import _nk_stack
 from curvjet.jets import _hess_kernel_stack
-from curvjet.spaces import Space
-from curvjet.subspace import RTOL, image, kernel
-from curvjet.young import basis_Ck
+from curvjet.spaces import Space, _group_sum
+from curvjet.subspace import RTOL, image, kernel, packing
+from curvjet.young import _ck_stack, _label_axes, basis_Ck, hook_content_dim, tableau_sum
+
+
+def _vectors(n: int):
+    """The trivial packing of R^n: one single-slot group."""
+    return packing(n, (("sym", 1),))
 
 
 def _coordinate_projector(r: int):
@@ -19,26 +29,26 @@ def _coordinate_projector(r: int):
 
 
 def test_image_spans_the_range():
-    rows = image(_coordinate_projector(3), (7,), 3)
+    rows = image(_coordinate_projector(3), _vectors(7), 3)
     assert rows.shape == (3, 7)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-12)
     assert np.linalg.norm(rows[:, 3:]) < 1e-12
 
 
 def test_image_is_reproducible():
-    a = image(_coordinate_projector(4), (9,), 4)
-    b = image(_coordinate_projector(4), (9,), 4)
+    a = image(_coordinate_projector(4), _vectors(9), 4)
+    b = image(_coordinate_projector(4), _vectors(9), 4)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("claimed", [2, 4])
 def test_image_rejects_a_wrong_rank(claimed):
     with pytest.raises(RuntimeError):
-        image(_coordinate_projector(3), (7,), claimed)
+        image(_coordinate_projector(3), _vectors(7), claimed)
 
 
 def test_image_of_the_identity_fills_the_space():
-    rows = image(lambda batch: batch, (5,), 5)
+    rows = image(lambda batch: batch, _vectors(5), 5)
     assert np.allclose(rows @ rows.T, np.eye(5), atol=1e-12)
 
 
@@ -67,3 +77,98 @@ def test_hess_kernel_matches_reference_svd():
     assert np.linalg.norm(hess) < 1e-10
     flat = stack.reshape(len(stack), -1)
     assert np.allclose(flat @ flat.T, np.eye(len(stack)), atol=1e-10)
+
+
+# the slot-group patterns the bases and solvers are packed in
+PATTERNS = {
+    "C_0": (("sym", 0), ("alt", 2), ("alt", 2)),
+    "C_1": (("sym", 1), ("alt", 2), ("alt", 2)),
+    "C_2": (("sym", 2), ("alt", 2), ("alt", 2)),
+    "N_2": (("sym", 2), ("sym", 2)),
+    "N_4": (("sym", 4), ("sym", 2)),
+    "cycle": (("sym", 1), ("alt", 3), ("alt", 2)),
+}
+
+
+def _project(x: np.ndarray, groups) -> np.ndarray:
+    """Average of x over every signed permutation within each slot group."""
+    start = 0
+    for kind, size in groups:
+        slots = list(range(start, start + size))
+        total = np.zeros_like(x)
+        for perm in itertools.permutations(range(size)):
+            axes = list(range(x.ndim))
+            for slot, p in zip(slots, perm):
+                axes[slot] = start + p
+            inversions = sum(perm[i] > perm[j] for i in range(size) for j in range(i + 1, size))
+            sign = (-1) ** inversions if kind == "alt" else 1
+            total += sign * np.transpose(x, axes)
+        x = total / math.factorial(size)
+        start += size
+    return x
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("name", sorted(PATTERNS))
+def test_packing_round_trip_is_isometric(name, n):
+    groups = PATTERNS[name]
+    pk = packing(n, groups)
+    member = _project(np.random.default_rng(1).standard_normal(pk.shape), groups).ravel()
+    packed = pk.pack(member)
+    assert packed.shape == pk.rep.shape
+    assert np.allclose(pk.unpack(packed), member, rtol=0, atol=1e-14)
+    assert np.isclose(np.linalg.norm(packed), np.linalg.norm(member), rtol=1e-14)
+
+
+@pytest.mark.parametrize(
+    "n, name, size",
+    [(4, "C_2", 360), (5, "C_2", 1500), (4, "N_4", 350), (4, "cycle", 96), (5, "cycle", 500)],
+)
+def test_packed_dimensions(n, name, size):
+    assert len(packing(n, PATTERNS[name]).rep) == size
+
+
+def test_image_rejects_images_outside_the_class():
+    with pytest.raises(RuntimeError, match="symmetry class"):
+        image(lambda batch: batch, packing(3, (("sym", 2),)), 6)
+
+
+def _full_image(apply, shape, rank) -> np.ndarray:
+    """Rows from an SVD of the unpacked images, on the samples ``image`` draws."""
+    samples = np.random.default_rng(0).standard_normal((rank + 8,) + shape)
+    return np.linalg.svd(apply(samples).reshape(len(samples), -1), full_matrices=False)[2][:rank]
+
+
+def _projector_gap(a: np.ndarray, b: np.ndarray) -> float:
+    a, b = a.reshape(len(a), -1), b.reshape(len(b), -1)
+    return float(np.abs(a.T @ a - b.T @ b).max())
+
+
+def test_packed_c2_spans_the_full_image():
+    sp = Space(3)
+    row1, row2 = _label_axes(2)
+    full = _full_image(
+        lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
+        (3,) * 6,
+        hook_content_dim(3, 2),
+    )
+    assert _projector_gap(_ck_stack(sp, 2), full) <= 1e-12
+
+
+def test_packed_n4_spans_the_full_image():
+    sp = Space(3)
+    sym, bi = [1, 2, 3, 4], [5, 6]
+    full = _full_image(
+        lambda batch: _group_sum(_group_sum(tableau_sum(batch, sym, bi), sym), bi),
+        (3,) * 6,
+        hook_content_dim(3, 2),
+    )
+    assert _projector_gap(_nk_stack(sp, 4), full) <= 1e-12
+
+
+def test_nk_basis_is_reproducible():
+    """The cached N_4 basis is rebuilt bit for bit from the fixed sample seed."""
+    sp = Space(4)
+    first = np.array(_nk_stack(sp, 4))
+    _nk_stack.cache_clear()
+    assert np.array_equal(first, _nk_stack(sp, 4))
