@@ -311,11 +311,10 @@ def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _nk_stack(space: Space, m: int) -> np.ndarray:
-    """Read-only orthonormal basis of N_m stacked along the first axis."""
+def _nk_stack(n: int, m: int) -> np.ndarray:
+    """Read-only orthonormal basis of N_m, stacked; N_m uses no metric, so n keys it."""
     if m < 2:
         raise ValueError(f"N_m needs degree m >= 2, got {m}")
-    n = space.dim
     sym, bi = list(range(1, m + 1)), [m + 1, m + 2]
 
     def project(batch: np.ndarray) -> np.ndarray:
@@ -348,13 +347,13 @@ def nk_basis(space: Space, m: int) -> list[SymBiform]:
     packed coordinates of Sym^m (x) Sym^2; the numerical rank must equal
     the hook-content dimension of C_{m-2}, or RuntimeError is raised, and
     every vector is checked with is_member_Nk.  The stacked basis is
-    cached per (space, m) and is identical on every run.
+    cached per (n, m) for every signature and is identical on every run.
     """
-    return [SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space, m)]
+    return [SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space.dim, m)]
 
 
 def random_nk(space: Space, m: int, seed: int) -> SymBiform:
-    stack = _nk_stack(space, m)
+    stack = _nk_stack(space.dim, m)
     coeff = np.random.default_rng(seed).standard_normal(len(stack))
     return SymBiform(space, m, Tensor(space, np.tensordot(coeff, stack, (0, 0))))
 

@@ -229,8 +229,8 @@ def validate_section_jet(
 
 
 @lru_cache(maxsize=None)
-def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Solver for the Bianchi-cycle system over Sym^2 V* (x) C_0.
+def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solver for the Bianchi-cycle system over Sym^2 V* (x) C_0 in dimension n.
 
     The unknowns are coefficients c[p, i] of sym_p (x) b_i, where sym_p is
     the symmetric unit matrix of the p-th pair x <= y (row-major) and b_i
@@ -244,9 +244,9 @@ def _h_solver(space: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (c_1, c_2) is totally antisymmetric in those slots, so each column lies
     in V (x) L^3 (x) L^2; the system is formed and solved in its packed
     coordinates, and ``ut`` is returned spread back to all n^6 entries.
+    The system uses no metric, so one solver serves every signature.
     """
-    n = space.dim
-    stack0 = _ck_stack(space, 0)
+    stack0 = _ck_stack(n, 0)
     upper = np.triu_indices(n)
     pairs = np.empty((n, n), dtype=np.intp)
     pairs[upper] = pairs[upper[::-1]] = np.arange(len(upper[0]))
@@ -283,7 +283,7 @@ def random_two_jet(
     if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
     rng = np.random.default_rng(seed)
-    stack0 = _ck_stack(space, 0)
+    stack0 = _ck_stack(space.dim, 0)
 
     if background is not None:
         if background.valence != 4 or background.space != space:
@@ -302,13 +302,13 @@ def random_two_jet(
             raise RuntimeError(f"section-jet construction failed: {residuals}")
         return sj
 
-    stack1 = _ck_stack(space, 1)
-    stack2 = _ck_stack(space, 2)
+    stack1 = _ck_stack(space.dim, 1)
+    stack2 = _ck_stack(space.dim, 2)
     R = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
     dR = Tensor(space, np.tensordot(rng.standard_normal(len(stack1)), stack1, (0, 0)))
 
     particular = 0.5 * pair_derivation(R, R)
-    ut, vs, pairs = _h_solver(space)
+    ut, vs, pairs = _h_solver(space.dim)
     coeff = (vs @ (ut @ -_bianchi_cycle(particular).ravel())).reshape(-1, len(stack0))
     symmetric = np.tensordot(coeff[pairs], stack0, (2, 0))
     homogeneous = np.tensordot(rng.standard_normal(len(stack2)), stack2, (0, 0))
@@ -323,7 +323,7 @@ def random_two_jet(
 @lru_cache(maxsize=None)
 def _parallel_ricci_dirs(space: Space) -> np.ndarray:
     """C_1 directions with vanishing Ricci derivative, stacked; may be empty."""
-    stack1 = _ck_stack(space, 1)
+    stack1 = _ck_stack(space.dim, 1)
     rows = np.stack(
         [ricci_derivative(Tensor(space, b)).data.ravel() for b in stack1]
     )
@@ -340,7 +340,7 @@ def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     """
     rng = np.random.default_rng(seed)
     g = space.metric_tensor()
-    stack0 = _ck_stack(space, 0)
+    stack0 = _ck_stack(space.dim, 0)
     raw = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
     R = rng.standard_normal() * kn_pair(g, g) + decompose(raw).weyl_part
 
@@ -605,7 +605,7 @@ def _extension_solver(
     their number is reported because the correction is not unique.  The
     factors and the free directions come from one SVD of the system.
     """
-    directions = _ck_stack(space, 2)
+    directions = _ck_stack(space.dim, 2)
     system = np.stack([_hess_ric(d, space.eps).ravel() for d in directions], axis=1)
     ut, vs, null = lstsq_factors(system)
     free = np.tensordot(null, directions, (1, 0))
@@ -643,9 +643,9 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if ricci_derivative(dR).norm() > tol * max(dR.norm(), 1.0):
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    from .polymetric import _seed_field, _two_jet_of_field
+    from .polymetric import curvature_two_jet, seed_metric
 
-    provisional = _two_jet_of_field(_seed_field(R, dR), sp)
+    provisional = curvature_two_jet(seed_metric(R, dR))
     if _rel(provisional.R.data, R.data) > 1e-8 or (
         dR.norm() > 0 and _rel(provisional.dR.data, dR.data) > 1e-8
     ):

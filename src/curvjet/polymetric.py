@@ -1,25 +1,25 @@
 """Polynomial metrics and exact jet evaluation at the origin.
 
-A metric germ is stored with truncated-polynomial entries normalized so the
-value at the origin is the signature matrix.  Christoffel symbols come from
-the standard Levi-Civita formula with a truncated Neumann series for the
-inverse metric; the curvature tensor and its first two covariant
-derivatives are then evaluated exactly at the origin (polynomial arithmetic
-is exact under truncation, nothing is rounded).
+A metric germ is a dense coefficient field normalized so its value at the
+origin is the signature matrix: a tensor-valued polynomial of total degree
+<= d in n variables is an array of shape (C(n+d, d), *tensor_shape) whose
+rows follow the monomials in graded order, so truncating to a lower degree
+is taking a prefix of rows.  ``PolyMetric`` holds the (rows, n, n) field of
+the metric; its TruncPoly entries are a view built on demand.  Christoffel
+symbols come from the standard Levi-Civita formula with a truncated Neumann
+series for the inverse metric; the curvature tensor and its first two
+covariant derivatives are then evaluated exactly at the origin (polynomial
+arithmetic is exact under truncation, nothing is rounded).
 
-The jet arithmetic runs on dense coefficient fields rather than on the
-TruncPoly entries: a tensor-valued polynomial of total degree <= d in n
-variables is an array of shape (C(n+d, d), *tensor_shape) whose rows follow
-the monomials in graded order, so truncating to a lower degree is taking a
-prefix of rows.  A product multiplies the tensor parts of every cached pair
-of rows whose degrees fit under the cap in one batched matmul, then sums
-the pairs of each product row as one segment; derivatives are a cached row
-map with exponent multipliers.
+A product multiplies the tensor parts of every cached pair of rows whose
+degrees fit under the cap in one batched matmul, then sums the pairs of
+each product row as one segment; derivatives are a cached row map with
+exponent multipliers.  TruncPoly keeps dict-based arithmetic as the
+independent reference the tests compare the field arithmetic against.
 
 The cubic seed metric turns a one-jet (R, dR) into a germ whose curvature
 two-jet reproduces (R, dR); the sign convention of the quadratic and cubic
-coefficients is pinned by that round trip.  einstein_extend evaluates the
-seed field directly, without building the TruncPoly entries.
+coefficients is pinned by that round trip.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, count, product
 
 import numpy as np
 
@@ -74,19 +74,6 @@ class TruncPoly:
     @classmethod
     def constant(cls, nvars: int, degree: int, value: float) -> "TruncPoly":
         return cls(nvars, degree, {(0,) * nvars: value})
-
-    @classmethod
-    def _from_rows(cls, nvars: int, degree: int, column: np.ndarray) -> "TruncPoly":
-        """Entry whose row r holds the coefficient of the r-th graded monomial.
-
-        Zero rows are dropped; the exponents come from ``_monomials`` and are
-        not validated again.
-        """
-        poly = cls.__new__(cls)
-        poly.nvars, poly.degree = nvars, degree
-        mons = _monomials(nvars, degree)
-        poly.coeff = {mons[r]: float(column[r]) for r in np.flatnonzero(column)}
-        return poly
 
     def value0(self) -> float:
         """Value at the origin."""
@@ -164,29 +151,58 @@ class TruncPoly:
 
 @dataclass(frozen=True, eq=False)
 class PolyMetric:
-    """Symmetric matrix of truncated polynomials with g(0) = signature matrix."""
+    """Symmetric polynomial metric germ with g(0) = signature matrix.
+
+    ``field[r]`` is the (n, n) coefficient matrix of the r-th graded monomial
+    (layout below); the row count sets the degree.  The field is copied read-only.
+    """
 
     space: Space
-    degree: int
-    entries: tuple[tuple[TruncPoly, ...], ...]
+    field: np.ndarray
 
     def __post_init__(self) -> None:
         n = self.space.dim
-        if len(self.entries) != n or any(len(row) != n for row in self.entries):
+        G = _read_only(np.array(self.field, dtype=float))
+        object.__setattr__(self, "field", G)
+        if G.ndim != 3 or G.shape[1:] != (n, n) or _rows(n, self.degree) != len(G):
+            raise ValueError(f"metric field of shape {G.shape} is not (C(n+d, d), n, n)")
+        if not np.isfinite(G).all():
+            raise ValueError("metric coefficients must be finite")
+        if not np.array_equal(G, G.transpose(0, 2, 1)):
+            raise ValueError("metric entries must be symmetric")
+        if not np.array_equal(G[0], self.space.metric_matrix()):
+            raise ValueError("metric at the origin must equal the signature matrix")
+
+    @property
+    def degree(self) -> int:
+        return next(d for d in count() if _rows(self.space.dim, d) >= len(self.field))
+
+    @classmethod
+    def from_entries(cls, space: Space, degree: int, entries) -> "PolyMetric":
+        """Metric from an n x n matrix of TruncPoly entries truncated at degree."""
+        n = space.dim
+        if len(entries) != n or any(len(row) != n for row in entries):
             raise ValueError("entry matrix must be n x n")
-        eps = self.space.eps
-        for i in range(n):
-            for k in range(n):
-                entry = self.entries[i][k]
+        index = _row_index(n, degree)
+        G = np.zeros((len(index), n, n))
+        for i, row in enumerate(entries):
+            for k, entry in enumerate(row):
                 if entry.nvars != n:
                     raise ValueError("entries must be polynomials in n coordinates")
-                if entry.coeff != self.entries[k][i].coeff:
-                    raise ValueError("metric entries must be symmetric")
-                if any(sum(e) > self.degree for e in entry.coeff):
-                    raise ValueError("entry exceeds the truncation degree")
-                expected = eps[i] if i == k else 0.0
-                if entry.value0() != expected:
-                    raise ValueError("metric at the origin must equal the signature matrix")
+                for e, c in entry.coeff.items():
+                    if e not in index:
+                        raise ValueError("entry exceeds the truncation degree")
+                    G[index[e], i, k] = c
+        return cls(space, G)
+
+    @property
+    def entries(self) -> tuple[tuple[TruncPoly, ...], ...]:
+        """The field as an n x n matrix of TruncPoly, built on each access."""
+        n, degree = self.space.dim, self.degree
+        return tuple(
+            tuple(_poly_of_column(n, degree, self.field[:, i, j]) for j in range(n))
+            for i in range(n)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +228,7 @@ def _rows(n: int, degree: int) -> int:
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
-    # the index tables are cached and shared by every caller
+    # the index tables and metric fields are shared by every caller
     arr.flags.writeable = False
     return arr
 
@@ -238,6 +254,11 @@ def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _row_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: r for r, e in enumerate(_monomials(n, degree))}
+
+
+def _poly_of_column(n: int, degree: int, column: np.ndarray) -> TruncPoly:
+    """TruncPoly whose coefficient of the r-th graded monomial is column[r]."""
+    return TruncPoly(n, degree, dict(zip(_monomials(n, degree), column.tolist())))
 
 
 def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -340,20 +361,6 @@ def _grad(a: np.ndarray, n: int, cap: int) -> np.ndarray:
     return np.moveaxis(terms, 0, 1)
 
 
-def _field_of_metric(gm: PolyMetric, degree: int) -> np.ndarray:
-    """Metric entries as a field of (n, n) matrices, truncated at degree."""
-    n = gm.space.dim
-    index = _row_index(n, degree)
-    G = np.zeros((_rows(n, degree), n, n))
-    for i in range(n):
-        for k in range(n):
-            for e, c in gm.entries[i][k].coeff.items():
-                r = index.get(e)
-                if r is not None:
-                    G[r, i, k] = c
-    return G
-
-
 def _inverse_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
     """Truncated Neumann series for the inverse metric; exact under truncation."""
     n = len(eps)
@@ -429,10 +436,10 @@ def christoffel(gm: PolyMetric) -> np.ndarray:
         raise ValueError("truncation degree too low for Christoffel symbols")
     n = gm.space.dim
     cap = gm.degree - 1
-    gamma = _gamma_field(_field_of_metric(gm, gm.degree), gm.space.eps, cap)
+    gamma = _gamma_field(gm.field, gm.space.eps, cap)
     out = np.empty((n, n, n), dtype=object)
     for k, i, j in np.ndindex(n, n, n):
-        out[k, i, j] = TruncPoly._from_rows(n, cap, gamma[:, k, i, j])
+        out[k, i, j] = _poly_of_column(n, cap, gamma[:, k, i, j])
     return out
 
 
@@ -445,7 +452,7 @@ def curvature_two_jet(gm: PolyMetric) -> TwoJet:
     """
     if gm.degree < 4:
         raise ValueError("truncation degree must be at least 4 for a two-jet")
-    return _two_jet_of_field(_field_of_metric(gm, 4), gm.space)
+    return _two_jet_of_field(gm.field, gm.space)
 
 
 # Sign of the quadratic/cubic seed coefficients under this module's curvature
@@ -482,18 +489,9 @@ def _seed_field(R: Tensor, dR: Tensor) -> np.ndarray:
     return G
 
 
-def _metric_of_field(space: Space, degree: int, G: np.ndarray) -> PolyMetric:
-    """PolyMetric whose entries are the columns of a (rows, n, n) metric field."""
-    n = space.dim
-    entries = tuple(
-        tuple(TruncPoly._from_rows(n, degree, G[:, i, j]) for j in range(n)) for i in range(n)
-    )
-    return PolyMetric(space, degree, entries)
-
-
 def seed_metric(R: Tensor, dR: Tensor) -> PolyMetric:
     """Cubic metric germ whose curvature two-jet starts with (R, dR)."""
-    return _metric_of_field(R.space, 4, _seed_field(R, dR))
+    return PolyMetric(R.space, _seed_field(R, dR))
 
 
 def random_poly_metric(
@@ -516,39 +514,40 @@ def random_poly_metric(
     for i in range(n):
         for j in range(i, n):
             G[1:, i, j] = G[1:, j, i] = scale * rng.standard_normal(len(mons) - 1)
-    return _metric_of_field(space, degree, G)
+    return PolyMetric(space, G)
 
 
 def poly_metric_to_dict(gm: PolyMetric) -> dict:
-    """Plain-document form: signature header plus (i, j, exponents, value) records."""
+    """Plain-document form: signature header plus (i, j, exponents, value) records.
+
+    Nonzero coefficients only, for i <= j, exponents in lexicographic order.
+    """
+    n, degree = gm.space.dim, gm.degree
+    mons = _monomials(n, degree)
+    order = sorted(range(len(mons)), key=mons.__getitem__)
     records = []
-    n = gm.space.dim
-    for i in range(n):
-        for j in range(i, n):
-            for e, c in sorted(gm.entries[i][j].coeff.items()):
-                records.append([i, j, list(e), c])
+    for i, j in combinations_with_replacement(range(n), 2):
+        column = gm.field[:, i, j].tolist()
+        records.extend([i, j, list(mons[r]), column[r]] for r in order if column[r] != 0.0)
     return {
         "dim": n,
         "signature": list(gm.space.signature),
-        "degree": gm.degree,
+        "degree": degree,
         "entries": records,
     }
 
 
 def poly_metric_from_dict(doc: dict) -> PolyMetric:
     space = Space(int(doc["dim"]), tuple(int(s) for s in doc["signature"]))
-    degree = int(doc["degree"])
-    n = space.dim
-    tables: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    n, degree = space.dim, int(doc["degree"])
+    if degree < 0 or _rows(n, degree) > 100_000:
+        raise ValueError(f"metric degree {degree} is negative or needs over 100000 field rows")
+    index = _row_index(n, degree)
+    G = np.zeros((len(index), n, n))
     for i, j, exps, c in doc["entries"]:
-        key = tuple(int(x) for x in exps)
-        # reject rather than truncate: a dropped record would be silent data loss
-        if len(key) != n or any(x < 0 for x in key) or sum(key) > degree:
+        i, j, key = int(i), int(j), tuple(int(x) for x in exps)
+        # reject rather than truncate or wrap: either would lose data silently
+        if not (0 <= i < n and 0 <= j < n) or key not in index:
             raise ValueError(f"entry record ({i}, {j}, {list(key)}) is outside the ring")
-        tables[int(i)][int(j)][key] = float(c)
-        if i != j:
-            tables[int(j)][int(i)][key] = float(c)
-    entries = tuple(
-        tuple(TruncPoly(n, degree, tables[i][j]) for j in range(n)) for i in range(n)
-    )
-    return PolyMetric(space, degree, entries)
+        G[index[key], i, j] = G[index[key], j, i] = float(c)
+    return PolyMetric(space, G)

@@ -18,9 +18,9 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
+    _nk_stack,
     kn_pair,
     kulkarni,
-    nk_basis,
     ricci_of_star,
     star_action,
     star_identity_residuals,
@@ -48,8 +48,8 @@ from .jets import (
 )
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
-from .spaces import Space, Tensor, _rel, memoized, run_scope
-from .young import basis_Ck, random_ck, young_apply, young_eigenvalue
+from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope
+from .young import _ck_stack, random_ck, young_apply, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites"]
 
@@ -338,24 +338,26 @@ def suite_dimensions(cfg: RunConfig) -> list[CheckRecord]:
     for sp in cfg.spaces():
         n = sp.dim
         expected = n * n * (n * n - 1) // 12
-        gap = abs(len(basis_Ck(sp, 0)) - expected)
+        gap = abs(len(_ck_stack(n, 0)) - expected)
         out.append(CheckRecord(f"dimensions/n{n}/c0_rank", float(gap), cfg.tol))
         for m in (2, 3, 4):
-            basis = nk_basis(sp, m)
-            ck = basis_Ck(sp, m - 2)
+            stack = _nk_stack(n, m)
             out.append(
                 CheckRecord(
                     f"dimensions/n{n}/nk_matches_ck_m{m}",
-                    float(abs(len(basis) - len(ck))),
+                    float(abs(len(stack) - len(_ck_stack(n, m - 2)))),
                     cfg.tol,
                 )
             )
-            cols = np.stack([kulkarni(h).data.ravel() for h in basis], axis=1)
+            # one image at a time: a list of them would hold 15625 x 420 more floats at n=5
+            cols = np.empty((n ** (m + 2), len(stack)))
+            for c, b in enumerate(stack):
+                cols[:, c] = kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel()
             rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
             out.append(
                 CheckRecord(
                     f"dimensions/n{n}/kulkarni_kernel_m{m}",
-                    float(len(basis) - rank),
+                    float(len(stack) - rank),
                     cfg.tol,
                 )
             )

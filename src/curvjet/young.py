@@ -164,11 +164,11 @@ _BASIS_AMBIENT_LIMIT = 100_000
 
 
 @lru_cache(maxsize=None)
-def _ck_stack(space: Space, k: int) -> np.ndarray:
-    """Read-only orthonormal basis of C_k stacked along the first axis."""
+def _ck_stack(n: int, k: int) -> np.ndarray:
+    """Read-only orthonormal basis of C_k, stacked; C_k uses no metric, so n keys it."""
     if k not in (0, 1, 2):
         raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
-    n, v = space.dim, k + 4
+    v = k + 4
     shape = (n,) * v
     if n**v > _BASIS_AMBIENT_LIMIT:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
@@ -198,14 +198,14 @@ def basis_Ck(space: Space, k: int) -> list[Tensor]:
     L^2, gives the basis; the numerical rank must equal the hook-content
     dimension, or RuntimeError is raised.  Every basis vector is checked
     against the defining symmetries.  The stacked basis is cached per
-    (space, k) and is identical on every run.
+    (n, k) for every signature and is identical on every run.
     """
-    return [Tensor(space, b) for b in _ck_stack(space, k)]
+    return [Tensor(space, b) for b in _ck_stack(space.dim, k)]
 
 
 @memoized
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
-    stack = _ck_stack(space, k)
+    stack = _ck_stack(space.dim, k)
     coeff = np.random.default_rng(seed).standard_normal(len(stack))
     return Tensor(space, np.tensordot(coeff, stack, (0, 0)))

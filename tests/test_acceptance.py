@@ -30,6 +30,7 @@ from curvjet.jets import (
 )
 from curvjet.polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from curvjet.spaces import Space, Tensor
+from curvjet.suites import make_config, run_suites
 from curvjet.young import basis_Ck, random_ck, young_apply
 from test_jets import constant_curvature_jet, hess_kernel_c2
 
@@ -251,3 +252,17 @@ def test_criterion_11_metric_pipeline_cross_validation():
         j = curvature_two_jet(random_poly_metric(sp, seed))
         ok, res = validate_two_jet(j, tol=1e-8)
         assert ok, (sp.dim, seed, res)
+
+
+# one sign pattern for each count of negative entries at n = 3 and n = 4
+SIGNATURES = [
+    tuple([-1] * neg + [1] * (n - neg)) for n in (3, 4) for neg in range(n + 1)
+]
+
+
+@pytest.mark.parametrize("signature", SIGNATURES, ids=lambda s: ",".join(map(str, s)))
+def test_criterion_12_check_suites_in_every_signature(signature):
+    # every `curvjet check` record passes in indefinite signatures as well
+    records = run_suites(["all"], make_config(signature=signature, seeds=2))
+    failed = [(r.name, r.residual, r.threshold) for r in records if not r.passed]
+    assert records and not failed, failed

@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from curvjet.cli import main
 from curvjet.curvature import kn_pair
 from curvjet.jets import TwoJet, einstein_check, two_jet_from_dict, two_jet_to_dict
+from curvjet.polymetric import poly_metric_to_dict, random_poly_metric
 from curvjet.spaces import Space, Tensor, tensor_to_dict
 from curvjet.young import random_ck
 
@@ -271,6 +273,26 @@ class TestDocumentLoading:
         assert main([command, "--in", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ([3, 0, [1, 0, 0], 0.1], "outside the ring"),
+            ([-1, 0, [1, 0, 0], 0.1], "outside the ring"),
+            ([0, 1, [1, 0, 0], float("nan")], "metric coefficients must be finite"),
+        ],
+    )
+    def test_bad_metric_record_fails_with_error_line(self, tmp_path, record, message, capsys):
+        doc = poly_metric_to_dict(random_poly_metric(E3, 2))
+        doc["entries"].append(record)
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["metric", "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert "valid" not in captured.out
 
 
 class TestLeadingMinusSignature:

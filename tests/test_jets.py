@@ -426,8 +426,8 @@ class TestCompactSolvers:
         from curvjet.subspace import RTOL
         from curvjet.young import _ck_stack
 
-        n, stack0 = sp.dim, _ck_stack(sp, 0)
-        ut, vs, pairs = _h_solver(sp)
+        n, stack0 = sp.dim, _ck_stack(sp.dim, 0)
+        ut, vs, pairs = _h_solver(sp.dim)
         columns = []
         for x in range(n):
             for y in range(x, n):

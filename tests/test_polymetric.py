@@ -36,7 +36,7 @@ def flat_metric(sp: Space, degree: int = 4) -> PolyMetric:
         [TruncPoly.constant(n, degree, sp.signature[i] if i == j else 0.0) for j in range(n)]
         for i in range(n)
     ]
-    return PolyMetric(sp, degree, tuple(tuple(row) for row in entries))
+    return PolyMetric.from_entries(sp, degree, tuple(tuple(row) for row in entries))
 
 
 def perturbed_metric(sp: Space, i: int, j: int, p: TruncPoly) -> PolyMetric:
@@ -45,7 +45,7 @@ def perturbed_metric(sp: Space, i: int, j: int, p: TruncPoly) -> PolyMetric:
     entries[i][j] = entries[i][j] + p
     if i != j:
         entries[j][i] = entries[j][i] + p
-    return PolyMetric(sp, p.degree, tuple(tuple(row) for row in entries))
+    return PolyMetric.from_entries(sp, p.degree, tuple(tuple(row) for row in entries))
 
 
 class TestTruncPoly:
@@ -83,7 +83,7 @@ class TestPolyMetric:
             [TruncPoly.constant(n, 4, 0.0), TruncPoly.constant(n, 4, 1.0)],
         ]
         with pytest.raises(ValueError, match="symmetric"):
-            PolyMetric(Space(2), 4, tuple(tuple(r) for r in rows))
+            PolyMetric.from_entries(Space(2), 4, tuple(tuple(r) for r in rows))
 
     def test_wrong_value_at_origin_rejected(self):
         p = TruncPoly.constant(3, 4, 0.5)
@@ -91,7 +91,40 @@ class TestPolyMetric:
         entries = [list(r) for r in base.entries]
         entries[0][0] = entries[0][0] + p
         with pytest.raises(ValueError, match="origin"):
-            PolyMetric(E3, 4, tuple(tuple(r) for r in entries))
+            PolyMetric.from_entries(E3, 4, tuple(tuple(r) for r in entries))
+
+    def test_field_is_read_only_and_sets_the_degree(self):
+        gm = random_poly_metric(E3, 5, degree=3)
+        assert gm.degree == 3 and gm.field.shape == (20, 3, 3)
+        assert not gm.field.flags.writeable
+
+    @pytest.mark.parametrize("rows", [9, 11])
+    def test_row_count_must_fill_a_degree(self, rows):
+        G = np.zeros((rows, 3, 3))
+        G[0] = np.eye(3)
+        with pytest.raises(ValueError, match="shape"):
+            PolyMetric(E3, G)
+
+    def test_non_finite_field_rejected(self):
+        G = np.array(random_poly_metric(E3, 5).field)
+        G[4, 1, 2] = G[4, 2, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            PolyMetric(E3, G)
+
+    @pytest.mark.parametrize(
+        "case, match",
+        [("shape", "n x n"), ("nvars", "coordinates"), ("degree", "truncation degree")],
+    )
+    def test_from_entries_rejects_bad_entries(self, case, match):
+        entries = [list(r) for r in flat_metric(E3, 3).entries]
+        if case == "shape":
+            entries = entries[:2]
+        elif case == "nvars":
+            entries[1][1] = TruncPoly.constant(4, 3, 1.0)
+        else:
+            entries[1][1] = TruncPoly(3, 4, {(0, 0, 0): 1.0, (0, 4, 0): 1.0})
+        with pytest.raises(ValueError, match=match):
+            PolyMetric.from_entries(E3, 3, entries)
 
     def test_random_is_valid_and_deterministic(self):
         a = random_poly_metric(E3, 5)
@@ -187,7 +220,7 @@ class TestCurvatureTwoJet:
             tuple(conf if i == j else TruncPoly.constant(n, 4, 0.0) for j in range(n))
             for i in range(n)
         )
-        j = curvature_two_jet(PolyMetric(E3, 4, entries))
+        j = curvature_two_jet(PolyMetric.from_entries(E3, 4, entries))
         g = E3.metric_tensor()
         assert rel(j.R.data, (-kappa / 2.0) * kn_pair(g, g).data) < 1e-12
         assert ricci(j.R).ric.data == pytest.approx(kappa * 2.0 * np.eye(3), abs=1e-12)
@@ -238,7 +271,7 @@ class TestCurvatureTwoJet:
                 if i == j:
                     coeff[origin] = 1.0
                 pulled[i][j] = pulled[j][i] = TruncPoly(n, 4, coeff)
-        jp = curvature_two_jet(PolyMetric(sp, 4, tuple(tuple(r) for r in pulled)))
+        jp = curvature_two_jet(PolyMetric.from_entries(sp, 4, tuple(tuple(r) for r in pulled)))
         j = curvature_two_jet(gm)
 
         pull4 = np.einsum("abcd,ai,bj,ck,dl->ijkl", j.R.data, Q, Q, Q, Q)
@@ -279,8 +312,8 @@ class TestSeedMetric:
 
     @pytest.mark.parametrize("sp", [Space(4, (-1, 1, 1, 1)), Space(5)])
     def test_seed_field_matches_public_path(self, sp):
-        # einstein_extend evaluates the seed field directly; it must agree
-        # with the jet of the PolyMetric that seed_metric builds
+        # the seed field evaluated directly must agree with the jet of the
+        # PolyMetric that seed_metric builds
         for seed in range(2):
             R = random_ck(sp, 0, 60 + seed)
             dR = random_ck(sp, 1, 70 + seed)
@@ -310,6 +343,29 @@ class TestSerialization:
         doc["entries"].append([0, 1, [5, 0, 0], 1.0])  # exponent above degree
         with pytest.raises(ValueError):
             poly_metric_from_dict(doc)
+
+    @pytest.mark.parametrize("degree", [-1, 1000])
+    def test_rejects_degree_outside_the_dense_range(self, degree):
+        # degree 1000 in three variables would need C(1003, 3) field rows
+        doc = poly_metric_to_dict(random_poly_metric(E3, 51))
+        doc["degree"] = degree
+        with pytest.raises(ValueError, match="degree"):
+            poly_metric_from_dict(doc)
+
+    @pytest.mark.parametrize("i, j", [(3, 0), (-1, 0), (0, -1)])
+    def test_rejects_entry_index_outside_the_ring(self, i, j):
+        # a negative index would otherwise overwrite the entry at n - 1
+        doc = poly_metric_to_dict(random_poly_metric(E3, 51))
+        doc["entries"].append([i, j, [1, 0, 0], 0.1])
+        with pytest.raises(ValueError, match="outside the ring"):
+            poly_metric_from_dict(doc)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_coefficient(self, value):
+        doc = poly_metric_to_dict(random_poly_metric(E3, 51))
+        doc["entries"][-1][3] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            poly_metric_from_dict(json.loads(json.dumps(doc)))
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])

@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from curvjet.curvature import _nk_stack
-from curvjet.jets import _hess_kernel_stack
+from curvjet.curvature import _nk_stack, nk_basis
+from curvjet.jets import _h_solver, _hess_kernel_stack, random_two_jet
 from curvjet.spaces import Space, _group_sum
 from curvjet.subspace import RTOL, image, kernel, packing
 from curvjet.young import _ck_stack, _label_axes, basis_Ck, hook_content_dim, tableau_sum
@@ -152,7 +152,7 @@ def test_packed_c2_spans_the_full_image():
         (3,) * 6,
         hook_content_dim(3, 2),
     )
-    assert _projector_gap(_ck_stack(sp, 2), full) <= 1e-12
+    assert _projector_gap(_ck_stack(sp.dim, 2), full) <= 1e-12
 
 
 def test_packed_n4_spans_the_full_image():
@@ -163,12 +163,30 @@ def test_packed_n4_spans_the_full_image():
         (3,) * 6,
         hook_content_dim(3, 2),
     )
-    assert _projector_gap(_nk_stack(sp, 4), full) <= 1e-12
+    assert _projector_gap(_nk_stack(sp.dim, 4), full) <= 1e-12
 
 
 def test_nk_basis_is_reproducible():
     """The cached N_4 basis is rebuilt bit for bit from the fixed sample seed."""
     sp = Space(4)
-    first = np.array(_nk_stack(sp, 4))
+    first = np.array(_nk_stack(sp.dim, 4))
     _nk_stack.cache_clear()
-    assert np.array_equal(first, _nk_stack(sp, 4))
+    assert np.array_equal(first, _nk_stack(sp.dim, 4))
+
+
+@pytest.mark.parametrize(
+    "builder, use",
+    [
+        (_ck_stack, lambda sp: basis_Ck(sp, 1)),
+        (_nk_stack, lambda sp: nk_basis(sp, 3)),
+        (_h_solver, lambda sp: random_two_jet(sp, 0)),
+    ],
+    ids=["ck", "nk", "h_solver"],
+)
+def test_signatures_share_the_cached_basis(builder, use):
+    # C_k, N_m and the Bianchi-cycle system use no metric: a second
+    # signature in the same dimension reads the basis the first one built
+    use(Space(4))
+    misses = builder.cache_info().misses
+    use(Space(4, (-1, 1, 1, 1)))
+    assert builder.cache_info().misses == misses
