@@ -203,6 +203,11 @@ def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     return out
 
 
+def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    # trace of a rotation-action 6-tensor in (second rotation slot, slot 1)
+    return np.einsum("aiiqrs,i->aqrs", six, eps)
+
+
 def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, float]:
     """Relative residuals of the four trace/expansion identities of the star action.
 
@@ -220,8 +225,7 @@ def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, f
     ricR = ricci(R).ric
     Dp = pair_derivation(R, Rp)  # (R_{ab} . R')
     Gp = pair_derivation(Rp, ricR)  # (R'_{ab} . ric)
-    eps = sp.eps
-    T1 = np.einsum("aiiqrs,i->aqrs", Dp, eps)
+    T1 = _pair_trace(Dp, sp.eps)
     T2 = np.transpose(T1, (1, 0, 2, 3))
     U1 = np.transpose(Gp, (2, 0, 3, 1))  # (R'_{x2,x4}.ric)(x1,x3)
     U2 = np.transpose(Gp, (2, 0, 1, 3))  # (R'_{x2,x3}.ric)(x1,x4)

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import (
+    _pair_trace,
     decompose,
     jacobi_form,
     kulkarni,
@@ -45,7 +46,7 @@ def _rotation_data(space: Space, seed: int):
     """Random curvature tensor with its rotation 6-tensor and derived traces."""
     R = random_ck(space, 0, seed)
     D = pair_derivation(R, R)
-    T1 = np.einsum("aiiqrs,i->aqrs", D, space.eps)
+    T1 = _pair_trace(D, space.eps)
     Gn = pair_derivation(R, ricci(R).ric)
     return R, D, T1, Gn
 
@@ -93,7 +94,7 @@ def _hessian_trace_expansion(space: Space, seed: int) -> dict[str, float]:
     eps = space.eps
     d2 = j.d2R.data
     hess, div_der, lap = (t.data for t in jet_traces(j))
-    T1 = np.einsum("aiiqrs,i->aqrs", pair_derivation(j.R, j.R), eps)
+    T1 = _pair_trace(pair_derivation(j.R, j.R), eps)
 
     arranged = Tensor(space, np.transpose(d2, (0, 3, 1, 5, 2, 4)))
     projected = tableau_apply(arranged, (1, 3), (2, 4))
@@ -177,7 +178,7 @@ def _assoc_displays(space: Space, seed: int):
     tilde_hess, _ = (t.data for t in tilde_ops(j))
     hess, div_der, lap = (t.data for t in jet_traces(j))
     D = pair_derivation(j.R, j.R)
-    T1 = np.einsum("aiiqrs,i->aqrs", D, eps)
+    T1 = _pair_trace(D, eps)
     SS = star_action(j.R, j.R).data
     Gn = pair_derivation(j.R, ricci(j.R).ric)
 

@@ -23,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import (
+    _pair_trace,
     decompose,
     jacobi_form,
     kn_pair,
@@ -43,7 +44,7 @@ from .spaces import (
     tensor_to_dict,
 )
 from .subspace import kernel, lstsq_factors, packing
-from .young import _ck_stack, ck_residuals, young_apply
+from .young import _ck_stack, _second_bianchi_cycle, ck_residuals, young_apply
 
 __all__ = [
     "TwoJet",
@@ -158,21 +159,6 @@ def _rough_lap(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return -np.einsum("iiabcd,i->abcd", d2, eps)
 
 
-def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    # trace of a rotation-action 6-tensor in (second rotation slot, slot 1)
-    return np.einsum("aiiqrs,i->aqrs", six, eps)
-
-
-def _bianchi_cycle(d2: np.ndarray) -> np.ndarray:
-    # cyclic sum over (inner derivative, curvature slots 1 and 2); axes in
-    # front of the six jet slots are a batch
-    o = d2.ndim - 6
-    lead = list(range(o))
-    one = lead + [o, o + 2, o + 3, o + 1, o + 4, o + 5]
-    two = lead + [o, o + 3, o + 1, o + 2, o + 4, o + 5]
-    return d2 + np.transpose(d2, one) + np.transpose(d2, two)
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -267,6 +253,20 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return ut, vs, pairs
 
 
+def _particular_d2(R: Tensor) -> np.ndarray:
+    """A second derivative over R meeting every two-jet constraint; any other differs by C_2.
+
+    Half the curvature rotation carries the Ricci identity, and the minimum-norm
+    symmetric part from ``_h_solver`` cancels its differentiated Bianchi cycle.
+    """
+    stack0 = _ck_stack(R.space.dim, 0)
+    particular = 0.5 * pair_derivation(R, R)
+    ut, vs, pairs = _h_solver(R.space.dim)
+    cycle = _second_bianchi_cycle(particular, 1, 2)
+    coeff = (vs @ (ut @ -cycle.ravel())).reshape(-1, len(stack0))
+    return particular + np.tensordot(coeff[pairs], stack0, (2, 0))
+
+
 @memoized
 def random_two_jet(
     space: Space, seed: int, background: Tensor | None = None
@@ -307,13 +307,9 @@ def random_two_jet(
     R = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
     dR = Tensor(space, np.tensordot(rng.standard_normal(len(stack1)), stack1, (0, 0)))
 
-    particular = 0.5 * pair_derivation(R, R)
-    ut, vs, pairs = _h_solver(space.dim)
-    coeff = (vs @ (ut @ -_bianchi_cycle(particular).ravel())).reshape(-1, len(stack0))
-    symmetric = np.tensordot(coeff[pairs], stack0, (2, 0))
     homogeneous = np.tensordot(rng.standard_normal(len(stack2)), stack2, (0, 0))
 
-    j = TwoJet(R, dR, Tensor(space, particular + symmetric + homogeneous))
+    j = TwoJet(R, dR, Tensor(space, _particular_d2(R) + homogeneous))
     ok, residuals = validate_two_jet(j)
     if not ok:
         raise RuntimeError(f"two-jet construction failed: {residuals}")
@@ -400,8 +396,7 @@ def tilde_ops(j: TwoJet) -> tuple[Tensor, Tensor]:
     sp = j.space
     projected = young_apply(j.d2R, 2).data
     hess = -np.einsum("xyaibi,i->xyab", projected, sp.eps)
-    lap = -np.einsum("iiabcd,i->abcd", projected, sp.eps)
-    return Tensor(sp, hess), Tensor(sp, lap)
+    return Tensor(sp, hess), Tensor(sp, _rough_lap(projected, sp.eps))
 
 
 def hat_embed(S: Tensor) -> Tensor:
@@ -435,17 +430,11 @@ def weitzenbock_check(sj: SectionTwoJet) -> dict[str, float]:
     eps = sp.eps
     d2p = sj.d2Rp.data
 
-    dddel = -np.einsum("xiiyuv,i->xyuv", d2p, eps) + np.einsum(
-        "yiixuv,i->xyuv", d2p, eps
-    )
-    deld = -(
-        np.einsum("iiyzuv,i->yzuv", d2p, eps)
-        + np.einsum("iyziuv,i->yzuv", d2p, eps)
-        + np.einsum("iziyuv,i->yzuv", d2p, eps)
-    )
+    lap = _rough_lap(d2p, eps)
+    dddel = _div_der(d2p, eps) + np.einsum("yiixuv,i->xyuv", d2p, eps)
+    deld = lap - np.einsum("iyziuv,i->yzuv", d2p, eps) - np.einsum("iziyuv,i->yzuv", d2p, eps)
     laplace = dddel + deld
 
-    lap = _rough_lap(d2p, eps)
     rotation = pair_derivation(sj.background, sj.Rp)
     T1 = _pair_trace(rotation, eps)
     commutator = T1 - np.transpose(T1, (1, 0, 2, 3))
@@ -625,13 +614,13 @@ def extension_solution_dim(space: Space) -> int:
 def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     """Complete an Einstein one-jet to a two-jet passing einstein_check.
 
-    Builds the cubic seed metric of the one-jet, evaluates its curvature
-    two-jet exactly, and cancels the remaining second-Ricci-derivative
-    defect by a 1/80-scaled correction from C_2, which preserves the jet
-    constraints.
+    The provisional second derivative is the particular solution of the
+    Ricci and differentiated Bianchi identities that ``random_two_jet`` also
+    builds on.  Its second-Ricci-derivative defect is cancelled by a
+    1/80-scaled correction from C_2, which preserves the jet constraints.
 
     Raises ValueError if the input is not finite or not an Einstein one-jet,
-    and RuntimeError if the seed metric or the correction solve fails.
+    and RuntimeError if the correction solve leaves a gap.
     """
     if not (np.isfinite(R.data).all() and np.isfinite(dR.data).all()):
         raise ValueError("one-jet has non-finite entries")
@@ -643,23 +632,16 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if ricci_derivative(dR).norm() > tol * max(dR.norm(), 1.0):
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    from .polymetric import curvature_two_jet, seed_metric
-
-    provisional = curvature_two_jet(seed_metric(R, dR))
-    if _rel(provisional.R.data, R.data) > 1e-8 or (
-        dR.norm() > 0 and _rel(provisional.dR.data, dR.data) > 1e-8
-    ):
-        raise RuntimeError("extension failed: seed metric does not reproduce the one-jet")
-
+    provisional = _particular_d2(R)
     directions, system, ut, vs, _ = _extension_solver(sp)
-    target = -80.0 * _hess_ric(provisional.d2R.data, sp.eps).ravel()
+    target = -80.0 * _hess_ric(provisional, sp.eps).ravel()
     coeff = vs @ (ut @ target)
     solve_gap = float(np.linalg.norm(system @ coeff - target))
     if solve_gap > 1e-6 * max(float(np.linalg.norm(target)), 1.0):
         raise RuntimeError(
             f"extension failed: trace defect not cancellable (residual {solve_gap:.3e})"
         )
-    d2 = provisional.d2R.data + np.tensordot(coeff, directions, (0, 0)) / 80.0
+    d2 = provisional + np.tensordot(coeff, directions, (0, 0)) / 80.0
     return TwoJet(R, dR, Tensor(sp, d2))
 
 

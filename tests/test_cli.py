@@ -1,11 +1,15 @@
 """Command-line surface: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import curvjet
 from curvjet.cli import main
 from curvjet.curvature import kn_pair
 from curvjet.jets import TwoJet, einstein_check, two_jet_from_dict, two_jet_to_dict
@@ -344,3 +348,34 @@ class TestLeadingMinusSignature:
             main(["check", "--signature", value, "--suite", "star"])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestClosedStdout:
+    # a reader that closes the pipe early (e.g. `| head -3`) ends the run with
+    # exit 1 and a silent stderr: no traceback, no "Exception ignored" line
+    @pytest.mark.parametrize("command", ["metric", "check"])
+    def test_broken_pipe_exits_quietly(self, command, tmp_path):
+        if command == "metric":
+            path = tmp_path / "met.json"
+            path.write_text(json.dumps(poly_metric_to_dict(random_poly_metric(E3, 2))))
+            argv = ["metric", "--in", str(path)]
+        else:
+            argv = ["check", "--dim", "3", "--seeds", "1"]
+        src = os.path.dirname(os.path.dirname(curvjet.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "curvjet.cli", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == ""

@@ -394,6 +394,19 @@ class TestExtend:
             assert ok, res
             assert einstein_check(j)[0]
 
+    @pytest.mark.parametrize("sig", [(1, 1, 1), (-1, 1, 1), (1, 1, 1, 1), (-1, 1, 1, 1)])
+    def test_extension_differs_from_seed_jet_by_c2(self, sig):
+        # jet isomorphism cross-check: the exact two-jet of the seed metric and
+        # the extension share (R, dR), so their second derivatives differ by C_2
+        from curvjet.polymetric import curvature_two_jet, seed_metric
+        from curvjet.young import is_member_Ck
+
+        sp = Space(len(sig), sig)
+        for seed in range(5):
+            R, dR = random_einstein_one_jet(sp, seed)
+            gap = einstein_extend(R, dR).d2R.data - curvature_two_jet(seed_metric(R, dR)).d2R.data
+            assert is_member_Ck(Tensor(sp, gap), 2, 1e-9), (sig, seed)
+
     def test_solution_dim_reported(self):
         dim = extension_solution_dim(E4)
         assert dim >= 0
@@ -422,9 +435,9 @@ class TestCompactSolvers:
     # the compact SVD factors must reproduce the pseudoinverse solution
     @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1))])
     def test_h_solver_matches_pinv(self, sp):
-        from curvjet.jets import _bianchi_cycle, _h_solver
+        from curvjet.jets import _h_solver
         from curvjet.subspace import RTOL
-        from curvjet.young import _ck_stack
+        from curvjet.young import _ck_stack, _second_bianchi_cycle
 
         n, stack0 = sp.dim, _ck_stack(sp.dim, 0)
         ut, vs, pairs = _h_solver(sp.dim)
@@ -433,10 +446,13 @@ class TestCompactSolvers:
             for y in range(x, n):
                 sym = np.zeros((n, n))
                 sym[x, y] = sym[y, x] = 1.0
-                columns += [_bianchi_cycle(np.multiply.outer(sym, b)).ravel() for b in stack0]
+                columns += [
+                    _second_bianchi_cycle(np.multiply.outer(sym, b), 1, 2).ravel()
+                    for b in stack0
+                ]
         pinv = np.linalg.pinv(np.array(columns).T, rcond=RTOL)
         j = random_two_jet(sp, 4)
-        target = -_bianchi_cycle(0.5 * pair_derivation(j.R, j.R)).ravel()
+        target = -_second_bianchi_cycle(0.5 * pair_derivation(j.R, j.R), 1, 2).ravel()
         expect = pinv @ target
         got = vs @ (ut @ target)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
