@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spaces import Space, SymBiform, Tensor, _group_sum, metric_trace
-from .subspace import image, packing
+from .subspace import PackedRows, image, packing
 from .young import hook_content_dim, is_member_Ck, tableau_sum, young_apply
 
 __all__ = [
@@ -315,8 +315,8 @@ def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _nk_stack(n: int, m: int) -> np.ndarray:
-    """Read-only orthonormal basis of N_m, stacked; N_m uses no metric, so n keys it."""
+def _nk_stack(n: int, m: int) -> PackedRows:
+    """Orthonormal basis of N_m in packed coordinates; N_m uses no metric, so n keys it."""
     if m < 2:
         raise ValueError(f"N_m needs degree m >= 2, got {m}")
     sym, bi = list(range(1, m + 1)), [m + 1, m + 2]
@@ -327,18 +327,17 @@ def _nk_stack(n: int, m: int) -> np.ndarray:
         out = tableau_sum(batch, sym, bi)
         return _group_sum(_group_sum(out, sym), bi)
 
-    rows = image(
+    basis = image(
         project, packing(n, (("sym", m), ("sym", 2))), hook_content_dim(n, m - 2)
     )
-    stack = rows.reshape((len(rows),) + (n,) * (m + 2))
-    # is_member_Nk on every vector at once; unpacked rows are exactly
+    # is_member_Nk on a chunk of vectors at once; unpacked rows are exactly
     # symmetric in slots 1..m and m+1, m+2, so the SymBiform averaging that
     # is_member_Nk reads them through would leave them as they are
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1e-300)
-    if not np.all(_nk_defects(stack, m) <= 1e-8 * scale):
-        raise RuntimeError("projected N_m basis vector fails the membership check")
-    stack.flags.writeable = False
-    return stack
+    for stack in basis.unpacked_chunks():
+        scale = np.maximum(np.linalg.norm(stack.reshape(len(stack), -1), axis=1), 1e-300)
+        if not np.all(_nk_defects(stack, m) <= 1e-8 * scale):
+            raise RuntimeError("projected N_m basis vector fails the membership check")
+    return basis
 
 
 def nk_basis(space: Space, m: int) -> list[SymBiform]:
@@ -350,16 +349,18 @@ def nk_basis(space: Space, m: int) -> list[SymBiform]:
     sampled on dim + 8 seeded Gaussian tensors and its SVD runs in the
     packed coordinates of Sym^m (x) Sym^2; the numerical rank must equal
     the hook-content dimension of C_{m-2}, or RuntimeError is raised, and
-    every vector is checked with is_member_Nk.  The stacked basis is
-    cached per (n, m) for every signature and is identical on every run.
+    every vector is checked with is_member_Nk.  The basis is cached packed
+    per (n, m) for every signature and is identical on every run.
     """
-    return [SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space.dim, m)]
+    return [
+        SymBiform(space, m, Tensor(space, b)) for b in _nk_stack(space.dim, m).unpacked()
+    ]
 
 
 def random_nk(space: Space, m: int, seed: int) -> SymBiform:
-    stack = _nk_stack(space.dim, m)
-    coeff = np.random.default_rng(seed).standard_normal(len(stack))
-    return SymBiform(space, m, Tensor(space, np.tensordot(coeff, stack, (0, 0))))
+    basis = _nk_stack(space.dim, m)
+    coeff = np.random.default_rng(seed).standard_normal(len(basis))
+    return SymBiform(space, m, Tensor(space, basis.combine(coeff)))
 
 
 def one_form_star_factor(space: Space) -> dict:

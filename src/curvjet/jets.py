@@ -38,12 +38,11 @@ from .spaces import (
     Tensor,
     _rel,
     memoized,
-    metric_trace,
     sym_product,
     tensor_from_dict,
     tensor_to_dict,
 )
-from .subspace import kernel, lstsq_factors, packing
+from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
 from .young import _ck_stack, _second_bianchi_cycle, ck_residuals, young_apply
 
 __all__ = [
@@ -215,7 +214,7 @@ def validate_section_jet(
 
 
 @lru_cache(maxsize=None)
-def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
     """Solver for the Bianchi-cycle system over Sym^2 V* (x) C_0 in dimension n.
 
     The unknowns are coefficients c[p, i] of sym_p (x) b_i, where sym_p is
@@ -223,16 +222,17 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the i-th C_0 basis tensor.  Returns the compact pseudoinverse factors
     (ut, vs) of the system, for the minimum-norm solution ``vs @ (ut @ t)``
     of a raveled cycle target t (rank deficiency is expected: the
-    homogeneous solutions are exactly C_2), and the (n, n) map from a
-    matrix entry to its pair p.
+    homogeneous solutions are exactly C_2), the (n, n) map from a matrix
+    entry to its pair p, and the packing of the cycle targets.
 
     The cycle over (inner derivative, c_1, c_2) of a tensor antisymmetric in
     (c_1, c_2) is totally antisymmetric in those slots, so each column lies
     in V (x) L^3 (x) L^2; the system is formed and solved in its packed
-    coordinates, and ``ut`` is returned spread back to all n^6 entries.
-    The system uses no metric, so one solver serves every signature.
+    coordinates, and ``ut`` stays packed: it acts on ``pk.pack`` of the
+    raveled target.  The system uses no metric, so one solver serves every
+    signature.
     """
-    stack0 = _ck_stack(n, 0)
+    stack0 = _ck_stack(n, 0).unpacked()
     upper = np.triu_indices(n)
     pairs = np.empty((n, n), dtype=np.intp)
     pairs[upper] = pairs[upper[::-1]] = np.arange(len(upper[0]))
@@ -247,10 +247,9 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
     packed = packed.reshape(len(pk.rep), -1) * pk.weight[:, None]
     ut, vs, _ = lstsq_factors(packed)
-    ut = pk.unpack(ut)
     for factor in (ut, vs, pairs):
         factor.flags.writeable = False
-    return ut, vs, pairs
+    return ut, vs, pairs, pk
 
 
 def _particular_d2(R: Tensor) -> np.ndarray:
@@ -259,12 +258,12 @@ def _particular_d2(R: Tensor) -> np.ndarray:
     Half the curvature rotation carries the Ricci identity, and the minimum-norm
     symmetric part from ``_h_solver`` cancels its differentiated Bianchi cycle.
     """
-    stack0 = _ck_stack(R.space.dim, 0)
+    basis0 = _ck_stack(R.space.dim, 0)
     particular = 0.5 * pair_derivation(R, R)
-    ut, vs, pairs = _h_solver(R.space.dim)
+    ut, vs, pairs, pk = _h_solver(R.space.dim)
     cycle = _second_bianchi_cycle(particular, 1, 2)
-    coeff = (vs @ (ut @ -cycle.ravel())).reshape(-1, len(stack0))
-    return particular + np.tensordot(coeff[pairs], stack0, (2, 0))
+    coeff = (vs @ (ut @ -pk.pack(cycle.ravel()))).reshape(-1, len(basis0))
+    return particular + basis0.combine(coeff[pairs])
 
 
 @memoized
@@ -283,17 +282,15 @@ def random_two_jet(
     if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
     rng = np.random.default_rng(seed)
-    stack0 = _ck_stack(space.dim, 0)
+    basis0 = _ck_stack(space.dim, 0)
 
     if background is not None:
         if background.valence != 4 or background.space != space:
             raise ValueError("background must be a valence-4 tensor on the same space")
         n = space.dim
-        Rp = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
-        dRp = np.tensordot(rng.standard_normal((n, len(stack0))), stack0, (1, 0))
-        sym_free = np.tensordot(
-            rng.standard_normal((n, n, len(stack0))), stack0, (2, 0)
-        )
+        Rp = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
+        dRp = basis0.combine(rng.standard_normal((n, len(basis0))))
+        sym_free = basis0.combine(rng.standard_normal((n, n, len(basis0))))
         sym_free = 0.5 * (sym_free + np.transpose(sym_free, (1, 0, 2, 3, 4, 5)))
         d2Rp = 0.5 * pair_derivation(background, Rp) + sym_free
         sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, d2Rp))
@@ -302,12 +299,12 @@ def random_two_jet(
             raise RuntimeError(f"section-jet construction failed: {residuals}")
         return sj
 
-    stack1 = _ck_stack(space.dim, 1)
-    stack2 = _ck_stack(space.dim, 2)
-    R = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
-    dR = Tensor(space, np.tensordot(rng.standard_normal(len(stack1)), stack1, (0, 0)))
+    basis1 = _ck_stack(space.dim, 1)
+    basis2 = _ck_stack(space.dim, 2)
+    R = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
+    dR = Tensor(space, basis1.combine(rng.standard_normal(len(basis1))))
 
-    homogeneous = np.tensordot(rng.standard_normal(len(stack2)), stack2, (0, 0))
+    homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
     j = TwoJet(R, dR, Tensor(space, _particular_d2(R) + homogeneous))
     ok, residuals = validate_two_jet(j)
@@ -317,13 +314,13 @@ def random_two_jet(
 
 
 @lru_cache(maxsize=None)
-def _parallel_ricci_dirs(space: Space) -> np.ndarray:
-    """C_1 directions with vanishing Ricci derivative, stacked; may be empty."""
-    stack1 = _ck_stack(space.dim, 1)
+def _parallel_ricci_dirs(space: Space) -> PackedRows:
+    """C_1 directions with vanishing Ricci derivative, packed; may be empty."""
+    basis1 = _ck_stack(space.dim, 1)
     rows = np.stack(
-        [ricci_derivative(Tensor(space, b)).data.ravel() for b in stack1]
+        [ricci_derivative(Tensor(space, b)).data.ravel() for b in basis1.unpacked()]
     )
-    return np.tensordot(kernel(rows.T), stack1, (1, 0))
+    return PackedRows(kernel(rows.T) @ basis1.rows, basis1.pk)
 
 
 @memoized
@@ -336,15 +333,15 @@ def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     """
     rng = np.random.default_rng(seed)
     g = space.metric_tensor()
-    stack0 = _ck_stack(space.dim, 0)
-    raw = Tensor(space, np.tensordot(rng.standard_normal(len(stack0)), stack0, (0, 0)))
+    basis0 = _ck_stack(space.dim, 0)
+    raw = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
     R = rng.standard_normal() * kn_pair(g, g) + decompose(raw).weyl_part
 
     dirs = _parallel_ricci_dirs(space)
     if len(dirs) == 0:
         dR = Tensor(space, np.zeros((space.dim,) * 5))
     else:
-        dR = Tensor(space, np.tensordot(rng.standard_normal(len(dirs)), dirs, (0, 0)))
+        dR = Tensor(space, dirs.combine(rng.standard_normal(len(dirs))))
     return R, dR
 
 
@@ -487,6 +484,30 @@ def weitzenbock_special(j: TwoJet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Einstein criterion
 
+# slot pairs (0-based) traced by the two trace-free formulations
+_TABLEAU_TRACES = tuple((i, k) for i in range(6) for k in range(i + 1, 6))
+_FORM_TRACES = ((0, 1), (0, 4), (4, 5))  # symmetric pair, mixed, bilinear pair
+
+
+@lru_cache(maxsize=None)
+def _trace_table(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Flat indices into a raveled valence-6 tensor, shape (len(pairs), n^4, n).
+
+    Entry [p, r, a] is the index of the r-th remaining multi-index with the
+    slots of the p-th pair both set to a, so the table gathers every trace
+    of ``pairs`` at once.
+    """
+    flat = np.arange(n**6).reshape((n,) * 6)
+    table = np.stack([np.diagonal(flat, axis1=i, axis2=k).reshape(-1, n) for i, k in pairs])
+    table.flags.writeable = False
+    return table
+
+
+def _worst_trace(data: np.ndarray, eps: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> float:
+    """Largest norm of the signed metric traces of a valence-6 array over ``pairs``."""
+    traces = data.ravel()[_trace_table(len(eps), pairs)] @ eps
+    return float(np.linalg.norm(traces, axis=1).max())
+
 
 def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
     """Einstein verdict with the defect norms of all three formulations.
@@ -517,25 +538,16 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4)
     projected = young_apply(j.d2R, 2)
     embedded = hat_embed(SS)
-    defect = Tensor(sp, projected.data - embedded.data / (n + 4.0))
+    defect = projected.data - embedded.data / (n + 4.0)
     scale_b = max(projected.norm(), embedded.norm() / (n + 4.0), 1.0)
-    worst_b = 0.0
-    for i in range(1, 7):
-        for k in range(i + 1, 7):
-            worst_b = max(worst_b, metric_trace(defect, i, k).norm())
-    res_tableau = worst_b / scale_b
+    res_tableau = _worst_trace(defect, eps, _TABLEAU_TRACES) / scale_b
 
     # symmetric-product form: traces of R^(2) - (Jacobi form of R*R) . g/(n+4)
     R2 = sym_jacobi(j, 2)
     completed = sym_product(jacobi_form(SS), sp.metric_tensor())
-    defect_form = Tensor(sp, R2.tensor.data - completed.tensor.data / (n + 4.0))
+    defect_form = R2.tensor.data - completed.tensor.data / (n + 4.0)
     scale_c = max(R2.norm(), completed.norm() / (n + 4.0), 1.0)
-    worst_c = max(
-        metric_trace(defect_form, 1, 2).norm(),  # two symmetric slots
-        metric_trace(defect_form, 1, 5).norm(),  # symmetric against bilinear
-        metric_trace(defect_form, 5, 6).norm(),  # the bilinear pair
-    )
-    res_form = worst_c / scale_c
+    res_form = _worst_trace(defect_form, eps, _FORM_TRACES) / scale_c
 
     report = {
         "ricci_proportional": res_ric,
@@ -550,8 +562,9 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
 def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
     """Least-squares constant c in R^(2) = c * g . R^(0).
 
-    Undefined for a vanishing curvature part.  The residual is relative to
-    |R^(2)|; a zero symmetrized second derivative fits exactly with c = 0.
+    Undefined for a vanishing curvature part or a vanishing Jacobi form
+    g . R^(0) (ValueError).  The residual is relative to |R^(2)|; a zero
+    symmetrized second derivative fits exactly with c = 0.
     """
     if j.R.norm() == 0.0:
         raise ValueError("fit undefined: vanishing curvature part")
@@ -562,7 +575,10 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
     norm_R2 = float(np.linalg.norm(R2))
     if norm_R2 == 0.0:
         return JacobiFit(0.0, 0.0)
-    c = float(R2 @ G) / float(G @ G)
+    norm2_G = float(G @ G)
+    if norm2_G == 0.0:
+        raise ValueError("fit undefined: vanishing Jacobi form")
+    c = float(R2 @ G) / norm2_G
     residual = float(np.linalg.norm(R2 - c * G)) / norm_R2
     return JacobiFit(c, residual)
 
@@ -582,27 +598,31 @@ def _eigenvalue_gap(j: TwoJet, c: float) -> float:
 @lru_cache(maxsize=None)
 def _extension_solver(
     space: Space,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[PackedRows, np.ndarray, np.ndarray, np.ndarray, PackedRows]:
     """Correction directions in C_2, the trace-cancellation system, the
     compact factors (ut, vs) of its pseudoinverse, and the free directions
     of the extension.
 
     Columns of the system matrix are the second Ricci derivatives of the
     C_2 basis; ``vs @ (ut @ target)`` is the minimum-norm coefficient
-    vector.  The free directions, stacked, are the C_2 elements with
-    vanishing second Ricci derivative (the totally trace-free part of C_2);
-    their number is reported because the correction is not unique.  The
-    factors and the free directions come from one SVD of the system.
+    vector.  The free directions are the C_2 elements with vanishing second
+    Ricci derivative (the totally trace-free part of C_2); their number is
+    reported because the correction is not unique.  The factors and the
+    free directions come from one SVD of the system; the directions stay
+    packed like the C_2 basis.
     """
     directions = _ck_stack(space.dim, 2)
-    system = np.stack([_hess_ric(d, space.eps).ravel() for d in directions], axis=1)
+    # _hess_ric of every direction, read off the packed rows at the entries
+    # (a, b, u, i, v, i) that its trace sums over
+    summed = directions.entries(_trace_table(space.dim, ((3, 5),))[0])
+    system = np.ascontiguousarray(-(summed @ space.eps).T)
     ut, vs, null = lstsq_factors(system)
-    free = np.tensordot(null, directions, (1, 0))
+    free = PackedRows(null @ directions.rows, directions.pk)
     return directions, system, ut, vs, free
 
 
-def _hess_kernel_stack(space: Space) -> np.ndarray:
-    """Stacked C_2 directions with vanishing second Ricci derivative."""
+def _hess_kernel_stack(space: Space) -> PackedRows:
+    """C_2 directions with vanishing second Ricci derivative, packed."""
     return _extension_solver(space)[4]
 
 
@@ -641,7 +661,7 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
         raise RuntimeError(
             f"extension failed: trace defect not cancellable (residual {solve_gap:.3e})"
         )
-    d2 = provisional + np.tensordot(coeff, directions, (0, 0)) / 80.0
+    d2 = provisional + directions.combine(coeff) / 80.0
     return TwoJet(R, dR, Tensor(sp, d2))
 
 

@@ -20,7 +20,9 @@ the declared class (unpacking the packed images must give them back to
 ``RTOL``) and raises RuntimeError otherwise.  The rank gate and cutoff are
 those of the unpacked SVD, whose singular values the packed one shares.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
-whose images have no symmetry.
+whose images have no symmetry.  The rows stay packed (``PackedRows``):
+a combination of them is formed in the P packed coordinates and only the
+result is spread back to all n^v entries.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["RTOL", "Packing", "packing", "image", "kernel", "lstsq_factors"]
+__all__ = ["RTOL", "Packing", "PackedRows", "packing", "image", "kernel", "lstsq_factors"]
 
 # relative singular-value cutoff shared by every rank decision
 RTOL = 1e-10
@@ -41,7 +43,8 @@ RTOL = 1e-10
 # expose a rank larger than claimed
 _OVERSAMPLE = 8
 
-# bytes of unpacked images per call of the sampled map
+# bytes of unpacked tensors per chunk: per call of the sampled map in
+# ``image``, and per stack of ``PackedRows.unpacked_chunks``
 _CHUNK_BYTES = 1 << 22
 
 
@@ -95,6 +98,47 @@ def _group_table(n: int, kind: str, size: int):
     return rep, orbit, index, sign
 
 
+def _chunk_count(count: int, pk: Packing) -> int:
+    """Number of chunks that keep ``count`` unpacked tensors near ``_CHUNK_BYTES`` each."""
+    return max(min(count, -(-count * 8 * len(pk.index) // _CHUNK_BYTES)), 1)
+
+
+@dataclass(frozen=True, eq=False)
+class PackedRows:
+    """Rows in the packed coordinates of one symmetry class, shape (count, P).
+
+    The cached bases hold orthonormal rows; packing is an isometry, so they
+    stay orthonormal unpacked.
+    """
+
+    rows: np.ndarray
+    pk: Packing
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def unpack(self, packed: np.ndarray) -> np.ndarray:
+        """Full tensors, of shape ``packed.shape[:-1] + pk.shape``, with these packed coordinates."""
+        return self.pk.unpack(packed).reshape(packed.shape[:-1] + self.pk.shape)
+
+    def combine(self, coeff: np.ndarray) -> np.ndarray:
+        """Full tensors sum_i coeff[..., i] * row_i, combined before unpacking."""
+        return self.unpack(coeff @ self.rows)
+
+    def unpacked(self) -> np.ndarray:
+        """Every row as a full tensor, stacked; a fresh array the caller owns."""
+        return self.unpack(self.rows)
+
+    def unpacked_chunks(self) -> Iterator[np.ndarray]:
+        """The unpacked rows, stacked in consecutive chunks of about ``_CHUNK_BYTES``."""
+        for rows in np.array_split(self.rows, _chunk_count(len(self.rows), self.pk)):
+            yield self.unpack(rows)
+
+    def entries(self, flat: np.ndarray) -> np.ndarray:
+        """Entries of every unpacked row at the raveled indices ``flat``, rows first."""
+        return self.rows[:, self.pk.index[flat]] * self.pk.coef[flat]
+
+
 @lru_cache(maxsize=None)
 def packing(n: int, groups: tuple[tuple[str, int], ...]) -> Packing:
     """Packing of the class given by consecutive (kind, size) slot groups.
@@ -125,13 +169,13 @@ def packing(n: int, groups: tuple[tuple[str, int], ...]) -> Packing:
 
 def image(
     apply: Callable[[np.ndarray], np.ndarray], pk: Packing, rank: int
-) -> np.ndarray:
+) -> PackedRows:
     """``rank`` orthonormal rows spanning the image of a linear map.
 
     ``apply`` maps a batch of tensors of shape ``pk.shape`` (batch axis
     first) to a batch of images in the class of ``pk``.  The samples come
     from ``default_rng(0)``, so the rows are identical on every run; they
-    are returned raveled, in full (unpacked) coordinates.  Raises
+    are returned read-only in the packed coordinates of ``pk``.  Raises
     RuntimeError if an image leaves the class or unless the sampled images
     have numerical rank exactly ``rank``.
     """
@@ -139,10 +183,9 @@ def image(
     count = rank + _OVERSAMPLE
     # the map runs on chunks of samples, so the unpacked images are never
     # held all at once; the draws are those of a single call
-    chunks = min(count, -(-count * 8 * len(pk.index) // _CHUNK_BYTES))
     packed = np.empty((count, len(pk.rep)))
     gap = scale = 0.0
-    for rows in np.array_split(np.arange(count), chunks):
+    for rows in np.array_split(np.arange(count), _chunk_count(count, pk)):
         images = apply(rng.standard_normal((len(rows),) + pk.shape)).reshape(len(rows), -1)
         packed[rows] = pk.pack(images)
         gap += float(np.linalg.norm(pk.unpack(packed[rows]) - images)) ** 2
@@ -157,7 +200,9 @@ def image(
             f"image rank check failed: expected {rank}, singular ratios "
             f"{s[rank - 1] / s[0]:.3e} and {s[rank] / s[0]:.3e} around the cutoff {RTOL:.0e}"
         )
-    return pk.unpack(vt[:rank])
+    rows = vt[:rank].copy()  # not a view: the oversampled rows are dropped
+    rows.flags.writeable = False
+    return PackedRows(rows, pk)
 
 
 def kernel(matrix: np.ndarray) -> np.ndarray:

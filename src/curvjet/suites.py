@@ -185,7 +185,7 @@ def suite_weitzenbock(cfg: RunConfig) -> list[CheckRecord]:
                 j = TwoJet(
                     Tensor(sp, np.zeros((n,) * 4)),
                     Tensor(sp, np.zeros((n,) * 5)),
-                    Tensor(sp, np.tensordot(coeff, kernel, (0, 0))),
+                    Tensor(sp, kernel.combine(coeff)),
                 )
                 worst_einstein = _worst(
                     worst_einstein, weitzenbock_special(j)["einstein_form"]
@@ -221,7 +221,7 @@ def suite_hierarchy(cfg: RunConfig) -> list[CheckRecord]:
             worst_chain = 0.0
             rng = np.random.default_rng(cfg.base_seed)
             for _ in range(min(cfg.seeds, len(kernel))):
-                d2 = np.tensordot(rng.standard_normal(len(kernel)), kernel, (0, 0))
+                d2 = kernel.combine(rng.standard_normal(len(kernel)))
                 scale = max(float(np.linalg.norm(d2)), 1.0)
                 worst_chain = _worst(
                     worst_chain,
@@ -341,23 +341,25 @@ def suite_dimensions(cfg: RunConfig) -> list[CheckRecord]:
         gap = abs(len(_ck_stack(n, 0)) - expected)
         out.append(CheckRecord(f"dimensions/n{n}/c0_rank", float(gap), cfg.tol))
         for m in (2, 3, 4):
-            stack = _nk_stack(n, m)
+            basis = _nk_stack(n, m)
             out.append(
                 CheckRecord(
                     f"dimensions/n{n}/nk_matches_ck_m{m}",
-                    float(abs(len(stack) - len(_ck_stack(n, m - 2)))),
+                    float(abs(len(basis) - len(_ck_stack(n, m - 2)))),
                     cfg.tol,
                 )
             )
-            # one image at a time: a list of them would hold 15625 x 420 more floats at n=5
-            cols = np.empty((n ** (m + 2), len(stack)))
-            for c, b in enumerate(stack):
+            # one basis vector unpacked and one image at a time: the unpacked
+            # basis or a list of images would each hold 15625 x 420 floats at n=5
+            cols = np.empty((n ** (m + 2), len(basis)))
+            for c, row in enumerate(basis.rows):
+                b = basis.unpack(row)
                 cols[:, c] = kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel()
             rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
             out.append(
                 CheckRecord(
                     f"dimensions/n{n}/kulkarni_kernel_m{m}",
-                    float(len(stack) - rank),
+                    float(len(basis) - rank),
                     cfg.tol,
                 )
             )

@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 
 from .spaces import Space, Tensor, _group_sum, memoized
-from .subspace import image, packing
+from .subspace import PackedRows, image, packing
 
 __all__ = [
     "young_apply",
@@ -108,7 +108,9 @@ def _ck_defects(d: np.ndarray, k: int, b: int) -> dict[str, np.ndarray]:
     c = b + k  # axis of curvature slot 1
 
     def norms(x: np.ndarray) -> np.ndarray:
-        return np.linalg.norm(x.reshape(x.shape[:b] + (-1,)), axis=-1)
+        flat = x.reshape(x.shape[:b] + (-1,))
+        # one fused pass per slice; NaN and inf propagate as in np.linalg.norm
+        return np.sqrt(np.einsum("...i,...i->...", flat, flat))
 
     res = {
         "antisym_12": norms(d + np.swapaxes(d, c, c + 1)),
@@ -164,30 +166,28 @@ _BASIS_AMBIENT_LIMIT = 100_000
 
 
 @lru_cache(maxsize=None)
-def _ck_stack(n: int, k: int) -> np.ndarray:
-    """Read-only orthonormal basis of C_k, stacked; C_k uses no metric, so n keys it."""
+def _ck_stack(n: int, k: int) -> PackedRows:
+    """Orthonormal basis of C_k in packed coordinates; C_k uses no metric, so n keys it."""
     if k not in (0, 1, 2):
         raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
     v = k + 4
-    shape = (n,) * v
     if n**v > _BASIS_AMBIENT_LIMIT:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
     row1, row2 = _label_axes(k)
     # batched symmetrizer: same tableau on axes shifted by the batch axis; its
     # images are symmetric in the derivative slots and antisymmetric in each
     # curvature pair, so they are packed as Sym^k (x) L^2 (x) L^2
-    rows = image(
+    basis = image(
         lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
         packing(n, (("sym", k), ("alt", 2), ("alt", 2))),
         hook_content_dim(n, k),
     )
-    stack = rows.reshape((len(rows),) + shape)
-    # the membership test of is_member_Ck(tol=1e-7), on every vector at once
-    scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-    if not all(np.all(v <= 1e-7 * scale) for v in _ck_defects(stack, k, 1).values()):
-        raise RuntimeError("projected basis vector fails the symmetry checks")
-    stack.flags.writeable = False
-    return stack
+    # the membership test of is_member_Ck(tol=1e-7), on a chunk of vectors at once
+    for stack in basis.unpacked_chunks():
+        scale = np.maximum(np.linalg.norm(stack.reshape(len(stack), -1), axis=1), 1.0)
+        if not all(np.all(v <= 1e-7 * scale) for v in _ck_defects(stack, k, 1).values()):
+            raise RuntimeError("projected basis vector fails the symmetry checks")
+    return basis
 
 
 def basis_Ck(space: Space, k: int) -> list[Tensor]:
@@ -197,15 +197,15 @@ def basis_Ck(space: Space, k: int) -> list[Tensor]:
     one SVD of the images, in the packed coordinates of Sym^k (x) L^2 (x)
     L^2, gives the basis; the numerical rank must equal the hook-content
     dimension, or RuntimeError is raised.  Every basis vector is checked
-    against the defining symmetries.  The stacked basis is cached per
+    against the defining symmetries.  The basis is cached packed per
     (n, k) for every signature and is identical on every run.
     """
-    return [Tensor(space, b) for b in _ck_stack(space.dim, k)]
+    return [Tensor(space, b) for b in _ck_stack(space.dim, k).unpacked()]
 
 
 @memoized
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
-    stack = _ck_stack(space.dim, k)
-    coeff = np.random.default_rng(seed).standard_normal(len(stack))
-    return Tensor(space, np.tensordot(coeff, stack, (0, 0)))
+    basis = _ck_stack(space.dim, k)
+    coeff = np.random.default_rng(seed).standard_normal(len(basis))
+    return Tensor(space, basis.combine(coeff))

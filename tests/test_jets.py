@@ -1,5 +1,7 @@
 """Two-jet constraints, trace operators, Einstein criterion and extension."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from curvjet.curvature import (
     is_member_Nk,
+    jacobi_form,
     kn_pair,
     pair_derivation,
     ricci,
@@ -16,6 +19,10 @@ from curvjet.jets import (
     JacobiFit,
     SectionTwoJet,
     TwoJet,
+    _extension_solver,
+    _h_solver,
+    _hess_ric,
+    _parallel_ricci_dirs,
     einstein_check,
     einstein_extend,
     extension_solution_dim,
@@ -33,8 +40,8 @@ from curvjet.jets import (
     weitzenbock_check,
     weitzenbock_special,
 )
-from curvjet.spaces import Space, Tensor, random_tensor
-from curvjet.young import basis_Ck, random_ck, young_apply
+from curvjet.spaces import Space, Tensor, metric_trace, random_tensor, sym_product
+from curvjet.young import _ck_stack, _second_bianchi_cycle, basis_Ck, random_ck, young_apply
 
 E3 = Space(3)
 E4 = Space(4)
@@ -328,6 +335,34 @@ class TestEinsteinCheck:
             assert rep2["tableau_trace_defect"] > 1e-8
             assert rep2["form_trace_defect"] > 1e-8
 
+    @pytest.mark.parametrize("einstein", [True, False], ids=["einstein", "generic"])
+    def test_trace_defects_match_the_trace_loop(self, einstein):
+        # reference: one metric_trace per slot pair, taken one by one
+        sp = Space(4, (-1, 1, 1, 1))
+        n = sp.dim
+        j = einstein_extend(*random_einstein_one_jet(sp, 3)) if einstein else random_two_jet(sp, 3)
+        _, report = einstein_check(j)
+        SS = star_action(j.R, j.R)
+        projected, embedded = young_apply(j.d2R, 2), hat_embed(SS)
+        defect = Tensor(sp, projected.data - embedded.data / (n + 4.0))
+        scale_b = max(projected.norm(), embedded.norm() / (n + 4.0), 1.0)
+        worst_b = max(
+            metric_trace(defect, i, k).norm() for i in range(1, 7) for k in range(i + 1, 7)
+        )
+        R2 = sym_jacobi(j, 2)
+        completed = sym_product(jacobi_form(SS), sp.metric_tensor())
+        defect_form = Tensor(sp, R2.tensor.data - completed.tensor.data / (n + 4.0))
+        scale_c = max(R2.norm(), completed.norm() / (n + 4.0), 1.0)
+        worst_c = max(
+            metric_trace(defect_form, i, k).norm() for i, k in ((1, 2), (1, 5), (5, 6))
+        )
+        assert report["tableau_trace_defect"] == pytest.approx(
+            worst_b / scale_b, rel=1e-12, abs=1e-15
+        )
+        assert report["form_trace_defect"] == pytest.approx(
+            worst_c / scale_c, rel=1e-12, abs=1e-15
+        )
+
     def test_einstein_display_of_tilde_trace(self):
         # on Einstein jets the projected trace collapses to the pair-symmetric
         # curvature action
@@ -355,6 +390,20 @@ class TestFit:
     def test_generic_jet_has_large_residual(self):
         fit = fit_jacobi_relation(random_two_jet(E4, 11))
         assert fit.residual > 1e-2
+
+    def test_vanishing_jacobi_form_rejected(self):
+        # the totally antisymmetric 4-form is nonzero, but its Jacobi form
+        # (a symmetrization over two of its slots) vanishes
+        form = np.zeros((4,) * 4)
+        for perm in itertools.permutations(range(4)):
+            form[perm] = np.linalg.det(np.eye(4)[list(perm)])
+        j = TwoJet(
+            Tensor(E4, form),
+            Tensor(E4, np.zeros((4,) * 5)),
+            random_tensor(E4, 6, 0),
+        )
+        with pytest.raises(ValueError, match="vanishing Jacobi form"):
+            fit_jacobi_relation(j)
 
     def test_residual_is_scale_free(self):
         j = random_two_jet(E4, 12)
@@ -439,8 +488,8 @@ class TestCompactSolvers:
         from curvjet.subspace import RTOL
         from curvjet.young import _ck_stack, _second_bianchi_cycle
 
-        n, stack0 = sp.dim, _ck_stack(sp.dim, 0)
-        ut, vs, pairs = _h_solver(sp.dim)
+        n, stack0 = sp.dim, _ck_stack(sp.dim, 0).unpacked()
+        ut, vs, pairs, pk = _h_solver(sp.dim)
         columns = []
         for x in range(n):
             for y in range(x, n):
@@ -454,7 +503,7 @@ class TestCompactSolvers:
         j = random_two_jet(sp, 4)
         target = -_second_bianchi_cycle(0.5 * pair_derivation(j.R, j.R), 1, 2).ravel()
         expect = pinv @ target
-        got = vs @ (ut @ target)
+        got = vs @ (ut @ pk.pack(target))
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
         upper = [(x, y) for x in range(n) for y in range(x, n)]
         assert all(pairs[x, y] == pairs[y, x] == upper.index((x, y)) for x, y in upper)
@@ -469,6 +518,71 @@ class TestCompactSolvers:
         expect = np.linalg.pinv(system, rcond=RTOL) @ target
         got = vs @ (ut @ target)
         assert np.linalg.norm(got - expect) <= 1e-12 * np.linalg.norm(expect)
+
+
+def _full_coordinate_particular_d2(R: Tensor) -> np.ndarray:
+    """``_particular_d2`` with the C_0 basis and the solver's ``ut`` unpacked."""
+    n = R.space.dim
+    stack0 = _ck_stack(n, 0).unpacked()
+    ut, vs, pairs, pk = _h_solver(n)
+    particular = 0.5 * pair_derivation(R, R)
+    cycle = _second_bianchi_cycle(particular, 1, 2)
+    coeff = (vs @ (pk.unpack(ut) @ -cycle.ravel())).reshape(-1, len(stack0))
+    return particular + np.tensordot(coeff[pairs], stack0, (2, 0))
+
+
+def _full_coordinate_two_jet(sp: Space, seed: int) -> tuple[np.ndarray, ...]:
+    """The draws of ``random_two_jet`` against unpacked C_k stacks."""
+    rng = np.random.default_rng(seed)
+    s0, s1, s2 = (_ck_stack(sp.dim, k).unpacked() for k in (0, 1, 2))
+    R = np.tensordot(rng.standard_normal(len(s0)), s0, (0, 0))
+    dR = np.tensordot(rng.standard_normal(len(s1)), s1, (0, 0))
+    homogeneous = np.tensordot(rng.standard_normal(len(s2)), s2, (0, 0))
+    return R, dR, _full_coordinate_particular_d2(Tensor(sp, R)) + homogeneous
+
+
+def _full_coordinate_extension(R: Tensor) -> np.ndarray:
+    """The second derivative of ``einstein_extend`` against the unpacked C_2 stack."""
+    directions, _, ut, vs, _ = _extension_solver(R.space)
+    provisional = _full_coordinate_particular_d2(R)
+    coeff = vs @ (ut @ (-80.0 * _hess_ric(provisional, R.space.eps).ravel()))
+    return provisional + np.tensordot(coeff, directions.unpacked(), (0, 0)) / 80.0
+
+
+class TestPackedPath:
+    # every draw is combined in packed coordinates and unpacked once; the
+    # references combine the unpacked stacks, so only the last bits may differ
+    SIGNATURES = [(1, 1, 1), (-1, 1, 1, 1), (1, 1, 1, 1)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_random_two_jet_matches_full_coordinates(self, sig, seed):
+        sp = Space(len(sig), sig)
+        j = random_two_jet(sp, seed)
+        for got, expect in zip((j.R, j.dR, j.d2R), _full_coordinate_two_jet(sp, seed)):
+            assert rel(got.data, expect) <= 1e-13
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_einstein_extend_matches_full_coordinates(self, sig, seed):
+        sp = Space(len(sig), sig)
+        R, dR = random_einstein_one_jet(sp, seed)
+        dirs = _parallel_ricci_dirs(sp)
+        if len(dirs):
+            # the draws of random_einstein_one_jet: C_0, the g KN g scale, then dR
+            rng = np.random.default_rng(seed)
+            rng.standard_normal(len(_ck_stack(sp.dim, 0)) + 1)
+            coeff = rng.standard_normal(len(dirs))
+            assert rel(dR.data, np.tensordot(coeff, dirs.unpacked(), (0, 0))) <= 1e-13
+        assert rel(einstein_extend(R, dR).d2R.data, _full_coordinate_extension(R)) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_packed_h_solver_matches_the_unpacked_product(self, n):
+        ut, vs, _, pk = _h_solver(n)
+        j = random_two_jet(Space(n), 4)
+        target = -_second_bianchi_cycle(0.5 * pair_derivation(j.R, j.R), 1, 2).ravel()
+        expect = vs @ (pk.unpack(ut) @ target)
+        assert rel(vs @ (ut @ pk.pack(target)), expect) <= 1e-13
 
 
 class TestBatchedSliceChecks:

@@ -8,9 +8,15 @@ import numpy as np
 import pytest
 
 from curvjet.curvature import _nk_stack, nk_basis
-from curvjet.jets import _h_solver, _hess_kernel_stack, random_two_jet
+from curvjet.jets import (
+    _extension_solver,
+    _h_solver,
+    _hess_kernel_stack,
+    _parallel_ricci_dirs,
+    random_two_jet,
+)
 from curvjet.spaces import Space, _group_sum
-from curvjet.subspace import RTOL, image, kernel, packing
+from curvjet.subspace import RTOL, PackedRows, image, kernel, packing
 from curvjet.young import _ck_stack, _label_axes, basis_Ck, hook_content_dim, tableau_sum
 
 
@@ -29,7 +35,7 @@ def _coordinate_projector(r: int):
 
 
 def test_image_spans_the_range():
-    rows = image(_coordinate_projector(3), _vectors(7), 3)
+    rows = image(_coordinate_projector(3), _vectors(7), 3).unpacked()
     assert rows.shape == (3, 7)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-12)
     assert np.linalg.norm(rows[:, 3:]) < 1e-12
@@ -38,7 +44,7 @@ def test_image_spans_the_range():
 def test_image_is_reproducible():
     a = image(_coordinate_projector(4), _vectors(9), 4)
     b = image(_coordinate_projector(4), _vectors(9), 4)
-    assert np.array_equal(a, b)
+    assert np.array_equal(a.rows, b.rows)
 
 
 @pytest.mark.parametrize("claimed", [2, 4])
@@ -48,7 +54,7 @@ def test_image_rejects_a_wrong_rank(claimed):
 
 
 def test_image_of_the_identity_fills_the_space():
-    rows = image(lambda batch: batch, _vectors(5), 5)
+    rows = image(lambda batch: batch, _vectors(5), 5).unpacked()
     assert np.allclose(rows @ rows.T, np.eye(5), atol=1e-12)
 
 
@@ -71,7 +77,7 @@ def test_hess_kernel_matches_reference_svd():
     cols = np.array([(-np.einsum("abuivi,i->abuv", b.data, sp.eps)).ravel() for b in basis]).T
     s = np.linalg.svd(cols, compute_uv=False)
     nullity = len(basis) - int(np.sum(s > RTOL * s[0]))
-    stack = _hess_kernel_stack(sp)
+    stack = _hess_kernel_stack(sp).unpacked()
     assert len(stack) == nullity > 0
     hess = -np.einsum("kabuivi,i->kabuv", stack, sp.eps)
     assert np.linalg.norm(hess) < 1e-10
@@ -152,7 +158,7 @@ def test_packed_c2_spans_the_full_image():
         (3,) * 6,
         hook_content_dim(3, 2),
     )
-    assert _projector_gap(_ck_stack(sp.dim, 2), full) <= 1e-12
+    assert _projector_gap(_ck_stack(sp.dim, 2).unpacked(), full) <= 1e-12
 
 
 def test_packed_n4_spans_the_full_image():
@@ -163,15 +169,15 @@ def test_packed_n4_spans_the_full_image():
         (3,) * 6,
         hook_content_dim(3, 2),
     )
-    assert _projector_gap(_nk_stack(sp.dim, 4), full) <= 1e-12
+    assert _projector_gap(_nk_stack(sp.dim, 4).unpacked(), full) <= 1e-12
 
 
 def test_nk_basis_is_reproducible():
     """The cached N_4 basis is rebuilt bit for bit from the fixed sample seed."""
     sp = Space(4)
-    first = np.array(_nk_stack(sp.dim, 4))
+    first = _nk_stack(sp.dim, 4).unpacked()
     _nk_stack.cache_clear()
-    assert np.array_equal(first, _nk_stack(sp.dim, 4))
+    assert np.array_equal(first, _nk_stack(sp.dim, 4).unpacked())
 
 
 @pytest.mark.parametrize(
@@ -190,3 +196,49 @@ def test_signatures_share_the_cached_basis(builder, use):
     misses = builder.cache_info().misses
     use(Space(4, (-1, 1, 1, 1)))
     assert builder.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "builder, degree", [(_ck_stack, 0), (_ck_stack, 1), (_ck_stack, 2), (_nk_stack, 4)],
+    ids=["C_0", "C_1", "C_2", "N_4"],
+)
+def test_combine_matches_the_unpacked_stack(builder, degree, n):
+    basis = builder(n, degree)
+    stack = basis.unpacked()
+    rng = np.random.default_rng(5)
+    for shape in ((len(basis),), (2, 3, len(basis))):  # one draw and a batch of them
+        coeff = rng.standard_normal(shape)
+        expect = np.tensordot(coeff, stack, (len(shape) - 1, 0))
+        got = basis.combine(coeff)
+        assert got.shape == expect.shape
+        assert np.linalg.norm(got - expect) <= 1e-14 * np.linalg.norm(expect)
+
+
+def test_unpacked_chunks_cover_every_row_once():
+    # 20 rows of 16^4 entries are 10 MB unpacked: more than one chunk
+    pk = packing(16, (("sym", 1),) * 4)
+    basis = PackedRows(np.random.default_rng(2).standard_normal((20, len(pk.rep))), pk)
+    chunks = list(basis.unpacked_chunks())
+    assert len(chunks) > 1
+    assert np.array_equal(np.concatenate(chunks), basis.unpacked())
+
+
+def test_cached_bases_and_solvers_stay_packed():
+    # no cache holds a full-coordinate row of n^(k+4) entries: every basis
+    # and solver factor keeps the packed width of its symmetry class
+    n, sp = 4, Space(4, (-1, 1, 1, 1))
+    assert _ck_stack(n, 2).rows.shape == (126, 360)
+    for k in (0, 1, 2):
+        width = len(packing(n, PATTERNS[f"C_{k}"]).rep)
+        assert _ck_stack(n, k).rows.shape == (hook_content_dim(n, k), width)
+        assert width < n ** (k + 4)
+    for m in (2, 3, 4):
+        assert _nk_stack(n, m).rows.shape[1] == len(packing(n, (("sym", m), ("sym", 2))).rep)
+        assert _nk_stack(n, m).rows.shape[1] < n ** (m + 2)
+    ut, vs, pairs, pk = _h_solver(n)
+    assert ut.shape[1] == len(pk.rep) == 96
+    directions, system, ut, vs, free = _extension_solver(sp)
+    assert directions.rows.shape[1] == free.rows.shape[1] == 360
+    assert all(n**6 not in a.shape for a in (system, ut, vs))
+    assert _parallel_ricci_dirs(sp).rows.shape[1] == len(packing(n, PATTERNS["C_1"]).rep)
