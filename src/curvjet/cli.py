@@ -71,11 +71,14 @@ def _attach_signature(argv: list[str]) -> list[str]:
 
 def _space_from_args(args, default_dim: int = 4) -> Space:
     sig = _parse_signature(args.signature)
-    if sig is not None:
-        if args.dim is not None and args.dim != len(sig):
-            raise SystemExit2("--dim contradicts the signature length")
-        return Space(len(sig), sig)
-    return Space(args.dim if args.dim is not None else default_dim)
+    if sig is not None and args.dim is not None and args.dim != len(sig):
+        raise SystemExit2("--dim contradicts the signature length")
+    try:
+        if sig is not None:
+            return Space(len(sig), sig)
+        return Space(args.dim if args.dim is not None else default_dim)
+    except ValueError as exc:
+        raise SystemExit2(str(exc)) from exc
 
 
 class SystemExit2(SystemExit):

@@ -208,6 +208,21 @@ def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return np.einsum("aiiqrs,i->aqrs", six, eps)
 
 
+def _ricci_rotation_sum(Rp: Tensor, ric: Tensor) -> np.ndarray:
+    """The signed four-term sum of rotations of ric by the planes of R'.
+
+    (R'_{x2,x4}.ric)(x1,x3) - (R'_{x2,x3}.ric)(x1,x4)
+    + (R'_{x1,x3}.ric)(x2,x4) - (R'_{x1,x4}.ric)(x2,x3)
+    """
+    Gp = pair_derivation(Rp, ric)
+    return (
+        np.transpose(Gp, (2, 0, 3, 1))
+        - np.transpose(Gp, (2, 0, 1, 3))
+        + np.transpose(Gp, (0, 2, 1, 3))
+        - np.transpose(Gp, (0, 2, 3, 1))
+    )
+
+
 def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, float]:
     """Relative residuals of the four trace/expansion identities of the star action.
 
@@ -222,16 +237,10 @@ def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, f
     """
     sp = R.space
     SS = star_action(R, Rp)
-    ricR = ricci(R).ric
     Dp = pair_derivation(R, Rp)  # (R_{ab} . R')
-    Gp = pair_derivation(Rp, ricR)  # (R'_{ab} . ric)
     T1 = _pair_trace(Dp, sp.eps)
     T2 = np.transpose(T1, (1, 0, 2, 3))
-    U1 = np.transpose(Gp, (2, 0, 3, 1))  # (R'_{x2,x4}.ric)(x1,x3)
-    U2 = np.transpose(Gp, (2, 0, 1, 3))  # (R'_{x2,x3}.ric)(x1,x4)
-    U3 = np.transpose(Gp, (0, 2, 1, 3))  # (R'_{x1,x3}.ric)(x2,x4)
-    U4 = np.transpose(Gp, (0, 2, 3, 1))  # (R'_{x1,x4}.ric)(x2,x3)
-    rhs = -(2.0 * T1 - 2.0 * T2) - (U1 - U2 + U3 - U4)
+    rhs = -(2.0 * T1 - 2.0 * T2) - _ricci_rotation_sum(Rp, ricci(R).ric)
     proj = young_apply(Tensor(sp, rhs), 0).data / 12.0
     scale = max(np.linalg.norm(SS.data), 1.0)
     res: dict[str, float] = {}

@@ -24,6 +24,7 @@ import numpy as np
 
 from .curvature import (
     _pair_trace,
+    _ricci_rotation_sum,
     decompose,
     jacobi_form,
     kn_pair,
@@ -437,13 +438,7 @@ def weitzenbock_check(sj: SectionTwoJet) -> dict[str, float]:
     commutator = T1 - np.transpose(T1, (1, 0, 2, 3))
 
     SS = star_action(sj.background, sj.Rp).data
-    Gp = pair_derivation(sj.Rp, ricci(sj.background).ric)
-    ric_terms = (
-        np.transpose(Gp, (2, 0, 3, 1))
-        - np.transpose(Gp, (2, 0, 1, 3))
-        + np.transpose(Gp, (0, 2, 1, 3))
-        - np.transpose(Gp, (0, 2, 3, 1))
-    )
+    ric_terms = _ricci_rotation_sum(sj.Rp, ricci(sj.background).ric)
     displayed = lap + 0.5 * SS + 0.5 * ric_terms
 
     projected = young_apply(Tensor(sp, laplace), 0).data / 12.0
@@ -509,6 +504,19 @@ def _worst_trace(data: np.ndarray, eps: np.ndarray, pairs: tuple[tuple[int, int]
     return float(np.linalg.norm(traces, axis=1).max())
 
 
+def _one_jet_gaps(R: Tensor, dR: Tensor) -> tuple[float, float]:
+    """Einstein gaps of a one-jet: |ric - (s/n) g| / |R| and |grad ric| / |dR|.
+
+    Each norm is taken relative to max(norm of the jet component, 1).
+    """
+    sp = R.space
+    ric_data = ricci(R)
+    proportional_gap = ric_data.ric.data - (ric_data.scalar / sp.dim) * sp.metric_matrix()
+    res_ric = float(np.linalg.norm(proportional_gap)) / max(R.norm(), 1.0)
+    res_dric = ricci_derivative(dR).norm() / max(dR.norm(), 1.0)
+    return res_ric, res_dric
+
+
 def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
     """Einstein verdict with the defect norms of all three formulations.
 
@@ -521,12 +529,8 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     sp = j.space
     n = sp.dim
     eps = sp.eps
-    g_matrix = sp.metric_matrix()
 
-    ric_data = ricci(j.R)
-    proportional_gap = ric_data.ric.data - (ric_data.scalar / n) * g_matrix
-    res_ric = float(np.linalg.norm(proportional_gap)) / max(j.R.norm(), 1.0)
-    res_dric = ricci_derivative(j.dR).norm() / max(j.dR.norm(), 1.0)
+    res_ric, res_dric = _one_jet_gaps(j.R, j.dR)
     hess = _hess_ric(j.d2R.data, eps)
     res_hess = float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0)
 
@@ -645,11 +649,10 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if not (np.isfinite(R.data).all() and np.isfinite(dR.data).all()):
         raise ValueError("one-jet has non-finite entries")
     sp = R.space
-    ric_data = ricci(R)
-    proportional_gap = ric_data.ric.data - (ric_data.scalar / sp.dim) * sp.metric_matrix()
-    if np.linalg.norm(proportional_gap) > tol * max(R.norm(), 1.0):
+    res_ric, res_dric = _one_jet_gaps(R, dR)
+    if res_ric > tol:
         raise ValueError("ric ∉ ℝ·g: curvature part is not Einstein")
-    if ricci_derivative(dR).norm() > tol * max(dR.norm(), 1.0):
+    if res_dric > tol:
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
     provisional = _particular_d2(R)

@@ -1,12 +1,15 @@
 """Named check suites over seeded inputs, aggregated into CheckRecords.
 
-Every suite maps a run configuration to records whose residuals are maxima
-over the configured seeds, so a single record summarizes one identity at one
-dimension.  The default configuration covers dimensions 3 and 4 with 25
-seeds; full mode widens to dimension 5 and 100 seeds for nightly runs.
-``run_suites`` holds one run scope (``spaces.run_scope``) open for all the
-suites it runs, so each seeded input (random tensors, jets, Einstein
-extensions, identity residuals) is built once per run and shared.
+A suite maps a run configuration and one space to records, each summarizing
+one identity at one dimension.  A record that is the worst residual over the
+configured seeds comes from ``_worst_over``, so a NaN on any seed fails it;
+only ``einstein/*/verdict_agreement`` (a share of verdicts), ``fit/*`` (which
+adds a fixed family of symmetric jets) and ``dimensions/*`` (no seeds) are
+reduced otherwise.  The default configuration covers dimensions 3 and 4 with
+25 seeds; full mode widens to dimension 5 and 100 seeds for nightly runs.
+``run_suites`` runs each suite on every configured space and holds one run
+scope (``spaces.run_scope``) open throughout, so each seeded input is built
+once per run and shared.
 """
 
 from __future__ import annotations
@@ -17,17 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import (
-    _nk_stack,
-    kn_pair,
-    kulkarni,
-    ricci_of_star,
-    star_action,
-    star_identity_residuals,
-)
+from .curvature import _nk_stack, kn_pair, kulkarni, star_action, star_identity_residuals
 from .identities import _ricci_flat_input, identity_names, verify_identity
 from .jets import (
     RANDOM_JET_DIMS,
+    JacobiFit,
     TwoJet,
     _div_der,
     _eigenvalue_gap,
@@ -126,285 +123,251 @@ def make_config(
     return RunConfig(dims, signature, count, seed, tol, full)
 
 
-def suite_eigenvalue(cfg: RunConfig) -> list[CheckRecord]:
+def _worst_over(cfg: RunConfig, residuals: Callable[[int], dict[str, float]]) -> dict[str, float]:
+    """Worst value of each residual key over the configured seeds.
+
+    Keys keep their first-seen order; a NaN on any seed makes its key NaN.
+    """
+    worst: dict[str, float] = {}
+    for seed in cfg.seed_range():
+        for key, v in residuals(seed).items():
+            worst[key] = _worst(worst.get(key, 0.0), v)
+    return worst
+
+
+def _records(cfg: RunConfig, prefix: str, worst: dict[str, float]) -> list[CheckRecord]:
+    """One record per key of ``worst``, in sorted key order."""
+    return [CheckRecord(f"{prefix}/{key}", worst[key], cfg.tol) for key in sorted(worst)]
+
+
+def _identity_worst(cfg: RunConfig, sp: Space, name: str) -> dict[str, float]:
+    """Worst residuals of a registered identity, without its report-only keys."""
+
+    def residuals(seed: int) -> dict[str, float]:
+        res = verify_identity(name, sp, seed)
+        return {key: v for key, v in res.items() if key not in _REPORT_ONLY}
+
+    return _worst_over(cfg, residuals)
+
+
+def _kernel_draws(cfg: RunConfig, sp: Space) -> list[np.ndarray]:
+    """Up to ``cfg.seeds`` random C_2 elements with vanishing second Ricci derivative.
+
+    The draws come from ``default_rng(cfg.base_seed)``; the list is empty
+    when that kernel is trivial.
+    """
+    kernel = _hess_kernel_stack(sp)
+    rng = np.random.default_rng(cfg.base_seed)
+    count = min(cfg.seeds, len(kernel))
+    return [kernel.combine(rng.standard_normal(len(kernel))) for _ in range(count)]
+
+
+def suite_eigenvalue(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     out = []
-    for sp in cfg.spaces():
-        for k in (0, 1, 2):
-            factor = young_eigenvalue(k)
-            worst = 0.0
-            for seed in cfg.seed_range():
-                t = random_ck(sp, k, seed)
-                worst = _worst(worst, _rel(young_apply(t, k).data, factor * t.data))
-            out.append(CheckRecord(f"eigenvalue/n{sp.dim}/k{k}", worst, cfg.tol))
+    for k in (0, 1, 2):
+        factor = young_eigenvalue(k)
+
+        def residual(seed: int) -> dict[str, float]:
+            t = random_ck(sp, k, seed)
+            return {f"k{k}": _rel(young_apply(t, k).data, factor * t.data)}
+
+        out += _records(cfg, f"eigenvalue/n{sp.dim}", _worst_over(cfg, residual))
     return out
 
 
-def suite_star(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        worst: dict[str, float] = {}
-        worst_ric = 0.0
-        for seed in cfg.seed_range():
-            R = random_ck(sp, 0, seed)
-            Rp = random_ck(sp, 0, seed + 10_000)
-            for key, v in star_identity_residuals(R, Rp, seed=seed).items():
-                worst[key] = _worst(worst.get(key, 0.0), v)
-            worst_ric = _worst(worst_ric, ricci_of_star(R, Rp)[2])
-        for key in sorted(worst):
-            out.append(CheckRecord(f"star/n{sp.dim}/{key}", worst[key], cfg.tol))
-        out.append(CheckRecord(f"star/n{sp.dim}/ricci_of_star", worst_ric, cfg.tol))
-    return out
+def suite_star(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    worst = _worst_over(
+        cfg,
+        lambda seed: star_identity_residuals(
+            random_ck(sp, 0, seed), random_ck(sp, 0, seed + 10_000), seed=seed
+        ),
+    )
+    # ricci_trace is the relative difference that ricci_of_star returns
+    return _records(cfg, f"star/n{sp.dim}", worst) + [
+        CheckRecord(f"star/n{sp.dim}/ricci_of_star", worst["ricci_trace"], cfg.tol)
+    ]
 
 
-def suite_weitzenbock(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        worst_special = 0.0
-        worst_section = {"calibrated": 0.0, "strict": 0.0, "displayed_projected": 0.0}
-        for seed in cfg.seed_range():
-            worst_special = _worst(
-                worst_special, weitzenbock_special(random_two_jet(sp, seed))["special"]
-            )
-            sj = random_two_jet(sp, seed, background=random_ck(sp, 0, seed + 20_000))
-            res = weitzenbock_check(sj)
-            for key in worst_section:
-                worst_section[key] = _worst(worst_section[key], res[key])
-        out.append(CheckRecord(f"weitzenbock/n{sp.dim}/special", worst_special, cfg.tol))
-        for key in sorted(worst_section):
-            out.append(
-                CheckRecord(f"weitzenbock/n{sp.dim}/{key}", worst_section[key], cfg.tol)
-            )
+def suite_weitzenbock(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    def residuals(seed: int) -> dict[str, float]:
+        sj = random_two_jet(sp, seed, background=random_ck(sp, 0, seed + 20_000))
+        res = weitzenbock_check(sj)
+        return {
+            "special": weitzenbock_special(random_two_jet(sp, seed))["special"],
+            **{key: res[key] for key in ("calibrated", "displayed_projected", "strict")},
+        }
 
-        kernel = _hess_kernel_stack(sp)
-        if len(kernel):  # the einstein form needs a flat Ricci hessian
-            n = sp.dim
-            worst_einstein = 0.0
-            rng = np.random.default_rng(cfg.base_seed)
-            for _ in range(min(cfg.seeds, len(kernel))):
-                coeff = rng.standard_normal(len(kernel))
-                j = TwoJet(
-                    Tensor(sp, np.zeros((n,) * 4)),
-                    Tensor(sp, np.zeros((n,) * 5)),
-                    Tensor(sp, kernel.combine(coeff)),
-                )
-                worst_einstein = _worst(
-                    worst_einstein, weitzenbock_special(j)["einstein_form"]
-                )
-            out.append(
-                CheckRecord(f"weitzenbock/n{sp.dim}/einstein_form", worst_einstein, cfg.tol)
-            )
-    return out
-
-
-def suite_hierarchy(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        eps = sp.eps
-        worst = {"divergence_derivative": 0.0, "laplacian_tableau": 0.0, "laplacian_divergence": 0.0}
-        for seed in cfg.seed_range():
-            d2 = random_ck(sp, 2, seed).data
-            hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
-            worst["divergence_derivative"] = _worst(
-                worst["divergence_derivative"],
-                _rel(dd, np.transpose(hess, (0, 2, 1, 3)) - np.transpose(hess, (0, 2, 3, 1))),
-            )
-            tab = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
-            worst["laplacian_tableau"] = _worst(worst["laplacian_tableau"], _rel(lap, 0.25 * tab))
-            worst["laplacian_divergence"] = _worst(
-                worst["laplacian_divergence"], _rel(lap, dd - np.transpose(dd, (1, 0, 2, 3)))
-            )
-        for key in sorted(worst):
-            out.append(CheckRecord(f"hierarchy/n{sp.dim}/{key}", worst[key], cfg.tol))
-
-        kernel = _hess_kernel_stack(sp)
-        if len(kernel):
-            worst_chain = 0.0
-            rng = np.random.default_rng(cfg.base_seed)
-            for _ in range(min(cfg.seeds, len(kernel))):
-                d2 = kernel.combine(rng.standard_normal(len(kernel)))
-                scale = max(float(np.linalg.norm(d2)), 1.0)
-                worst_chain = _worst(
-                    worst_chain,
-                    float(np.linalg.norm(_div_der(d2, eps))) / scale,
-                    float(np.linalg.norm(_rough_lap(d2, eps))) / scale,
-                )
-            out.append(CheckRecord(f"hierarchy/n{sp.dim}/vanishing_chain", worst_chain, cfg.tol))
-    return out
-
-
-def suite_tilde(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        worst_lap = 0.0
-        for seed in cfg.seed_range():
-            j = random_two_jet(sp, seed)
-            lap = jet_traces(j)[2].data
-            SS = star_action(j.R, j.R).data
-            worst_lap = _worst(worst_lap, _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * SS))
-        out.append(CheckRecord(f"tilde/n{sp.dim}/rough_laplacian_80_16", worst_lap, cfg.tol))
-
-        worst_keys: dict[str, float] = {}
-        for seed in cfg.seed_range():
-            for name in ("assoc_hessian_expansion", "assoc_hessian_difference"):
-                for key, v in verify_identity(name, sp, seed).items():
-                    if key in _REPORT_ONLY:
-                        continue
-                    full = f"{name}/{key}"
-                    worst_keys[full] = _worst(worst_keys.get(full, 0.0), v)
-        for key in sorted(worst_keys):
-            out.append(CheckRecord(f"tilde/n{sp.dim}/{key}", worst_keys[key], cfg.tol))
-    return out
-
-
-def suite_embed(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
+    prefix = f"weitzenbock/n{sp.dim}"
+    worst = _worst_over(cfg, residuals)
+    out = [CheckRecord(f"{prefix}/{key}", v, cfg.tol) for key, v in worst.items()]
+    draws = _kernel_draws(cfg, sp)
+    if draws:  # the einstein form needs a flat Ricci hessian
         n = sp.dim
-        eps = sp.eps
-        worst_hess, worst_lap = 0.0, 0.0
-        for seed in cfg.seed_range():
-            S = _ricci_flat_input(sp, seed)
-            hat = hat_embed(S).data
-            pair = np.transpose(S.data, (0, 2, 1, 3)) + np.transpose(S.data, (0, 2, 3, 1))
-            worst_hess = _worst(worst_hess, _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair))
-            worst_lap = _worst(worst_lap, _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S.data))
-        out.append(CheckRecord(f"embed/n{n}/hessian_constant", worst_hess, cfg.tol))
-        out.append(CheckRecord(f"embed/n{n}/laplacian_constant", worst_lap, cfg.tol))
-
-        for name in ("embed_trace_22", "embed_trace_32", "embed_trace_inner"):
-            worst = 0.0
-            for seed in cfg.seed_range():
-                worst = _worst(worst, verify_identity(name, sp, seed)["residual"])
-            out.append(CheckRecord(f"embed/n{n}/{name}", worst, cfg.tol))
+        zero4, zero5 = Tensor(sp, np.zeros((n,) * 4)), Tensor(sp, np.zeros((n,) * 5))
+        forms = (TwoJet(zero4, zero5, Tensor(sp, d2)) for d2 in draws)
+        worst_form = _worst(0.0, *(weitzenbock_special(j)["einstein_form"] for j in forms))
+        out.append(CheckRecord(f"{prefix}/einstein_form", worst_form, cfg.tol))
     return out
 
 
-def suite_einstein(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        disagreements = 0
-        worst_defect = 0.0
-        worst_display = 0.0
-        for seed in cfg.seed_range():
-            j = _einstein_jet(sp, seed)
-            verdict, rep = einstein_check(j)
-            disagreements += not _verdicts_agree(verdict, rep)
-            worst_defect = _worst(worst_defect, *rep.values())
+def suite_hierarchy(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    eps = sp.eps
 
-            tilde_hess = tilde_ops(j)[0].data
-            SS = star_action(j.R, j.R).data
-            display = -4.0 * (
-                np.transpose(SS, (0, 2, 1, 3)) + np.transpose(SS, (0, 2, 3, 1))
-            )
-            worst_display = _worst(worst_display, _rel(tilde_hess, display))
+    def residuals(seed: int) -> dict[str, float]:
+        d2 = random_ck(sp, 2, seed).data
+        hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
+        tab = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
+        return {
+            "divergence_derivative": _rel(
+                dd, np.transpose(hess, (0, 2, 1, 3)) - np.transpose(hess, (0, 2, 3, 1))
+            ),
+            "laplacian_tableau": _rel(lap, 0.25 * tab),
+            "laplacian_divergence": _rel(lap, dd - np.transpose(dd, (1, 0, 2, 3))),
+        }
 
-            bad = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
-            disagreements += not _verdicts_agree(*einstein_check(bad))
-        total = 2 * len(cfg.seed_range())
-        out.append(
-            CheckRecord(f"einstein/n{sp.dim}/verdict_agreement", disagreements / total, cfg.tol)
+    prefix = f"hierarchy/n{sp.dim}"
+    out = _records(cfg, prefix, _worst_over(cfg, residuals))
+    draws = _kernel_draws(cfg, sp)
+    if draws:
+        chain = _worst(
+            0.0,
+            *(
+                float(np.linalg.norm(trace(d2, eps))) / max(float(np.linalg.norm(d2)), 1.0)
+                for d2 in draws
+                for trace in (_div_der, _rough_lap)
+            ),
         )
-        out.append(CheckRecord(f"einstein/n{sp.dim}/extension_defect", worst_defect, cfg.tol))
-        out.append(CheckRecord(f"einstein/n{sp.dim}/trace_display", worst_display, cfg.tol))
+        out.append(CheckRecord(f"{prefix}/vanishing_chain", chain, cfg.tol))
     return out
 
 
-def suite_fit(cfg: RunConfig) -> list[CheckRecord]:
+def suite_tilde(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    def residual(seed: int) -> dict[str, float]:
+        j = random_two_jet(sp, seed)
+        lap = jet_traces(j)[2].data
+        SS = star_action(j.R, j.R).data
+        return {"rough_laplacian_80_16": _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * SS)}
+
+    out = _records(cfg, f"tilde/n{sp.dim}", _worst_over(cfg, residual))
+    for name in ("assoc_hessian_difference", "assoc_hessian_expansion"):
+        out += _records(cfg, f"tilde/n{sp.dim}/{name}", _identity_worst(cfg, sp, name))
+    return out
+
+
+def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    n = sp.dim
+    eps = sp.eps
+
+    def residuals(seed: int) -> dict[str, float]:
+        S = _ricci_flat_input(sp, seed)
+        hat = hat_embed(S).data
+        pair = np.transpose(S.data, (0, 2, 1, 3)) + np.transpose(S.data, (0, 2, 3, 1))
+        return {
+            "hessian_constant": _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair),
+            "laplacian_constant": _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S.data),
+        }
+
+    out = _records(cfg, f"embed/n{n}", _worst_over(cfg, residuals))
+    for name in ("embed_trace_22", "embed_trace_32", "embed_trace_inner"):
+        worst = _identity_worst(cfg, sp, name)["residual"]
+        out.append(CheckRecord(f"embed/n{n}/{name}", worst, cfg.tol))
+    return out
+
+
+def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    agreement: list[bool] = []  # one entry per checked jet, not a maximum
+
+    def residuals(seed: int) -> dict[str, float]:
+        j = _einstein_jet(sp, seed)
+        verdict, rep = einstein_check(j)
+        tilde_hess = tilde_ops(j)[0].data
+        SS = star_action(j.R, j.R).data
+        display = -4.0 * (np.transpose(SS, (0, 2, 1, 3)) + np.transpose(SS, (0, 2, 3, 1)))
+        bad = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
+        agreement.extend((_verdicts_agree(verdict, rep), _verdicts_agree(*einstein_check(bad))))
+        return {
+            "extension_defect": _worst(*rep.values()),
+            "trace_display": _rel(tilde_hess, display),
+        }
+
+    prefix = f"einstein/n{sp.dim}"
+    worst = _worst_over(cfg, residuals)
+    disagreement = agreement.count(False) / len(agreement)
+    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol)]
+    return out + _records(cfg, prefix, worst)
+
+
+def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    n = sp.dim
+    g = sp.metric_tensor()
+    zero5 = Tensor(sp, np.zeros((n,) * 5))
+    zero6 = Tensor(sp, np.zeros((n,) * 6))
+
+    def corollary(j: TwoJet, fit: JacobiFit) -> dict[str, float]:
+        # the eigenvalue corollary applies only where the Jacobi relation fits
+        return {"corollary": _eigenvalue_gap(j, fit.c)} if fit.residual < 1e-9 else {}
+
+    def seeded(seed: int) -> dict[str, float]:
+        j = _einstein_jet(sp, seed)
+        return corollary(j, fit_jacobi_relation(j))
+
+    worst_family, worst_corollary = 0.0, 0.0
+    for lam in (1.0, -2.0, 0.5):
+        j = TwoJet(lam * kn_pair(g, g), zero5, zero6)
+        fit = fit_jacobi_relation(j)
+        worst_family = _worst(worst_family, abs(fit.c), fit.residual)
+        worst_corollary = _worst(worst_corollary, *corollary(j, fit).values())
+    worst_corollary = _worst(worst_corollary, *_worst_over(cfg, seeded).values())
+    return [
+        CheckRecord(f"fit/n{n}/symmetric_family", worst_family, cfg.tol),
+        CheckRecord(f"fit/n{n}/corollary", worst_corollary, 10.0 * cfg.tol),
+    ]
+
+
+def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    n = sp.dim
+    expected = n * n * (n * n - 1) // 12
+    gap = abs(len(_ck_stack(n, 0)) - expected)
+    out = [CheckRecord(f"dimensions/n{n}/c0_rank", float(gap), cfg.tol)]
+    for m in (2, 3, 4):
+        basis = _nk_stack(n, m)
+        gap = abs(len(basis) - len(_ck_stack(n, m - 2)))
+        out.append(CheckRecord(f"dimensions/n{n}/nk_matches_ck_m{m}", float(gap), cfg.tol))
+        # one basis vector unpacked and one image at a time: the unpacked
+        # basis or a list of images would each hold 15625 x 420 floats at n=5
+        cols = np.empty((n ** (m + 2), len(basis)))
+        for c, row in enumerate(basis.rows):
+            b = basis.unpack(row)
+            cols[:, c] = kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel()
+        rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
+        out.append(
+            CheckRecord(f"dimensions/n{n}/kulkarni_kernel_m{m}", float(len(basis) - rank), cfg.tol)
+        )
+    return out
+
+
+def suite_metric(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    def residuals(seed: int) -> dict[str, float]:
+        _, res = validate_two_jet(curvature_two_jet(random_poly_metric(sp, seed)))
+        R = random_ck(sp, 0, seed)
+        dR = random_ck(sp, 1, seed + 30_000)
+        back = curvature_two_jet(seed_metric(R, dR))
+        return {
+            "jet_validity": _worst(*res.values()),
+            "seed_round_trip": _worst(_rel(back.R.data, R.data), _rel(back.dR.data, dR.data)),
+        }
+
+    return _records(cfg, f"metric/n{sp.dim}", _worst_over(cfg, residuals))
+
+
+def suite_identities(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     out = []
-    for sp in cfg.spaces():
-        n = sp.dim
-        g = sp.metric_tensor()
-        zero5 = Tensor(sp, np.zeros((n,) * 5))
-        zero6 = Tensor(sp, np.zeros((n,) * 6))
-        worst_family, worst_corollary = 0.0, 0.0
-        for lam in (1.0, -2.0, 0.5):
-            j = TwoJet(lam * kn_pair(g, g), zero5, zero6)
-            fit = fit_jacobi_relation(j)
-            worst_family = _worst(worst_family, abs(fit.c), fit.residual)
-            if fit.residual < 1e-9:
-                worst_corollary = _worst(worst_corollary, _eigenvalue_gap(j, fit.c))
-        for seed in cfg.seed_range():
-            j = _einstein_jet(sp, seed)
-            fit = fit_jacobi_relation(j)
-            if fit.residual < 1e-9:
-                worst_corollary = _worst(worst_corollary, _eigenvalue_gap(j, fit.c))
-        out.append(CheckRecord(f"fit/n{n}/symmetric_family", worst_family, cfg.tol))
-        out.append(CheckRecord(f"fit/n{n}/corollary", worst_corollary, 10.0 * cfg.tol))
+    for name in identity_names():
+        out += _records(cfg, f"identities/n{sp.dim}/{name}", _identity_worst(cfg, sp, name))
     return out
 
 
-def suite_dimensions(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        n = sp.dim
-        expected = n * n * (n * n - 1) // 12
-        gap = abs(len(_ck_stack(n, 0)) - expected)
-        out.append(CheckRecord(f"dimensions/n{n}/c0_rank", float(gap), cfg.tol))
-        for m in (2, 3, 4):
-            basis = _nk_stack(n, m)
-            out.append(
-                CheckRecord(
-                    f"dimensions/n{n}/nk_matches_ck_m{m}",
-                    float(abs(len(basis) - len(_ck_stack(n, m - 2)))),
-                    cfg.tol,
-                )
-            )
-            # one basis vector unpacked and one image at a time: the unpacked
-            # basis or a list of images would each hold 15625 x 420 floats at n=5
-            cols = np.empty((n ** (m + 2), len(basis)))
-            for c, row in enumerate(basis.rows):
-                b = basis.unpack(row)
-                cols[:, c] = kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel()
-            rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
-            out.append(
-                CheckRecord(
-                    f"dimensions/n{n}/kulkarni_kernel_m{m}",
-                    float(len(basis) - rank),
-                    cfg.tol,
-                )
-            )
-    return out
-
-
-def suite_metric(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        n = sp.dim
-        worst_valid = 0.0
-        worst_trip = 0.0
-        for seed in cfg.seed_range():
-            j = curvature_two_jet(random_poly_metric(sp, seed))
-            _, res = validate_two_jet(j)
-            worst_valid = _worst(worst_valid, *res.values())
-            R = random_ck(sp, 0, seed)
-            dR = random_ck(sp, 1, seed + 30_000)
-            back = curvature_two_jet(seed_metric(R, dR))
-            worst_trip = _worst(
-                worst_trip, _rel(back.R.data, R.data), _rel(back.dR.data, dR.data)
-            )
-        out.append(CheckRecord(f"metric/n{n}/jet_validity", worst_valid, cfg.tol))
-        out.append(CheckRecord(f"metric/n{n}/seed_round_trip", worst_trip, cfg.tol))
-    return out
-
-
-def suite_identities(cfg: RunConfig) -> list[CheckRecord]:
-    out = []
-    for sp in cfg.spaces():
-        for name in identity_names():
-            worst: dict[str, float] = {}
-            for seed in cfg.seed_range():
-                for key, v in verify_identity(name, sp, seed).items():
-                    if key in _REPORT_ONLY:
-                        continue
-                    worst[key] = _worst(worst.get(key, 0.0), v)
-            for key in sorted(worst):
-                out.append(
-                    CheckRecord(f"identities/n{sp.dim}/{name}/{key}", worst[key], cfg.tol)
-                )
-    return out
-
-
-_SUITES: dict[str, Callable[[RunConfig], list[CheckRecord]]] = {
+_SUITES: dict[str, Callable[[RunConfig, Space], list[CheckRecord]]] = {
     "eigenvalue": suite_eigenvalue,
     "star": suite_star,
     "weitzenbock": suite_weitzenbock,
@@ -432,5 +395,6 @@ def run_suites(names: list[str], cfg: RunConfig) -> list[CheckRecord]:
     records: list[CheckRecord] = []
     with run_scope():
         for name in selected:
-            records.extend(_SUITES[name](cfg))
+            for sp in cfg.spaces():
+                records.extend(_SUITES[name](cfg, sp))
     return records

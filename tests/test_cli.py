@@ -156,6 +156,21 @@ class TestCommonOptions:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--dim", "1"],
+            ["metric", "--dim", "0"],
+            ["gen", "--signature", "1"],
+            ["metric", "--signature", "1"],
+        ],
+    )
+    def test_dimension_below_two_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     @pytest.mark.parametrize("tol", ["-1", "nan"])
     def test_bad_tolerance_is_usage_error(self, tol, capsys):
         with pytest.raises(SystemExit) as exc:

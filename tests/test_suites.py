@@ -1,6 +1,7 @@
 """Check suites: run scope, NaN-propagating aggregation, suite independence."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from curvjet.spaces import Space, run_scope
 from curvjet.suites import _einstein_jet, _worst, make_config, run_suites, suite_names
 
 E3 = Space(3)
+# record names of a default `curvjet check`, in report order
+CHECK_RECORDS = Path(__file__).resolve().parents[1] / "perfbench/reference/check_records.txt"
 
 
 @pytest.fixture(scope="module")
@@ -60,7 +63,7 @@ class TestRunSuites:
         run_suites(["star"], make_config(dim=3, seeds=1))
         assert spaces._MEMO is None
 
-        def boom(cfg):
+        def boom(cfg, sp):
             raise RuntimeError("suite failed")
 
         monkeypatch.setitem(suites._SUITES, "star", boom)
@@ -78,3 +81,7 @@ class TestRunSuites:
         cfg, everything = three_seeds
         expected = [r for r in everything if r.name.startswith(f"{name}/")]
         assert expected and run_suites([name], cfg) == expected
+
+    def test_default_record_names_and_order(self):
+        expected = CHECK_RECORDS.read_text().split()
+        assert [r.name for r in run_suites(["all"], make_config())] == expected
