@@ -10,6 +10,7 @@ With these, sum_j eps_j R_{x,e_j}e_j = Ric x, and the star action on a
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -124,21 +125,55 @@ def decompose(R: Tensor) -> Decomposition:
     return Decomposition(scalar_part, ricci_part, weyl_part)
 
 
+@lru_cache(maxsize=None)
+def _slot_plans(v: int, width: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """(perm, inverse) for each group of ``width`` slots of a valence-v tensor.
+
+    Groups come in lexicographic order; perm brings the group to the front,
+    in its own order, ahead of the remaining slots, and inverse undoes it.
+    """
+    plans = []
+    for group in itertools.combinations(range(v), width):
+        perm = group + tuple(s for s in range(v) if s not in group)
+        plans.append((perm, tuple(perm.index(s) for s in range(v))))
+    return tuple(plans)
+
+
+def _slot_sum(
+    M: np.ndarray, a: np.ndarray, width: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Sum over every group of ``width`` slots of a of M applied in those slots.
+
+    M has shape lead + (n**width, n**width): its last axis contracts the
+    group's slots (row-major) and its second-to-last fills them.  Each group
+    costs one matrix product, M @ a.transpose(perm).reshape(n**width, -1),
+    whose result is transposed back and added, group by group in
+    lexicographic order, into out (shape lead + a.shape; zeros when None).
+    """
+    lead = M.shape[:-2]
+    if out is None:
+        out = np.zeros(lead + a.shape, dtype=np.result_type(M, a))
+    M2 = M.reshape(-1, M.shape[-1])
+    front = tuple(range(len(lead)))
+    for perm, inverse in _slot_plans(a.ndim, width):
+        moved = a.transpose(perm)
+        term = (M2 @ moved.reshape(M.shape[-1], -1)).reshape(lead + moved.shape)
+        out += term.transpose(front + tuple(len(lead) + s for s in inverse))
+    return out
+
+
 def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
-    """Derivation action of a skew endomorphism: (B.A) = -sum_m A(.., B y_m, ..)."""
+    """Derivation action of a skew endomorphism: (B.A) = -sum_m A(.., B y_m, ..).
+
+    -W, with W[b, a] = (B e_b)^a, is applied in every slot m of A by one
+    matrix product on a copy of A with slot m in front (``_slot_sum``).
+    """
     if B.valence != 2:
         raise ValueError("skew_action needs a valence-2 form")
     if float(np.linalg.norm(B.data + B.data.T)) > tol * max(B.norm(), 1e-300):
         raise ValueError("form is not antisymmetric")
-    if A.valence == 0:
-        return Tensor(A.space, np.zeros(()))
-    eps = A.space.eps
-    W = B.data * eps[None, :]  # W[b,a] = eps_a B(e_b, e_a) = (B e_b)^a
-    out = np.zeros_like(A.data)
-    for m in range(A.valence):
-        term = np.tensordot(A.data, W, axes=([m], [1]))
-        out += np.moveaxis(term, -1, m)
-    return Tensor(A.space, -out)
+    W = B.data * A.space.eps[None, :]  # W[b,a] = eps_a B(e_b, e_a) = (B e_b)^a
+    return Tensor(A.space, _slot_sum(-W, A.data, 1))
 
 
 def _pair_kernel(R: Tensor) -> np.ndarray:
@@ -168,39 +203,31 @@ def star_action(R: Tensor, A: Tensor) -> Tensor:
         einsum("..q..r..,adqr->..a..d..", A, M)   with q, a at slot i and r, d at m,
 
     M as in _pair_kernel.  The terms of (i, m) and (m, i) are summed as one
-    contraction against K = M + M^T per unordered pair.  A 1-form maps to
+    contraction against K = M + M^T per unordered pair.  Each slot, then each
+    unordered pair i < m, costs one matrix product (``_slot_sum``), and all
+    terms go into one accumulator in that order.  A 1-form maps to
     alpha o Ric.
     """
     if R.valence != 4:
         raise ValueError("star_action needs a valence-4 curvature tensor")
     if R.space != A.space:
         raise ValueError("mismatched spaces")
-    v = A.valence
-    if v == 0:
-        return Tensor(A.space, np.zeros(()))
-    E = _ric_endo(R)
-    K = _pair_kernel(R)
-    out = np.zeros_like(A.data)
-    # Ricci terms: out[.., b at i, ..] = sum_a A[.., a at i, ..] E[b, a]
-    for i in range(v):
-        out += np.moveaxis(np.tensordot(A.data, E, axes=([i], [1])), -1, i)
-    for i in range(v):
-        for m in range(i + 1, v):
-            term = np.tensordot(A.data, K, axes=([i, m], [2, 3]))
-            out += np.moveaxis(term, (-2, -1), (i, m))
+    n = A.space.dim
+    out = _slot_sum(_ric_endo(R), A.data, 1)
+    _slot_sum(_pair_kernel(R).reshape(n * n, n * n), A.data, 2, out)
     return Tensor(A.space, out)
 
 
 def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
-    """D[a, b, ...] = (R_{e_a, e_b} . T)(...), batched over all plane pairs."""
+    """D[a, b, ...] = (R_{e_a, e_b} . T)(...), batched over all plane pairs.
+
+    The endomorphisms R_{e_a,e_b} ride along as the leading axes (a, b) of one
+    matrix product per slot of T (``_slot_sum``).
+    """
     if R.valence != 4:
         raise ValueError("pair_derivation needs a valence-4 curvature tensor")
     K = R.data * R.space.eps  # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
-    out = np.zeros((R.space.dim,) * 2 + T.data.shape)
-    for m in range(T.valence):
-        # axes (a, b, u) + T's axes without m; u moves to slot m
-        out -= np.moveaxis(np.tensordot(K, T.data, axes=([3], [m])), 2, m + 2)
-    return out
+    return _slot_sum(-K, T.data, 1)
 
 
 def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:

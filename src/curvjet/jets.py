@@ -44,7 +44,7 @@ from .spaces import (
     tensor_to_dict,
 )
 from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
-from .young import _ck_stack, _second_bianchi_cycle, ck_residuals, young_apply
+from .young import _ck_stack, ck_residuals, young_apply
 
 __all__ = [
     "TwoJet",
@@ -253,6 +253,37 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
     return ut, vs, pairs, pk
 
 
+@lru_cache(maxsize=None)
+def _cycle_gather(n: int) -> np.ndarray:
+    """Flat indices, shape (3, P), of the three terms of the Bianchi cycle at ``pk.rep``.
+
+    Row t holds the entry that the t-th term of ``_second_bianchi_cycle(d, 1, 2)``
+    reads at each packed representative (a, x, y, z, u, v): d at (a, x, y, z),
+    (a, z, x, y) and (a, y, z, x), each followed by (u, v).
+    """
+    pk = _h_solver(n)[3]
+    a, x, y, z, u, v = np.unravel_index(pk.rep, pk.shape)
+    index = np.stack(
+        [
+            np.ravel_multi_index((a, p, q, r, u, v), pk.shape)
+            for p, q, r in ((x, y, z), (z, x, y), (y, z, x))
+        ]
+    )
+    index.flags.writeable = False
+    return index
+
+
+def _packed_cycle(d: np.ndarray) -> np.ndarray:
+    """``pk.pack(_second_bianchi_cycle(d, 1, 2).ravel())`` without the full cycle.
+
+    The three terms are gathered at the packed entries and added in the
+    order the full cycle adds them, so the result is the same to the bit.
+    """
+    n = d.shape[0]
+    terms = d.ravel()[_cycle_gather(n)]
+    return (terms[0] + terms[1] + terms[2]) * _h_solver(n)[3].weight
+
+
 def _particular_d2(R: Tensor) -> np.ndarray:
     """A second derivative over R meeting every two-jet constraint; any other differs by C_2.
 
@@ -261,9 +292,8 @@ def _particular_d2(R: Tensor) -> np.ndarray:
     """
     basis0 = _ck_stack(R.space.dim, 0)
     particular = 0.5 * pair_derivation(R, R)
-    ut, vs, pairs, pk = _h_solver(R.space.dim)
-    cycle = _second_bianchi_cycle(particular, 1, 2)
-    coeff = (vs @ (ut @ -pk.pack(cycle.ravel()))).reshape(-1, len(basis0))
+    ut, vs, pairs, _ = _h_solver(R.space.dim)
+    coeff = (vs @ (ut @ -_packed_cycle(particular))).reshape(-1, len(basis0))
     return particular + basis0.combine(coeff[pairs])
 
 

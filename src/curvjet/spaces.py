@@ -339,4 +339,6 @@ def tensor_from_dict(doc: dict) -> Tensor:
     space = Space(int(doc["dim"]), tuple(int(s) for s in doc["signature"]))
     v = int(doc["valence"])
     data = np.array(doc["data"], dtype=float).reshape((space.dim,) * v)
+    if not np.isfinite(data).all():
+        raise ValueError("tensor data must be finite")
     return Tensor(space, data)

@@ -313,6 +313,22 @@ class TestDocumentLoading:
         assert captured.err.startswith("error: ") and message in captured.err
         assert "valid" not in captured.out
 
+    @pytest.mark.parametrize("command", ["fit", "extend"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_tensor_fails_with_one_error_line(self, tmp_path, command, value, capsys):
+        jet = symmetric_jet(1.0)
+        doc = two_jet_to_dict(jet) if command == "fit" else one_jet_doc(jet.R, jet.dR)
+        doc["R"]["data"][1] = value
+        path = tmp_path / "jet.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "finite" in lines[0] and captured.out == ""
+
 
 class TestLeadingMinusSignature:
     # "--signature -1,1,1,1" must reach --signature as its value, not be read

@@ -368,12 +368,59 @@ def star_action_per_ordered_pair(R: Tensor, A: Tensor) -> np.ndarray:
     return out
 
 
-@pytest.mark.parametrize("signature", [(1, 1, 1), (-1, 1, 1, 1), (1, 1, -1, -1, 1)])
-@pytest.mark.parametrize("valence", [2, 4, 6])
+def pair_derivation_per_slot(R: Tensor, T: Tensor) -> np.ndarray:
+    """Reference (R_{e_a,e_b} . T): one einsum per slot of T."""
+    K = np.einsum("abuc,c->abuc", R.data, R.space.eps)
+    v = T.valence
+    out = np.zeros((R.space.dim,) * 2 + T.data.shape)
+    base = "cdefghij"[:v]
+    for m in range(v):
+        sub_in = base[:m] + "z" + base[m + 1 :]
+        out -= np.einsum(f"{sub_in},xy{base[m]}z->xy{base}", T.data, K)
+    return out
+
+
+def skew_action_per_slot(B: Tensor, A: Tensor) -> np.ndarray:
+    """Reference (B.A): one einsum per slot of A."""
+    W = np.einsum("ba,a->ba", B.data, B.space.eps)
+    v = A.valence
+    out = np.zeros_like(A.data)
+    base = "abcdefgh"[:v]
+    for m in range(v):
+        sub_in = base[:m] + "z" + base[m + 1 :]
+        out -= np.einsum(f"{sub_in},{base[m]}z->{base}", A.data, W)
+    return out
+
+
+SLOT_SIGNATURES = [(1, 1, 1), (-1, 1, 1, 1), (1, 1, -1, -1, 1)]
+SLOT_CASES = [(sig, v) for sig in SLOT_SIGNATURES for v in range(7 if len(sig) < 5 else 6)]
+SLOT_IDS = [f"{sig}-v{v}" for sig, v in SLOT_CASES]
+
+
+def close_to(got: np.ndarray, ref: np.ndarray) -> bool:
+    return np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("signature", SLOT_SIGNATURES)
+@pytest.mark.parametrize("valence", [0, 1, 2, 3, 4, 5, 6])
 def test_star_action_matches_per_ordered_pair_reference(signature, valence):
     sp = Space(len(signature), signature)
     R = random_ck(sp, 0, 5)
     A = random_tensor(sp, valence, 6)
-    ref = star_action_per_ordered_pair(R, A)
-    got = star_action(R, A).data
-    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert close_to(star_action(R, A).data, star_action_per_ordered_pair(R, A))
+
+
+@pytest.mark.parametrize("signature, valence", SLOT_CASES, ids=SLOT_IDS)
+def test_pair_derivation_matches_per_slot_reference(signature, valence):
+    sp = Space(len(signature), signature)
+    R = random_ck(sp, 0, 5)
+    T = random_tensor(sp, valence, 6)
+    assert close_to(pair_derivation(R, T), pair_derivation_per_slot(R, T))
+
+
+@pytest.mark.parametrize("signature, valence", SLOT_CASES, ids=SLOT_IDS)
+def test_skew_action_matches_per_slot_reference(signature, valence):
+    sp = Space(len(signature), signature)
+    B = random_skew(sp, 7)
+    A = random_tensor(sp, valence, 6)
+    assert close_to(skew_action(B, A).data, skew_action_per_slot(B, A))

@@ -22,6 +22,7 @@ from curvjet.jets import (
     _extension_solver,
     _h_solver,
     _hess_ric,
+    _packed_cycle,
     _parallel_ricci_dirs,
     einstein_check,
     einstein_extend,
@@ -583,6 +584,13 @@ class TestPackedPath:
         target = -_second_bianchi_cycle(0.5 * pair_derivation(j.R, j.R), 1, 2).ravel()
         expect = vs @ (pk.unpack(ut) @ target)
         assert rel(vs @ (ut @ pk.pack(target)), expect) <= 1e-13
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_gathered_cycle_equals_the_packed_full_cycle(self, n):
+        R = random_ck(Space(n), 0, 9)
+        d = 0.5 * pair_derivation(R, R)
+        expect = _h_solver(n)[3].pack(_second_bianchi_cycle(d, 1, 2).ravel())
+        assert np.array_equal(_packed_cycle(d), expect)
 
 
 class TestBatchedSliceChecks:
