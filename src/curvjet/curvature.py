@@ -126,47 +126,53 @@ def decompose(R: Tensor) -> Decomposition:
 
 
 @lru_cache(maxsize=None)
-def _slot_plans(v: int, width: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    """(perm, inverse) for each group of ``width`` slots of a valence-v tensor.
+def _slot_plan(shape: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables for every group of ``width`` slots of a tensor of this shape.
 
-    Groups come in lexicographic order; perm brings the group to the front,
-    in its own order, ahead of the remaining slots, and inverse undoes it.
+    Groups come in lexicographic order.  Row g of ``moved`` gathers the
+    raveled tensor with group g moved to the back, in its own order, behind
+    the remaining slots.  Row g of ``back`` holds, for each raveled entry of
+    the tensor, its row in the stack of every group's moved layout.
     """
-    plans = []
-    for group in itertools.combinations(range(v), width):
-        perm = group + tuple(s for s in range(v) if s not in group)
-        plans.append((perm, tuple(perm.index(s) for s in range(v))))
-    return tuple(plans)
+    v, size = len(shape), math.prod(shape)
+    flat = np.arange(size).reshape(shape)
+    moved = np.array(
+        [
+            flat.transpose(tuple(s for s in range(v) if s not in group) + group).ravel()
+            for group in itertools.combinations(range(v), width)
+        ],
+        dtype=np.intp,
+    ).reshape(-1, size)
+    back = np.argsort(moved, axis=1) + size * np.arange(len(moved))[:, None]
+    moved.flags.writeable = back.flags.writeable = False
+    return moved, back
 
 
-def _slot_sum(
-    M: np.ndarray, a: np.ndarray, width: int, out: np.ndarray | None = None
-) -> np.ndarray:
+def _slot_sum(M: np.ndarray, a: np.ndarray, width: int) -> np.ndarray:
     """Sum over every group of ``width`` slots of a of M applied in those slots.
 
     M has shape lead + (n**width, n**width): its last axis contracts the
-    group's slots (row-major) and its second-to-last fills them.  Each group
-    costs one matrix product, M @ a.transpose(perm).reshape(n**width, -1),
-    whose result is transposed back and added, group by group in
-    lexicographic order, into out (shape lead + a.shape; zeros when None).
+    group's slots (row-major) and its second-to-last fills them.  One gather
+    stacks a copy of a per group with the group at the back, one stacked
+    matrix product applies M to every copy (lead axes last), and one gather
+    brings each product back to the slot order of a; the groups are added
+    in lexicographic order.  The result has shape lead + a.shape.
     """
-    lead = M.shape[:-2]
-    if out is None:
-        out = np.zeros(lead + a.shape, dtype=np.result_type(M, a))
-    M2 = M.reshape(-1, M.shape[-1])
-    front = tuple(range(len(lead)))
-    for perm, inverse in _slot_plans(a.ndim, width):
-        moved = a.transpose(perm)
-        term = (M2 @ moved.reshape(M.shape[-1], -1)).reshape(lead + moved.shape)
-        out += term.transpose(front + tuple(len(lead) + s for s in inverse))
-    return out
+    lead, size = M.shape[:-2], M.shape[-1]
+    moved, back = _slot_plan(a.shape, width)
+    copies = a.ravel()[moved].reshape(len(moved), a.size // size, size)
+    # Mt[c, (f, l)] = M[l, f, c]: the filled slots ahead of the lead axes
+    Mt = M.reshape(-1, size, size).transpose(2, 1, 0).reshape(size, -1)
+    terms = (copies @ Mt).reshape(-1, math.prod(lead))
+    # C order for the result, whose layout every later elementwise op inherits
+    return np.ascontiguousarray(np.take(terms, back, axis=0).sum(axis=0).T).reshape(lead + a.shape)
 
 
 def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
     """Derivation action of a skew endomorphism: (B.A) = -sum_m A(.., B y_m, ..).
 
-    -W, with W[b, a] = (B e_b)^a, is applied in every slot m of A by one
-    matrix product on a copy of A with slot m in front (``_slot_sum``).
+    -W, with W[b, a] = (B e_b)^a, is applied in every slot of A at once
+    (``_slot_sum``).
     """
     if B.valence != 2:
         raise ValueError("skew_action needs a valence-2 form")
@@ -203,26 +209,25 @@ def star_action(R: Tensor, A: Tensor) -> Tensor:
         einsum("..q..r..,adqr->..a..d..", A, M)   with q, a at slot i and r, d at m,
 
     M as in _pair_kernel.  The terms of (i, m) and (m, i) are summed as one
-    contraction against K = M + M^T per unordered pair.  Each slot, then each
-    unordered pair i < m, costs one matrix product (``_slot_sum``), and all
-    terms go into one accumulator in that order.  A 1-form maps to
-    alpha o Ric.
+    contraction against K = M + M^T per unordered pair.  ``_slot_sum`` applies
+    the Ricci endomorphism in every slot, and K in every unordered pair
+    i < m, each as one gather, one stacked matrix product and one gather
+    back; the Ricci terms are added first.  A 1-form maps to alpha o Ric.
     """
     if R.valence != 4:
         raise ValueError("star_action needs a valence-4 curvature tensor")
     if R.space != A.space:
         raise ValueError("mismatched spaces")
     n = A.space.dim
-    out = _slot_sum(_ric_endo(R), A.data, 1)
-    _slot_sum(_pair_kernel(R).reshape(n * n, n * n), A.data, 2, out)
-    return Tensor(A.space, out)
+    ric_terms = _slot_sum(_ric_endo(R), A.data, 1)
+    return Tensor(A.space, ric_terms + _slot_sum(_pair_kernel(R).reshape(n * n, n * n), A.data, 2))
 
 
 def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     """D[a, b, ...] = (R_{e_a, e_b} . T)(...), batched over all plane pairs.
 
-    The endomorphisms R_{e_a,e_b} ride along as the leading axes (a, b) of one
-    matrix product per slot of T (``_slot_sum``).
+    The endomorphisms R_{e_a,e_b} ride along as the leading axes (a, b) of the
+    stacked matrix product of ``_slot_sum`` over the slots of T.
     """
     if R.valence != 4:
         raise ValueError("pair_derivation needs a valence-4 curvature tensor")
@@ -340,7 +345,7 @@ def jacobi_form(T: Tensor) -> SymBiform:
 
 def _nk_defects(t: np.ndarray, m: int) -> np.ndarray:
     """Norm of the symmetrization over the first m+1 slots of each tensor in the batch t."""
-    sym = _group_sum(t, list(range(1, m + 2))) / math.factorial(m + 1)
+    sym = _group_sum(t, [range(m + 1)], lead=1) / math.factorial(m + 1)
     return np.linalg.norm(sym.reshape(len(t), -1), axis=1)
 
 
@@ -355,13 +360,12 @@ def _nk_stack(n: int, m: int) -> PackedRows:
     """Orthonormal basis of N_m in packed coordinates; N_m uses no metric, so n keys it."""
     if m < 2:
         raise ValueError(f"N_m needs degree m >= 2, got {m}")
-    sym, bi = list(range(1, m + 1)), [m + 1, m + 2]
+    sym, bi = tuple(range(m)), (m, m + 1)
 
     def project(batch: np.ndarray) -> np.ndarray:
-        # P A P on axes shifted by the batch axis: P symmetrizes slots 1..m
-        # and slots m+1, m+2, A antisymmetrizes the columns (1, m+1), (2, m+2)
-        out = tableau_sum(batch, sym, bi)
-        return _group_sum(_group_sum(out, sym), bi)
+        # P A P over the leading sample axis: P symmetrizes slots 1..m and
+        # slots m+1, m+2, A antisymmetrizes the columns (1, m+1), (2, m+2)
+        return _group_sum(tableau_sum(batch, sym, bi, lead=1), (sym, bi), lead=1)
 
     basis = image(
         project, packing(n, (("sym", m), ("sym", 2))), hook_content_dim(n, m - 2)

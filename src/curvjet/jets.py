@@ -257,9 +257,10 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
 def _cycle_gather(n: int) -> np.ndarray:
     """Flat indices, shape (3, P), of the three terms of the Bianchi cycle at ``pk.rep``.
 
-    Row t holds the entry that the t-th term of ``_second_bianchi_cycle(d, 1, 2)``
-    reads at each packed representative (a, x, y, z, u, v): d at (a, x, y, z),
-    (a, z, x, y) and (a, y, z, x), each followed by (u, v).
+    Row t holds the entry that the t-th term of the cycle over the inner
+    derivative slot and c_1, c_2 (axes 1, 2, 3) reads at each packed
+    representative (a, x, y, z, u, v): d at (a, x, y, z), (a, z, x, y) and
+    (a, y, z, x), each followed by (u, v).
     """
     pk = _h_solver(n)[3]
     a, x, y, z, u, v = np.unravel_index(pk.rep, pk.shape)
@@ -274,10 +275,11 @@ def _cycle_gather(n: int) -> np.ndarray:
 
 
 def _packed_cycle(d: np.ndarray) -> np.ndarray:
-    """``pk.pack(_second_bianchi_cycle(d, 1, 2).ravel())`` without the full cycle.
+    """The packed Bianchi cycle of d over axes (1, 2, 3), without the full cycle.
 
     The three terms are gathered at the packed entries and added in the
-    order the full cycle adds them, so the result is the same to the bit.
+    order d + d(a, z, x, y) + d(a, y, z, x), so the result equals the packed
+    full cycle to the bit.
     """
     n = d.shape[0]
     terms = d.ravel()[_cycle_gather(n)]

@@ -1,8 +1,12 @@
 """Structured, deterministic reports for the check suites.
 
 One record per check with its residual and threshold; the summary verdict is
-the conjunction.  Bodies carry no timestamps so identical configurations
-produce byte-identical documents that CI can diff across commits.
+the conjunction.  A record also names the loop seed that gave its worst
+residual (``worst_seed``, null when the record is not a worst over seeds) and
+the number of values it reduces (``samples``); ``check --seed <worst_seed>
+--seeds 1`` reproduces that residual.  Bodies carry no timestamps so
+identical configurations produce byte-identical documents that CI can diff
+across commits.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ class CheckRecord:
     name: str
     residual: float
     threshold: float
+    worst_seed: int | None = None
+    samples: int = 1
 
     def __post_init__(self) -> None:
         # numpy scalars would make ``passed`` a numpy bool, which JSON rejects
@@ -32,12 +38,19 @@ class CheckRecord:
     def passed(self) -> bool:
         return self.residual <= self.threshold
 
+    @property
+    def margin(self) -> float:
+        """residual / threshold: below 1 passes, and the smaller the safer."""
+        return self.residual / self.threshold
+
     def to_dict(self) -> dict:
         return {
             "name": self.name,
             "residual": self.residual,
             "threshold": self.threshold,
             "pass": self.passed,
+            "worst_seed": self.worst_seed,
+            "samples": self.samples,
         }
 
 
@@ -67,6 +80,8 @@ class Report:
         lines = []
         for r in self.records:
             mark = "PASS" if r.passed else "FAIL"
+            seed = "-" if r.worst_seed is None else r.worst_seed
             lines.append(f"{mark}  {r.name}  residual {r.residual:.3e}  (<= {r.threshold:.1e})")
+            lines.append(f"      margin {r.margin:.1e}  seed {seed}  samples {r.samples}")
         lines.append(f"summary: {'PASS' if self.passed else 'FAIL'} ({len(self.records)} checks)")
         return "\n".join(lines) + "\n"

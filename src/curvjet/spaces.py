@@ -105,20 +105,18 @@ class Tensor:
 class SymBiform:
     """Valence m+2 tensor, symmetric in the first m slots and in the last two.
 
-    Symmetry is enforced on construction by averaging, so instances are exact
-    fixed points of the two symmetrizations.
+    Symmetry is enforced on construction by averaging over each orbit of
+    the two slot groups, so every entry of an orbit holds the same value.
     """
 
     def __init__(self, space: Space, m: int, tensor: Tensor):
         if m < 0 or tensor.valence != m + 2:
             raise ValueError(f"need valence m+2 = {m + 2}, got {tensor.valence}")
-        t = tensor
-        if m > 1:
-            t = symmetrize(t, tuple(range(1, m + 1)))
-        t = symmetrize(t, (m + 1, m + 2))
+        # both symmetrizations in one orbit sum; groups of < 2 slots are trivial
+        summed = _group_sum(tensor.data, (tuple(range(m)), (m, m + 1)))
         self.space = space
         self.m = m
-        self.tensor = t
+        self.tensor = Tensor(space, summed / (2 * math.factorial(m)))
 
     @property
     def valence(self) -> int:
@@ -165,27 +163,65 @@ def permute(t: Tensor, perm) -> Tensor:
     return Tensor(t.space, np.transpose(t.data, axes=[k - 1 for k in p]))
 
 
-def _group_sum(data: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Unnormalized sum over all permutations of the given (0-based) axes.
+@functools.lru_cache(maxsize=None)
+def _orbit_plan(
+    n: int, valence: int, groups: tuple[tuple[int, ...], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit ids and weights of the permutations of disjoint axis groups.
 
-    Uses the coset recursion  S_m = S_{m-1} ∘ (e + Σ_{j<m} (j m)), applying the
-    transposition layer for the largest m first; m! terms cost O(m²) passes.
+    The orbit id of an entry is the flat index of its canonical entry, the
+    multi-index with each group's indices sorted.  ``weight`` is zero off
+    the canonical entries and prod(|group|!) / |orbit| on them: the number
+    of group elements that map an entry of the orbit to any given one.
     """
-    out = data
-    for m in range(len(axes), 1, -1):
-        acc = out.copy()
-        for j in range(m - 1):
-            acc += np.swapaxes(out, axes[j], axes[m - 1])
-        out = acc
-    return out
+    idx = np.indices((n,) * valence).reshape(valence, -1)
+    for g in groups:
+        idx[list(g)] = np.sort(idx[list(g)], axis=0)
+    ids = np.ravel_multi_index(tuple(idx), (n,) * valence)
+    size = math.prod(math.factorial(len(g)) for g in groups)
+    counts = np.bincount(ids, minlength=len(ids))
+    weight = np.divide(size, counts, out=np.zeros(len(ids)), where=counts > 0)
+    ids.flags.writeable = weight.flags.writeable = False
+    return ids, weight
+
+
+def _orbit_sums(data: np.ndarray, ids: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Weighted orbit sums of each raveled tensor in data, batch axis last: (len(ids), rows).
+
+    Entry i of row r goes to bin ids[i] * rows + r, so one ``bincount``
+    sums every tensor of the batch, each in the same order as alone.
+    """
+    size = len(ids)
+    flat = data.reshape(-1, size)
+    rows = len(flat)
+    bins = ids * rows + np.arange(rows)[:, None]
+    sums = np.bincount(bins.ravel(), flat.ravel(), size * rows).reshape(size, rows)
+    return sums * weight[:, None]
+
+
+def _group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
+    """Unnormalized sum over all permutations of several disjoint axis groups.
+
+    ``data`` holds tensors on its trailing axes after ``lead`` batch axes;
+    each group lists 0-based axes of the tensor.  Every entry of an orbit
+    receives the same value, (prod |group|!) / |orbit| times the orbit's
+    sum: one ``bincount`` over the orbit ids of ``_orbit_plan`` and one
+    gather back.
+    """
+    plan = tuple(tuple(int(a) for a in g) for g in groups)
+    ids, weight = _orbit_plan(data.shape[-1], data.ndim - lead, plan)
+    return np.take(_orbit_sums(data, ids, weight), ids, axis=0).T.reshape(data.shape)
 
 
 def symmetrize(t: Tensor, slots) -> Tensor:
-    """Average over all permutations of the listed (1-based) slots."""
+    """Average over all permutations of the listed (1-based) slots.
+
+    Each entry becomes the mean of its orbit (``_group_sum`` over one group).
+    """
     sl = _check_slots(t.valence, slots)
     if not sl:
         raise ValueError("slots must be non-empty")
-    summed = _group_sum(t.data, [s - 1 for s in sl])
+    summed = _group_sum(t.data, [[s - 1 for s in sl]])
     return Tensor(t.space, summed / math.factorial(len(sl)))
 
 

@@ -16,8 +16,8 @@ an antisymmetric one) scaled by the square root of the orbit size, so
 packing is an isometry from the class onto R^P, and unpacking spreads each
 packed value back over its orbit with the permutation signs.  ``image``
 runs its SVD on the packed images: it first checks that the images lie in
-the declared class (unpacking the packed images must give them back to
-``RTOL``) and raises RuntimeError otherwise.  The rank gate and cutoff are
+the declared class (``Packing.pack_checked``: unpacking the packed images
+must give them back to ``RTOL``) and raises RuntimeError otherwise.  The rank gate and cutoff are
 those of the unpacked SVD, whose singular values the packed one shares.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
 whose images have no symmetry.  The rows stay packed (``PackedRows``):
@@ -27,7 +27,6 @@ result is spread back to all n^v entries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterator
@@ -44,8 +43,10 @@ RTOL = 1e-10
 _OVERSAMPLE = 8
 
 # bytes of unpacked tensors per chunk: per call of the sampled map in
-# ``image``, and per stack of ``PackedRows.unpacked_chunks``
-_CHUNK_BYTES = 1 << 22
+# ``image``, and per stack of ``PackedRows.unpacked_chunks``; the index-plan
+# kernels hold a few chunk-sized temporaries (up to nine permuted copies in
+# the C_k defect check), so chunks are kept small
+_CHUNK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +74,20 @@ class Packing:
         out = packed[..., self.index]
         out *= self.coef
         return out
+
+    def pack_checked(self, flat: np.ndarray) -> np.ndarray:
+        """``pack`` of raveled tensors claimed to lie in the class.
+
+        Raises RuntimeError unless unpacking gives them back to ``RTOL``,
+        relative to their joint norm.
+        """
+        packed = self.pack(flat)
+        gap = float(np.linalg.norm(self.unpack(packed) - flat))
+        scale = float(np.linalg.norm(flat))
+        ratio = gap / (scale if scale > 0.0 else 1.0)
+        if not ratio <= RTOL:
+            raise RuntimeError(f"tensors leave their symmetry class: relative gap {ratio:.3e}")
+        return packed
 
 
 def _group_table(n: int, kind: str, size: int):
@@ -184,15 +199,9 @@ def image(
     # the map runs on chunks of samples, so the unpacked images are never
     # held all at once; the draws are those of a single call
     packed = np.empty((count, len(pk.rep)))
-    gap = scale = 0.0
     for rows in np.array_split(np.arange(count), _chunk_count(count, pk)):
         images = apply(rng.standard_normal((len(rows),) + pk.shape)).reshape(len(rows), -1)
-        packed[rows] = pk.pack(images)
-        gap += float(np.linalg.norm(pk.unpack(packed[rows]) - images)) ** 2
-        scale += float(np.linalg.norm(images)) ** 2
-    ratio = math.sqrt(gap / (scale if scale > 0.0 else 1.0))
-    if not ratio <= RTOL:
-        raise RuntimeError(f"image leaves its symmetry class: relative gap {ratio:.3e}")
+        packed[rows] = pk.pack_checked(images)
     _, s, vt = np.linalg.svd(packed, full_matrices=False)
     s = np.append(s, 0.0)  # s[rank] exists even if rank is the ambient dimension
     if not (s[rank - 1] > RTOL * s[0] and s[rank] <= RTOL * s[0]):

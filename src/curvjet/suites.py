@@ -2,11 +2,14 @@
 
 A suite maps a run configuration and one space to records, each summarizing
 one identity at one dimension.  A record that is the worst residual over the
-configured seeds comes from ``_worst_over``, so a NaN on any seed fails it;
-only ``einstein/*/verdict_agreement`` (a share of verdicts), ``fit/*`` (which
-adds a fixed family of symmetric jets) and ``dimensions/*`` (no seeds) are
-reduced otherwise.  The default configuration covers dimensions 3 and 4 with
-25 seeds; full mode widens to dimension 5 and 100 seeds for nightly runs.
+configured seeds comes from ``_worst_over``, so a NaN on any seed fails it,
+and it keeps the loop seed of that worst value and the number of seeds
+reduced; only ``einstein/*/verdict_agreement`` (a share of verdicts),
+``fit/*`` (which adds a fixed family of symmetric jets), the kernel-draw
+records and ``dimensions/*`` (no seeds) are reduced otherwise, and carry no
+seed unless a seeded value is their worst.  The default configuration covers
+dimensions 3 and 4 with 25 seeds; full mode widens to dimension 5 and 100
+seeds for nightly runs.
 ``run_suites`` runs each suite on every configured space and holds one run
 scope (``spaces.run_scope``) open throughout, so each seeded input is built
 once per run and shared.
@@ -46,6 +49,7 @@ from .jets import (
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
 from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope
+from .subspace import packing
 from .young import _ck_stack, random_ck, young_apply, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites"]
@@ -123,24 +127,51 @@ def make_config(
     return RunConfig(dims, signature, count, seed, tol, full)
 
 
-def _worst_over(cfg: RunConfig, residuals: Callable[[int], dict[str, float]]) -> dict[str, float]:
+@dataclass(frozen=True)
+class Worst:
+    """Worst value of one residual key, the loop seed that gave it, and the sample count."""
+
+    value: float
+    seed: int | None
+    samples: int
+
+    def record(self, name: str, threshold: float) -> CheckRecord:
+        return CheckRecord(name, self.value, threshold, self.seed, self.samples)
+
+
+def _worst_over(cfg: RunConfig, residuals: Callable[[int], dict[str, float]]) -> dict[str, Worst]:
     """Worst value of each residual key over the configured seeds.
 
     Keys keep their first-seen order; a NaN on any seed makes its key NaN.
+    The seed kept is the loop seed (not a suite's offset seed) of the first
+    NaN, or else of the first largest value.
     """
-    worst: dict[str, float] = {}
+    worst: dict[str, Worst] = {}
     for seed in cfg.seed_range():
         for key, v in residuals(seed).items():
-            worst[key] = _worst(worst.get(key, 0.0), v)
+            found = Worst(_worst(0.0, v), seed, 1)
+            worst[key] = _merge(worst[key], found) if key in worst else found
     return worst
 
 
-def _records(cfg: RunConfig, prefix: str, worst: dict[str, float]) -> list[CheckRecord]:
+def _merge(a: Worst, b: Worst) -> Worst:
+    """The worse of a and then b: b wins only over a non-NaN a, if NaN or larger."""
+    later = not math.isnan(a.value) and (math.isnan(b.value) or b.value > a.value)
+    top = b if later else a
+    return Worst(top.value, top.seed, a.samples + b.samples)
+
+
+def _records(cfg: RunConfig, prefix: str, worst: dict[str, Worst]) -> list[CheckRecord]:
     """One record per key of ``worst``, in sorted key order."""
-    return [CheckRecord(f"{prefix}/{key}", worst[key], cfg.tol) for key in sorted(worst)]
+    return [worst[key].record(f"{prefix}/{key}", cfg.tol) for key in sorted(worst)]
 
 
-def _identity_worst(cfg: RunConfig, sp: Space, name: str) -> dict[str, float]:
+def _draws_worst(values: list[float]) -> Worst:
+    """Worst of values that come from no loop seed (fixed families, kernel draws)."""
+    return Worst(_worst(0.0, *values), None, len(values))
+
+
+def _identity_worst(cfg: RunConfig, sp: Space, name: str) -> dict[str, Worst]:
     """Worst residuals of a registered identity, without its report-only keys."""
 
     def residuals(seed: int) -> dict[str, float]:
@@ -184,7 +215,7 @@ def suite_star(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     )
     # ricci_trace is the relative difference that ricci_of_star returns
     return _records(cfg, f"star/n{sp.dim}", worst) + [
-        CheckRecord(f"star/n{sp.dim}/ricci_of_star", worst["ricci_trace"], cfg.tol)
+        worst["ricci_trace"].record(f"star/n{sp.dim}/ricci_of_star", cfg.tol)
     ]
 
 
@@ -199,14 +230,14 @@ def suite_weitzenbock(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
     prefix = f"weitzenbock/n{sp.dim}"
     worst = _worst_over(cfg, residuals)
-    out = [CheckRecord(f"{prefix}/{key}", v, cfg.tol) for key, v in worst.items()]
+    out = [w.record(f"{prefix}/{key}", cfg.tol) for key, w in worst.items()]
     draws = _kernel_draws(cfg, sp)
     if draws:  # the einstein form needs a flat Ricci hessian
         n = sp.dim
         zero4, zero5 = Tensor(sp, np.zeros((n,) * 4)), Tensor(sp, np.zeros((n,) * 5))
         forms = (TwoJet(zero4, zero5, Tensor(sp, d2)) for d2 in draws)
-        worst_form = _worst(0.0, *(weitzenbock_special(j)["einstein_form"] for j in forms))
-        out.append(CheckRecord(f"{prefix}/einstein_form", worst_form, cfg.tol))
+        worst_form = _draws_worst([weitzenbock_special(j)["einstein_form"] for j in forms])
+        out.append(worst_form.record(f"{prefix}/einstein_form", cfg.tol))
     return out
 
 
@@ -229,15 +260,14 @@ def suite_hierarchy(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     out = _records(cfg, prefix, _worst_over(cfg, residuals))
     draws = _kernel_draws(cfg, sp)
     if draws:
-        chain = _worst(
-            0.0,
-            *(
+        chain = _draws_worst(
+            [
                 float(np.linalg.norm(trace(d2, eps))) / max(float(np.linalg.norm(d2)), 1.0)
                 for d2 in draws
                 for trace in (_div_der, _rough_lap)
-            ),
+            ]
         )
-        out.append(CheckRecord(f"{prefix}/vanishing_chain", chain, cfg.tol))
+        out.append(chain.record(f"{prefix}/vanishing_chain", cfg.tol))
     return out
 
 
@@ -270,7 +300,7 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     out = _records(cfg, f"embed/n{n}", _worst_over(cfg, residuals))
     for name in ("embed_trace_22", "embed_trace_32", "embed_trace_inner"):
         worst = _identity_worst(cfg, sp, name)["residual"]
-        out.append(CheckRecord(f"embed/n{n}/{name}", worst, cfg.tol))
+        out.append(worst.record(f"embed/n{n}/{name}", cfg.tol))
     return out
 
 
@@ -293,7 +323,7 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     prefix = f"einstein/n{sp.dim}"
     worst = _worst_over(cfg, residuals)
     disagreement = agreement.count(False) / len(agreement)
-    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol)]
+    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, len(agreement))]
     return out + _records(cfg, prefix, worst)
 
 
@@ -311,16 +341,19 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         j = _einstein_jet(sp, seed)
         return corollary(j, fit_jacobi_relation(j))
 
-    worst_family, worst_corollary = 0.0, 0.0
+    family, family_corollary = [], []
     for lam in (1.0, -2.0, 0.5):
         j = TwoJet(lam * kn_pair(g, g), zero5, zero6)
         fit = fit_jacobi_relation(j)
-        worst_family = _worst(worst_family, abs(fit.c), fit.residual)
-        worst_corollary = _worst(worst_corollary, *corollary(j, fit).values())
-    worst_corollary = _worst(worst_corollary, *_worst_over(cfg, seeded).values())
+        family += [abs(fit.c), fit.residual]
+        family_corollary += corollary(j, fit).values()
+    worst_corollary = _merge(
+        _draws_worst(family_corollary),
+        _worst_over(cfg, seeded).get("corollary", Worst(0.0, None, 0)),
+    )
     return [
-        CheckRecord(f"fit/n{n}/symmetric_family", worst_family, cfg.tol),
-        CheckRecord(f"fit/n{n}/corollary", worst_corollary, 10.0 * cfg.tol),
+        _draws_worst(family).record(f"fit/n{n}/symmetric_family", cfg.tol),
+        worst_corollary.record(f"fit/n{n}/corollary", 10.0 * cfg.tol),
     ]
 
 
@@ -333,12 +366,15 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         basis = _nk_stack(n, m)
         gap = abs(len(basis) - len(_ck_stack(n, m - 2)))
         out.append(CheckRecord(f"dimensions/n{n}/nk_matches_ck_m{m}", float(gap), cfg.tol))
-        # one basis vector unpacked and one image at a time: the unpacked
-        # basis or a list of images would each hold 15625 x 420 floats at n=5
-        cols = np.empty((n ** (m + 2), len(basis)))
+        # Kulkarni images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2,
+        # where packing is an isometry: the rank is taken on packed columns
+        # (1500 x 420 at n=5, m=4, against 15625 x 420 unpacked), one basis
+        # vector unpacked at a time
+        pk = packing(n, (("sym", m - 2), ("alt", 2), ("alt", 2)))
+        cols = np.empty((len(pk.rep), len(basis)))
         for c, row in enumerate(basis.rows):
             b = basis.unpack(row)
-            cols[:, c] = kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel()
+            cols[:, c] = pk.pack_checked(kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel())
         rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
         out.append(
             CheckRecord(f"dimensions/n{n}/kulkarni_kernel_m{m}", float(len(basis) - rank), cfg.tol)

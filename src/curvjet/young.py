@@ -6,6 +6,13 @@ curvature-first: labels 1..4 are the curvature slots c_1..c_4 and labels
 5..k+4 are the derivative slots d_1..d_k.  Row 1 holds labels {1,3,5,...,k+4},
 row 2 holds {2,4}; the columns are {1,2} and {3,4}.  Row and column sums are
 unnormalized group sums (no 1/|group| factors).
+
+Every slot permutation here runs through a cached index plan, keyed by the
+dimension, the valence and the slot groups, never by the batch length: the
+row sums are one ``bincount`` of orbit sums (``spaces._group_sum``), the
+column antisymmetrization is one signed gather of those sums, and the C_k
+symmetry defects are one gather of the permuted copies, one signed matrix
+product and one batched norm.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, Tensor, _group_sum, memoized
+from .spaces import Space, Tensor, _orbit_plan, _orbit_sums, memoized
 from .subspace import PackedRows, image, packing
 
 __all__ = [
@@ -30,22 +37,41 @@ __all__ = [
 ]
 
 
-def _alt_sum(data: np.ndarray, i: int, j: int) -> np.ndarray:
-    return data - np.swapaxes(data, i, j)
+@lru_cache(maxsize=None)
+def _tableau_plan(
+    n: int, valence: int, row1: tuple[int, ...], row2: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbit ids and weights of the row group, and the signed column table.
+
+    Row s of ``table`` reads, for every entry, the orbit id of the entry
+    with the columns of the set bits of s swapped; ``signs[s]`` is
+    (-1)^(number of set bits).
+    """
+    ids, weight = _orbit_plan(n, valence, (row1, row2))
+    swapped = [np.arange(n**valence).reshape((n,) * valence)]
+    for i, j in zip(row1, row2):
+        swapped += [t.swapaxes(i, j) for t in swapped]
+    table = ids[np.array([t.ravel() for t in swapped])]
+    signs = np.array([(-1.0) ** bin(s).count("1") for s in range(len(swapped))])
+    table.flags.writeable = signs.flags.writeable = False
+    return ids, weight, table, signs
 
 
-def tableau_sum(data: np.ndarray, row1: list[int], row2: list[int]) -> np.ndarray:
+def tableau_sum(data: np.ndarray, row1, row2, lead: int = 0) -> np.ndarray:
     """Apply the unnormalized two-row tableau symmetrizer on the given axes.
 
-    Rows are summed first, then the columns (the leading pairs of (row1,
-    row2)) are antisymmetrized; this order gives the eigenvalue 12 on
-    g KN g at k=0.
+    ``data`` holds tensors on its trailing axes after ``lead`` batch axes;
+    the rows list 0-based axes of the tensor.  Rows are summed first, then
+    the columns (the leading pairs of (row1, row2)) are antisymmetrized;
+    this order gives the eigenvalue 12 on g KN g at k=0.  The row sums are
+    weighted orbit sums (one ``bincount``) and the column antisymmetrization
+    is one signed gather of them over the 2^c swap patterns of c columns.
     """
-    out = _group_sum(data, row1)
-    out = _group_sum(out, row2)
-    for i, j in zip(row1, row2):
-        out = _alt_sum(out, i, j)
-    return out
+    row1, row2 = tuple(int(a) for a in row1), tuple(int(a) for a in row2)
+    ids, weight, table, signs = _tableau_plan(data.shape[-1], data.ndim - lead, row1, row2)
+    terms = np.take(_orbit_sums(data, ids, weight), table, axis=0)
+    # the batch axis is last (see ``_orbit_sums``); move it back to the front
+    return (signs @ terms.reshape(len(signs), -1)).reshape(terms.shape[1:]).T.reshape(data.shape)
 
 
 def _label_axes(k: int) -> tuple[list[int], list[int]]:
@@ -91,44 +117,61 @@ def hook_content_dim(n: int, k: int) -> int:
     return contents // int(young_eigenvalue(k))
 
 
-def _second_bianchi_cycle(d: np.ndarray, a: int, c: int) -> np.ndarray:
-    """d plus its two cyclic images over axes (a, c, c+1)."""
-    v = d.ndim
-    ax = list(range(v))
-    ax1 = list(ax)
-    ax1[a], ax1[c], ax1[c + 1] = ax[c], ax[c + 1], ax[a]
-    ax2 = list(ax)
-    ax2[a], ax2[c], ax2[c + 1] = ax[c + 1], ax[a], ax[c]
-    return d + np.transpose(d, ax1) + np.transpose(d, ax2)
+@lru_cache(maxsize=None)
+def _defect_plan(n: int, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Names, permuted-copy gather table and signed combination of the C_k defects.
+
+    On a valence k+4 tensor d (derivative slots first, curvature slot 1 at
+    axis c = k), row t of ``table`` gathers the t-th distinct permuted copy
+    of d (the identity first), and defect i is ``signs[i] @ copies``.
+    """
+    v, c = k + 4, k
+
+    def perm(images: dict[int, int]) -> tuple[int, ...]:
+        # the copy reads source axis images[axis] at each listed axis
+        return tuple(images.get(axis, axis) for axis in range(v))
+
+    d = perm({})
+    defects = {
+        "antisym_12": {d: 1.0, perm({c: c + 1, c + 1: c}): 1.0},
+        "antisym_34": {d: 1.0, perm({c + 2: c + 3, c + 3: c + 2}): 1.0},
+        "pair_symmetry": {d: 1.0, perm({c: c + 2, c + 1: c + 3, c + 2: c, c + 3: c + 1}): -1.0},
+        # first Bianchi: cyclic images over curvature slots (2, 3, 4)
+        "first_bianchi": {
+            d: 1.0,
+            perm({c + 1: c + 2, c + 2: c + 3, c + 3: c + 1}): 1.0,
+            perm({c + 1: c + 3, c + 2: c + 1, c + 3: c + 2}): 1.0,
+        },
+    }
+    if k >= 1:
+        # second Bianchi: cyclic images over (last derivative slot, c_1, c_2)
+        a = c - 1
+        defects["second_bianchi"] = {
+            d: 1.0,
+            perm({a: c, c: c + 1, c + 1: a}): 1.0,
+            perm({a: c + 1, c: a, c + 1: c}): 1.0,
+        }
+    if k == 2:
+        defects["derivative_symmetry"] = {d: 0.5, perm({0: 1, 1: 0}): -0.5}
+    copies = list(dict.fromkeys(p for terms in defects.values() for p in terms))
+    signs = np.array([[terms.get(p, 0.0) for p in copies] for terms in defects.values()])
+    flat = np.arange(n**v).reshape((n,) * v)
+    table = np.array([flat.transpose(p).ravel() for p in copies])
+    table.flags.writeable = signs.flags.writeable = False
+    return tuple(defects), table, signs
 
 
 def _ck_defects(d: np.ndarray, k: int, b: int) -> dict[str, np.ndarray]:
-    """Norms of the C_k symmetry defects of each slice over the b leading axes of d."""
-    lead = list(range(b + k))
-    c = b + k  # axis of curvature slot 1
+    """Norms of the C_k symmetry defects of each slice over the b leading axes of d.
 
-    def norms(x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(x.shape[:b] + (-1,))
-        # one fused pass per slice; NaN and inf propagate as in np.linalg.norm
-        return np.sqrt(np.einsum("...i,...i->...", flat, flat))
-
-    res = {
-        "antisym_12": norms(d + np.swapaxes(d, c, c + 1)),
-        "antisym_34": norms(d + np.swapaxes(d, c + 2, c + 3)),
-        "pair_symmetry": norms(d - np.transpose(d, lead + [c + 2, c + 3, c, c + 1])),
-        # first Bianchi: cyclic sum over curvature slots (2,3,4)
-        "first_bianchi": norms(
-            d
-            + np.transpose(d, lead + [c, c + 2, c + 3, c + 1])
-            + np.transpose(d, lead + [c, c + 3, c + 1, c + 2])
-        ),
-    }
-    if k >= 1:
-        # second Bianchi: cyclic sum over (last derivative slot, c_1, c_2)
-        res["second_bianchi"] = norms(_second_bianchi_cycle(d, c - 1, c))
-    if k == 2:
-        res["derivative_symmetry"] = norms(d - 0.5 * (d + np.swapaxes(d, b, b + 1)))
-    return res
+    One gather of the permuted copies of every slice, one signed matrix
+    product and one batched norm; a NaN or inf stays in its own slice.
+    """
+    names, table, signs = _defect_plan(d.shape[-1], k)
+    # per slice: the same gather, matrix product and norm as a lone tensor
+    defects = signs @ np.take(d.reshape(-1, table.shape[1]), table, axis=1)
+    norms = np.sqrt(np.einsum("bdi,bdi->db", defects, defects))
+    return {name: norms[i].reshape(d.shape[:b]) for i, name in enumerate(names)}
 
 
 def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
@@ -174,11 +217,11 @@ def _ck_stack(n: int, k: int) -> PackedRows:
     if n**v > _BASIS_AMBIENT_LIMIT:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
     row1, row2 = _label_axes(k)
-    # batched symmetrizer: same tableau on axes shifted by the batch axis; its
-    # images are symmetric in the derivative slots and antisymmetric in each
-    # curvature pair, so they are packed as Sym^k (x) L^2 (x) L^2
+    # batched symmetrizer over the leading sample axis; its images are
+    # symmetric in the derivative slots and antisymmetric in each curvature
+    # pair, so they are packed as Sym^k (x) L^2 (x) L^2
     basis = image(
-        lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
+        lambda batch: tableau_sum(batch, row1, row2, lead=1),
         packing(n, (("sym", k), ("alt", 2), ("alt", 2))),
         hook_content_dim(n, k),
     )

@@ -70,7 +70,8 @@ class TestCheck:
         doc = json.loads(a.read_text())
         assert doc["pass"] is True
         assert doc["config"]["base_seed"] == 7
-        assert all(set(c) == {"name", "residual", "threshold", "pass"} for c in doc["checks"])
+        keys = {"name", "residual", "threshold", "pass", "worst_seed", "samples"}
+        assert all(set(c) == keys for c in doc["checks"])
 
     def test_all_suites_end_to_end(self, capsys):
         code = main(["check", "--suite", "all", "--dim", "4", "--seed", "7", "--seeds", "1"])
@@ -99,6 +100,29 @@ class TestCheck:
             main(["check"] + argv)
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("suite", ["star", "metric"])
+    def test_worst_seed_reproduces_the_worst_residual(self, suite, capsys):
+        argv = ["check", "--suite", suite, "--dim", "3", "--format", "json"]
+        assert main(argv + ["--seed", "3", "--seeds", "4"]) == 0
+        records = json.loads(capsys.readouterr().out)["checks"]
+        seeded = [r for r in records if r["worst_seed"] is not None]
+        assert seeded and all(r["samples"] >= 1 for r in records)
+        for seed in sorted({r["worst_seed"] for r in seeded}):
+            assert main(argv + ["--seed", str(seed), "--seeds", "1"]) == 0
+            again = {r["name"]: r for r in json.loads(capsys.readouterr().out)["checks"]}
+            for r in seeded:
+                if r["worst_seed"] == seed:
+                    assert again[r["name"]]["residual"] == r["residual"]
+
+    def test_text_report_prints_the_margin(self, capsys):
+        code = main(["check", "--suite", "eigenvalue", "--dim", "3", "--seeds", "2"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and lines[0].startswith("PASS  eigenvalue/n3/k0  residual ")
+        margin = lines[1].split()
+        residual, threshold = float(lines[0].split()[3]), float(lines[0].split()[5][:-1])
+        assert [margin[0], margin[2], margin[4]] == ["margin", "seed", "samples"]
+        assert float(margin[1]) == pytest.approx(residual / threshold, rel=0.1)
 
     def test_json_format(self, capsys):
         code = main(

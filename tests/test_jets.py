@@ -42,7 +42,7 @@ from curvjet.jets import (
     weitzenbock_special,
 )
 from curvjet.spaces import Space, Tensor, metric_trace, random_tensor, sym_product
-from curvjet.young import _ck_stack, _second_bianchi_cycle, basis_Ck, random_ck, young_apply
+from curvjet.young import _ck_stack, basis_Ck, random_ck, young_apply
 
 E3 = Space(3)
 E4 = Space(4)
@@ -50,6 +50,14 @@ E4 = Space(4)
 
 def rel(a: np.ndarray, b: np.ndarray) -> float:
     return np.linalg.norm(a - b) / max(np.linalg.norm(a), np.linalg.norm(b), 1.0)
+
+
+def _second_bianchi_cycle(d: np.ndarray, a: int, c: int) -> np.ndarray:
+    """Reference: d plus its two cyclic images over axes (a, c, c+1), by transposes."""
+    ax1, ax2 = list(range(d.ndim)), list(range(d.ndim))
+    ax1[a], ax1[c], ax1[c + 1] = c, c + 1, a
+    ax2[a], ax2[c], ax2[c + 1] = c + 1, a, c
+    return d + np.transpose(d, ax1) + np.transpose(d, ax2)
 
 
 def zero_jet(sp: Space) -> TwoJet:
@@ -487,7 +495,6 @@ class TestCompactSolvers:
     def test_h_solver_matches_pinv(self, sp):
         from curvjet.jets import _h_solver
         from curvjet.subspace import RTOL
-        from curvjet.young import _ck_stack, _second_bianchi_cycle
 
         n, stack0 = sp.dim, _ck_stack(sp.dim, 0).unpacked()
         ut, vs, pairs, pk = _h_solver(sp.dim)

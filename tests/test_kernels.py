@@ -1,0 +1,157 @@
+"""Index-plan kernels against explicit permutation sums and transpose formulas."""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+from curvjet.curvature import _slot_sum
+from curvjet.jets import TwoJet, random_two_jet, validate_two_jet
+from curvjet.spaces import Space, Tensor, _group_sum
+from curvjet.young import _ck_defects, _label_axes, random_ck, tableau_sum
+
+
+def _permuted(data: np.ndarray, axes, images, lead: int) -> np.ndarray:
+    """data with tensor axis images[i] read at tensor axis axes[i]."""
+    perm = list(range(data.ndim))
+    for a, b in zip(axes, images):
+        perm[lead + a] = lead + b
+    return data.transpose(perm)
+
+
+def _explicit_group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
+    out = np.zeros_like(data)
+    for images in itertools.product(*(itertools.permutations(g) for g in groups)):
+        axes = [a for g in groups for a in g]
+        out += _permuted(data, axes, [b for img in images for b in img], lead)
+    return out
+
+
+def _repeated_index_tensor(n: int, v: int, seed: int) -> np.ndarray:
+    """Random tensor whose nonzero entries all have a repeated index."""
+    data = np.random.default_rng(seed).standard_normal((n,) * v)
+    for idx in np.ndindex(data.shape):
+        if len(set(idx)) == v:
+            data[idx] = 0.0
+    return data
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+def test_group_sum_matches_the_permutation_sum(n, v):
+    data = np.random.default_rng(v).standard_normal((n,) * v)
+    for groups in ([list(range(v))], [[0, v - 1]], [[v - 1, 0, 1][: min(v, 3)]]):
+        expect = _explicit_group_sum(data, groups)
+        assert np.abs(_group_sum(data, groups) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_group_sum_on_repeated_indices_and_several_groups(n):
+    data = _repeated_index_tensor(n, 5, 1)
+    for groups in ([[0, 1, 2]], [[0, 2], [1, 3, 4]], [[4, 1], [0, 3]]):
+        expect = _explicit_group_sum(data, groups)
+        assert np.abs(_group_sum(data, groups) - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def test_group_sum_over_a_leading_batch_axis():
+    batch = np.random.default_rng(2).standard_normal((5, 3, 3, 3, 3))
+    groups = [[0, 1], [2, 3]]
+    got = _group_sum(batch, groups, lead=1)
+    assert np.abs(got - _explicit_group_sum(batch, groups, lead=1)).max() <= 1e-13
+    # each tensor of the batch is summed as it would be alone, to the bit
+    assert all(np.array_equal(got[i], _group_sum(batch[i], groups)) for i in range(5))
+
+
+def _explicit_tableau(data: np.ndarray, row1, row2, lead: int = 0) -> np.ndarray:
+    """Signed column sum over the column group of the row-group sum."""
+    rows = _explicit_group_sum(data, [row1, row2], lead)
+    out = np.zeros_like(data)
+    columns = list(zip(row1, row2))
+    for subset in itertools.product((False, True), repeat=len(columns)):
+        axes = [a for swap, col in zip(subset, columns) if swap for a in col]
+        images = [b for swap, col in zip(subset, columns) if swap for b in col[::-1]]
+        out += (-1) ** sum(subset) * _permuted(rows, axes, images, lead)
+    return out
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("lead", [0, 1])
+def test_tableau_sum_matches_the_signed_row_column_sum(k, lead):
+    row1, row2 = _label_axes(k)
+    data = np.random.default_rng(k).standard_normal((2,) * lead + (3,) * (k + 4))
+    expect = _explicit_tableau(data, row1, row2, lead)
+    got = tableau_sum(data, row1, row2, lead)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+def _transpose_defects(d: np.ndarray, k: int) -> dict[str, float]:
+    """The C_k defects of one tensor, each spelled out with transposes."""
+    c = k
+    lead = list(range(k))
+
+    def cyc(a, b, e):
+        ax1, ax2 = list(range(d.ndim)), list(range(d.ndim))
+        ax1[a], ax1[b], ax1[e] = b, e, a
+        ax2[a], ax2[b], ax2[e] = e, a, b
+        return d + d.transpose(ax1) + d.transpose(ax2)
+
+    out = {
+        "antisym_12": d + np.swapaxes(d, c, c + 1),
+        "antisym_34": d + np.swapaxes(d, c + 2, c + 3),
+        "pair_symmetry": d - d.transpose(lead + [c + 2, c + 3, c, c + 1]),
+        "first_bianchi": cyc(c + 1, c + 2, c + 3),
+    }
+    if k >= 1:
+        out["second_bianchi"] = cyc(c - 1, c, c + 1)
+    if k == 2:
+        out["derivative_symmetry"] = d - 0.5 * (d + np.swapaxes(d, 0, 1))
+    return {name: float(np.linalg.norm(x)) for name, x in out.items()}
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_ck_defects_match_the_transpose_formulas(k):
+    d = np.random.default_rng(k).standard_normal((3,) * (k + 4))
+    got = _ck_defects(d, k, 0)
+    expect = _transpose_defects(d, k)
+    assert list(got) == list(expect)
+    for name, value in expect.items():
+        assert float(got[name]) == pytest.approx(value, rel=1e-14)
+    member = random_ck(Space(3), k, 4).data
+    assert max(float(v) for v in _ck_defects(member, k, 0).values()) <= 1e-13
+
+
+@pytest.mark.parametrize("part", ["dR", "d2R"])
+def test_nan_stays_in_its_slice(part):
+    sp = Space(3)
+    j = random_two_jet(sp, 0)
+    data = getattr(j, part).data.copy()
+    k = data.ndim - 5  # read as C_1 slices over the leading axes
+    data[(1,) * (data.ndim - 4) + (0, 1, 2, 0)] = np.nan
+    batch = data.ndim - (k + 4)
+    res = _ck_defects(data, k, batch)
+    bad = (1,) * batch
+    assert any(np.isnan(v[bad]) for v in res.values())
+    for v in res.values():
+        assert np.isfinite(np.delete(v.ravel(), np.ravel_multi_index(bad, v.shape))).all()
+    jet = TwoJet(**{**{p: getattr(j, p) for p in ("R", "dR", "d2R")}, part: Tensor(sp, data)})
+    ok, residuals = validate_two_jet(jet)
+    assert not ok and math.isnan(residuals["derivative" if part == "dR" else "second_derivative"])
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_slot_sum_matches_the_per_group_einsum(width):
+    n, v = 3, 4
+    rng = np.random.default_rng(width)
+    a = rng.standard_normal((n,) * v)
+    M = rng.standard_normal((2, n**width, n**width))  # one leading axis
+    expect = np.zeros((2,) + a.shape)
+    letters = "abcd"
+    for group in itertools.combinations(range(v), width):
+        out = "".join("XY"[group.index(i)] if i in group else letters[i] for i in range(v))
+        ins = "".join("xy"[: width])
+        Mg = M.reshape((2,) + (n,) * (2 * width))
+        src = "".join("xy"[group.index(i)] if i in group else letters[i] for i in range(v))
+        expect += np.einsum(f"l{'XY'[:width]}{ins},{src}->l{out}", Mg, a)
+    got = _slot_sum(M, a, width)
+    assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()

@@ -154,7 +154,7 @@ def test_packed_c2_spans_the_full_image():
     sp = Space(3)
     row1, row2 = _label_axes(2)
     full = _full_image(
-        lambda batch: tableau_sum(batch, [a + 1 for a in row1], [a + 1 for a in row2]),
+        lambda batch: tableau_sum(batch, row1, row2, lead=1),
         (3,) * 6,
         hook_content_dim(3, 2),
     )
@@ -163,9 +163,9 @@ def test_packed_c2_spans_the_full_image():
 
 def test_packed_n4_spans_the_full_image():
     sp = Space(3)
-    sym, bi = [1, 2, 3, 4], [5, 6]
+    sym, bi = [0, 1, 2, 3], [4, 5]
     full = _full_image(
-        lambda batch: _group_sum(_group_sum(tableau_sum(batch, sym, bi), sym), bi),
+        lambda batch: _group_sum(tableau_sum(batch, sym, bi, lead=1), (sym, bi), lead=1),
         (3,) * 6,
         hook_content_dim(3, 2),
     )

@@ -7,7 +7,14 @@ import pytest
 
 from curvjet import identities, spaces, suites
 from curvjet.spaces import Space, run_scope
-from curvjet.suites import _einstein_jet, _worst, make_config, run_suites, suite_names
+from curvjet.suites import (
+    _einstein_jet,
+    _worst,
+    _worst_over,
+    make_config,
+    run_suites,
+    suite_names,
+)
 
 E3 = Space(3)
 # record names of a default `curvjet check`, in report order
@@ -28,6 +35,28 @@ class TestWorst:
     @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 0.0), (1.0, math.nan, 2.0)])
     def test_nan_propagates(self, values):
         assert math.isnan(_worst(*values))
+
+
+class TestWorstSeed:
+    def test_keeps_the_loop_seed_of_the_first_largest_value(self):
+        cfg = make_config(dim=3, seed=10, seeds=4)
+        values = {10: 1.0, 11: 3.0, 12: 3.0, 13: 2.0}
+        worst = _worst_over(cfg, lambda seed: {"r": values[seed], "s": 0.0})
+        assert (worst["r"].value, worst["r"].seed, worst["r"].samples) == (3.0, 11, 4)
+        assert (worst["s"].value, worst["s"].seed) == (0.0, 10)
+
+    def test_the_first_nan_seed_wins(self):
+        cfg = make_config(dim=3, seed=0, seeds=4)
+        values = [1.0, math.nan, 5.0, math.nan]
+        worst = _worst_over(cfg, lambda seed: {"r": values[seed]})["r"]
+        assert math.isnan(worst.value) and worst.seed == 1
+
+    def test_offset_seeds_report_the_loop_seed(self, three_seeds):
+        cfg, records = three_seeds
+        seeds = set(cfg.seed_range())
+        assert all(r.worst_seed is None or r.worst_seed in seeds for r in records)
+        dims = [r for r in records if r.name.startswith("dimensions/")]
+        assert dims and all(r.worst_seed is None for r in dims)
 
 
 class TestNaNFails:
