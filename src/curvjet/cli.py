@@ -36,7 +36,7 @@ from .polymetric import (
 )
 from .report import Report
 from .spaces import Space, tensor_from_dict, tensor_to_dict
-from .suites import make_config, run_suites, suite_names
+from .suites import make_config, run_suites, run_suites_timed, suite_names
 
 __all__ = ["main"]
 
@@ -158,7 +158,12 @@ def cmd_check(args) -> int:
     except ValueError as exc:
         raise SystemExit2(str(exc)) from exc
     suites = args.suite if args.suite else ["all"]
-    records = run_suites(suites, cfg)
+    if args.timings is None:
+        # perfbench's traced tour wraps cli.run_suites to capture these records
+        records = run_suites(suites, cfg)
+    else:
+        records, timings = run_suites_timed(suites, cfg)
+        _emit(timings, args.timings)
     report = Report(tuple(records), {"suites": suites, **cfg.echo()})
     if args.out is not None:
         with open(args.out, "w") as fh:
@@ -275,6 +280,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_check.add_argument(
         "--seeds", type=int, default=None, help="seed count override (default 25)"
+    )
+    p_check.add_argument(
+        "--timings",
+        default=None,
+        metavar="PATH",
+        help="write the wall seconds of each suite on each space and peak memory to PATH as JSON",
     )
     p_check.set_defaults(func=cmd_check)
 

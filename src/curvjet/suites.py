@@ -10,16 +10,26 @@ records and ``dimensions/*`` (no seeds) are reduced otherwise, and carry no
 seed unless a seeded value is their worst.  The default configuration covers
 dimensions 3 and 4 with 25 seeds; full mode widens to dimension 5 and 100
 seeds for nightly runs.
-``run_suites`` runs each suite on every configured space and holds one run
-scope (``spaces.run_scope``) open throughout, so each seeded input is built
-once per run and shared.
+``run_suites`` runs each selected suite on every configured space.  The run
+scope (``spaces.run_scope``) is per space: ``_space_records`` runs every
+suite on one space inside its own scope, so each seeded input is built once
+per space and shared by the suites, and no input is shared across spaces.
+With two or more spaces and two or more usable CPUs that no BLAS thread
+claims (see ``_pool_size``), the spaces run in forked worker processes,
+largest dimension first; the records are merged in suite-major order (every
+space of a suite, then the next suite), so the report does not depend on
+the worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+import sys
+import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -48,11 +58,11 @@ from .jets import (
 )
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
-from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope
+from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope, space_to_dict
 from .subspace import packing
 from .young import _ck_stack, random_ck, young_apply, young_eigenvalue
 
-__all__ = ["RunConfig", "make_config", "suite_names", "run_suites"]
+__all__ = ["RunConfig", "make_config", "suite_names", "run_suites", "run_suites_timed"]
 
 # keys of verify_identity results that document projection-only raw forms
 _REPORT_ONLY = {"raw_display"}
@@ -422,15 +432,166 @@ def suite_names() -> tuple[str, ...]:
     return tuple(_SUITES) + ("all",)
 
 
-def run_suites(names: list[str], cfg: RunConfig) -> list[CheckRecord]:
-    """Run the named suites in registry order; 'all' expands to every suite."""
+# the variables that set the BLAS thread count, in the order OpenBLAS reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _pool_size(n_spaces: int) -> int:
+    """Worker processes for ``n_spaces`` spaces; 1 means the in-process loop.
+
+    Every worker keeps the BLAS thread count it inherits: one per usable CPU,
+    unless a BLAS thread variable sets it (read as OpenBLAS reads them).  So
+    the pool has one worker per ``blas_threads`` CPUs, and none with the
+    default count: on 2 vCPUs with OpenBLAS, two workers of two BLAS threads
+    each made the default check about 5% and ``--full`` about 14% slower
+    than one process.
+    """
+    cpus = _usable_cpus()
+    blas_threads = cpus
+    for var in _BLAS_THREAD_VARS:
+        value = os.environ.get(var, "")
+        if value.isdigit() and int(value) > 0:
+            blas_threads = min(int(value), cpus)
+            break
+    return max(1, min(n_spaces, cpus // blas_threads))
+
+
+def _maxrss_mb() -> float | None:
+    """Peak resident size of this process so far, in MB; None without ``resource``."""
+    try:
+        import resource
+    except ImportError:  # not on this platform
+        return None
+    per_mb = 1024 * 1024 if sys.platform == "darwin" else 1024  # bytes on macOS, KB elsewhere
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb
+
+
+class _SpaceRun(NamedTuple):
+    """One space's records and wall seconds per suite, and the process that ran it."""
+
+    suites: list[tuple[list[CheckRecord], float]]
+    pid: int
+    maxrss_mb: float | None  # that process's peak resident size after the space
+
+
+def _space_records(cfg: RunConfig, names: list[str], sp: Space) -> _SpaceRun:
+    """Records and wall seconds of each named suite on one space, in one run scope."""
+    out = []
+    with run_scope():
+        for name in names:
+            start = time.perf_counter()
+            records = _SUITES[name](cfg, sp)
+            out.append((records, time.perf_counter() - start))
+    return _SpaceRun(out, os.getpid(), _maxrss_mb())
+
+
+def _fork_pool_map(run, spaces: list[Space], workers: int) -> list | None:
+    """``run`` over ``spaces`` in a pool of forked workers; None where fork is missing.
+
+    The largest dimension goes first, one space per task, so under
+    ``--full`` n=5 starts at once and the smaller spaces share the other
+    worker.  The pool is closed and joined on success and terminated on an
+    error, which reaches the caller with its type and message; no worker
+    outlives the call.
+    """
+    import multiprocessing  # here, not at module level: it adds ~20 ms to `import curvjet`
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    largest_first = sorted(spaces, key=lambda sp: -sp.dim)
+    # a forked child would write the parent's buffered output a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    # fork, not spawn: a spawned worker would import curvjet again (~0.2 s); OpenBLAS
+    # stops its own threads before a fork (its atfork handler)
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        done = pool.map(run, largest_first, chunksize=1)
+    except BaseException:
+        pool.terminate()
+        raise
+    else:
+        pool.close()
+    finally:
+        pool.join()
+    by_space = dict(zip(largest_first, done))
+    return [by_space[sp] for sp in spaces]
+
+
+def _memory(per_space: list[_SpaceRun]) -> dict:
+    """Peak resident sizes of this process and of each process that ran a space.
+
+    ``largest_process_mb`` is what one ``ru_maxrss`` reads; with workers the
+    machine held this process and its workers at once, so ``summed_mb`` adds
+    the peak of each process.  A worker's peak counts the pages it shares
+    with this process since the fork, so the sum bounds the concurrent peak
+    from above and the largest process bounds it from below.
+    """
+    parent = _maxrss_mb()
+    if parent is None:
+        return {}
+    peaks = {os.getpid(): parent}
+    for run in per_space:
+        peaks[run.pid] = max(peaks.get(run.pid, 0.0), run.maxrss_mb)
+    return {
+        "largest_process_mb": max(peaks.values()),
+        "processes": len(peaks),
+        "summed_mb": sum(peaks.values()),
+        "this_process_mb": parent,
+    }
+
+
+def run_suites_timed(names: list[str], cfg: RunConfig) -> tuple[list[CheckRecord], dict]:
+    """The records of ``run_suites`` and a timings document of the run.
+
+    The document holds the wall seconds of each suite on each space, each
+    space's total and peak resident size, the worker count used, the wall
+    seconds of the whole run and the peak resident sizes of its processes
+    (see ``_memory``).  The spaces run in forked worker processes when
+    ``_pool_size`` gives two or more, and in this process otherwise.
+    """
     selected = list(_SUITES) if "all" in names else [n for n in _SUITES if n in names]
     unknown = set(names) - set(_SUITES) - {"all"}
     if unknown:
         raise KeyError(f"unknown suite names: {sorted(unknown)}")
-    records: list[CheckRecord] = []
-    with run_scope():
-        for name in selected:
-            for sp in cfg.spaces():
-                records.extend(_SUITES[name](cfg, sp))
-    return records
+    spaces = cfg.spaces()
+    run = functools.partial(_space_records, cfg, selected)
+    workers = _pool_size(len(spaces))
+    start = time.perf_counter()
+    per_space = _fork_pool_map(run, spaces, workers) if workers > 1 else None
+    if per_space is None:
+        workers, per_space = 1, [run(sp) for sp in spaces]
+    wall = time.perf_counter() - start
+    # suite-major, as one process would run them: every space of a suite, then the next suite
+    records = [r for i in range(len(selected)) for done in per_space for r in done.suites[i][0]]
+    timings = {
+        "maxrss": _memory(per_space),
+        "spaces": [
+            {
+                **space_to_dict(sp),
+                "maxrss_mb": done.maxrss_mb,
+                "suite_s": {name: secs for name, (_, secs) in zip(selected, done.suites)},
+                "total_s": sum(secs for _, secs in done.suites),
+            }
+            for sp, done in zip(spaces, per_space)
+        ],
+        "wall_s": wall,
+        "workers": workers,
+    }
+    return records, timings
+
+
+def run_suites(names: list[str], cfg: RunConfig) -> list[CheckRecord]:
+    """Run the named suites in registry order; 'all' expands to every suite.
+
+    Records come suite by suite, each suite's spaces in configured order.
+    """
+    return run_suites_timed(names, cfg)[0]

@@ -131,6 +131,21 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["pass"] is True
 
+    def test_timings_sidecar_leaves_the_report_alone(self, tmp_path, capsys):
+        def check(name: str, *extra: str) -> tuple[str, bytes]:
+            out = tmp_path / f"{name}.json"
+            argv = ["check", "--suite", "star", "--suite", "metric", "--seeds", "2"]
+            assert main(argv + ["--out", str(out), *extra]) == 0
+            return capsys.readouterr().out, out.read_bytes()
+
+        path = tmp_path / "timings.json"
+        assert check("plain") == check("timed", "--timings", str(path))
+        timings = json.loads(path.read_text())
+        assert [s["dim"] for s in timings["spaces"]] == [3, 4]
+        assert all(set(s["suite_s"]) == {"star", "metric"} for s in timings["spaces"])
+        assert 1 <= timings["workers"] <= 2 and timings["wall_s"] > 0
+        assert timings["maxrss"]["largest_process_mb"] <= timings["maxrss"]["summed_mb"]
+
     def test_json_format_star_suite(self, capsys):
         # star residuals are numpy scalars; the report must still serialize
         code = main(["check", "--suite", "star", "--dim", "3", "--seeds", "1", "--format", "json"])

@@ -1,6 +1,10 @@
 """Check suites: run scope, NaN-propagating aggregation, suite independence."""
 
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +17,7 @@ from curvjet.suites import (
     _worst_over,
     make_config,
     run_suites,
+    run_suites_timed,
     suite_names,
 )
 
@@ -111,6 +116,99 @@ class TestRunSuites:
         expected = [r for r in everything if r.name.startswith(f"{name}/")]
         assert expected and run_suites([name], cfg) == expected
 
-    def test_default_record_names_and_order(self):
+    def test_default_record_names_and_order(self, default_check):
         expected = CHECK_RECORDS.read_text().split()
-        assert [r.name for r in run_suites(["all"], make_config())] == expected
+        assert [r.name for r in default_check] == expected
+
+    def test_n3_corollary_reduces_seeded_jets(self, default_check):
+        # the fixed symmetric family gives 3 values; more means seeded jets fitted
+        corollary = next(r for r in default_check if r.name == "fit/n3/corollary")
+        assert corollary.samples > 3
+
+
+@pytest.fixture(scope="module")
+def default_check():
+    return run_suites(["all"], make_config())
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two usable CPUs and one BLAS thread, so that two spaces get two workers."""
+    monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+class TestWorkers:
+    def test_in_process_loop_matches_the_pool(self, two_cpus, monkeypatch):
+        cfg = make_config(seeds=2)
+        pooled, timings = run_suites_timed(["all"], cfg)
+        assert timings["workers"] == (2 if FORK else 1)
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+        looped, timings = run_suites_timed(["all"], cfg)
+        assert timings["workers"] == 1
+        # record equality covers the name, residual, worst_seed and samples
+        assert looped == pooled
+
+    def test_a_worker_error_reaches_the_caller(self, two_cpus, monkeypatch):
+        def boom(cfg, sp):
+            raise RuntimeError(f"boom at n={sp.dim}")
+
+        monkeypatch.setitem(suites._SUITES, "star", boom)
+        with pytest.raises(RuntimeError, match="boom at n="):
+            run_suites(["eigenvalue", "star"], make_config(seeds=1))
+        assert spaces._MEMO is None
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "cpus, env, workers",
+        [
+            (2, {}, 1),  # the default BLAS thread count takes every CPU
+            (2, {"OPENBLAS_NUM_THREADS": "1"}, 2),
+            (2, {"OMP_NUM_THREADS": "1"}, 2),
+            (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
+            (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
+            (8, {"OPENBLAS_NUM_THREADS": "1"}, 3),  # one worker per space at most
+            (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
+            (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a thread count: the default
+        ],
+    )
+    def test_pool_size_leaves_the_blas_threads_their_cpus(self, monkeypatch, cpus, env, workers):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: cpus)
+        for var in suites._BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in env.items():
+            monkeypatch.setenv(var, value)
+        assert suites._pool_size(3) == workers
+
+    def test_memory_counts_each_process(self, two_cpus):
+        _, timings = run_suites_timed(["eigenvalue"], make_config(seeds=1))
+        memory = timings["maxrss"]
+        # this process and one or two workers: a fast worker may take both spaces
+        assert memory["processes"] in ((2, 3) if FORK else (1,))
+        assert memory["largest_process_mb"] == max(
+            [memory["this_process_mb"]] + [s["maxrss_mb"] for s in timings["spaces"]]
+        )
+        assert memory["largest_process_mb"] <= memory["summed_mb"]
+
+    def test_timings_cover_each_suite_on_each_space(self):
+        records, timings = run_suites_timed(["eigenvalue", "fit"], make_config(dim=3, seeds=1))
+        assert timings["workers"] == 1
+        (space,) = timings["spaces"]
+        assert (space["dim"], space["signature"]) == (3, [1, 1, 1])
+        assert list(space["suite_s"]) == ["eigenvalue", "fit"]
+        assert space["total_s"] == pytest.approx(sum(space["suite_s"].values()))
+        assert [r.name.split("/")[0] for r in records] == ["eigenvalue"] * 3 + ["fit"] * 2
+
+    def test_import_leaves_multiprocessing_out(self):
+        # the pool imports it on demand: at module level it slows every import
+        code = "import sys, curvjet; print('multiprocessing' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(suites.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
