@@ -74,6 +74,15 @@ def kn_pair(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.space, out)
 
 
+@lru_cache(maxsize=None)
+def _kn_metric(space: Space) -> np.ndarray:
+    """g owedge g of the space, ``kn_pair(g, g)``, as a read-only array."""
+    g = space.metric_tensor()
+    out = kn_pair(g, g).data
+    out.flags.writeable = False
+    return out
+
+
 def kulkarni(h: SymBiform) -> Tensor:
     """Generalized Kulkarni-Nomizu product of a degree-m SymBiform (m >= 2).
 
@@ -119,7 +128,7 @@ def decompose(R: Tensor) -> Decomposition:
     g = sp.metric_tensor()
     s = rd.scalar
     ric0 = rd.ric - (s / n) * g
-    scalar_part = (-s / (2.0 * n * (n - 1))) * kn_pair(g, g)
+    scalar_part = Tensor(sp, (-s / (2.0 * n * (n - 1))) * _kn_metric(sp))
     ricci_part = (-1.0 / (n - 2)) * kn_pair(g, ric0)
     weyl_part = R - scalar_part - ricci_part
     return Decomposition(scalar_part, ricci_part, weyl_part)

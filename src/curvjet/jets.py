@@ -23,11 +23,10 @@ from functools import lru_cache
 import numpy as np
 
 from .curvature import (
+    _kn_metric,
     _pair_trace,
     _ricci_rotation_sum,
     decompose,
-    jacobi_form,
-    kn_pair,
     pair_derivation,
     ricci,
     ricci_derivative,
@@ -39,12 +38,18 @@ from .spaces import (
     Tensor,
     _rel,
     memoized,
-    sym_product,
     tensor_from_dict,
     tensor_to_dict,
 )
 from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
-from .young import _ck_stack, ck_residuals, young_apply
+from .young import (
+    _ck_packing,
+    _ck_stack,
+    _packed_young,
+    _packed_young_plan,
+    ck_residuals,
+    young_apply,
+)
 
 __all__ = [
     "TwoJet",
@@ -168,6 +173,20 @@ def _worst_slice(t: Tensor, k: int) -> float:
     return float(np.max(list(ck_residuals(t, k).values())))
 
 
+def _two_jet_residuals(j: TwoJet, rotation: np.ndarray) -> dict[str, float]:
+    """The residuals of ``validate_two_jet``, given the rotation ``pair_derivation(j.R, j.R)``."""
+    d2 = j.d2R.data
+    residuals = {
+        "curvature": _worst_slice(j.R, 0) / max(j.R.norm(), 1.0),
+        "derivative": _worst_slice(j.dR, 1) / max(j.dR.norm(), 1.0),
+        "second_derivative": _worst_slice(j.d2R, 1) / max(j.d2R.norm(), 1.0),
+    }
+    gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
+    ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
+    residuals["ricci_identity"] = float(np.linalg.norm(gap)) / ricci_scale
+    return residuals
+
+
 def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
     """Check the two-jet constraints; returns (passed, residuals).
 
@@ -175,17 +194,7 @@ def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, floa
     slice against the once-differentiated Bianchi identities and globally
     against the Ricci identity.
     """
-    d2 = j.d2R.data
-    residuals = {
-        "curvature": _worst_slice(j.R, 0) / max(j.R.norm(), 1.0),
-        "derivative": _worst_slice(j.dR, 1) / max(j.dR.norm(), 1.0),
-        "second_derivative": _worst_slice(j.d2R, 1) / max(j.d2R.norm(), 1.0),
-    }
-    rotation = pair_derivation(j.R, j.R)
-    gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
-    ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
-    residuals["ricci_identity"] = float(np.linalg.norm(gap)) / ricci_scale
-
+    residuals = _two_jet_residuals(j, pair_derivation(j.R, j.R))
     return all(v <= tol for v in residuals.values()), residuals
 
 
@@ -286,14 +295,15 @@ def _packed_cycle(d: np.ndarray) -> np.ndarray:
     return (terms[0] + terms[1] + terms[2]) * _h_solver(n)[3].weight
 
 
-def _particular_d2(R: Tensor) -> np.ndarray:
+def _particular_d2(R: Tensor, rotation: np.ndarray) -> np.ndarray:
     """A second derivative over R meeting every two-jet constraint; any other differs by C_2.
 
-    Half the curvature rotation carries the Ricci identity, and the minimum-norm
-    symmetric part from ``_h_solver`` cancels its differentiated Bianchi cycle.
+    Half the curvature rotation ``pair_derivation(R, R)`` carries the Ricci
+    identity, and the minimum-norm symmetric part from ``_h_solver`` cancels
+    its differentiated Bianchi cycle.
     """
     basis0 = _ck_stack(R.space.dim, 0)
-    particular = 0.5 * pair_derivation(R, R)
+    particular = 0.5 * rotation
     ut, vs, pairs, _ = _h_solver(R.space.dim)
     coeff = (vs @ (ut @ -_packed_cycle(particular))).reshape(-1, len(basis0))
     return particular + basis0.combine(coeff[pairs])
@@ -339,9 +349,11 @@ def random_two_jet(
 
     homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
-    j = TwoJet(R, dR, Tensor(space, _particular_d2(R) + homogeneous))
-    ok, residuals = validate_two_jet(j)
-    if not ok:
+    # one rotation serves the construction and the validation of the draw
+    rotation = pair_derivation(R, R)
+    j = TwoJet(R, dR, Tensor(space, _particular_d2(R, rotation) + homogeneous))
+    residuals = _two_jet_residuals(j, rotation)
+    if not all(v <= 1e-8 for v in residuals.values()):
         raise RuntimeError(f"two-jet construction failed: {residuals}")
     return j
 
@@ -365,10 +377,9 @@ def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     derivative (zero if that space is trivial).
     """
     rng = np.random.default_rng(seed)
-    g = space.metric_tensor()
     basis0 = _ck_stack(space.dim, 0)
     raw = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
-    R = rng.standard_normal() * kn_pair(g, g) + decompose(raw).weyl_part
+    R = Tensor(space, rng.standard_normal() * _kn_metric(space)) + decompose(raw).weyl_part
 
     dirs = _parallel_ricci_dirs(space)
     if len(dirs) == 0:
@@ -511,8 +522,12 @@ def weitzenbock_special(j: TwoJet) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Einstein criterion
 
-# slot pairs (0-based) traced by the two trace-free formulations
-_TABLEAU_TRACES = tuple((i, k) for i in range(6) for k in range(i + 1, 6))
+# slot pairs (0-based) traced by the two trace-free formulations.  The
+# tableau form lies in Sym^2 (x) L^2 (x) L^2, so its traces over (2, 3) and
+# (4, 5) vanish and the other 13 come in four classes, one per pair below:
+# a trace over a slot's symmetric or antisymmetric partner is the same trace
+# up to sign, with the same norm to the bit.
+_TABLEAU_TRACES = ((0, 1), (0, 2), (0, 4), (2, 4))
 _FORM_TRACES = ((0, 1), (0, 4), (4, 5))  # symmetric pair, mixed, bilinear pair
 
 
@@ -530,10 +545,94 @@ def _trace_table(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     return table
 
 
-def _worst_trace(data: np.ndarray, eps: np.ndarray, pairs: tuple[tuple[int, int], ...]) -> float:
-    """Largest norm of the signed metric traces of a valence-6 array over ``pairs``."""
-    traces = data.ravel()[_trace_table(len(eps), pairs)] @ eps
-    return float(np.linalg.norm(traces, axis=1).max())
+@lru_cache(maxsize=None)
+def _packed_trace_table(
+    pk: Packing, pairs: tuple[tuple[int, int], ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_trace_table`` read through a packing: the orbit and coefficient of each traced entry."""
+    table = _trace_table(pk.shape[0], pairs)
+    index, coef = pk.index[table], pk.coef[table]
+    index.flags.writeable = coef.flags.writeable = False
+    return index, coef
+
+
+def _form_packing(n: int) -> Packing:
+    """Packing of Sym^4 (x) Sym^2, the class of the degree-4 SymBiforms."""
+    return packing(n, (("sym", 4), ("sym", 2)))
+
+
+def _with_metric_bins(orbit: np.ndarray, size: int, t_slots, g_slots) -> tuple[np.ndarray, int]:
+    """Bins of one ``bincount`` over a valence-6 tensor d and a metric product g (x) T.
+
+    ``orbit``, of d's shape, maps each entry of d to one of ``size`` bins.
+    The product has the layout of d, with T in ``t_slots`` (in T's slot
+    order) and g in ``g_slots``; its n^5 terms g(x, x) T(t), ordered (t, x),
+    go to the next ``size`` bins.
+    """
+    table = orbit.transpose(tuple(t_slots) + tuple(g_slots))
+    bins = np.concatenate([orbit.ravel(), np.diagonal(table, axis1=4, axis2=5).ravel() + size])
+    bins.flags.writeable = False
+    return bins, size
+
+
+@lru_cache(maxsize=None)
+def _tableau_bins(n: int) -> tuple[np.ndarray, int]:
+    """d2R and g (x) R*R, laid out as in ``hat_embed``, into the row orbits of the tableau."""
+    orbit = _packed_young_plan(n, 2)[0].reshape((n,) * 6)
+    return _with_metric_bins(orbit, n**6, (2, 3, 4, 5), (0, 1))
+
+
+@lru_cache(maxsize=None)
+def _form_bins(n: int) -> tuple[np.ndarray, int]:
+    """d2R and g (x) T into the orbits of ``_form_packing``.
+
+    ``sym_jacobi(j, 2)`` reads d2R in the slot order (0, 1, 3, 4, 2, 5).
+    ``sym_product(jacobi_form(T), g)`` symmetrizes T(p, u, v, q) g(x, y) at
+    (u, v, x, y, p, q); in the layout of d2R that is T(c, a, b, d) g(e, f)
+    at (a, b, c, e, f, d).
+    """
+    pk = _form_packing(n)
+    orbit = pk.index.reshape(pk.shape).transpose(0, 1, 4, 2, 3, 5)
+    return _with_metric_bins(orbit, len(pk.rep), (2, 0, 1, 5), (3, 4))
+
+
+def _sums_with_metric(
+    plan: tuple[np.ndarray, int], d2: np.ndarray, T: np.ndarray, eps: np.ndarray
+) -> np.ndarray:
+    """Orbit sums of d2 and of g (x) T over the bins of ``plan``, rows of a (2, size) array."""
+    bins, size = plan
+    values = np.concatenate([d2.ravel(), np.multiply.outer(T.ravel(), eps).ravel()])
+    return np.bincount(bins, values, 2 * size).reshape(2, size)
+
+
+def _jacobi_pair(d2: np.ndarray, T: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Packed R^(2) of d2 and packed (Jacobi form of T) . g, as the rows of a (2, P) array.
+
+    Both are degree-4 SymBiforms, whose entries are the orbit means: the
+    orthogonal projection onto Sym^4 (x) Sym^2, whose packed coordinates
+    are the orbit sums over the weights.  The symmetrization of
+    ``jacobi_form`` runs over a subgroup of the outer one, so the outer
+    orbit sums absorb it.
+    """
+    pk = _form_packing(len(eps))
+    return _sums_with_metric(_form_bins(len(eps)), d2, T, eps) / pk.weight
+
+
+def _trace_defect(
+    images: np.ndarray, pk: Packing, eps: np.ndarray, pairs: tuple[tuple[int, int], ...]
+) -> float:
+    """Trace defect of a trace-free formulation from the packed pair (A, B) in ``images``.
+
+    The largest norm of the signed metric traces over ``pairs`` of
+    A - B/(n+4), relative to max(|A|, |B|/(n+4), 1); packing is an
+    isometry, so |A| and |B| are the norms of the packed rows.
+    """
+    shrink = len(eps) + 4.0
+    index, coef = _packed_trace_table(pk, pairs)
+    traces = ((images[0] - images[1] / shrink)[index] * coef) @ eps
+    norms = np.linalg.norm(images, axis=1)
+    scale = max(norms[0], norms[1] / shrink, 1.0)
+    return float(np.linalg.norm(traces, axis=1).max() / scale)
 
 
 def _one_jet_gaps(R: Tensor, dR: Tensor) -> tuple[float, float]:
@@ -556,34 +655,30 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     vanishing Ricci derivative and vanishing second Ricci derivative, each
     relative to the matching jet component.  The report adds the trace
     defects of the two equivalent trace-free formulations (tableau form and
-    symmetric-product form), which tests play against the verdict.
+    symmetric-product form), which tests play against the verdict.  Both
+    are read off packed images, never off full valence-6 tensors.
     """
     sp = j.space
     n = sp.dim
     eps = sp.eps
+    d2 = j.d2R.data
 
     res_ric, res_dric = _one_jet_gaps(j.R, j.dR)
-    hess = _hess_ric(j.d2R.data, eps)
+    hess = _hess_ric(d2, eps)
     res_hess = float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0)
 
     one_jet_ok = res_ric <= tol and res_dric <= tol
     verdict = one_jet_ok and res_hess <= tol
 
-    SS = star_action(j.R, j.R)
+    SS = star_action(j.R, j.R).data
 
-    # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4)
-    projected = young_apply(j.d2R, 2)
-    embedded = hat_embed(SS)
-    defect = projected.data - embedded.data / (n + 4.0)
-    scale_b = max(projected.norm(), embedded.norm() / (n + 4.0), 1.0)
-    res_tableau = _worst_trace(defect, eps, _TABLEAU_TRACES) / scale_b
+    # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4), from
+    # the packed images of d2R and g (x) R*R under the valence-6 symmetrizer
+    images = _packed_young(_sums_with_metric(_tableau_bins(n), d2, SS, eps), n, 2)
+    res_tableau = _trace_defect(images, _ck_packing(n, 2), eps, _TABLEAU_TRACES)
 
     # symmetric-product form: traces of R^(2) - (Jacobi form of R*R) . g/(n+4)
-    R2 = sym_jacobi(j, 2)
-    completed = sym_product(jacobi_form(SS), sp.metric_tensor())
-    defect_form = R2.tensor.data - completed.tensor.data / (n + 4.0)
-    scale_c = max(R2.norm(), completed.norm() / (n + 4.0), 1.0)
-    res_form = _worst_trace(defect_form, eps, _FORM_TRACES) / scale_c
+    res_form = _trace_defect(_jacobi_pair(d2, SS, eps), _form_packing(n), eps, _FORM_TRACES)
 
     report = {
         "ricci_proportional": res_ric,
@@ -600,13 +695,13 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
 
     Undefined for a vanishing curvature part or a vanishing Jacobi form
     g . R^(0) (ValueError).  The residual is relative to |R^(2)|; a zero
-    symmetrized second derivative fits exactly with c = 0.
+    symmetrized second derivative fits exactly with c = 0.  Both forms are
+    degree-4 SymBiforms, taken in packed coordinates; R^(0) is
+    ``sym_jacobi(j, 0)``, the Jacobi form of R.
     """
     if j.R.norm() == 0.0:
         raise ValueError("fit undefined: vanishing curvature part")
-    R2 = sym_jacobi(j, 2).tensor.data.ravel()
-    completed = sym_product(sym_jacobi(j, 0), j.space.metric_tensor())
-    G = completed.tensor.data.ravel()
+    R2, G = _jacobi_pair(j.d2R.data, j.R.data, j.space.eps)
 
     norm_R2 = float(np.linalg.norm(R2))
     if norm_R2 == 0.0:
@@ -687,7 +782,7 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if res_dric > tol:
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    provisional = _particular_d2(R)
+    provisional = _particular_d2(R, pair_derivation(R, R))
     directions, system, ut, vs, _ = _extension_solver(sp)
     target = -80.0 * _hess_ric(provisional, sp.eps).ravel()
     coeff = vs @ (ut @ target)

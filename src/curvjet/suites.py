@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curvature import _nk_stack, kn_pair, kulkarni, star_action, star_identity_residuals
+from .curvature import _kn_metric, _nk_stack, kulkarni, star_action, star_identity_residuals
 from .identities import _ricci_flat_input, identity_names, verify_identity
 from .jets import (
     RANDOM_JET_DIMS,
@@ -59,8 +59,7 @@ from .jets import (
 from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
 from .report import CheckRecord
 from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope, space_to_dict
-from .subspace import packing
-from .young import _ck_stack, random_ck, young_apply, young_eigenvalue
+from .young import _ck_packing, _ck_stack, random_ck, young_apply, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites", "run_suites_timed"]
 
@@ -339,7 +338,6 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     n = sp.dim
-    g = sp.metric_tensor()
     zero5 = Tensor(sp, np.zeros((n,) * 5))
     zero6 = Tensor(sp, np.zeros((n,) * 6))
 
@@ -353,7 +351,7 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
     family, family_corollary = [], []
     for lam in (1.0, -2.0, 0.5):
-        j = TwoJet(lam * kn_pair(g, g), zero5, zero6)
+        j = TwoJet(Tensor(sp, lam * _kn_metric(sp)), zero5, zero6)
         fit = fit_jacobi_relation(j)
         family += [abs(fit.c), fit.residual]
         family_corollary += corollary(j, fit).values()
@@ -380,7 +378,7 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         # where packing is an isometry: the rank is taken on packed columns
         # (1500 x 420 at n=5, m=4, against 15625 x 420 unpacked), one basis
         # vector unpacked at a time
-        pk = packing(n, (("sym", m - 2), ("alt", 2), ("alt", 2)))
+        pk = _ck_packing(n, m - 2)
         cols = np.empty((len(pk.rep), len(basis)))
         for c, row in enumerate(basis.rows):
             b = basis.unpack(row)

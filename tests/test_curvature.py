@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from curvjet.curvature import (
+    _kn_metric,
     decompose,
     divergence,
     exterior_ricci_derivative,
@@ -141,6 +142,13 @@ class TestDecompose:
         g = Space(2).metric_tensor()
         with pytest.raises(NotImplementedError):
             decompose(kn_pair(g, g))
+
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1))])
+    def test_cached_metric_product_is_read_only_g_owedge_g(self, sp):
+        g = sp.metric_tensor()
+        gg = _kn_metric(sp)
+        assert np.array_equal(gg, kn_pair(g, g).data)
+        assert not gg.flags.writeable and _kn_metric(sp) is gg
 
 
 class TestSkewAction:

@@ -80,6 +80,55 @@ def constant_curvature_jet(sp: Space, lam: float = 1.0) -> TwoJet:
     )
 
 
+# spaces of the full-coordinate references of the Einstein trace defects and the fit
+REFERENCE_SPACES = [Space(3), Space(4, (-1, 1, 1, 1)), Space(5), Space(5, (-1, -1, 1, 1, 1))]
+
+
+def reference_jet(sp: Space, kind: str, seed: int = 3) -> TwoJet:
+    """An extended Einstein jet, the same pushed off the Einstein kernel, or a generic jet."""
+    if kind == "generic":
+        return random_two_jet(sp, seed)
+    j = einstein_extend(*random_einstein_one_jet(sp, seed))
+    if kind == "perturbed":
+        j = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
+    return j
+
+
+def full_coordinate_trace_defects(j: TwoJet) -> tuple[float, float]:
+    """The two trace defects of einstein_check on full tensors, one metric_trace per slot pair."""
+    sp = j.space
+    n = sp.dim
+    SS = star_action(j.R, j.R)
+    projected, embedded = young_apply(j.d2R, 2), hat_embed(SS)
+    defect = Tensor(sp, projected.data - embedded.data / (n + 4.0))
+    scale_b = max(projected.norm(), embedded.norm() / (n + 4.0), 1.0)
+    worst_b = max(metric_trace(defect, i, k).norm() for i in range(1, 7) for k in range(i + 1, 7))
+    R2 = sym_jacobi(j, 2)
+    completed = sym_product(jacobi_form(SS), sp.metric_tensor())
+    defect_form = Tensor(sp, R2.tensor.data - completed.tensor.data / (n + 4.0))
+    scale_c = max(R2.norm(), completed.norm() / (n + 4.0), 1.0)
+    worst_c = max(metric_trace(defect_form, i, k).norm() for i, k in ((1, 2), (1, 5), (5, 6)))
+    return worst_b / scale_b, worst_c / scale_c
+
+
+def full_coordinate_fit(j: TwoJet) -> tuple[float, float]:
+    """The least-squares fit of R^(2) = c * g . R^(0) on the full SymBiform tensors."""
+    R2 = sym_jacobi(j, 2).tensor.data.ravel()
+    G = sym_product(sym_jacobi(j, 0), j.space.metric_tensor()).tensor.data.ravel()
+    if not R2.any():
+        return 0.0, 0.0  # an exact fit, as fit_jacobi_relation reports it
+    c = float(R2 @ G) / float(G @ G)
+    return c, float(np.linalg.norm(R2 - c * G)) / float(np.linalg.norm(R2))
+
+
+def jet_with_nan(j: TwoJet, part: str, entry: tuple[int, ...]) -> TwoJet:
+    parts = {"R": j.R, "dR": j.dR, "d2R": j.d2R}
+    data = parts[part].data.copy()
+    data[entry] = np.nan
+    parts[part] = Tensor(j.space, data)
+    return TwoJet(**parts)
+
+
 def hess_kernel_c2(sp: Space, seed: int) -> Tensor:
     """A C_2 element with vanishing second Ricci derivative; needs dim >= 4."""
     basis = basis_Ck(sp, 2)
@@ -173,6 +222,20 @@ class TestRandomTwoJet:
     def test_seeds_differ(self):
         a, b = random_two_jet(E3, 0), random_two_jet(E3, 1)
         assert not np.allclose(a.R.data, b.R.data)
+
+    def test_draw_computes_one_rotation(self, monkeypatch):
+        # the particular second derivative and the validation share pair_derivation(R, R)
+        import curvjet.jets as jets
+
+        calls = []
+
+        def counted(R, T):
+            calls.append(1)
+            return pair_derivation(R, T)
+
+        monkeypatch.setattr(jets, "pair_derivation", counted)
+        random_two_jet(E3, 5)
+        assert len(calls) == 1
 
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
@@ -344,33 +407,28 @@ class TestEinsteinCheck:
             assert rep2["tableau_trace_defect"] > 1e-8
             assert rep2["form_trace_defect"] > 1e-8
 
-    @pytest.mark.parametrize("einstein", [True, False], ids=["einstein", "generic"])
-    def test_trace_defects_match_the_trace_loop(self, einstein):
-        # reference: one metric_trace per slot pair, taken one by one
-        sp = Space(4, (-1, 1, 1, 1))
-        n = sp.dim
-        j = einstein_extend(*random_einstein_one_jet(sp, 3)) if einstein else random_two_jet(sp, 3)
-        _, report = einstein_check(j)
-        SS = star_action(j.R, j.R)
-        projected, embedded = young_apply(j.d2R, 2), hat_embed(SS)
-        defect = Tensor(sp, projected.data - embedded.data / (n + 4.0))
-        scale_b = max(projected.norm(), embedded.norm() / (n + 4.0), 1.0)
-        worst_b = max(
-            metric_trace(defect, i, k).norm() for i in range(1, 7) for k in range(i + 1, 7)
-        )
-        R2 = sym_jacobi(j, 2)
-        completed = sym_product(jacobi_form(SS), sp.metric_tensor())
-        defect_form = Tensor(sp, R2.tensor.data - completed.tensor.data / (n + 4.0))
-        scale_c = max(R2.norm(), completed.norm() / (n + 4.0), 1.0)
-        worst_c = max(
-            metric_trace(defect_form, i, k).norm() for i, k in ((1, 2), (1, 5), (5, 6))
-        )
-        assert report["tableau_trace_defect"] == pytest.approx(
-            worst_b / scale_b, rel=1e-12, abs=1e-15
-        )
-        assert report["form_trace_defect"] == pytest.approx(
-            worst_c / scale_c, rel=1e-12, abs=1e-15
-        )
+    @pytest.mark.parametrize("kind", ["einstein", "perturbed", "generic"])
+    def test_trace_defects_match_the_trace_loop(self, kind):
+        # the packed images against one metric_trace per slot pair of the full tensors
+        for sp in REFERENCE_SPACES:
+            j = reference_jet(sp, kind)
+            _, report = einstein_check(j)
+            tableau, form = full_coordinate_trace_defects(j)
+            assert report["tableau_trace_defect"] == pytest.approx(tableau, rel=1e-12, abs=1e-15)
+            assert report["form_trace_defect"] == pytest.approx(form, rel=1e-12, abs=1e-15)
+
+    # d2R entries: every index equal (its row orbit meets the packed image
+    # only at forced zeros), each curvature pair repeated, and a generic one
+    NAN_ENTRIES = [(0,) * 6, (3,) * 6, (0, 1, 2, 2, 0, 1), (1, 0, 0, 1, 3, 3), (2, 1, 0, 3, 1, 2)]
+
+    @pytest.mark.parametrize(
+        "entry", NAN_ENTRIES, ids=["diagonal_0", "diagonal_3", "c1_eq_c2", "c3_eq_c4", "generic"]
+    )
+    def test_nan_in_d2R_gives_nan_trace_defects(self, entry):
+        ok, report = einstein_check(jet_with_nan(reference_jet(E4, "einstein"), "d2R", entry))
+        assert not ok
+        assert np.isnan(report["tableau_trace_defect"])
+        assert np.isnan(report["form_trace_defect"])
 
     def test_einstein_display_of_tilde_trace(self):
         # on Einstein jets the projected trace collapses to the pair-symmetric
@@ -413,6 +471,23 @@ class TestFit:
         )
         with pytest.raises(ValueError, match="vanishing Jacobi form"):
             fit_jacobi_relation(j)
+
+    @pytest.mark.parametrize("kind", ["einstein", "perturbed", "generic"])
+    def test_fit_matches_full_coordinates(self, kind):
+        for sp in REFERENCE_SPACES:
+            j = reference_jet(sp, kind)
+            fit = fit_jacobi_relation(j)
+            c, residual = full_coordinate_fit(j)
+            assert fit.c == pytest.approx(c, rel=1e-12, abs=1e-15)
+            assert fit.residual == pytest.approx(residual, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "part, entry",
+        [("R", (0, 1, 0, 1)), ("R", (2, 3, 1, 0)), ("d2R", (0,) * 6), ("d2R", (0, 1, 2, 2, 0, 1))],
+    )
+    def test_nan_gives_nan_fit(self, part, entry):
+        fit = fit_jacobi_relation(jet_with_nan(reference_jet(E4, "einstein"), part, entry))
+        assert np.isnan(fit.c) and np.isnan(fit.residual)
 
     def test_residual_is_scale_free(self):
         j = random_two_jet(E4, 12)

@@ -6,7 +6,10 @@ import pytest
 from curvjet.curvature import jacobi_form, kn_pair, kulkarni
 from curvjet.spaces import Space, Tensor, random_tensor, sym_product, tensor_product
 from curvjet.young import (
+    _ck_packing,
     _ck_stack,
+    _packed_young,
+    _packed_young_plan,
     basis_Ck,
     ck_residuals,
     hook_content_dim,
@@ -185,3 +188,19 @@ def test_batched_residuals_match_per_slice_loop(k, batch):
         for name, value in ref.items():
             assert got[name][index] == value
     assert max(got[name][(0,) * batch] for name in got) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_packed_young_is_the_packed_full_image(n):
+    # a batch of two: a random tensor, then the same tensor with a NaN where
+    # the packed image reads only forced zeros
+    sp = Space(n, (-1,) + (1,) * (n - 1))
+    t = random_tensor(sp, 6, 11)
+    bad = t.data.copy()
+    bad[(0,) * 6] = np.nan
+    ids = _packed_young_plan(n, 2)[0]
+    sums = np.stack([np.bincount(ids, d.ravel(), n**6) for d in (t.data, bad)])
+    packed = _packed_young(sums, n, 2)
+    expect = _ck_packing(n, 2).pack(young_apply(t, 2).data.ravel())
+    assert np.linalg.norm(packed[0] - expect) <= 1e-14 * np.linalg.norm(expect)
+    assert np.isnan(packed[1]).all()
