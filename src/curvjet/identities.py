@@ -22,7 +22,6 @@ from .curvature import (
     kulkarni,
     pair_derivation,
     ricci,
-    star_action,
 )
 from .jets import TwoJet, hat_embed, jet_traces, random_two_jet, tilde_ops
 from .spaces import Space, SymBiform, Tensor, _rel, memoized, sym_product
@@ -179,7 +178,7 @@ def _assoc_displays(space: Space, seed: int):
     hess, div_der, lap = (t.data for t in jet_traces(j))
     D = pair_derivation(j.R, j.R)
     T1 = _pair_trace(D, eps)
-    SS = star_action(j.R, j.R).data
+    SS = j.star_square
     Gn = pair_derivation(j.R, ricci(j.R).ric)
 
     sums = {

@@ -17,8 +17,10 @@ of an Einstein one-jet to a full Einstein two-jet.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,6 +87,14 @@ class TwoJet:
     ``d2R[a, b, ...]`` is the derivative first in direction ``e_b``, then
     ``e_a`` (outer slot first), so the Ricci identity reads
     ``d2R[a, b] - d2R[b, a] = R_{e_a, e_b} . R``.
+
+    The jet holds read-only copies of the components it is given, so no
+    later write to the caller's arrays (or to their base arrays) reaches it.
+    Three derived values are computed at most once per jet and cached
+    read-only: ``residuals`` (what ``validate_two_jet`` reports),
+    ``einstein_gaps`` (the one-jet gaps of ``einstein_check``) and
+    ``star_square`` (R*R).  They are not fields, so they take no part in
+    ``__init__``, ``==`` or ``repr``.
     """
 
     R: Tensor
@@ -96,10 +106,47 @@ class TwoJet:
             raise ValueError("two-jet components must have valences (4, 5, 6)")
         if self.dR.space != self.R.space or self.d2R.space != self.R.space:
             raise ValueError("two-jet components live on different spaces")
+        # a copy owned by the jet is what keeps the cached values below current
+        for name in ("R", "dR", "d2R"):
+            data = np.array(getattr(self, name).data, dtype=float)
+            data.flags.writeable = False
+            object.__setattr__(self, name, Tensor(self.space, data))
 
     @property
     def space(self) -> Space:
         return self.R.space
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: fresh read-only copies, empty cache
+        return TwoJet, (self.R, self.dR, self.d2R)
+
+    @cached_property
+    def residuals(self) -> Mapping[str, float]:
+        """The relative residuals of ``validate_two_jet``, as a read-only mapping."""
+        return _two_jet_residuals(self, pair_derivation(self.R, self.R))
+
+    @cached_property
+    def einstein_gaps(self) -> tuple[float, float]:
+        """The one-jet Einstein gaps of R and dR (see ``_one_jet_gaps``)."""
+        return _one_jet_gaps(self.R, self.dR)
+
+    @cached_property
+    def star_square(self) -> np.ndarray:
+        """R*R, the curvature action of R on itself, as a read-only array."""
+        out = star_action(self.R, self.R).data
+        out.flags.writeable = False
+        return out
+
+
+def _seed(j: TwoJet, name: str, value) -> TwoJet:
+    """Store a derived value of j that its builder computed from j's own data.
+
+    ``cached_property`` reads the instance dict first, so the jet hands out
+    ``value`` as if it had computed it; the components are read-only
+    copies, so the value cannot go stale.
+    """
+    vars(j)[name] = value
+    return j
 
 
 @dataclass(frozen=True)
@@ -173,7 +220,7 @@ def _worst_slice(t: Tensor, k: int) -> float:
     return float(np.max(list(ck_residuals(t, k).values())))
 
 
-def _two_jet_residuals(j: TwoJet, rotation: np.ndarray) -> dict[str, float]:
+def _two_jet_residuals(j: TwoJet, rotation: np.ndarray) -> Mapping[str, float]:
     """The residuals of ``validate_two_jet``, given the rotation ``pair_derivation(j.R, j.R)``."""
     d2 = j.d2R.data
     residuals = {
@@ -184,7 +231,7 @@ def _two_jet_residuals(j: TwoJet, rotation: np.ndarray) -> dict[str, float]:
     gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
     ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
     residuals["ricci_identity"] = float(np.linalg.norm(gap)) / ricci_scale
-    return residuals
+    return MappingProxyType(residuals)
 
 
 def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
@@ -192,9 +239,10 @@ def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, floa
 
     All residuals are relative.  The second derivative is checked slice by
     slice against the once-differentiated Bianchi identities and globally
-    against the Ricci identity.
+    against the Ricci identity.  The residuals are computed once per jet
+    (``TwoJet.residuals``); each call returns its own dict.
     """
-    residuals = _two_jet_residuals(j, pair_derivation(j.R, j.R))
+    residuals = dict(j.residuals)
     return all(v <= tol for v in residuals.values()), residuals
 
 
@@ -349,13 +397,14 @@ def random_two_jet(
 
     homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
-    # one rotation serves the construction and the validation of the draw
+    # one rotation serves the construction and the validation of the draw,
+    # whose residuals the jet keeps for validate_two_jet
     rotation = pair_derivation(R, R)
     j = TwoJet(R, dR, Tensor(space, _particular_d2(R, rotation) + homogeneous))
     residuals = _two_jet_residuals(j, rotation)
     if not all(v <= 1e-8 for v in residuals.values()):
-        raise RuntimeError(f"two-jet construction failed: {residuals}")
-    return j
+        raise RuntimeError(f"two-jet construction failed: {dict(residuals)}")
+    return _seed(j, "residuals", residuals)
 
 
 @lru_cache(maxsize=None)
@@ -368,18 +417,37 @@ def _parallel_ricci_dirs(space: Space) -> PackedRows:
     return PackedRows(kernel(rows.T) @ basis1.rows, basis1.pk)
 
 
+@lru_cache(maxsize=None)
+def _weyl_rows(space: Space) -> PackedRows:
+    """Weyl parts of the C_0 basis rows, packed like the basis.
+
+    ``decompose`` is linear, so the Weyl part of ``basis0.combine(c)`` is
+    ``_weyl_rows(space).combine(c)``.  The projection reads the metric, so
+    the rows are cached per space, not per dimension.
+    """
+    basis0 = _ck_stack(space.dim, 0)
+    weyl = np.stack(
+        [decompose(Tensor(space, b)).weyl_part.data.ravel() for b in basis0.unpacked()]
+    )
+    rows = basis0.pk.pack_checked(weyl)
+    rows.flags.writeable = False
+    return PackedRows(rows, basis0.pk)
+
+
 @memoized
 def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     """Random (R, dR) with Ricci curvature proportional to g and parallel.
 
     R mixes a random multiple of g owedge g with a random Weyl part; dR is a
     random combination of the C_1 directions annihilated by the Ricci
-    derivative (zero if that space is trivial).
+    derivative (zero if that space is trivial).  The Weyl part is the
+    random C_0 combination taken on the Weyl images of the basis rows
+    (``_weyl_rows``), one packed product per draw.
     """
     rng = np.random.default_rng(seed)
-    basis0 = _ck_stack(space.dim, 0)
-    raw = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
-    R = Tensor(space, rng.standard_normal() * _kn_metric(space)) + decompose(raw).weyl_part
+    weyl = _weyl_rows(space)
+    coeff = rng.standard_normal(len(weyl))
+    R = Tensor(space, rng.standard_normal() * _kn_metric(space) + weyl.combine(coeff))
 
     dirs = _parallel_ricci_dirs(space)
     if len(dirs) == 0:
@@ -509,7 +577,7 @@ def weitzenbock_special(j: TwoJet) -> dict[str, float]:
 
     lap = _rough_lap(d2, eps)
     hess = _hess_ric(d2, eps)
-    SS = star_action(j.R, j.R).data
+    SS = j.star_square
     tableau = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
 
     return {
@@ -663,14 +731,14 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     eps = sp.eps
     d2 = j.d2R.data
 
-    res_ric, res_dric = _one_jet_gaps(j.R, j.dR)
+    res_ric, res_dric = j.einstein_gaps
     hess = _hess_ric(d2, eps)
     res_hess = float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0)
 
     one_jet_ok = res_ric <= tol and res_dric <= tol
     verdict = one_jet_ok and res_hess <= tol
 
-    SS = star_action(j.R, j.R).data
+    SS = j.star_square
 
     # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4), from
     # the packed images of d2R and g (x) R*R under the valence-6 symmetrizer
@@ -792,7 +860,7 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
             f"extension failed: trace defect not cancellable (residual {solve_gap:.3e})"
         )
     d2 = provisional + directions.combine(coeff) / 80.0
-    return TwoJet(R, dR, Tensor(sp, d2))
+    return _seed(TwoJet(R, dR, Tensor(sp, d2)), "einstein_gaps", (res_ric, res_dric))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .curvature import _kn_metric, _nk_stack, kulkarni, star_action, star_identity_residuals
+from .curvature import _kn_metric, _nk_stack, kulkarni, star_identity_residuals
 from .identities import _ricci_flat_input, identity_names, verify_identity
 from .jets import (
     RANDOM_JET_DIMS,
@@ -284,8 +284,9 @@ def suite_tilde(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     def residual(seed: int) -> dict[str, float]:
         j = random_two_jet(sp, seed)
         lap = jet_traces(j)[2].data
-        SS = star_action(j.R, j.R).data
-        return {"rough_laplacian_80_16": _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * SS)}
+        return {
+            "rough_laplacian_80_16": _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * j.star_square)
+        }
 
     out = _records(cfg, f"tilde/n{sp.dim}", _worst_over(cfg, residual))
     for name in ("assoc_hessian_difference", "assoc_hessian_expansion"):
@@ -320,7 +321,7 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         j = _einstein_jet(sp, seed)
         verdict, rep = einstein_check(j)
         tilde_hess = tilde_ops(j)[0].data
-        SS = star_action(j.R, j.R).data
+        SS = j.star_square
         display = -4.0 * (np.transpose(SS, (0, 2, 1, 3)) + np.transpose(SS, (0, 2, 3, 1)))
         bad = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
         agreement.extend((_verdicts_agree(verdict, rep), _verdicts_agree(*einstein_check(bad))))

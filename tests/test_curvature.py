@@ -228,6 +228,49 @@ class TestStarIdentities:
             for name, v in res.items():
                 assert v < 1e-12, (name, v)
 
+    @staticmethod
+    def jacobi_loop(R: Tensor, Rp: Tensor, seed: int) -> float:
+        """Reference: the Jacobi-diagonal samples one scalar contraction at a time."""
+        SS = star_action(R, Rp).data
+        T1 = np.einsum("aiiqrs,i->aqrs", pair_derivation(R, Rp), R.space.eps)
+        scale = max(np.linalg.norm(SS), 1.0)
+        rng = np.random.default_rng(seed)
+        worst = 0.0
+        for _ in range(8):
+            x, y = rng.standard_normal(R.space.dim), rng.standard_normal(R.space.dim)
+            lhs = float(np.einsum("abcd,a,b,c,d->", SS, x, y, x, y))
+            rhs = -2.0 * (
+                float(np.einsum("aqrs,a,q,r,s->", T1, x, y, x, y))
+                + float(np.einsum("aqrs,a,q,r,s->", T1, y, x, y, x))
+            )
+            worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), scale))
+        return worst
+
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1)), Space(5)], ids=str)
+    def test_each_star_once_and_the_jacobi_samples_batched(self, sp, monkeypatch):
+        import curvjet.curvature as curvature
+
+        calls, star = [], curvature.star_action
+
+        def counted(R, A):
+            calls.append(1)
+            return star(R, A)
+
+        monkeypatch.setattr(curvature, "star_action", counted)
+        for seed in range(3):
+            R, Rp = random_ck(sp, 0, 100 + seed), random_ck(sp, 0, 200 + seed)
+            calls.clear()
+            res = star_identity_residuals(R, Rp, seed=seed)
+            assert len(calls) == 2  # R*R' and R*ric'
+            assert res["ricci_trace"] == ricci_of_star(R, Rp)[2]
+            assert abs(res["jacobi"] - self.jacobi_loop(R, Rp, seed)) <= 1e-15
+
+    def test_nan_reaches_the_jacobi_residual(self):
+        Rp = random_ck(E4, 0, 200).data.copy()
+        Rp[0, 1, 0, 1] = np.nan
+        res = star_identity_residuals(random_ck(E4, 0, 100), Tensor(E4, Rp))
+        assert np.isnan(res["jacobi"])
+
     def test_ricci_of_star_contract(self):
         for seed in range(10):
             R = random_ck(E4, 0, 300 + seed)

@@ -1,5 +1,6 @@
 """Two-jet constraints, trace operators, Einstein criterion and extension."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvjet.curvature import (
+    _kn_metric,
+    decompose,
     is_member_Nk,
     jacobi_form,
     kn_pair,
@@ -224,7 +227,8 @@ class TestRandomTwoJet:
         assert not np.allclose(a.R.data, b.R.data)
 
     def test_draw_computes_one_rotation(self, monkeypatch):
-        # the particular second derivative and the validation share pair_derivation(R, R)
+        # the particular second derivative and the validation share pair_derivation(R, R),
+        # and the caller's validation reads the residuals the draw computed
         import curvjet.jets as jets
 
         calls = []
@@ -234,7 +238,7 @@ class TestRandomTwoJet:
             return pair_derivation(R, T)
 
         monkeypatch.setattr(jets, "pair_derivation", counted)
-        random_two_jet(E3, 5)
+        validate_two_jet(random_two_jet(E3, 5))
         assert len(calls) == 1
 
     def test_unsupported_dimension(self):
@@ -247,6 +251,103 @@ class TestRandomTwoJet:
         assert isinstance(sj, SectionTwoJet)
         ok, res = validate_section_jet(sj)
         assert ok, res
+
+
+def rebuilt(j: TwoJet) -> TwoJet:
+    """A new jet from copies of j's arrays, so none of j's cached values carry over."""
+    return TwoJet(*(Tensor(j.space, t.data.copy()) for t in (j.R, j.dR, j.d2R)))
+
+
+CACHE_SPACES = [E3, Space(4, (-1, 1, 1, 1)), Space(5, (-1, -1, 1, 1, 1))]
+
+
+class TestJetCache:
+    @pytest.mark.parametrize("sp", CACHE_SPACES, ids=str)
+    def test_drawn_residuals_equal_a_fresh_validation(self, sp):
+        for seed in range(3):
+            j = random_two_jet(sp, seed)
+            assert validate_two_jet(j) == validate_two_jet(rebuilt(j))
+
+    def test_returned_dict_is_the_callers_own(self):
+        j = random_two_jet(E3, 1)
+        _, first = validate_two_jet(j)
+        expect = dict(first)
+        first["ricci_identity"] = 1.0
+        first.clear()
+        assert validate_two_jet(j) == (True, expect)
+
+    @pytest.mark.parametrize("target", ["base", "view"])
+    def test_writes_to_handed_arrays_do_not_reach_the_jet(self, target):
+        # the components are views into one writeable base array
+        clean = reference_jet(E4, "einstein")
+        base = np.concatenate([t.data.ravel() for t in (clean.R, clean.dR, clean.d2R)])
+        cuts = np.cumsum([4**4, 4**5])
+        views = [a.reshape((4,) * k) for a, k in zip(np.split(base, cuts), (4, 5, 6))]
+        j = TwoJet(*(Tensor(E4, v) for v in views))
+        expect_valid, expect_check = validate_two_jet(clean), einstein_check(clean)
+        assert validate_two_jet(j) == expect_valid  # cached before the write
+        if target == "base":
+            base[:] = np.nan
+        else:
+            for v in views:
+                v[...] = 1.0
+        assert validate_two_jet(j) == expect_valid
+        assert einstein_check(j) == expect_check  # computed after the write
+        assert not any(t.data.flags.writeable for t in (j.R, j.dR, j.d2R))
+
+    def test_cached_values_are_read_only_and_not_fields(self):
+        j = random_two_jet(E3, 2)
+        assert [f.name for f in dataclasses.fields(TwoJet)] == ["R", "dR", "d2R"]
+        assert not j.star_square.flags.writeable
+        with pytest.raises(TypeError):
+            j.residuals["curvature"] = 1.0
+        for name in ("residuals", "einstein_gaps", "star_square"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(j, name, None)
+            assert name not in repr(j)
+
+    def test_pickle_and_copy_rebuild_the_jet(self):
+        import copy
+        import pickle
+
+        j = random_two_jet(E4, 3)
+        expect = validate_two_jet(j)
+        for other in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j), copy.copy(j)):
+            assert "residuals" not in vars(other)
+            assert not any(t.data.flags.writeable for t in (other.R, other.dR, other.d2R))
+            assert validate_two_jet(other) == expect
+
+    @pytest.mark.parametrize("sp", CACHE_SPACES, ids=str)
+    def test_extended_report_equals_the_rebuilt_jets(self, sp):
+        for seed in range(3):
+            j = einstein_extend(*random_einstein_one_jet(sp, seed))
+            assert einstein_check(j) == einstein_check(rebuilt(j))
+
+    def test_check_reads_the_gaps_of_the_extension(self, monkeypatch):
+        import curvjet.jets as jets
+
+        calls, gaps = [], jets._one_jet_gaps
+
+        def counted(R, dR):
+            calls.append(1)
+            return gaps(R, dR)
+
+        monkeypatch.setattr(jets, "_one_jet_gaps", counted)
+        einstein_check(einstein_extend(*random_einstein_one_jet(E4, 1)))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("lorentzian", [False, True], ids=["euclidean", "lorentzian"])
+    def test_weyl_rows_draw_the_weyl_part_of_decompose(self, n, lorentzian):
+        # the draws of random_einstein_one_jet, in order: C_0 coefficients, then the scale
+        sp = Space(n, (-1,) * lorentzian + (1,) * (n - lorentzian))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            basis0 = _ck_stack(n, 0)
+            raw = Tensor(sp, basis0.combine(rng.standard_normal(len(basis0))))
+            expect = rng.standard_normal() * _kn_metric(sp) + decompose(raw).weyl_part.data
+            R, _ = random_einstein_one_jet(sp, seed)
+            assert rel(R.data, expect) <= 1e-14
 
 
 class TestTracesAndJacobi:
