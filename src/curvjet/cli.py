@@ -202,7 +202,7 @@ def cmd_fit(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     pairs = {"c": fit.c, "residual": fit.residual}
-    if einstein_check(jet)[0] and fit.residual < 1e-9:
+    if einstein_check(jet)[0] and fit.clean:
         pairs["eigenvalue_residual"] = _eigenvalue_gap(jet, fit.c)
     _print_pairs(pairs, args.format == "json")
     return 0
@@ -243,14 +243,21 @@ def _tol(text: str) -> float:
     return tol
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--dim", type=int, default=None, help="dimension (default 4)")
-    sub.add_argument("--signature", default=None, help="comma list of +1/-1")
-    sub.add_argument("--seed", type=_seed, default=0, help="base random seed (>= 0)")
-    sub.add_argument("--tol", type=_tol, default=1e-9, help="residual threshold (> 0)")
-    sub.add_argument("--in", dest="in", default=None, help="input document path")
-    sub.add_argument("--out", default=None, help="output document path")
-    sub.add_argument("--format", choices=("text", "json"), default="text")
+_COMMON = {
+    "--dim": {"type": int, "default": None, "help": "dimension (default 4)"},
+    "--signature": {"default": None, "help": "comma list of +1/-1"},
+    "--seed": {"type": _seed, "default": 0, "help": "base random seed (>= 0)"},
+    "--tol": {"type": _tol, "default": 1e-9, "help": "residual threshold (> 0)"},
+    "--in": {"dest": "in", "default": None, "help": "input document path"},
+    "--out": {"default": None, "help": "output document path"},
+    "--format": {"choices": ("text", "json"), "default": "text"},
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *flags: str) -> None:
+    """Declare the shared options that the subcommand reads, and no others."""
+    for flag in flags:
+        sub.add_argument(flag, **_COMMON[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -261,14 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_gen = commands.add_parser("gen", help="generate a random valid two-jet")
-    _add_common(p_gen)
+    _add_common(p_gen, "--dim", "--signature", "--seed", "--tol", "--out", "--format")
     p_gen.add_argument(
         "--einstein", action="store_true", help="generate an extended Einstein two-jet"
     )
     p_gen.set_defaults(func=cmd_gen)
 
     p_check = commands.add_parser("check", help="run identity check suites")
-    _add_common(p_check)
+    _add_common(p_check, "--dim", "--signature", "--seed", "--tol", "--out", "--format")
     p_check.add_argument(
         "--suite",
         action="append",
@@ -290,17 +297,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_check)
 
     p_extend = commands.add_parser("extend", help="extend an Einstein one-jet")
-    _add_common(p_extend)
+    _add_common(p_extend, "--in", "--out", "--format")
     p_extend.set_defaults(func=cmd_extend)
 
     p_fit = commands.add_parser("fit", help="fit the linear Jacobi relation")
-    _add_common(p_fit)
+    _add_common(p_fit, "--in", "--format")
     p_fit.set_defaults(func=cmd_fit)
 
     p_metric = commands.add_parser(
         "metric", help="random polynomial metric, or its curvature two-jet with --in"
     )
-    _add_common(p_metric)
+    _add_common(p_metric, "--dim", "--signature", "--seed", "--in", "--out", "--format")
     p_metric.set_defaults(func=cmd_metric)
     return parser
 

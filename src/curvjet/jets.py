@@ -192,6 +192,11 @@ class JacobiFit:
     c: float
     residual: float
 
+    @property
+    def clean(self) -> bool:
+        """Whether the relation fits closely enough for the eigenvalue corollary."""
+        return self.residual < 1e-9
+
 
 # ---------------------------------------------------------------------------
 # signed traces of the second derivative
@@ -434,7 +439,6 @@ def _weyl_rows(space: Space) -> PackedRows:
     return PackedRows(rows, basis0.pk)
 
 
-@memoized
 def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     """Random (R, dR) with Ricci curvature proportional to g and parallel.
 

@@ -5,7 +5,7 @@ origin is the signature matrix: a tensor-valued polynomial of total degree
 <= d in n variables is an array of shape (C(n+d, d), *tensor_shape) whose
 rows follow the monomials in graded order, so truncating to a lower degree
 is taking a prefix of rows.  ``PolyMetric`` holds the (rows, n, n) field of
-the metric; its TruncPoly entries are a view built on demand.  Christoffel
+the metric, and ``christoffel`` returns a (rows, n, n, n) field.  Christoffel
 symbols come from the standard Levi-Civita formula with a truncated Neumann
 series for the inverse metric; the curvature tensor and its first two
 covariant derivatives are then evaluated exactly at the origin (polynomial
@@ -14,8 +14,7 @@ arithmetic is exact under truncation, nothing is rounded).
 A product multiplies the tensor parts of every cached pair of rows whose
 degrees fit under the cap in one batched matmul, then sums the pairs of
 each product row as one segment; derivatives are a cached row map with
-exponent multipliers.  TruncPoly keeps dict-based arithmetic as the
-independent reference the tests compare the field arithmetic against.
+exponent multipliers.
 
 The cubic seed metric turns a one-jet (R, dR) into a germ whose curvature
 two-jet reproduces (R, dR); the sign convention of the quadratic and cubic
@@ -35,7 +34,6 @@ from .jets import TwoJet
 from .spaces import Space, Tensor
 
 __all__ = [
-    "TruncPoly",
     "PolyMetric",
     "christoffel",
     "curvature_two_jet",
@@ -44,109 +42,6 @@ __all__ = [
     "poly_metric_to_dict",
     "poly_metric_from_dict",
 ]
-
-
-class TruncPoly:
-    """Real polynomial in a fixed number of variables, truncated by total degree.
-
-    Coefficients are kept in a dict keyed by exponent tuples; terms above the
-    truncation degree are dropped on construction and after every product.
-    """
-
-    __slots__ = ("nvars", "degree", "coeff")
-
-    def __init__(self, nvars: int, degree: int, coeff: dict | None = None) -> None:
-        self.nvars = int(nvars)
-        self.degree = int(degree)
-        if self.nvars < 1 or self.degree < 0:
-            raise ValueError("need at least one variable and a nonnegative degree")
-        clean: dict[tuple[int, ...], float] = {}
-        for exps, c in (coeff or {}).items():
-            e = tuple(int(x) for x in exps)
-            if len(e) != self.nvars or any(x < 0 for x in e):
-                raise ValueError(f"bad exponent tuple {exps!r}")
-            value = float(c)
-            if value == 0.0 or sum(e) > self.degree:
-                continue
-            clean[e] = clean.get(e, 0.0) + value
-        self.coeff = clean
-
-    @classmethod
-    def constant(cls, nvars: int, degree: int, value: float) -> "TruncPoly":
-        return cls(nvars, degree, {(0,) * nvars: value})
-
-    def value0(self) -> float:
-        """Value at the origin."""
-        return self.coeff.get((0,) * self.nvars, 0.0)
-
-    def diff(self, v: int) -> "TruncPoly":
-        """Partial derivative with respect to variable v."""
-        out: dict[tuple[int, ...], float] = {}
-        for e, c in self.coeff.items():
-            if e[v]:
-                lowered = list(e)
-                lowered[v] -= 1
-                out[tuple(lowered)] = e[v] * c
-        return TruncPoly(self.nvars, self.degree, out)
-
-    def __call__(self, point) -> float:
-        x = np.asarray(point, dtype=float)
-        total = 0.0
-        for e, c in self.coeff.items():
-            total += c * float(np.prod(x**np.array(e)))
-        return total
-
-    def _check_ring(self, other: "TruncPoly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials in different variable counts")
-
-    def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = TruncPoly.constant(self.nvars, self.degree, other)
-        self._check_ring(other)
-        merged = dict(self.coeff)
-        for e, c in other.coeff.items():
-            merged[e] = merged.get(e, 0.0) + c
-        return TruncPoly(self.nvars, min(self.degree, other.degree), merged)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TruncPoly(self.nvars, self.degree, {e: -c for e, c in self.coeff.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncPoly) else -float(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return TruncPoly(
-                self.nvars, self.degree, {e: c * float(other) for e, c in self.coeff.items()}
-            )
-        self._check_ring(other)
-        degree = min(self.degree, other.degree)
-        out: dict[tuple[int, ...], float] = {}
-        for ea, ca in self.coeff.items():
-            if sum(ea) > degree:
-                continue
-            for eb, cb in other.coeff.items():
-                if sum(ea) + sum(eb) > degree:
-                    continue
-                e = tuple(x + y for x, y in zip(ea, eb))
-                out[e] = out.get(e, 0.0) + ca * cb
-        return TruncPoly(self.nvars, degree, out)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TruncPoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.coeff == other.coeff
-
-    def __repr__(self) -> str:
-        if not self.coeff:
-            return "TruncPoly(0)"
-        parts = [f"{c:g}*x^{e}" for e, c in sorted(self.coeff.items())]
-        return "TruncPoly(" + " + ".join(parts) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,33 +71,6 @@ class PolyMetric:
     @property
     def degree(self) -> int:
         return next(d for d in count() if _rows(self.space.dim, d) >= len(self.field))
-
-    @classmethod
-    def from_entries(cls, space: Space, degree: int, entries) -> "PolyMetric":
-        """Metric from an n x n matrix of TruncPoly entries truncated at degree."""
-        n = space.dim
-        if len(entries) != n or any(len(row) != n for row in entries):
-            raise ValueError("entry matrix must be n x n")
-        index = _row_index(n, degree)
-        G = np.zeros((len(index), n, n))
-        for i, row in enumerate(entries):
-            for k, entry in enumerate(row):
-                if entry.nvars != n:
-                    raise ValueError("entries must be polynomials in n coordinates")
-                for e, c in entry.coeff.items():
-                    if e not in index:
-                        raise ValueError("entry exceeds the truncation degree")
-                    G[index[e], i, k] = c
-        return cls(space, G)
-
-    @property
-    def entries(self) -> tuple[tuple[TruncPoly, ...], ...]:
-        """The field as an n x n matrix of TruncPoly, built on each access."""
-        n, degree = self.space.dim, self.degree
-        return tuple(
-            tuple(_poly_of_column(n, degree, self.field[:, i, j]) for j in range(n))
-            for i in range(n)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +122,6 @@ def _monomials(n: int, degree: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _row_index(n: int, degree: int) -> dict[tuple[int, ...], int]:
     return {e: r for r, e in enumerate(_monomials(n, degree))}
-
-
-def _poly_of_column(n: int, degree: int, column: np.ndarray) -> TruncPoly:
-    """TruncPoly whose coefficient of the r-th graded monomial is column[r]."""
-    return TruncPoly(n, degree, dict(zip(_monomials(n, degree), column.tolist())))
 
 
 def _segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -428,19 +291,14 @@ def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
 
 
 def christoffel(gm: PolyMetric) -> np.ndarray:
-    """Christoffel symbols as an object array of TruncPoly, indexed [k, i, j].
+    """Christoffel symbols as a field indexed [r, k, i, j], to total degree D - 1.
 
-    The output carries total degree D - 1; symmetric in the lower pair.
+    Row r holds the coefficients of the r-th graded monomial; the field is
+    symmetric in the lower pair (i, j) bitwise.
     """
     if gm.degree < 1:
         raise ValueError("truncation degree too low for Christoffel symbols")
-    n = gm.space.dim
-    cap = gm.degree - 1
-    gamma = _gamma_field(gm.field, gm.space.eps, cap)
-    out = np.empty((n, n, n), dtype=object)
-    for k, i, j in np.ndindex(n, n, n):
-        out[k, i, j] = _poly_of_column(n, cap, gamma[:, k, i, j])
-    return out
+    return _gamma_field(gm.field, gm.space.eps, gm.degree - 1)
 
 
 def curvature_two_jet(gm: PolyMetric) -> TwoJet:

@@ -74,7 +74,10 @@ def _worst(*values: float) -> float:
 
 @memoized
 def _einstein_jet(sp: Space, seed: int) -> TwoJet:
-    """Einstein extension of the seeded Einstein one-jet."""
+    """Einstein extension of the seeded Einstein one-jet.
+
+    Only the extended jet is memoized: it holds its own copies of R and dR.
+    """
     return einstein_extend(*random_einstein_one_jet(sp, seed))
 
 
@@ -344,7 +347,7 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
     def corollary(j: TwoJet, fit: JacobiFit) -> dict[str, float]:
         # the eigenvalue corollary applies only where the Jacobi relation fits
-        return {"corollary": _eigenvalue_gap(j, fit.c)} if fit.residual < 1e-9 else {}
+        return {"corollary": _eigenvalue_gap(j, fit.c)} if fit.clean else {}
 
     def seeded(seed: int) -> dict[str, float]:
         j = _einstein_jet(sp, seed)

@@ -187,7 +187,7 @@ class TestGen:
 
 
 class TestCommonOptions:
-    # --seed and --tol are validated once for every subcommand
+    # --seed and --tol are validated once for every subcommand that takes them
     @pytest.mark.parametrize("command", ["gen", "check", "metric"])
     def test_negative_seed_is_usage_error(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -216,6 +216,32 @@ class TestCommonOptions:
             main(["check", "--suite", "eigenvalue", "--dim", "3", "--tol", tol])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("gen", "--in", "jet.json"),
+            ("check", "--in", "report.json"),
+            ("extend", "--dim", "4"),
+            ("extend", "--signature", "1,1,1,1"),
+            ("extend", "--seed", "1"),
+            ("extend", "--tol", "1e-3"),
+            ("fit", "--dim", "4"),
+            ("fit", "--signature", "1,1,1,1"),
+            ("fit", "--seed", "1"),
+            ("fit", "--tol", "1e-3"),
+            ("fit", "--out", "never.json"),
+            ("metric", "--tol", "1e-3"),
+        ],
+    )
+    def test_option_the_command_does_not_read_is_usage_error(
+        self, command, option, value, capsys
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([command, option, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: unrecognized arguments" in err and option in err
 
 
 class TestExtend:
@@ -371,7 +397,8 @@ class TestDocumentLoading:
 
 class TestLeadingMinusSignature:
     # "--signature -1,1,1,1" must reach --signature as its value, not be read
-    # as an unknown option, on every subcommand
+    # as an unknown option, on every subcommand that takes a signature; extend
+    # and fit read the space from their input document and reject the option
     L4 = Space(4, (-1, 1, 1, 1))
 
     def test_check(self, capsys):
@@ -399,18 +426,23 @@ class TestLeadingMinusSignature:
         doc = one_jet_doc(0.5 * kn_pair(g, g), Tensor(self.L4, np.zeros((4,) * 5)))
         src, dst = tmp_path / "one.json", tmp_path / "two.json"
         src.write_text(json.dumps(doc))
-        code = main(["extend", "--signature", "-1,1,1,1", "--in", str(src), "--out", str(dst)])
-        capsys.readouterr()
-        assert code == 0
-        assert einstein_check(two_jet_from_dict(json.loads(dst.read_text())))[0]
+        with pytest.raises(SystemExit) as exc:
+            main(["extend", "--signature", "-1,1,1,1", "--in", str(src), "--out", str(dst)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --signature=-1,1,1,1" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_fit(self, tmp_path, capsys):
         from curvjet.jets import random_two_jet
 
         src = tmp_path / "jet.json"
         src.write_text(json.dumps(two_jet_to_dict(random_two_jet(self.L4, 9))))
-        code = main(["fit", "--signature", "-1,1,1,1", "--in", str(src), "--format", "json"])
-        assert code == 0 and "residual" in json.loads(capsys.readouterr().out)
+        with pytest.raises(SystemExit) as exc:
+            main(["fit", "--signature", "-1,1,1,1", "--in", str(src), "--format", "json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments: --signature=-1,1,1,1" in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("value", ["-1,2", "-1,x", "-1,,1"])
     def test_bad_signature_is_usage_error(self, value, capsys):

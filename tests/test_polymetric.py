@@ -9,7 +9,11 @@ from curvjet.curvature import kn_pair, ricci
 from curvjet.jets import validate_two_jet
 from curvjet.polymetric import (
     PolyMetric,
-    TruncPoly,
+    _gamma_field,
+    _monomials,
+    _mul,
+    _row_index,
+    _rows,
     _seed_field,
     _two_jet_of_field,
     christoffel,
@@ -21,6 +25,7 @@ from curvjet.polymetric import (
 )
 from curvjet.spaces import Space, Tensor
 from curvjet.young import random_ck
+from polyref import TruncPoly, entries, from_entries, poly_of_column
 
 E3 = Space(3)
 E4 = Space(4)
@@ -32,20 +37,20 @@ def rel(a: np.ndarray, b: np.ndarray) -> float:
 
 def flat_metric(sp: Space, degree: int = 4) -> PolyMetric:
     n = sp.dim
-    entries = [
+    rows = [
         [TruncPoly.constant(n, degree, sp.signature[i] if i == j else 0.0) for j in range(n)]
         for i in range(n)
     ]
-    return PolyMetric.from_entries(sp, degree, tuple(tuple(row) for row in entries))
+    return from_entries(sp, degree, tuple(tuple(row) for row in rows))
 
 
 def perturbed_metric(sp: Space, i: int, j: int, p: TruncPoly) -> PolyMetric:
     base = flat_metric(sp, p.degree)
-    entries = [list(row) for row in base.entries]
-    entries[i][j] = entries[i][j] + p
+    rows = [list(row) for row in entries(base)]
+    rows[i][j] = rows[i][j] + p
     if i != j:
-        entries[j][i] = entries[j][i] + p
-    return PolyMetric.from_entries(sp, p.degree, tuple(tuple(row) for row in entries))
+        rows[j][i] = rows[j][i] + p
+    return from_entries(sp, p.degree, tuple(tuple(row) for row in rows))
 
 
 class TestTruncPoly:
@@ -83,15 +88,15 @@ class TestPolyMetric:
             [TruncPoly.constant(n, 4, 0.0), TruncPoly.constant(n, 4, 1.0)],
         ]
         with pytest.raises(ValueError, match="symmetric"):
-            PolyMetric.from_entries(Space(2), 4, tuple(tuple(r) for r in rows))
+            from_entries(Space(2), 4, tuple(tuple(r) for r in rows))
 
     def test_wrong_value_at_origin_rejected(self):
         p = TruncPoly.constant(3, 4, 0.5)
         base = flat_metric(E3)
-        entries = [list(r) for r in base.entries]
-        entries[0][0] = entries[0][0] + p
+        rows = [list(r) for r in entries(base)]
+        rows[0][0] = rows[0][0] + p
         with pytest.raises(ValueError, match="origin"):
-            PolyMetric.from_entries(E3, 4, tuple(tuple(r) for r in entries))
+            from_entries(E3, 4, tuple(tuple(r) for r in rows))
 
     def test_field_is_read_only_and_sets_the_degree(self):
         gm = random_poly_metric(E3, 5, degree=3)
@@ -116,54 +121,65 @@ class TestPolyMetric:
         [("shape", "n x n"), ("nvars", "coordinates"), ("degree", "truncation degree")],
     )
     def test_from_entries_rejects_bad_entries(self, case, match):
-        entries = [list(r) for r in flat_metric(E3, 3).entries]
+        rows = [list(r) for r in entries(flat_metric(E3, 3))]
         if case == "shape":
-            entries = entries[:2]
+            rows = rows[:2]
         elif case == "nvars":
-            entries[1][1] = TruncPoly.constant(4, 3, 1.0)
+            rows[1][1] = TruncPoly.constant(4, 3, 1.0)
         else:
-            entries[1][1] = TruncPoly(3, 4, {(0, 0, 0): 1.0, (0, 4, 0): 1.0})
+            rows[1][1] = TruncPoly(3, 4, {(0, 0, 0): 1.0, (0, 4, 0): 1.0})
         with pytest.raises(ValueError, match=match):
-            PolyMetric.from_entries(E3, 3, entries)
+            from_entries(E3, 3, rows)
 
     def test_random_is_valid_and_deterministic(self):
         a = random_poly_metric(E3, 5)
         b = random_poly_metric(E3, 5)
-        assert a.entries[0][1].coeff == b.entries[0][1].coeff
+        assert entries(a)[0][1].coeff == entries(b)[0][1].coeff
         c = random_poly_metric(E3, 6)
-        assert a.entries[0][1].coeff != c.entries[0][1].coeff
+        assert entries(a)[0][1].coeff != entries(c)[0][1].coeff
 
 
 class TestChristoffel:
     def test_flat_metric_has_no_symbols(self):
         gamma = christoffel(flat_metric(E4))
-        assert all(g.coeff == {} for g in gamma.ravel())
+        assert not gamma.any()
 
     def test_single_entry_hand_oracle(self):
         # g_00 = 1 + x1: the only symbols are
         #   Gamma^0_01 = (1/2) (1 + x1)^(-1)  and  Gamma^1_00 = -1/2
         gm = perturbed_metric(E3, 0, 0, TruncPoly(3, 4, {(0, 1, 0): 1.0}))
         gamma = christoffel(gm)
-        assert gamma[0, 0, 1].coeff == {
-            (0, 0, 0): 0.5,
-            (0, 1, 0): -0.5,
-            (0, 2, 0): 0.5,
-            (0, 3, 0): -0.5,
-        }
-        assert gamma[1, 0, 0].coeff == {(0, 0, 0): -0.5}
-        assert gamma[0, 0, 0].coeff == {}
-        assert gamma[2, 2, 2].coeff == {}
+        index = _row_index(3, 3)
+
+        def column(coeff):
+            out = np.zeros(len(index))
+            for e, c in coeff.items():
+                out[index[e]] = c
+            return out
+
+        assert np.array_equal(
+            gamma[:, 0, 0, 1],
+            column({(0, 0, 0): 0.5, (0, 1, 0): -0.5, (0, 2, 0): 0.5, (0, 3, 0): -0.5}),
+        )
+        assert np.array_equal(gamma[:, 1, 0, 0], column({(0, 0, 0): -0.5}))
+        assert not gamma[:, 0, 0, 0].any()
+        assert not gamma[:, 2, 2, 2].any()
 
     def test_symmetric_in_lower_slots(self):
         gamma = christoffel(random_poly_metric(E3, 7))
-        for k in range(3):
-            for i in range(3):
-                for j in range(i):
-                    assert gamma[k, i, j] == gamma[k, j, i]
+        assert np.array_equal(gamma, gamma.swapaxes(2, 3))
 
     def test_degree_too_low(self):
         with pytest.raises(ValueError, match="degree"):
             christoffel(flat_metric(E3, degree=0))
+
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1))])
+    def test_is_the_dense_gamma_field(self, sp):
+        n, degree = sp.dim, 4
+        gm = random_poly_metric(sp, 9, degree=degree)
+        gamma = christoffel(gm)
+        assert gamma.dtype == float and gamma.shape == (_rows(n, degree - 1), n, n, n)
+        assert np.array_equal(gamma, _gamma_field(gm.field, sp.eps, degree - 1))
 
     @pytest.mark.parametrize("sp", [E3, Space(3, (1, -1, 1))])
     def test_matches_truncpoly_arithmetic(self, sp):
@@ -171,7 +187,7 @@ class TestChristoffel:
         # for the inverse, then the Levi-Civita formula entry by entry
         n, degree = sp.dim, 3
         gm = random_poly_metric(sp, 8, degree=degree)
-        g = gm.entries
+        g = entries(gm)
         eps = sp.signature
         B = [[-eps[i] * (g[i][k] - g[i][k].value0()) for k in range(n)] for i in range(n)]
         inv = [[TruncPoly.constant(n, degree, eps[i] * (i == k)) for k in range(n)] for i in range(n)]
@@ -191,7 +207,7 @@ class TestChristoffel:
                     for l in range(n):
                         u = g[j][l].diff(i) + g[i][l].diff(j) - g[i][j].diff(l)
                         ref = ref + 0.5 * (inv[k][l] * u)
-                    got = gamma[k, i, j]
+                    got = poly_of_column(n, degree - 1, gamma[:, k, i, j])
                     for e in set(ref.coeff) | set(got.coeff):
                         assert got.coeff.get(e, 0.0) == pytest.approx(
                             ref.coeff.get(e, 0.0), rel=1e-12, abs=1e-14
@@ -216,11 +232,11 @@ class TestCurvatureTwoJet:
         t = TruncPoly(n, 4, {tuple(2 * int(k == v) for k in range(n)): c for v in range(n)})
         one = TruncPoly.constant(n, 4, 1.0)
         conf = one - 2.0 * t + 3.0 * (t * t)
-        entries = tuple(
+        rows = tuple(
             tuple(conf if i == j else TruncPoly.constant(n, 4, 0.0) for j in range(n))
             for i in range(n)
         )
-        j = curvature_two_jet(PolyMetric.from_entries(E3, 4, entries))
+        j = curvature_two_jet(from_entries(E3, 4, rows))
         g = E3.metric_tensor()
         assert rel(j.R.data, (-kappa / 2.0) * kn_pair(g, g).data) < 1e-12
         assert ricci(j.R).ric.data == pytest.approx(kappa * 2.0 * np.eye(3), abs=1e-12)
@@ -256,12 +272,13 @@ class TestCurvatureTwoJet:
                 out = out + term
             return out
 
+        g = entries(gm)
         origin = (0,) * n
         pulled = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 entry = sum(
-                    (Q[k, i] * Q[l, j]) * compose(gm.entries[k][l])
+                    (Q[k, i] * Q[l, j]) * compose(g[k][l])
                     for k in range(n)
                     for l in range(n)
                 )
@@ -271,7 +288,7 @@ class TestCurvatureTwoJet:
                 if i == j:
                     coeff[origin] = 1.0
                 pulled[i][j] = pulled[j][i] = TruncPoly(n, 4, coeff)
-        jp = curvature_two_jet(PolyMetric.from_entries(sp, 4, tuple(tuple(r) for r in pulled)))
+        jp = curvature_two_jet(from_entries(sp, 4, tuple(tuple(r) for r in pulled)))
         j = curvature_two_jet(gm)
 
         pull4 = np.einsum("abcd,ai,bj,ck,dl->ijkl", j.R.data, Q, Q, Q, Q)
@@ -286,10 +303,11 @@ class TestSeedMetric:
     def test_zero_jet_gives_flat_metric(self):
         n = E3.dim
         gm = seed_metric(Tensor(E3, np.zeros((n,) * 4)), Tensor(E3, np.zeros((n,) * 5)))
+        g = entries(gm)
         for i in range(n):
             for j in range(n):
                 expect = {(0,) * n: 1.0} if i == j else {}
-                assert gm.entries[i][j].coeff == expect
+                assert g[i][j].coeff == expect
 
     def test_constant_curvature_round_trip_pins_sign(self):
         # the quadratic coefficient sign is frozen by requiring the space-form
@@ -325,7 +343,7 @@ class TestSeedMetric:
 
     def test_origin_value_is_signature(self):
         gm = seed_metric(random_ck(E4, 0, 40), random_ck(E4, 1, 41))
-        vals = np.array([[gm.entries[i][j].value0() for j in range(4)] for i in range(4)])
+        vals = np.array([[entry.value0() for entry in row] for row in entries(gm)])
         assert np.array_equal(vals, np.eye(4))
 
 
@@ -334,9 +352,7 @@ class TestSerialization:
         gm = random_poly_metric(E4, 50)
         doc = json.loads(json.dumps(poly_metric_to_dict(gm)))
         back = poly_metric_from_dict(doc)
-        for i in range(4):
-            for j in range(4):
-                assert back.entries[i][j] == gm.entries[i][j]
+        assert entries(back) == entries(gm)
 
     def test_rejects_bad_document(self):
         doc = poly_metric_to_dict(random_poly_metric(E3, 51))
@@ -372,8 +388,6 @@ class TestSerialization:
 def test_mul_matches_truncpoly_products(cap):
     # field products against TruncPoly arithmetic, entry by entry, at n=5 and
     # with a contraction that reorders the free indices
-    from curvjet.polymetric import _monomials, _mul, _rows
-
     n = 5
     rng = np.random.default_rng(cap)
     a = rng.standard_normal((_rows(n, cap), 2, 3))
@@ -382,7 +396,7 @@ def test_mul_matches_truncpoly_products(cap):
     mons = _monomials(n, cap)
 
     def poly(column):
-        return TruncPoly(n, cap, dict(zip(mons, column)))
+        return poly_of_column(n, cap, column)
 
     for l, i, k in np.ndindex(2, 2, 2):
         ref = sum((poly(a[:, i, j]) * poly(b[:, j, k, l]) for j in range(3)), TruncPoly(n, cap))

@@ -110,6 +110,13 @@ class TestRunSuites:
             assert _einstein_jet(E3, 2) is _einstein_jet(E3, 2)
         assert _einstein_jet(E3, 2) is not _einstein_jet(E3, 2)
 
+    def test_einstein_one_jet_is_kept_only_in_its_extension(self):
+        # the memoized extended jet holds its own copies of R and dR
+        with run_scope():
+            _einstein_jet(E3, 2)
+            kept = {key[0].__name__ for key in spaces._MEMO}
+        assert "_einstein_jet" in kept and "random_einstein_one_jet" not in kept
+
     @pytest.mark.parametrize("name", [n for n in suite_names() if n != "all"])
     def test_single_suite_matches_all(self, name, three_seeds):
         cfg, everything = three_seeds
