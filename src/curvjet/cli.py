@@ -35,7 +35,7 @@ from .polymetric import (
     random_poly_metric,
 )
 from .report import Report
-from .spaces import Space, tensor_from_dict, tensor_to_dict
+from .spaces import Space, tensor_from_dict
 from .suites import make_config, run_suites, run_suites_timed, suite_names
 
 __all__ = ["main"]

@@ -11,6 +11,7 @@ for reference and are order one on generic input.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -23,11 +24,17 @@ from .curvature import (
     pair_derivation,
     ricci,
 )
-from .jets import TwoJet, hat_embed, jet_traces, random_two_jet, tilde_ops
+from .jets import _hessian_tableau, hat_embed, jet_traces, random_two_jet, tilde_ops
 from .spaces import Space, SymBiform, Tensor, _rel, memoized, sym_product
 from .young import random_ck, tableau_apply, young_apply
 
 __all__ = ["verify_identity", "identity_names"]
+
+
+def _traced_tableau(space: Space, arranged: np.ndarray, row1=(1, 3)) -> np.ndarray:
+    """Trace over slots 1 and 3 of the tableau with rows ``row1`` and (2, 4) of a 6-tensor."""
+    projected = tableau_apply(Tensor(space, arranged), row1, (2, 4))
+    return np.einsum("ibidef,i->bdef", projected.data, space.eps)
 
 
 def _pair_sum(F: np.ndarray) -> np.ndarray:
@@ -54,27 +61,21 @@ def _derivation_trace_pair(space: Space, seed: int) -> dict[str, float]:
     # the traced (2,2) tableau of both rotation arrangements equals the same
     # three-fold combination of the rotation trace and the Ricci rotation
     _, D, T1, Gn = _rotation_data(space, seed)
-    eps = space.eps
     rhs = 3.0 * (
         np.transpose(T1, (1, 2, 0, 3))
         + np.transpose(T1, (2, 1, 0, 3))
         + np.transpose(Gn, (1, 2, 0, 3))
         + np.transpose(Gn, (2, 1, 0, 3))
     )
-    first = tableau_apply(Tensor(space, np.transpose(D, (2, 3, 1, 4, 0, 5))), (1, 3), (2, 4))
-    second = tableau_apply(Tensor(space, np.transpose(D, (1, 3, 2, 4, 0, 5))), (1, 3), (2, 4))
-    lhs_a = np.einsum("ibidef,i->bdef", first.data, eps)
-    lhs_b = np.einsum("ibidef,i->bdef", second.data, eps)
+    lhs_a = _traced_tableau(space, np.transpose(D, (2, 3, 1, 4, 0, 5)))
+    lhs_b = _traced_tableau(space, np.transpose(D, (1, 3, 2, 4, 0, 5)))
     return {"first_arrangement": _rel(lhs_a, rhs), "second_arrangement": _rel(lhs_b, rhs)}
 
 
 def _derivation_trace_six(space: Space, seed: int) -> dict[str, float]:
     # traced (3,2)-row tableau of the rotation tensor, factor six
     _, D, T1, Gn = _rotation_data(space, seed)
-    eps = space.eps
-    arranged = Tensor(space, np.transpose(D, (2, 3, 4, 5, 0, 1)))
-    projected = tableau_apply(arranged, (1, 3, 6), (2, 4))
-    lhs = np.einsum("ibidef,i->bdef", projected.data, eps)
+    lhs = _traced_tableau(space, np.transpose(D, (2, 3, 4, 5, 0, 1)), (1, 3, 6))
     rhs = 6.0 * (
         -2.0 * np.transpose(Gn, (2, 3, 0, 1))
         + np.transpose(T1, (1, 3, 0, 2))
@@ -89,15 +90,9 @@ def _hessian_trace_expansion(space: Space, seed: int) -> dict[str, float]:
     # traced (2,2) tableau of the second derivative itself, expanded into the
     # three signed traces and the rotation trace; needs a coupled jet
     j = random_two_jet(space, seed)
-    assert isinstance(j, TwoJet)
-    eps = space.eps
-    d2 = j.d2R.data
     hess, div_der, lap = (t.data for t in jet_traces(j))
-    T1 = _pair_trace(pair_derivation(j.R, j.R), eps)
-
-    arranged = Tensor(space, np.transpose(d2, (0, 3, 1, 5, 2, 4)))
-    projected = tableau_apply(arranged, (1, 3), (2, 4))
-    lhs = -np.einsum("ibidef,i->bdef", projected.data, eps)
+    T1 = _pair_trace(j.rotation, space.eps)
+    lhs = -_traced_tableau(space, np.transpose(j.d2R.data, (0, 3, 1, 5, 2, 4)))
     F = (
         np.transpose(lap, (1, 3, 0, 2))
         + hess
@@ -121,34 +116,23 @@ def _ricci_flat_input(space: Space, seed: int) -> Tensor:
     return decompose(random_ck(space, 0, seed)).weyl_part
 
 
-def _embed_trace_22(space: Space, seed: int) -> dict[str, float]:
-    S = _ricci_flat_input(space, seed)
-    g = space.metric_matrix()
-    T = np.einsum("af,cbed->abcdef", g, S.data)
-    projected = tableau_apply(Tensor(space, T), (1, 3), (2, 4))
-    tr = np.einsum("ibidef,i->bdef", projected.data, space.eps)
-    rhs = 3.0 * (np.transpose(S.data, (1, 3, 2, 0)) + np.transpose(S.data, (3, 1, 2, 0)))
-    return {"residual": _rel(tr, rhs)}
+# the metric-embedding trace factors: name -> (einsum of g and S into the
+# embedded 6-tensor, tableau row 1, trace factor at dimension n, the two
+# slot orders of S whose sum the trace equals)
+_EMBED_TRACES = {
+    "embed_trace_22": ("af,cbed->abcdef", (1, 3), lambda n: 3.0, ((1, 3, 2, 0), (3, 1, 2, 0))),
+    "embed_trace_32": ("ef,abcd->abcdef", (1, 3, 5), lambda n: 6.0, ((1, 3, 2, 0), (3, 1, 2, 0))),
+    "embed_trace_inner": (
+        "ac,ebfd->abcdef", (1, 3), lambda n: 2.0 * n - 4.0, ((1, 3, 0, 2), (3, 1, 0, 2))
+    ),
+}
 
 
-def _embed_trace_32(space: Space, seed: int) -> dict[str, float]:
-    S = _ricci_flat_input(space, seed)
-    g = space.metric_matrix()
-    T = np.einsum("ef,abcd->abcdef", g, S.data)
-    projected = tableau_apply(Tensor(space, T), (1, 3, 5), (2, 4))
-    tr = np.einsum("ibidef,i->bdef", projected.data, space.eps)
-    rhs = 6.0 * (np.transpose(S.data, (1, 3, 2, 0)) + np.transpose(S.data, (3, 1, 2, 0)))
-    return {"residual": _rel(tr, rhs)}
-
-
-def _embed_trace_inner(space: Space, seed: int) -> dict[str, float]:
-    S = _ricci_flat_input(space, seed)
-    g = space.metric_matrix()
-    T = np.einsum("ac,ebfd->abcdef", g, S.data)
-    projected = tableau_apply(Tensor(space, T), (1, 3), (2, 4))
-    tr = np.einsum("ibidef,i->bdef", projected.data, space.eps)
-    factor = 2.0 * space.dim - 4.0
-    rhs = factor * (np.transpose(S.data, (1, 3, 0, 2)) + np.transpose(S.data, (3, 1, 0, 2)))
+def _embed_trace(name: str, space: Space, seed: int) -> dict[str, float]:
+    spec, row1, factor, (first, second) = _EMBED_TRACES[name]
+    S = _ricci_flat_input(space, seed).data
+    tr = _traced_tableau(space, np.einsum(spec, space.metric_matrix(), S), row1)
+    rhs = factor(space.dim) * (np.transpose(S, first) + np.transpose(S, second))
     return {"residual": _rel(tr, rhs)}
 
 
@@ -172,12 +156,9 @@ def _projected_kulkarni(space: Space, seed: int) -> dict[str, float]:
 def _assoc_displays(space: Space, seed: int):
     """Shared data for the two associated-second-derivative displays."""
     j = random_two_jet(space, seed)
-    assert isinstance(j, TwoJet)
-    eps = space.eps
     tilde_hess, _ = (t.data for t in tilde_ops(j))
     hess, div_der, lap = (t.data for t in jet_traces(j))
-    D = pair_derivation(j.R, j.R)
-    T1 = _pair_trace(D, eps)
+    T1 = _pair_trace(j.rotation, space.eps)
     SS = j.star_square
     Gn = pair_derivation(j.R, ricci(j.R).ric)
 
@@ -206,7 +187,7 @@ def _assoc_displays(space: Space, seed: int):
 
 def _project_c0(space: Space, arr: np.ndarray) -> np.ndarray:
     # normalized tableau projection of a [x5,x2,x6,x4]-ordered 4-tensor
-    return young_apply(Tensor(space, np.transpose(arr, (0, 2, 1, 3))), 0).data / 12.0
+    return _hessian_tableau(space, arr) / 12.0
 
 
 def _assoc_hessian_expansion(space: Space, seed: int) -> dict[str, float]:
@@ -237,9 +218,7 @@ _REGISTRY: dict[str, Callable[[Space, int], dict[str, float]]] = {
     "derivation_trace_six": _derivation_trace_six,
     "hessian_trace_expansion": _hessian_trace_expansion,
     "ricci_rotation_vanishes": _ricci_rotation_vanishes,
-    "embed_trace_22": _embed_trace_22,
-    "embed_trace_32": _embed_trace_32,
-    "embed_trace_inner": _embed_trace_inner,
+    **{name: functools.partial(_embed_trace, name) for name in _EMBED_TRACES},
     "projected_kulkarni": _projected_kulkarni,
     "assoc_hessian_expansion": _assoc_hessian_expansion,
     "assoc_hessian_difference": _assoc_hessian_difference,

@@ -60,6 +60,7 @@ __all__ = [
     "validate_two_jet",
     "validate_section_jet",
     "random_two_jet",
+    "random_section_jet",
     "random_einstein_one_jet",
     "jet_traces",
     "sym_jacobi",
@@ -90,11 +91,12 @@ class TwoJet:
 
     The jet holds read-only copies of the components it is given, so no
     later write to the caller's arrays (or to their base arrays) reaches it.
-    Three derived values are computed at most once per jet and cached
-    read-only: ``residuals`` (what ``validate_two_jet`` reports),
-    ``einstein_gaps`` (the one-jet gaps of ``einstein_check``) and
-    ``star_square`` (R*R).  They are not fields, so they take no part in
-    ``__init__``, ``==`` or ``repr``.
+    Four derived values are computed at most once per jet and cached
+    read-only: ``rotation`` (the curvature rotation R_{e_a, e_b} . R),
+    ``residuals`` (what ``validate_two_jet`` reports), ``einstein_gaps``
+    (the one-jet gaps of ``einstein_check``) and ``star_square`` (R*R).
+    They are not fields, so they take no part in ``__init__``, ``==`` or
+    ``repr``.
     """
 
     R: Tensor
@@ -121,9 +123,23 @@ class TwoJet:
         return TwoJet, (self.R, self.dR, self.d2R)
 
     @cached_property
+    def rotation(self) -> np.ndarray:
+        """``pair_derivation(R, R)``, the right side of the Ricci identity, as a read-only array."""
+        out = pair_derivation(self.R, self.R)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def residuals(self) -> Mapping[str, float]:
         """The relative residuals of ``validate_two_jet``, as a read-only mapping."""
-        return _two_jet_residuals(self, pair_derivation(self.R, self.R))
+        residuals = {
+            "curvature": _worst_slice(self.R, 0) / max(self.R.norm(), 1.0),
+            "derivative": _worst_slice(self.dR, 1) / max(self.dR.norm(), 1.0),
+            "second_derivative": _worst_slice(self.d2R, 1) / max(self.d2R.norm(), 1.0),
+        }
+        scale = max(self.d2R.norm(), self.R.norm() ** 2, 1.0)
+        residuals["ricci_identity"] = _ricci_gap(self.d2R.data, self.rotation, scale)
+        return MappingProxyType(residuals)
 
     @cached_property
     def einstein_gaps(self) -> tuple[float, float]:
@@ -216,6 +232,11 @@ def _rough_lap(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
     return -np.einsum("iiabcd,i->abcd", d2, eps)
 
 
+def _hessian_tableau(sp: Space, hess: np.ndarray) -> np.ndarray:
+    """The C_0 tableau of a second Ricci derivative, read in the slot order (0, 2, 1, 3)."""
+    return young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -225,18 +246,10 @@ def _worst_slice(t: Tensor, k: int) -> float:
     return float(np.max(list(ck_residuals(t, k).values())))
 
 
-def _two_jet_residuals(j: TwoJet, rotation: np.ndarray) -> Mapping[str, float]:
-    """The residuals of ``validate_two_jet``, given the rotation ``pair_derivation(j.R, j.R)``."""
-    d2 = j.d2R.data
-    residuals = {
-        "curvature": _worst_slice(j.R, 0) / max(j.R.norm(), 1.0),
-        "derivative": _worst_slice(j.dR, 1) / max(j.dR.norm(), 1.0),
-        "second_derivative": _worst_slice(j.d2R, 1) / max(j.d2R.norm(), 1.0),
-    }
+def _ricci_gap(d2: np.ndarray, rotation: np.ndarray, scale: float) -> float:
+    """|d2[a, b] - d2[b, a] - rotation| / scale, the Ricci-identity residual."""
     gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
-    ricci_scale = max(j.d2R.norm(), j.R.norm() ** 2, 1.0)
-    residuals["ricci_identity"] = float(np.linalg.norm(gap)) / ricci_scale
-    return MappingProxyType(residuals)
+    return float(np.linalg.norm(gap)) / scale
 
 
 def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
@@ -265,10 +278,8 @@ def validate_section_jet(
         )
     }
     rotation = pair_derivation(sj.background, sj.Rp)
-    gap = sj.d2Rp.data - np.transpose(sj.d2Rp.data, (1, 0, 2, 3, 4, 5)) - rotation
     scale = max(sj.d2Rp.norm(), sj.background.norm() * sj.Rp.norm(), 1.0)
-    residuals["ricci_identity"] = float(np.linalg.norm(gap)) / scale
-
+    residuals["ricci_identity"] = _ricci_gap(sj.d2Rp.data, rotation, scale)
     return all(v <= tol for v in residuals.values()), residuals
 
 
@@ -363,38 +374,20 @@ def _particular_d2(R: Tensor, rotation: np.ndarray) -> np.ndarray:
 
 
 @memoized
-def random_two_jet(
-    space: Space, seed: int, background: Tensor | None = None
-) -> TwoJet | SectionTwoJet:
-    """Draw a random valid two-jet (or section jet over ``background``).
+def random_two_jet(space: Space, seed: int) -> TwoJet:
+    """Draw a random valid two-jet.
 
-    The plain jet takes random C_0 and C_1 parts, a particular symmetric
-    second derivative solving the differentiated Bianchi identity on top of
-    half the curvature rotation, and a random C_2 contribution.  With a
-    background the Ricci identity is the only coupling, so the symmetric
-    part is free.  In a run scope (``spaces.run_scope``) a plain jet is drawn
-    once per (space, seed); a call with a background is never memoized.
+    The jet takes random C_0 and C_1 parts, a particular symmetric second
+    derivative solving the differentiated Bianchi identity on top of half
+    the curvature rotation, and a random C_2 contribution.  The jet keeps
+    that rotation and the residuals of the draw's validation as cached
+    values.  In a run scope (``spaces.run_scope``) a jet is drawn once per
+    (space, seed).
     """
     if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
     rng = np.random.default_rng(seed)
     basis0 = _ck_stack(space.dim, 0)
-
-    if background is not None:
-        if background.valence != 4 or background.space != space:
-            raise ValueError("background must be a valence-4 tensor on the same space")
-        n = space.dim
-        Rp = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
-        dRp = basis0.combine(rng.standard_normal((n, len(basis0))))
-        sym_free = basis0.combine(rng.standard_normal((n, n, len(basis0))))
-        sym_free = 0.5 * (sym_free + np.transpose(sym_free, (1, 0, 2, 3, 4, 5)))
-        d2Rp = 0.5 * pair_derivation(background, Rp) + sym_free
-        sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, d2Rp))
-        ok, residuals = validate_section_jet(sj)
-        if not ok:
-            raise RuntimeError(f"section-jet construction failed: {residuals}")
-        return sj
-
     basis1 = _ck_stack(space.dim, 1)
     basis2 = _ck_stack(space.dim, 2)
     R = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
@@ -402,14 +395,38 @@ def random_two_jet(
 
     homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
-    # one rotation serves the construction and the validation of the draw,
-    # whose residuals the jet keeps for validate_two_jet
     rotation = pair_derivation(R, R)
+    rotation.flags.writeable = False
     j = TwoJet(R, dR, Tensor(space, _particular_d2(R, rotation) + homogeneous))
-    residuals = _two_jet_residuals(j, rotation)
-    if not all(v <= 1e-8 for v in residuals.values()):
-        raise RuntimeError(f"two-jet construction failed: {dict(residuals)}")
-    return _seed(j, "residuals", residuals)
+    _seed(j, "rotation", rotation)
+    if not all(v <= 1e-8 for v in j.residuals.values()):
+        raise RuntimeError(f"two-jet construction failed: {dict(j.residuals)}")
+    return j
+
+
+def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTwoJet:
+    """Draw a random valid section jet over ``background``.
+
+    The Ricci identity is the only coupling, so the symmetric part of the
+    second derivative is free.  Not memoized (a tensor is unhashable).
+    """
+    if space.dim not in RANDOM_JET_DIMS:
+        raise ValueError("random jets are supported for dim 3, 4, 5")
+    if background.valence != 4 or background.space != space:
+        raise ValueError("background must be a valence-4 tensor on the same space")
+    rng = np.random.default_rng(seed)
+    basis0 = _ck_stack(space.dim, 0)
+    n = space.dim
+    Rp = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
+    dRp = basis0.combine(rng.standard_normal((n, len(basis0))))
+    sym_free = basis0.combine(rng.standard_normal((n, n, len(basis0))))
+    sym_free = 0.5 * (sym_free + np.transpose(sym_free, (1, 0, 2, 3, 4, 5)))
+    d2Rp = 0.5 * pair_derivation(background, Rp) + sym_free
+    sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, d2Rp))
+    ok, residuals = validate_section_jet(sj)
+    if not ok:
+        raise RuntimeError(f"section-jet construction failed: {residuals}")
+    return sj
 
 
 @lru_cache(maxsize=None)
@@ -582,10 +599,9 @@ def weitzenbock_special(j: TwoJet) -> dict[str, float]:
     lap = _rough_lap(d2, eps)
     hess = _hess_ric(d2, eps)
     SS = j.star_square
-    tableau = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
 
     return {
-        "special": _rel(lap, 0.25 * tableau - 0.5 * SS),
+        "special": _rel(lap, 0.25 * _hessian_tableau(sp, hess) - 0.5 * SS),
         "einstein_form": _rel(lap, -0.5 * SS),
         "hessian_ricci": float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0),
     }

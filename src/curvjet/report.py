@@ -4,9 +4,10 @@ One record per check with its residual and threshold; the summary verdict is
 the conjunction.  A record also names the loop seed that gave its worst
 residual (``worst_seed``, null when the record is not a worst over seeds) and
 the number of values it reduces (``samples``); ``check --seed <worst_seed>
---seeds 1`` reproduces that residual.  Bodies carry no timestamps so
-identical configurations produce byte-identical documents that CI can diff
-across commits.
+--seeds 1`` reproduces that residual under the same BLAS thread count (the
+last bits of some residuals, and so the worst seed, can depend on it).
+Bodies carry no timestamps so identical configurations produce
+byte-identical documents that CI can diff across commits.
 """
 
 from __future__ import annotations

@@ -43,6 +43,7 @@ from .jets import (
     _eigenvalue_gap,
     _hess_kernel_stack,
     _hess_ric,
+    _hessian_tableau,
     _rough_lap,
     einstein_check,
     einstein_extend,
@@ -50,6 +51,7 @@ from .jets import (
     hat_embed,
     jet_traces,
     random_einstein_one_jet,
+    random_section_jet,
     random_two_jet,
     tilde_ops,
     validate_two_jet,
@@ -233,7 +235,7 @@ def suite_star(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 def suite_weitzenbock(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     def residuals(seed: int) -> dict[str, float]:
-        sj = random_two_jet(sp, seed, background=random_ck(sp, 0, seed + 20_000))
+        sj = random_section_jet(sp, seed, random_ck(sp, 0, seed + 20_000))
         res = weitzenbock_check(sj)
         return {
             "special": weitzenbock_special(random_two_jet(sp, seed))["special"],
@@ -259,12 +261,11 @@ def suite_hierarchy(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     def residuals(seed: int) -> dict[str, float]:
         d2 = random_ck(sp, 2, seed).data
         hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
-        tab = young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
         return {
             "divergence_derivative": _rel(
                 dd, np.transpose(hess, (0, 2, 1, 3)) - np.transpose(hess, (0, 2, 3, 1))
             ),
-            "laplacian_tableau": _rel(lap, 0.25 * tab),
+            "laplacian_tableau": _rel(lap, 0.25 * _hessian_tableau(sp, hess)),
             "laplacian_divergence": _rel(lap, dd - np.transpose(dd, (1, 0, 2, 3))),
         }
 

@@ -22,6 +22,7 @@ from curvjet.jets import (
     fit_jacobi_relation,
     jet_traces,
     random_einstein_one_jet,
+    random_section_jet,
     random_two_jet,
     tilde_ops,
     validate_two_jet,
@@ -96,7 +97,7 @@ def test_criterion_03_weitzenbock_formulas():
         assert res["einstein_form"] < 1e-9, (seed, res)
 
     for seed in range(50):
-        sj = random_two_jet(E4, seed, background=random_ck(E4, 0, 20_000 + seed))
+        sj = random_section_jet(E4, seed, random_ck(E4, 0, 20_000 + seed))
         res = weitzenbock_check(sj)
         assert res["calibrated"] < 1e-9, (seed, res)
         assert res["strict"] < 1e-9, (seed, res)

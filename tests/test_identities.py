@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from curvjet.curvature import pair_derivation
 from curvjet.identities import identity_names, verify_identity
-from curvjet.spaces import Space
+from curvjet.jets import random_two_jet
+from curvjet.spaces import Space, run_scope
 
 E3 = Space(3)
 E4 = Space(4)
@@ -59,3 +61,26 @@ def test_raw_display_fails_off_projection():
     # mean the check collapsed into the projected one
     res = verify_identity("assoc_hessian_difference", E4, 0)
     assert res["raw_display"] > 1e-3
+
+
+def test_expansions_read_the_drawn_rotation(monkeypatch):
+    # both expansions take the rotation pair_derivation(R, R) of the memoized
+    # drawn jet, which the draw computed
+    import curvjet.identities as identities
+    import curvjet.jets as jets
+
+    calls = []
+
+    def counted(R, T):
+        if T is R:
+            calls.append(1)
+        return pair_derivation(R, T)
+
+    monkeypatch.setattr(jets, "pair_derivation", counted)
+    monkeypatch.setattr(identities, "pair_derivation", counted)
+    with run_scope():
+        random_two_jet(E4, 4)
+        drawn = len(calls)
+        for name in ("hessian_trace_expansion", "assoc_hessian_expansion"):
+            verify_identity(name, E4, 4)
+    assert drawn == 1 and len(calls) == drawn

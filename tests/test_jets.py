@@ -34,6 +34,7 @@ from curvjet.jets import (
     hat_embed,
     jet_traces,
     random_einstein_one_jet,
+    random_section_jet,
     random_two_jet,
     sym_jacobi,
     tilde_ops,
@@ -189,7 +190,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("part", ["background", "Rp", "dRp", "d2Rp"])
     def test_nan_section_component_fails(self, part):
-        sj = random_two_jet(E3, 0, background=random_ck(E3, 0, 1))
+        sj = random_section_jet(E3, 0, random_ck(E3, 0, 1))
         parts = {"background": sj.background, "Rp": sj.Rp, "dRp": sj.dRp, "d2Rp": sj.d2Rp}
         data = parts[part].data.copy()
         data.flat[-1] = np.nan
@@ -247,7 +248,7 @@ class TestRandomTwoJet:
 
     def test_section_path(self):
         bg = random_ck(E4, 0, 10)
-        sj = random_two_jet(E4, 3, background=bg)
+        sj = random_section_jet(E4, 3, bg)
         assert isinstance(sj, SectionTwoJet)
         ok, res = validate_section_jet(sj)
         assert ok, res
@@ -299,9 +300,10 @@ class TestJetCache:
         j = random_two_jet(E3, 2)
         assert [f.name for f in dataclasses.fields(TwoJet)] == ["R", "dR", "d2R"]
         assert not j.star_square.flags.writeable
+        assert not j.rotation.flags.writeable
         with pytest.raises(TypeError):
             j.residuals["curvature"] = 1.0
-        for name in ("residuals", "einstein_gaps", "star_square"):
+        for name in ("rotation", "residuals", "einstein_gaps", "star_square"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(j, name, None)
             assert name not in repr(j)
@@ -313,7 +315,7 @@ class TestJetCache:
         j = random_two_jet(E4, 3)
         expect = validate_two_jet(j)
         for other in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j), copy.copy(j)):
-            assert "residuals" not in vars(other)
+            assert "residuals" not in vars(other) and "rotation" not in vars(other)
             assert not any(t.data.flags.writeable for t in (other.R, other.dR, other.d2R))
             assert validate_two_jet(other) == expect
 
@@ -409,7 +411,7 @@ class TestWeitzenbock:
 
     def test_section_calibrated_and_projected(self):
         for seed in range(5):
-            sj = random_two_jet(E4, 80 + seed, background=random_ck(E4, 0, seed))
+            sj = random_section_jet(E4, 80 + seed, random_ck(E4, 0, seed))
             res = weitzenbock_check(sj)
             assert res["calibrated"] < 1e-12
             assert res["strict"] < 1e-12
@@ -786,7 +788,7 @@ class TestBatchedSliceChecks:
 
     @pytest.mark.parametrize("part", ["dRp", "d2Rp"])
     def test_nan_in_middle_slice_fails_section_jet(self, part):
-        sj = random_two_jet(E3, 0, background=random_ck(E3, 0, 1))
+        sj = random_section_jet(E3, 0, random_ck(E3, 0, 1))
         parts = {"background": sj.background, "Rp": sj.Rp, "dRp": sj.dRp, "d2Rp": sj.d2Rp}
         data = parts[part].data.copy()
         data[(1,) * (data.ndim - 4) + (0, 1, 2, 0)] = np.nan

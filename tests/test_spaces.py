@@ -308,11 +308,19 @@ class TestRunScope:
             assert again["residual"] >= 0.0 and again is not first
 
     def test_unhashable_arguments_bypass_the_memo(self):
-        background = random_ck(E3, 0, 9)
+        calls = []
+
+        @memoized
+        def scaled(t, factor):
+            calls.append(factor)
+            return t * factor
+
+        t = np.ones(3)
         with run_scope():
-            a = random_two_jet(E3, 2, background=background)
-            assert random_two_jet(E3, 2, background=background) is not a
-            assert a.Rp.data.flags.writeable
+            a = scaled(t, 2.0)
+            assert scaled(t, 2.0) is not a
+            assert a.flags.writeable
+        assert calls == [2.0, 2.0]
 
     def test_scope_nests_and_ends_with_the_outermost(self):
         with run_scope():
