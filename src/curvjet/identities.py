@@ -49,18 +49,18 @@ def _pair_sum(F: np.ndarray) -> np.ndarray:
 
 @memoized
 def _rotation_data(space: Space, seed: int):
-    """Random curvature tensor with its rotation 6-tensor and derived traces."""
+    """The rotation 6-tensor of ``random_ck(space, 0, seed)``, its trace and its Ricci rotation."""
     R = random_ck(space, 0, seed)
     D = pair_derivation(R, R)
     T1 = _pair_trace(D, space.eps)
     Gn = pair_derivation(R, ricci(R).ric)
-    return R, D, T1, Gn
+    return D, T1, Gn
 
 
 def _derivation_trace_pair(space: Space, seed: int) -> dict[str, float]:
     # the traced (2,2) tableau of both rotation arrangements equals the same
     # three-fold combination of the rotation trace and the Ricci rotation
-    _, D, T1, Gn = _rotation_data(space, seed)
+    D, T1, Gn = _rotation_data(space, seed)
     rhs = 3.0 * (
         np.transpose(T1, (1, 2, 0, 3))
         + np.transpose(T1, (2, 1, 0, 3))
@@ -74,7 +74,7 @@ def _derivation_trace_pair(space: Space, seed: int) -> dict[str, float]:
 
 def _derivation_trace_six(space: Space, seed: int) -> dict[str, float]:
     # traced (3,2)-row tableau of the rotation tensor, factor six
-    _, D, T1, Gn = _rotation_data(space, seed)
+    D, T1, Gn = _rotation_data(space, seed)
     lhs = _traced_tableau(space, np.transpose(D, (2, 3, 4, 5, 0, 1)), (1, 3, 6))
     rhs = 6.0 * (
         -2.0 * np.transpose(Gn, (2, 3, 0, 1))
@@ -104,8 +104,7 @@ def _hessian_trace_expansion(space: Space, seed: int) -> dict[str, float]:
 
 def _ricci_rotation_vanishes(space: Space, seed: int) -> dict[str, float]:
     # the (2,2) tableau kills the Ricci rotation term identically
-    R = random_ck(space, 0, seed)
-    Gn = pair_derivation(R, ricci(R).ric)
+    Gn = _rotation_data(space, seed)[2]
     projected = young_apply(Tensor(space, Gn), 0)
     return {"residual": projected.norm() / max(float(np.linalg.norm(Gn)), 1.0)}
 

@@ -7,12 +7,15 @@ derivative slots is forced by the Ricci identity, while the symmetric part
 moves freely inside Sym^2 V* (x) C_0 subject to the differentiated second
 Bianchi identity.  The homogeneous solutions of those constraints form C_2.
 
-The module provides validation and random construction of two-jets, the
-three signed traces of the second derivative together with their hierarchy,
-the symmetrized Jacobi forms, the tableau-projected trace operators and the
-metric embedding iota, the two Weitzenboeck checks, the Einstein criterion
-in its three equivalent forms, Jacobi-relation fitting, and the extension
-of an Einstein one-jet to a full Einstein two-jet.
+The module provides validation and random construction of two-jets and of
+section jets (the same derivatives of a curvature-tensor section over a
+fixed background curvature; both jet types own read-only copies of their
+components and cache their rotation and residuals), the three signed traces
+of the second derivative together with their hierarchy, the symmetrized
+Jacobi forms, the tableau-projected trace operators and the metric embedding
+iota, the two Weitzenboeck checks, the Einstein criterion in its three
+equivalent forms, Jacobi-relation fitting, and the extension of an Einstein
+one-jet to a full Einstein two-jet.
 """
 
 from __future__ import annotations
@@ -81,64 +84,70 @@ __all__ = [
 RANDOM_JET_DIMS = (3, 4, 5)
 
 
+class _Jet:
+    """Base of both jet types: checked components, held as read-only copies.
+
+    A subclass is a frozen dataclass whose fields are its components on one
+    space (``__match_args__`` names them), with their valences in
+    ``_VALENCES`` and its name for error messages in ``_KIND``.  Derived
+    values are cached read-only outside the fields, so they take no part in
+    ``__init__``, ``==``, ``repr`` or pickling.
+    """
+
+    space: Space  # the space of the components, set by __post_init__
+
+    def __post_init__(self) -> None:
+        parts = [getattr(self, name) for name in self.__match_args__]
+        if tuple(t.valence for t in parts) != self._VALENCES:
+            raise ValueError(f"{self._KIND} components must have valences {self._VALENCES}")
+        sp = parts[0].space
+        if any(t.space != sp for t in parts[1:]):
+            raise ValueError(f"{self._KIND} components live on different spaces")
+        object.__setattr__(self, "space", sp)
+        # a copy owned by the jet is what keeps its cached values current
+        for name, t in zip(self.__match_args__, parts):
+            object.__setattr__(self, name, Tensor(sp, _read_only(np.array(t.data, dtype=float))))
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: fresh read-only copies, empty cache
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
 @dataclass(frozen=True)
-class TwoJet:
+class TwoJet(_Jet):
     """Curvature tensor with its first and full ordered second derivative.
 
     ``d2R[a, b, ...]`` is the derivative first in direction ``e_b``, then
     ``e_a`` (outer slot first), so the Ricci identity reads
     ``d2R[a, b] - d2R[b, a] = R_{e_a, e_b} . R``.
 
-    The jet holds read-only copies of the components it is given, so no
-    later write to the caller's arrays (or to their base arrays) reaches it.
-    Four derived values are computed at most once per jet and cached
-    read-only: ``rotation`` (the curvature rotation R_{e_a, e_b} . R),
-    ``residuals`` (what ``validate_two_jet`` reports), ``einstein_gaps``
-    (the one-jet gaps of ``einstein_check``) and ``star_square`` (R*R).
-    They are not fields, so they take no part in ``__init__``, ``==`` or
-    ``repr``.
+    Four derived values are computed at most once per jet and cached:
+    ``rotation`` (the curvature rotation R_{e_a, e_b} . R), ``residuals``
+    (what ``validate_two_jet`` reports), ``einstein_gaps`` (the one-jet gaps
+    of ``einstein_check``) and ``star_square`` (R*R).
     """
+
+    _VALENCES = (4, 5, 6)
+    _KIND = "two-jet"
 
     R: Tensor
     dR: Tensor
     d2R: Tensor
 
-    def __post_init__(self) -> None:
-        if (self.R.valence, self.dR.valence, self.d2R.valence) != (4, 5, 6):
-            raise ValueError("two-jet components must have valences (4, 5, 6)")
-        if self.dR.space != self.R.space or self.d2R.space != self.R.space:
-            raise ValueError("two-jet components live on different spaces")
-        # a copy owned by the jet is what keeps the cached values below current
-        for name in ("R", "dR", "d2R"):
-            data = np.array(getattr(self, name).data, dtype=float)
-            data.flags.writeable = False
-            object.__setattr__(self, name, Tensor(self.space, data))
-
-    @property
-    def space(self) -> Space:
-        return self.R.space
-
-    def __reduce__(self):
-        # pickle and copy rebuild through __init__: fresh read-only copies, empty cache
-        return TwoJet, (self.R, self.dR, self.d2R)
-
     @cached_property
     def rotation(self) -> np.ndarray:
         """``pair_derivation(R, R)``, the right side of the Ricci identity, as a read-only array."""
-        out = pair_derivation(self.R, self.R)
-        out.flags.writeable = False
-        return out
+        return _read_only(pair_derivation(self.R, self.R))
 
     @cached_property
     def residuals(self) -> Mapping[str, float]:
         """The relative residuals of ``validate_two_jet``, as a read-only mapping."""
         residuals = {
-            "curvature": _worst_slice(self.R, 0) / max(self.R.norm(), 1.0),
-            "derivative": _worst_slice(self.dR, 1) / max(self.dR.norm(), 1.0),
-            "second_derivative": _worst_slice(self.d2R, 1) / max(self.d2R.norm(), 1.0),
+            "curvature": _slice_residual(self.R, 0),
+            "derivative": _slice_residual(self.dR, 1),
+            "second_derivative": _slice_residual(self.d2R, 1),
+            "ricci_identity": _ricci_gap(self.d2R, self.rotation, self.R.norm() ** 2),
         }
-        scale = max(self.d2R.norm(), self.R.norm() ** 2, 1.0)
-        residuals["ricci_identity"] = _ricci_gap(self.d2R.data, self.rotation, scale)
         return MappingProxyType(residuals)
 
     @cached_property
@@ -149,12 +158,53 @@ class TwoJet:
     @cached_property
     def star_square(self) -> np.ndarray:
         """R*R, the curvature action of R on itself, as a read-only array."""
-        out = star_action(self.R, self.R).data
-        out.flags.writeable = False
-        return out
+        return _read_only(star_action(self.R, self.R).data)
 
 
-def _seed(j: TwoJet, name: str, value) -> TwoJet:
+@dataclass(frozen=True)
+class SectionTwoJet(_Jet):
+    """Two-jet of a curvature-tensor section over a fixed background.
+
+    The background curvature drives the Ricci identity; the section values
+    ``Rp``, ``dRp``, ``d2Rp`` are otherwise unconstrained curvature data
+    (every trailing 4-slot slice lies in C_0, no Bianchi coupling).  The
+    jet caches ``rotation`` (R_{e_a, e_b} . R') and ``residuals``.
+    """
+
+    _VALENCES = (4, 4, 5, 6)
+    _KIND = "section jet"
+
+    background: Tensor
+    Rp: Tensor
+    dRp: Tensor
+    d2Rp: Tensor
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        """``pair_derivation(background, Rp)``, the right side of the Ricci identity, read-only."""
+        return _read_only(pair_derivation(self.background, self.Rp))
+
+    @cached_property
+    def residuals(self) -> Mapping[str, float]:
+        """The relative residuals of ``validate_section_jet``, as a read-only mapping."""
+        residuals = {
+            "background": _slice_residual(self.background, 0),
+            "section": _slice_residual(self.Rp, 0),
+            "derivative": _slice_residual(self.dRp, 0),
+            "second_derivative": _slice_residual(self.d2Rp, 0),
+            "ricci_identity": _ricci_gap(
+                self.d2Rp, self.rotation, self.background.norm() * self.Rp.norm()
+            ),
+        }
+        return MappingProxyType(residuals)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _seed(j: _Jet, name: str, value) -> _Jet:
     """Store a derived value of j that its builder computed from j's own data.
 
     ``cached_property`` reads the instance dict first, so the jet hands out
@@ -163,38 +213,6 @@ def _seed(j: TwoJet, name: str, value) -> TwoJet:
     """
     vars(j)[name] = value
     return j
-
-
-@dataclass(frozen=True)
-class SectionTwoJet:
-    """Two-jet of a curvature-tensor section over a fixed background.
-
-    The background curvature drives the Ricci identity; the section values
-    ``Rp``, ``dRp``, ``d2Rp`` are otherwise unconstrained curvature data
-    (every trailing 4-slot slice lies in C_0, no Bianchi coupling).
-    """
-
-    background: Tensor
-    Rp: Tensor
-    dRp: Tensor
-    d2Rp: Tensor
-
-    def __post_init__(self) -> None:
-        valences = (
-            self.background.valence,
-            self.Rp.valence,
-            self.dRp.valence,
-            self.d2Rp.valence,
-        )
-        if valences != (4, 4, 5, 6):
-            raise ValueError("section jet components must have valences (4, 4, 5, 6)")
-        sp = self.background.space
-        if any(t.space != sp for t in (self.Rp, self.dRp, self.d2Rp)):
-            raise ValueError("section jet components live on different spaces")
-
-    @property
-    def space(self) -> Space:
-        return self.background.space
 
 
 @dataclass(frozen=True)
@@ -241,15 +259,20 @@ def _hessian_tableau(sp: Space, hess: np.ndarray) -> np.ndarray:
 # validation
 
 
-def _worst_slice(t: Tensor, k: int) -> float:
-    """Largest C_k residual over every slice of t and every symmetry (NaN if any is)."""
-    return float(np.max(list(ck_residuals(t, k).values())))
+def _slice_residual(t: Tensor, k: int) -> float:
+    """Largest C_k residual over the slices and symmetries of t, over max(|t|, 1); NaN if any is."""
+    return float(np.max(list(ck_residuals(t, k).values()))) / max(t.norm(), 1.0)
 
 
-def _ricci_gap(d2: np.ndarray, rotation: np.ndarray, scale: float) -> float:
-    """|d2[a, b] - d2[b, a] - rotation| / scale, the Ricci-identity residual."""
-    gap = d2 - np.transpose(d2, (1, 0, 2, 3, 4, 5)) - rotation
-    return float(np.linalg.norm(gap)) / scale
+def _ricci_gap(d2: Tensor, rotation: np.ndarray, scale: float) -> float:
+    """The Ricci-identity residual |d2[a, b] - d2[b, a] - rotation| / max(|d2|, scale, 1)."""
+    gap = d2.data - np.transpose(d2.data, (1, 0, 2, 3, 4, 5)) - rotation
+    return float(np.linalg.norm(gap)) / max(d2.norm(), scale, 1.0)
+
+
+def _verdict(j: _Jet, tol: float) -> tuple[bool, dict[str, float]]:
+    residuals = dict(j.residuals)
+    return all(v <= tol for v in residuals.values()), residuals
 
 
 def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
@@ -260,27 +283,12 @@ def validate_two_jet(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, floa
     against the Ricci identity.  The residuals are computed once per jet
     (``TwoJet.residuals``); each call returns its own dict.
     """
-    residuals = dict(j.residuals)
-    return all(v <= tol for v in residuals.values()), residuals
+    return _verdict(j, tol)
 
 
-def validate_section_jet(
-    sj: SectionTwoJet, tol: float = 1e-8
-) -> tuple[bool, dict[str, float]]:
-    """Check a section jet: slicewise C_0 membership plus the Ricci identity."""
-    residuals = {
-        name: _worst_slice(t, 0) / max(t.norm(), 1.0)
-        for name, t in (
-            ("background", sj.background),
-            ("section", sj.Rp),
-            ("derivative", sj.dRp),
-            ("second_derivative", sj.d2Rp),
-        )
-    }
-    rotation = pair_derivation(sj.background, sj.Rp)
-    scale = max(sj.d2Rp.norm(), sj.background.norm() * sj.Rp.norm(), 1.0)
-    residuals["ricci_identity"] = _ricci_gap(sj.d2Rp.data, rotation, scale)
-    return all(v <= tol for v in residuals.values()), residuals
+def validate_section_jet(sj: SectionTwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
+    """Check a section jet: slicewise C_0 membership plus the Ricci identity, once per jet."""
+    return _verdict(sj, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -321,9 +329,7 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
     )
     packed = packed.reshape(len(pk.rep), -1) * pk.weight[:, None]
     ut, vs, _ = lstsq_factors(packed)
-    for factor in (ut, vs, pairs):
-        factor.flags.writeable = False
-    return ut, vs, pairs, pk
+    return _read_only(ut), _read_only(vs), _read_only(pairs), pk
 
 
 @lru_cache(maxsize=None)
@@ -343,8 +349,7 @@ def _cycle_gather(n: int) -> np.ndarray:
             for p, q, r in ((x, y, z), (z, x, y), (y, z, x))
         ]
     )
-    index.flags.writeable = False
-    return index
+    return _read_only(index)
 
 
 def _packed_cycle(d: np.ndarray) -> np.ndarray:
@@ -395,20 +400,17 @@ def random_two_jet(space: Space, seed: int) -> TwoJet:
 
     homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
-    rotation = pair_derivation(R, R)
-    rotation.flags.writeable = False
+    rotation = _read_only(pair_derivation(R, R))
     j = TwoJet(R, dR, Tensor(space, _particular_d2(R, rotation) + homogeneous))
-    _seed(j, "rotation", rotation)
-    if not all(v <= 1e-8 for v in j.residuals.values()):
-        raise RuntimeError(f"two-jet construction failed: {dict(j.residuals)}")
-    return j
+    return _checked_draw(j, rotation)
 
 
 def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTwoJet:
     """Draw a random valid section jet over ``background``.
 
     The Ricci identity is the only coupling, so the symmetric part of the
-    second derivative is free.  Not memoized (a tensor is unhashable).
+    second derivative is free.  The jet keeps its rotation and residuals, as
+    in ``random_two_jet``, but is not memoized (a tensor is unhashable).
     """
     if space.dim not in RANDOM_JET_DIMS:
         raise ValueError("random jets are supported for dim 3, 4, 5")
@@ -421,12 +423,17 @@ def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTw
     dRp = basis0.combine(rng.standard_normal((n, len(basis0))))
     sym_free = basis0.combine(rng.standard_normal((n, n, len(basis0))))
     sym_free = 0.5 * (sym_free + np.transpose(sym_free, (1, 0, 2, 3, 4, 5)))
-    d2Rp = 0.5 * pair_derivation(background, Rp) + sym_free
-    sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, d2Rp))
-    ok, residuals = validate_section_jet(sj)
+    rotation = _read_only(pair_derivation(background, Rp))
+    sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, 0.5 * rotation + sym_free))
+    return _checked_draw(sj, rotation)
+
+
+def _checked_draw(j: _Jet, rotation: np.ndarray) -> _Jet:
+    """Seed a drawn jet with the rotation that built it and validate it; both stay cached."""
+    ok, residuals = _verdict(_seed(j, "rotation", rotation), 1e-8)
     if not ok:
-        raise RuntimeError(f"section-jet construction failed: {residuals}")
-    return sj
+        raise RuntimeError(f"{j._KIND} construction failed: {residuals}")
+    return j
 
 
 @lru_cache(maxsize=None)
@@ -451,9 +458,7 @@ def _weyl_rows(space: Space) -> PackedRows:
     weyl = np.stack(
         [decompose(Tensor(space, b)).weyl_part.data.ravel() for b in basis0.unpacked()]
     )
-    rows = basis0.pk.pack_checked(weyl)
-    rows.flags.writeable = False
-    return PackedRows(rows, basis0.pk)
+    return PackedRows(_read_only(basis0.pk.pack_checked(weyl)), basis0.pk)
 
 
 def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
@@ -565,8 +570,7 @@ def weitzenbock_check(sj: SectionTwoJet) -> dict[str, float]:
     deld = lap - np.einsum("iyziuv,i->yzuv", d2p, eps) - np.einsum("iziyuv,i->yzuv", d2p, eps)
     laplace = dddel + deld
 
-    rotation = pair_derivation(sj.background, sj.Rp)
-    T1 = _pair_trace(rotation, eps)
+    T1 = _pair_trace(sj.rotation, eps)
     commutator = T1 - np.transpose(T1, (1, 0, 2, 3))
 
     SS = star_action(sj.background, sj.Rp).data
@@ -629,8 +633,7 @@ def _trace_table(n: int, pairs: tuple[tuple[int, int], ...]) -> np.ndarray:
     """
     flat = np.arange(n**6).reshape((n,) * 6)
     table = np.stack([np.diagonal(flat, axis1=i, axis2=k).reshape(-1, n) for i, k in pairs])
-    table.flags.writeable = False
-    return table
+    return _read_only(table)
 
 
 @lru_cache(maxsize=None)
@@ -639,9 +642,7 @@ def _packed_trace_table(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``_trace_table`` read through a packing: the orbit and coefficient of each traced entry."""
     table = _trace_table(pk.shape[0], pairs)
-    index, coef = pk.index[table], pk.coef[table]
-    index.flags.writeable = coef.flags.writeable = False
-    return index, coef
+    return _read_only(pk.index[table]), _read_only(pk.coef[table])
 
 
 def _form_packing(n: int) -> Packing:
@@ -659,8 +660,7 @@ def _with_metric_bins(orbit: np.ndarray, size: int, t_slots, g_slots) -> tuple[n
     """
     table = orbit.transpose(tuple(t_slots) + tuple(g_slots))
     bins = np.concatenate([orbit.ravel(), np.diagonal(table, axis1=4, axis2=5).ravel() + size])
-    bins.flags.writeable = False
-    return bins, size
+    return _read_only(bins), size
 
 
 @lru_cache(maxsize=None)

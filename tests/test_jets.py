@@ -207,6 +207,21 @@ class TestValidate:
         with pytest.raises(ValueError):
             TwoJet(j3.R, j3.dR, j4.d2R)
 
+    @pytest.mark.parametrize("slot", range(4))
+    def test_section_jet_rejects_wrong_valence(self, slot):
+        parts = components(drawn_jet(SectionTwoJet, 0))
+        parts[slot] = random_tensor(E4, parts[slot].valence + 1, 0)
+        with pytest.raises(ValueError, match=r"valences \(4, 4, 5, 6\)"):
+            SectionTwoJet(*parts)
+
+    @pytest.mark.parametrize("slot", range(4))
+    def test_section_jet_rejects_mixed_spaces(self, slot):
+        parts = components(drawn_jet(SectionTwoJet, 0))
+        other = Space(4, (-1, 1, 1, 1))
+        parts[slot] = Tensor(other, parts[slot].data)
+        with pytest.raises(ValueError, match="different spaces"):
+            SectionTwoJet(*parts)
+
 
 class TestRandomTwoJet:
     @pytest.mark.parametrize("sp", [E3, E4, Space(4, (1, 1, 1, -1))])
@@ -242,6 +257,23 @@ class TestRandomTwoJet:
         validate_two_jet(random_two_jet(E3, 5))
         assert len(calls) == 1
 
+    def test_section_draw_computes_one_rotation(self, monkeypatch):
+        # the draw, its validation, the caller's validation and the Weitzenboeck
+        # check share pair_derivation(background, Rp)
+        import curvjet.jets as jets
+
+        calls = []
+
+        def counted(R, T):
+            calls.append(1)
+            return pair_derivation(R, T)
+
+        monkeypatch.setattr(jets, "pair_derivation", counted)
+        sj = random_section_jet(E4, 3, random_ck(E4, 0, 10))
+        validate_section_jet(sj)
+        weitzenbock_check(sj)
+        assert len(calls) == 1
+
     def test_unsupported_dimension(self):
         with pytest.raises(ValueError):
             random_two_jet(Space(6), 0)
@@ -262,6 +294,37 @@ def rebuilt(j: TwoJet) -> TwoJet:
 CACHE_SPACES = [E3, Space(4, (-1, 1, 1, 1)), Space(5, (-1, -1, 1, 1, 1))]
 
 
+def components(j) -> list[Tensor]:
+    """The components of a jet of either type, in field order."""
+    return [getattr(j, f.name) for f in dataclasses.fields(j)]
+
+
+def drawn_jet(kind: type, seed: int):
+    """A drawn jet of either type on E4; a section jet over a drawn background."""
+    if kind is TwoJet:
+        return random_two_jet(E4, seed)
+    return random_section_jet(E4, seed, random_ck(E4, 0, 20_000 + seed))
+
+
+# per jet type: its fields, its validation, a check that reads the components
+# afresh, and the values it caches
+JET_TYPES = {
+    TwoJet: (
+        ["R", "dR", "d2R"],
+        validate_two_jet,
+        einstein_check,
+        ("rotation", "residuals", "einstein_gaps", "star_square"),
+    ),
+    SectionTwoJet: (
+        ["background", "Rp", "dRp", "d2Rp"],
+        validate_section_jet,
+        weitzenbock_check,
+        ("rotation", "residuals"),
+    ),
+}
+jet_types = pytest.mark.parametrize("kind", list(JET_TYPES), ids=lambda kind: kind.__name__)
+
+
 class TestJetCache:
     @pytest.mark.parametrize("sp", CACHE_SPACES, ids=str)
     def test_drawn_residuals_equal_a_fresh_validation(self, sp):
@@ -278,46 +341,54 @@ class TestJetCache:
         assert validate_two_jet(j) == (True, expect)
 
     @pytest.mark.parametrize("target", ["base", "view"])
-    def test_writes_to_handed_arrays_do_not_reach_the_jet(self, target):
+    @jet_types
+    def test_writes_to_handed_arrays_do_not_reach_the_jet(self, kind, target):
         # the components are views into one writeable base array
-        clean = reference_jet(E4, "einstein")
-        base = np.concatenate([t.data.ravel() for t in (clean.R, clean.dR, clean.d2R)])
-        cuts = np.cumsum([4**4, 4**5])
-        views = [a.reshape((4,) * k) for a, k in zip(np.split(base, cuts), (4, 5, 6))]
-        j = TwoJet(*(Tensor(E4, v) for v in views))
-        expect_valid, expect_check = validate_two_jet(clean), einstein_check(clean)
-        assert validate_two_jet(j) == expect_valid  # cached before the write
+        _, validate, check, _ = JET_TYPES[kind]
+        clean = reference_jet(E4, "einstein") if kind is TwoJet else drawn_jet(kind, 3)
+        parts = components(clean)
+        base = np.concatenate([t.data.ravel() for t in parts])
+        cuts = np.cumsum([t.data.size for t in parts[:-1]])
+        views = [a.reshape(t.data.shape) for a, t in zip(np.split(base, cuts), parts)]
+        j = kind(*(Tensor(E4, v) for v in views))
+        expect_valid, expect_check = validate(clean), check(clean)
+        assert validate(j) == expect_valid  # cached before the write
         if target == "base":
             base[:] = np.nan
         else:
             for v in views:
                 v[...] = 1.0
-        assert validate_two_jet(j) == expect_valid
-        assert einstein_check(j) == expect_check  # computed after the write
-        assert not any(t.data.flags.writeable for t in (j.R, j.dR, j.d2R))
+        assert validate(j) == expect_valid
+        assert check(j) == expect_check  # computed after the write
+        assert not any(t.data.flags.writeable for t in components(j))
 
-    def test_cached_values_are_read_only_and_not_fields(self):
-        j = random_two_jet(E3, 2)
-        assert [f.name for f in dataclasses.fields(TwoJet)] == ["R", "dR", "d2R"]
-        assert not j.star_square.flags.writeable
-        assert not j.rotation.flags.writeable
+    @jet_types
+    def test_cached_values_are_read_only_and_not_fields(self, kind):
+        names, _, _, cached = JET_TYPES[kind]
+        j = drawn_jet(kind, 2)
+        assert [f.name for f in dataclasses.fields(kind)] == names
         with pytest.raises(TypeError):
-            j.residuals["curvature"] = 1.0
-        for name in ("rotation", "residuals", "einstein_gaps", "star_square"):
+            j.residuals["ricci_identity"] = 1.0
+        for name in cached:
+            value = getattr(j, name)
+            assert not isinstance(value, np.ndarray) or not value.flags.writeable
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(j, name, None)
             assert name not in repr(j)
 
-    def test_pickle_and_copy_rebuild_the_jet(self):
+    @jet_types
+    def test_pickle_and_copy_rebuild_the_jet(self, kind):
         import copy
         import pickle
 
-        j = random_two_jet(E4, 3)
-        expect = validate_two_jet(j)
+        _, validate, _, cached = JET_TYPES[kind]
+        j = drawn_jet(kind, 3)
+        expect = validate(j)
         for other in (pickle.loads(pickle.dumps(j)), copy.deepcopy(j), copy.copy(j)):
-            assert "residuals" not in vars(other) and "rotation" not in vars(other)
-            assert not any(t.data.flags.writeable for t in (other.R, other.dR, other.d2R))
-            assert validate_two_jet(other) == expect
+            assert type(other) is kind
+            assert not any(name in vars(other) for name in cached)
+            assert not any(t.data.flags.writeable for t in components(other))
+            assert validate(other) == expect
 
     @pytest.mark.parametrize("sp", CACHE_SPACES, ids=str)
     def test_extended_report_equals_the_rebuilt_jets(self, sp):
