@@ -1,7 +1,9 @@
 """Command-line surface: generate, check, extend, fit, and metric evaluation.
 
 Exit codes: 0 on success, 1 on a failed check or violated precondition, 2 on
-usage errors.  Documents are JSON; reports are deterministic for a fixed
+usage errors.  Each JSON document starts with the header of its space, from
+which ``extend`` and ``fit`` take theirs; a header that contradicts the
+tensors makes a document malformed.  Reports are deterministic for a fixed
 configuration.
 """
 
@@ -34,8 +36,8 @@ from .polymetric import (
     poly_metric_to_dict,
     random_poly_metric,
 )
-from .report import Report
-from .spaces import Space, tensor_from_dict
+from .report import Report, json_text
+from .spaces import Space, _header_tensors
 from .suites import make_config, run_suites, run_suites_timed, suite_names
 
 __all__ = ["main"]
@@ -88,7 +90,7 @@ class SystemExit2(SystemExit):
 
 
 def _emit(doc: dict, path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json_text(doc)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -117,13 +119,9 @@ def _load(path: str, parse):
         raise DocumentError(f"{path} is malformed: {exc}") from exc
 
 
-def _one_jet_from_dict(doc: dict) -> tuple:
-    return tensor_from_dict(doc["R"]), tensor_from_dict(doc["dR"])
-
-
 def _print_pairs(pairs: dict, as_json: bool) -> None:
     if as_json:
-        print(json.dumps(pairs, indent=2, sort_keys=True))
+        _emit(pairs, None)
     else:
         for key, value in pairs.items():
             print(f"{key}: {value}")
@@ -166,17 +164,13 @@ def cmd_check(args) -> int:
         _emit(timings, args.timings)
     report = Report(tuple(records), {"suites": suites, **cfg.echo()})
     if args.out is not None:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json())
-    if args.format == "json":
-        sys.stdout.write(report.to_json())
-    else:
-        sys.stdout.write(report.render_text())
+        _emit(report.to_dict(), args.out)
+    sys.stdout.write(report.to_json() if args.format == "json" else report.render_text())
     return 0 if report.passed else 1
 
 
 def cmd_extend(args) -> int:
-    R, dR = _load(getattr(args, "in"), _one_jet_from_dict)
+    R, dR = _load(getattr(args, "in"), lambda doc: _header_tensors(doc, "R", "dR"))
     try:
         jet = einstein_extend(R, dR)
     except (ValueError, RuntimeError) as exc:

@@ -48,13 +48,18 @@ def _pair_sum(F: np.ndarray) -> np.ndarray:
 
 
 @memoized
+def _ricci_rotation(space: Space, seed: int) -> np.ndarray:
+    """The Ricci rotation ``pair_derivation(R, ric)`` of ``R = random_ck(space, 0, seed)``."""
+    R = random_ck(space, 0, seed)
+    return pair_derivation(R, ricci(R).ric)
+
+
+@memoized
 def _rotation_data(space: Space, seed: int):
     """The rotation 6-tensor of ``random_ck(space, 0, seed)``, its trace and its Ricci rotation."""
     R = random_ck(space, 0, seed)
     D = pair_derivation(R, R)
-    T1 = _pair_trace(D, space.eps)
-    Gn = pair_derivation(R, ricci(R).ric)
-    return D, T1, Gn
+    return D, _pair_trace(D, space.eps), _ricci_rotation(space, seed)
 
 
 def _derivation_trace_pair(space: Space, seed: int) -> dict[str, float]:
@@ -104,7 +109,7 @@ def _hessian_trace_expansion(space: Space, seed: int) -> dict[str, float]:
 
 def _ricci_rotation_vanishes(space: Space, seed: int) -> dict[str, float]:
     # the (2,2) tableau kills the Ricci rotation term identically
-    Gn = _rotation_data(space, seed)[2]
+    Gn = _ricci_rotation(space, seed)
     projected = young_apply(Tensor(space, Gn), 0)
     return {"residual": projected.norm() / max(float(np.linalg.norm(Gn)), 1.0)}
 

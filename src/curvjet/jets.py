@@ -41,9 +41,10 @@ from .spaces import (
     Space,
     SymBiform,
     Tensor,
+    _header_tensors,
     _rel,
     memoized,
-    tensor_from_dict,
+    space_to_dict,
     tensor_to_dict,
 )
 from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
@@ -204,14 +205,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _seed(j: _Jet, name: str, value) -> _Jet:
-    """Store a derived value of j that its builder computed from j's own data.
+def _seed(j: _Jet, **values) -> _Jet:
+    """Store derived values of j that its builder computed from j's own data.
 
     ``cached_property`` reads the instance dict first, so the jet hands out
-    ``value`` as if it had computed it; the components are read-only
-    copies, so the value cannot go stale.
+    each value as if it had computed it; the components are read-only
+    copies, so the values cannot go stale.
     """
-    vars(j)[name] = value
+    vars(j).update(values)
     return j
 
 
@@ -430,7 +431,7 @@ def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTw
 
 def _checked_draw(j: _Jet, rotation: np.ndarray) -> _Jet:
     """Seed a drawn jet with the rotation that built it and validate it; both stay cached."""
-    ok, residuals = _verdict(_seed(j, "rotation", rotation), 1e-8)
+    ok, residuals = _verdict(_seed(j, rotation=rotation), 1e-8)
     if not ok:
         raise RuntimeError(f"{j._KIND} construction failed: {residuals}")
     return j
@@ -857,6 +858,7 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     Ricci and differentiated Bianchi identities that ``random_two_jet`` also
     builds on.  Its second-Ricci-derivative defect is cancelled by a
     1/80-scaled correction from C_2, which preserves the jet constraints.
+    The jet keeps the rotation and the one-jet gaps as cached values.
 
     Raises ValueError if the input is not finite or not an Einstein one-jet,
     and RuntimeError if the correction solve leaves a gap.
@@ -870,7 +872,8 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     if res_dric > tol:
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    provisional = _particular_d2(R, pair_derivation(R, R))
+    rotation = _read_only(pair_derivation(R, R))
+    provisional = _particular_d2(R, rotation)
     directions, system, ut, vs, _ = _extension_solver(sp)
     target = -80.0 * _hess_ric(provisional, sp.eps).ravel()
     coeff = vs @ (ut @ target)
@@ -880,7 +883,8 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
             f"extension failed: trace defect not cancellable (residual {solve_gap:.3e})"
         )
     d2 = provisional + directions.combine(coeff) / 80.0
-    return _seed(TwoJet(R, dR, Tensor(sp, d2)), "einstein_gaps", (res_ric, res_dric))
+    jet = TwoJet(R, dR, Tensor(sp, d2))
+    return _seed(jet, rotation=rotation, einstein_gaps=(res_ric, res_dric))
 
 
 # ---------------------------------------------------------------------------
@@ -888,20 +892,10 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
 
 
 def two_jet_to_dict(j: TwoJet) -> dict:
-    """Plain-document form bundling the three jet components."""
-    return {
-        "dim": j.space.dim,
-        "signature": list(j.space.signature),
-        "R": tensor_to_dict(j.R),
-        "dR": tensor_to_dict(j.dR),
-        "d2R": tensor_to_dict(j.d2R),
-    }
+    """Plain-document form: the space header and the three jet components."""
+    parts = {name: tensor_to_dict(getattr(j, name)) for name in j.__match_args__}
+    return {**space_to_dict(j.space), **parts}
 
 
 def two_jet_from_dict(doc: dict) -> TwoJet:
-    R = tensor_from_dict(doc["R"])
-    dR = tensor_from_dict(doc["dR"])
-    d2R = tensor_from_dict(doc["d2R"])
-    if R.space.dim != int(doc["dim"]) or R.space != dR.space or R.space != d2R.space:
-        raise ValueError("inconsistent spaces in two-jet document")
-    return TwoJet(R, dR, d2R)
+    return TwoJet(*_header_tensors(doc, "R", "dR", "d2R"))

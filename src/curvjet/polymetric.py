@@ -30,8 +30,8 @@ from itertools import combinations_with_replacement, count, product
 
 import numpy as np
 
-from .jets import TwoJet
-from .spaces import Space, Tensor
+from .jets import TwoJet, _read_only
+from .spaces import Space, Tensor, space_from_dict, space_to_dict
 
 __all__ = [
     "PolyMetric",
@@ -93,12 +93,6 @@ class PolyMetric:
 
 def _rows(n: int, degree: int) -> int:
     return math.comb(n + degree, degree)
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    # the index tables and metric fields are shared by every caller
-    arr.flags.writeable = False
-    return arr
 
 
 def _exponent(n: int, variables) -> tuple[int, ...]:
@@ -387,16 +381,11 @@ def poly_metric_to_dict(gm: PolyMetric) -> dict:
     for i, j in combinations_with_replacement(range(n), 2):
         column = gm.field[:, i, j].tolist()
         records.extend([i, j, list(mons[r]), column[r]] for r in order if column[r] != 0.0)
-    return {
-        "dim": n,
-        "signature": list(gm.space.signature),
-        "degree": degree,
-        "entries": records,
-    }
+    return {**space_to_dict(gm.space), "degree": degree, "entries": records}
 
 
 def poly_metric_from_dict(doc: dict) -> PolyMetric:
-    space = Space(int(doc["dim"]), tuple(int(s) for s in doc["signature"]))
+    space = space_from_dict(doc)
     n, degree = space.dim, int(doc["degree"])
     if degree < 0 or _rows(n, degree) > 100_000:
         raise ValueError(f"metric degree {degree} is negative or needs over 100000 field rows")

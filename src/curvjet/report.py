@@ -17,7 +17,12 @@ from dataclasses import dataclass
 
 from . import __version__
 
-__all__ = ["CheckRecord", "Report"]
+__all__ = ["CheckRecord", "Report", "json_text"]
+
+
+def json_text(doc: dict) -> str:
+    """The text of every JSON document curvjet writes: indented, keys sorted, one final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -75,7 +80,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict())
 
     def render_text(self) -> str:
         lines = []

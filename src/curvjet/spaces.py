@@ -5,7 +5,8 @@ with slot 1 slowest.  All slot arguments in the public API are 1-based.
 Metric traces carry the signature signs, so the Euclidean case reduces to
 plain orthonormal-basis sums.  The module also holds the run-scoped memo
 (``run_scope``, ``memoized``) through which one check run shares its seeded
-inputs.
+inputs, and owns the ``dim``/``signature`` header of every document, which
+``space_to_dict`` alone writes and ``space_from_dict`` alone parses.
 """
 
 from __future__ import annotations
@@ -355,26 +356,36 @@ def random_tensor(space: Space, valence: int, seed: int) -> Tensor:
 
 
 def space_to_dict(space: Space) -> dict:
+    """The ``dim``/``signature`` header that every curvjet document starts with."""
     return {"dim": space.dim, "signature": list(space.signature)}
 
 
 def space_from_dict(doc: dict) -> Space:
-    return Space(int(doc["dim"]), tuple(int(s) for s in doc["signature"]))
+    """The space of a document header, whose signature must list ``dim`` signs (no default)."""
+    dim, signature = int(doc["dim"]), tuple(int(s) for s in doc["signature"])
+    if len(signature) != dim:
+        raise ValueError(f"header signature lists {len(signature)} signs for dim {dim}")
+    return Space(dim, signature)
 
 
 def tensor_to_dict(t: Tensor) -> dict:
-    return {
-        "dim": t.space.dim,
-        "signature": list(t.space.signature),
-        "valence": t.valence,
-        "data": [float(x) for x in t.data.ravel()],
-    }
+    return {**space_to_dict(t.space), "valence": t.valence, "data": t.data.ravel().tolist()}
 
 
 def tensor_from_dict(doc: dict) -> Tensor:
-    space = Space(int(doc["dim"]), tuple(int(s) for s in doc["signature"]))
+    space = space_from_dict(doc)
     v = int(doc["valence"])
     data = np.array(doc["data"], dtype=float).reshape((space.dim,) * v)
     if not np.isfinite(data).all():
         raise ValueError("tensor data must be finite")
     return Tensor(space, data)
+
+
+def _header_tensors(doc: dict, *names: str) -> tuple[Tensor, ...]:
+    """The tensors ``doc[name]``, each checked to live on the space of doc's header."""
+    space = space_from_dict(doc)
+    tensors = tuple(tensor_from_dict(doc[name]) for name in names)
+    for name, t in zip(names, tensors):
+        if t.space != space:
+            raise ValueError(f"tensor {name} lives on {t.space}, not on the header's {space}")
+    return tensors

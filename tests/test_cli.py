@@ -13,7 +13,8 @@ import curvjet
 from curvjet.cli import main
 from curvjet.curvature import kn_pair
 from curvjet.jets import TwoJet, einstein_check, two_jet_from_dict, two_jet_to_dict
-from curvjet.polymetric import poly_metric_to_dict, random_poly_metric
+from curvjet.polymetric import poly_metric_from_dict, poly_metric_to_dict, random_poly_metric
+from curvjet.report import json_text
 from curvjet.spaces import Space, Tensor, tensor_to_dict
 from curvjet.young import random_ck
 
@@ -393,6 +394,62 @@ class TestDocumentLoading:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "finite" in lines[0] and captured.out == ""
+
+
+class TestDocumentHeader:
+    # every reader takes its space from the dim/signature header and rejects
+    # a header that is malformed or contradicts the tensors, with one error line
+    @staticmethod
+    def document(command: str) -> dict:
+        if command == "metric":
+            return poly_metric_to_dict(random_poly_metric(E3, 2))
+        jet = symmetric_jet(1.0)
+        return two_jet_to_dict(jet) if command == "fit" else one_jet_doc(jet.R, jet.dR)
+
+    @staticmethod
+    def fails_with_one_error_line(command, doc, tmp_path, capsys, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--in", str(path)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path} is malformed: ")
+        assert message in lines[0] and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["fit", "extend"])
+    @pytest.mark.parametrize(
+        "header",
+        [{"signature": [-1, 1, 1]}, {"dim": 4, "signature": [1, 1, 1, 1]}],
+        ids=["signature", "dim"],
+    )
+    def test_header_contradicting_the_tensors(self, command, header, tmp_path, capsys):
+        doc = {**self.document(command), **header}
+        self.fails_with_one_error_line(command, doc, tmp_path, capsys, "not on the header's")
+
+    @pytest.mark.parametrize("command", ["fit", "extend", "metric"])
+    @pytest.mark.parametrize("signature", [[], [1, 1]], ids=["empty", "short"])
+    def test_signature_not_listing_dim_signs(self, command, signature, tmp_path, capsys):
+        doc = {**self.document(command), "signature": signature}
+        self.fails_with_one_error_line(command, doc, tmp_path, capsys, "signature lists")
+
+    @pytest.mark.parametrize("command", ["fit", "extend"])
+    def test_tensor_signature_not_listing_dim_signs(self, command, tmp_path, capsys):
+        doc = self.document(command)
+        doc["dR"]["signature"] = []
+        self.fails_with_one_error_line(command, doc, tmp_path, capsys, "signature lists")
+
+    @pytest.mark.parametrize("command", ["gen", "metric"])
+    def test_written_document_reads_back_unchanged(self, command, tmp_path, capsys):
+        # gen -> fit's reader, metric -> metric --in's reader, each writing the same text
+        path = tmp_path / "doc.json"
+        assert main([command, "--signature", "1,-1,1", "--seed", "2", "--out", str(path)]) == 0
+        capsys.readouterr()
+        text = path.read_text()
+        read = two_jet_from_dict if command == "gen" else poly_metric_from_dict
+        write = two_jet_to_dict if command == "gen" else poly_metric_to_dict
+        assert json_text(write(read(json.loads(text)))) == text
 
 
 class TestLeadingMinusSignature:

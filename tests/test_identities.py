@@ -84,3 +84,19 @@ def test_expansions_read_the_drawn_rotation(monkeypatch):
         for name in ("hessian_trace_expansion", "assoc_hessian_expansion"):
             verify_identity(name, E4, 4)
     assert drawn == 1 and len(calls) == drawn
+
+
+def test_ricci_rotation_check_computes_only_the_ricci_rotation(monkeypatch):
+    # outside a run scope the check builds pair_derivation(R, ric) alone, not
+    # the rotation pair_derivation(R, R) that the trace identities read
+    import curvjet.identities as identities
+
+    calls = []
+
+    def counted(R, T):
+        calls.append(1)
+        return pair_derivation(R, T)
+
+    monkeypatch.setattr(identities, "pair_derivation", counted)
+    verify_identity("ricci_rotation_vanishes", E4, 3)
+    assert len(calls) == 1

@@ -409,6 +409,22 @@ class TestJetCache:
         einstein_check(einstein_extend(*random_einstein_one_jet(E4, 1)))
         assert len(calls) == 1
 
+    def test_extension_computes_one_rotation(self, monkeypatch):
+        # the provisional second derivative and the caller's validation share
+        # pair_derivation(R, R)
+        import curvjet.jets as jets
+
+        calls = []
+
+        def counted(R, T):
+            calls.append(1)
+            return pair_derivation(R, T)
+
+        R, dR = random_einstein_one_jet(E4, 2)
+        monkeypatch.setattr(jets, "pair_derivation", counted)
+        validate_two_jet(einstein_extend(R, dR))
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     @pytest.mark.parametrize("lorentzian", [False, True], ids=["euclidean", "lorentzian"])
     def test_weyl_rows_draw_the_weyl_part_of_decompose(self, n, lorentzian):

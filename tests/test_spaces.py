@@ -272,6 +272,16 @@ class TestSerialization:
         assert back.space == L4
         assert np.array_equal(back.data, t.data)
 
+    @pytest.mark.parametrize("signature", [[], [1, 1]], ids=["empty", "short"])
+    def test_header_signature_must_list_dim_signs(self, signature):
+        # an empty signature is Euclidean for Space(dim), but malformed in a document
+        doc = tensor_to_dict(random_tensor(E3, 2, 0))
+        doc["signature"] = signature
+        with pytest.raises(ValueError, match="signature lists"):
+            space_from_dict(doc)
+        with pytest.raises(ValueError, match="signature lists"):
+            tensor_from_dict(doc)
+
     def test_fields(self):
         doc = tensor_to_dict(random_tensor(E3, 2, 0))
         assert set(doc) == {"dim", "signature", "valence", "data"}
