@@ -31,7 +31,7 @@ from itertools import combinations_with_replacement, count, product
 import numpy as np
 
 from .jets import TwoJet, _read_only
-from .spaces import Space, Tensor, space_from_dict, space_to_dict
+from .spaces import Space, Tensor, _integer, space_from_dict, space_to_dict
 
 __all__ = [
     "PolyMetric",
@@ -386,13 +386,14 @@ def poly_metric_to_dict(gm: PolyMetric) -> dict:
 
 def poly_metric_from_dict(doc: dict) -> PolyMetric:
     space = space_from_dict(doc)
-    n, degree = space.dim, int(doc["degree"])
+    n, degree = space.dim, _integer(doc["degree"], "degree")
     if degree < 0 or _rows(n, degree) > 100_000:
         raise ValueError(f"metric degree {degree} is negative or needs over 100000 field rows")
     index = _row_index(n, degree)
     G = np.zeros((len(index), n, n))
     for i, j, exps, c in doc["entries"]:
-        i, j, key = int(i), int(j), tuple(int(x) for x in exps)
+        i, j = _integer(i, "an entry index"), _integer(j, "an entry index")
+        key = tuple(_integer(x, "an exponent") for x in exps)
         # reject rather than truncate or wrap: either would lose data silently
         if not (0 <= i < n and 0 <= j < n) or key not in index:
             raise ValueError(f"entry record ({i}, {j}, {list(key)}) is outside the ring")

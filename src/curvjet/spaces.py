@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, is_dataclass
 
@@ -360,9 +361,21 @@ def space_to_dict(space: Space) -> dict:
     return {"dim": space.dim, "signature": list(space.signature)}
 
 
+def _integer(value, what: str) -> int:
+    """A document's integer field; a bool, a float or a non-number is malformed.
+
+    ``int()`` would truncate 4.9 to 4 and read ``true`` as 1, so a document
+    would parse as one it does not say.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def space_from_dict(doc: dict) -> Space:
     """The space of a document header, whose signature must list ``dim`` signs (no default)."""
-    dim, signature = int(doc["dim"]), tuple(int(s) for s in doc["signature"])
+    dim = _integer(doc["dim"], "dim")
+    signature = tuple(_integer(s, "a signature sign") for s in doc["signature"])
     if len(signature) != dim:
         raise ValueError(f"header signature lists {len(signature)} signs for dim {dim}")
     return Space(dim, signature)
@@ -374,7 +387,7 @@ def tensor_to_dict(t: Tensor) -> dict:
 
 def tensor_from_dict(doc: dict) -> Tensor:
     space = space_from_dict(doc)
-    v = int(doc["valence"])
+    v = _integer(doc["valence"], "valence")
     data = np.array(doc["data"], dtype=float).reshape((space.dim,) * v)
     if not np.isfinite(data).all():
         raise ValueError("tensor data must be finite")

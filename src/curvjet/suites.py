@@ -10,15 +10,21 @@ records and ``dimensions/*`` (no seeds) are reduced otherwise, and carry no
 seed unless a seeded value is their worst.  The default configuration covers
 dimensions 3 and 4 with 25 seeds; full mode widens to dimension 5 and 100
 seeds for nightly runs.
-``run_suites`` runs each selected suite on every configured space.  The run
-scope (``spaces.run_scope``) is per space: ``_space_records`` runs every
-suite on one space inside its own scope, so each seeded input is built once
-per space and shared by the suites, and no input is shared across spaces.
-With two or more spaces and two or more usable CPUs that no BLAS thread
-claims (see ``_pool_size``), the spaces run in forked worker processes,
-largest dimension first; the records are merged in suite-major order (every
-space of a suite, then the next suite), so the report does not depend on
-the worker count.
+``run_suites`` runs each selected suite on every configured space.  A task
+is one suite on one space; the tasks run largest space first, each space's
+suites in registry order, and each space in its own run scope
+(``spaces.run_scope``), so each seeded input is built once per space and
+shared by its suites, and no input is shared across spaces.
+The tasks are split across the CPUs that no BLAS thread claims (see
+``_pool_size``).  A pipe holds one token per free CPU.  Before each suite,
+a process that finds a token and has two or more tasks left forks a helper
+and hands it every whole space after its current one, or, with one space
+left, the tail half of its suites.  The helper inherits every basis and
+memoized input built so far, so nothing is rebuilt, sends its records back
+through a pipe and returns its token when it has run its last suite.
+Without a free token everything runs in one process.  The records are
+merged in suite-major order (every space of a suite, then the next suite),
+so the report does not depend on how the tasks were split.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 import os
+import pickle
 import sys
 import time
 from dataclasses import dataclass
@@ -33,6 +40,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import spaces as _spaces
 from .curvature import _kn_metric, _nk_stack, kulkarni, star_identity_residuals
 from .identities import _ricci_flat_input, identity_names, verify_identity
 from .jets import (
@@ -79,8 +87,13 @@ def _einstein_jet(sp: Space, seed: int) -> TwoJet:
     """Einstein extension of the seeded Einstein one-jet.
 
     Only the extended jet is memoized: it holds its own copies of R and dR.
+    It is kept without the rotation that ``einstein_extend`` caches (n^6
+    floats per seed, which no suite reads); a caller that validates the jet
+    computes it again.
     """
-    return einstein_extend(*random_einstein_one_jet(sp, seed))
+    j = einstein_extend(*random_einstein_one_jet(sp, seed))
+    vars(j).pop("rotation", None)
+    return j
 
 
 def _verdicts_agree(verdict: bool, rep: dict[str, float]) -> bool:
@@ -447,15 +460,15 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _pool_size(n_spaces: int) -> int:
-    """Worker processes for ``n_spaces`` spaces; 1 means the in-process loop.
+def _pool_size() -> int:
+    """Processes that may run suites at once; 1 means the whole run stays in this process.
 
-    Every worker keeps the BLAS thread count it inherits: one per usable CPU,
-    unless a BLAS thread variable sets it (read as OpenBLAS reads them).  So
-    the pool has one worker per ``blas_threads`` CPUs, and none with the
-    default count: on 2 vCPUs with OpenBLAS, two workers of two BLAS threads
-    each made the default check about 5% and ``--full`` about 14% slower
-    than one process.
+    Every process keeps the BLAS thread count it inherits: one per usable
+    CPU, unless a BLAS thread variable sets it (read as OpenBLAS reads them).
+    So there is one process per ``blas_threads`` CPUs, and only one with the
+    default count: on 2 vCPUs with OpenBLAS, two processes of two BLAS
+    threads each made the default check about 5% and ``--full`` about 14%
+    slower than one.
     """
     cpus = _usable_cpus()
     blas_threads = cpus
@@ -464,7 +477,7 @@ def _pool_size(n_spaces: int) -> int:
         if value.isdigit() and int(value) > 0:
             blas_threads = min(int(value), cpus)
             break
-    return max(1, min(n_spaces, cpus // blas_threads))
+    return max(1, cpus // blas_threads)
 
 
 def _maxrss_mb() -> float | None:
@@ -477,73 +490,223 @@ def _maxrss_mb() -> float | None:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb
 
 
-class _SpaceRun(NamedTuple):
-    """One space's records and wall seconds per suite, and the process that ran it."""
+# a task is one suite on one space: (index into the spaces, index into the suite names)
+_Task = tuple[int, int]
 
-    suites: list[tuple[list[CheckRecord], float]]
+
+class _Done(NamedTuple):
+    """One task's records and wall seconds, the process that ran it and its peak size after."""
+
+    records: list[CheckRecord]
+    seconds: float
     pid: int
-    maxrss_mb: float | None  # that process's peak resident size after the space
+    maxrss_mb: float | None
 
 
-def _space_records(cfg: RunConfig, names: list[str], sp: Space) -> _SpaceRun:
-    """Records and wall seconds of each named suite on one space, in one run scope."""
-    out = []
-    with run_scope():
-        for name in names:
-            start = time.perf_counter()
-            records = _SUITES[name](cfg, sp)
-            out.append((records, time.perf_counter() - start))
-    return _SpaceRun(out, os.getpid(), _maxrss_mb())
+class _Tokens:
+    """A pipe that holds one byte per CPU that no process of the run is using.
 
-
-def _fork_pool_map(run, spaces: list[Space], workers: int) -> list | None:
-    """``run`` over ``spaces`` in a pool of forked workers; None where fork is missing.
-
-    The largest dimension goes first, one space per task, so under
-    ``--full`` n=5 starts at once and the smaller spaces share the other
-    worker.  The pool is closed and joined on success and terminated on an
-    error, which reaches the caller with its type and message; no worker
-    outlives the call.
+    Every process forked in the run inherits both ends; ``take`` does not
+    wait when the pipe is empty.
     """
-    import multiprocessing  # here, not at module level: it adds ~20 ms to `import curvjet`
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    largest_first = sorted(spaces, key=lambda sp: -sp.dim)
+    def __init__(self, count: int):
+        self.read, self.write = os.pipe()
+        os.set_blocking(self.read, False)
+        os.write(self.write, b"." * count)
+
+    def take(self) -> bool:
+        try:
+            return os.read(self.read, 1) == b"."
+        except BlockingIOError:
+            return False
+
+    def give(self) -> None:
+        os.write(self.write, b".")
+
+    def close(self) -> None:
+        os.close(self.read)
+        os.close(self.write)
+
+
+class _Child(NamedTuple):
+    """A forked process and the read end of the pipe that carries its pickled outcome."""
+
+    pid: int
+    fd: int
+
+
+class HelperTraceback(Exception):
+    """The traceback, as text, of an error that a forked check process met."""
+
+
+def _fork(work: Callable[[], dict]) -> _Child:
+    """Run ``work`` in a forked child that pickles its result, or its error, into a pipe."""
     # a forked child would write the parent's buffered output a second time
     sys.stdout.flush()
     sys.stderr.flush()
-    # fork, not spawn: a spawned worker would import curvjet again (~0.2 s); OpenBLAS
-    # stops its own threads before a fork (its atfork handler)
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        done = pool.map(run, largest_first, chunksize=1)
-    except BaseException:
-        pool.terminate()
-        raise
-    else:
-        pool.close()
+    read, write = os.pipe()
+    # fork, not spawn: the child inherits every basis, solver and memoized input
+    # built so far; OpenBLAS stops its own threads before a fork (its atfork handler)
+    pid = os.fork()
+    if pid:
+        os.close(write)
+        return _Child(pid, read)
+    status = 1
+    try:  # the child never returns into its parent's stack
+        os.close(read)
+        try:
+            outcome = work()
+        except BaseException as exc:
+            outcome = _portable(exc)
+        with os.fdopen(write, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+        status = 0
     finally:
-        pool.join()
-    by_space = dict(zip(largest_first, done))
-    return [by_space[sp] for sp in spaces]
+        os._exit(status)
 
 
-def _memory(per_space: list[_SpaceRun]) -> dict:
-    """Peak resident sizes of this process and of each process that ran a space.
+def _portable(exc: BaseException) -> tuple[BaseException, str]:
+    """exc with its traceback text; a RuntimeError naming its type where exc does not pickle."""
+    import traceback  # only on this error path: not needed to import curvjet
 
-    ``largest_process_mb`` is what one ``ru_maxrss`` reads; with workers the
-    machine held this process and its workers at once, so ``summed_mb`` adds
-    the peak of each process.  A worker's peak counts the pages it shares
-    with this process since the fork, so the sum bounds the concurrent peak
-    from above and the largest process bounds it from below.
+    text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc, text
+
+
+def _collect(child: _Child) -> dict | BaseException:
+    """Wait for a child; its results, or the error it met with its traceback as the cause."""
+    try:
+        with os.fdopen(child.fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(child.pid, 0)[1]
+    try:
+        outcome = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        return RuntimeError(f"check process {child.pid} ended with code {code} and no records")
+    if isinstance(outcome, tuple):
+        exc, text = outcome
+        exc.__cause__ = HelperTraceback(text)
+        return exc
+    return outcome
+
+
+def _hand_off(tasks: list[_Task]) -> tuple[list[_Task], list[_Task]]:
+    """Split a process's remaining tasks into the ones it keeps and a helper's.
+
+    The helper gets every whole space after the first one, or, when one
+    space is left, the tail half of its suites.
+    """
+    first = tasks[0][0]
+    cut = next((i for i, (s, _) in enumerate(tasks) if s != first), (len(tasks) + 1) // 2)
+    return tasks[:cut], tasks[cut:]
+
+
+@dataclass
+class _Run:
+    """The suites and spaces of one run, and the CPU tokens its processes share (None: no fork)."""
+
+    cfg: RunConfig
+    names: list[str]
+    spaces: list[Space]
+    tokens: _Tokens | None = None
+
+    def tasks(self) -> list[_Task]:
+        """Every task, largest space first, each space's suites in registry order."""
+        order = sorted(range(len(self.spaces)), key=lambda s: -self.spaces[s].dim)
+        return [(s, k) for s in order for k in range(len(self.names))]
+
+    def work(self, tasks: list[_Task]) -> dict[_Task, _Done]:
+        """Run ``tasks`` here, in order, forking a helper wherever a token is free.
+
+        Each space runs in its own run scope.  Before each suite, if a token
+        is free and two or more tasks remain, a forked helper takes part of
+        them (see ``_hand_off``) and inherits every basis and memoized input
+        built so far.  When this process has run its last suite it puts its
+        token back, then waits for every helper it forked, also after an
+        error; the first error, its own before its helpers', is raised.
+        """
+        tasks = list(tasks)
+        done: dict[_Task, _Done] = {}
+        helpers: list[_Child] = []
+        outcomes: list[dict | BaseException] = []
+        try:
+            while tasks:
+                space = tasks[0][0]
+                with run_scope():
+                    while tasks and tasks[0][0] == space:
+                        if self.tokens is not None and len(tasks) >= 2 and self.tokens.take():
+                            tasks, given = _hand_off(tasks)
+                            helpers.append(_fork(functools.partial(self._help, given, space)))
+                        s, k = tasks.pop(0)
+                        start = time.perf_counter()
+                        records = _SUITES[self.names[k]](self.cfg, self.spaces[s])
+                        seconds = time.perf_counter() - start
+                        done[s, k] = _Done(records, seconds, os.getpid(), _maxrss_mb())
+        except BaseException as exc:
+            outcomes.append(exc)
+        if self.tokens is not None:
+            self.tokens.give()
+        outcomes += [_collect(child) for child in helpers]
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException):
+                raise outcome
+            done.update(outcome)
+        return done
+
+    def _help(self, tasks: list[_Task], space_in_scope: int) -> dict[_Task, _Done]:
+        """A helper's run: whole spaces start from an empty memo, a space's tail shares it."""
+        if tasks[0][0] != space_in_scope:
+            _spaces._MEMO = None  # the inherited inputs belong to another space
+        return self.work(tasks)
+
+
+def _run_tasks(cfg: RunConfig, names: list[str], spaces: list[Space]) -> dict[_Task, _Done]:
+    """Every (space, suite) task of a run, split across the free CPUs.
+
+    With one process allowed (``_pool_size``), one task or no ``fork``, all
+    tasks run in this process.  Otherwise they run in a forked process that
+    holds this process's CPU and splits them further, and this process only
+    waits for it: on 2 vCPUs with one BLAS thread, a default check whose
+    first worker was this process peaked at 49.4-52.2 MB, against
+    45.3-47.8 MB with a forked one.
+    """
+    run = _Run(cfg, names, spaces)
+    tasks = run.tasks()
+    free = _pool_size() - 1
+    if free < 1 or len(tasks) < 2 or not hasattr(os, "fork"):
+        return run.work(tasks)
+    run.tokens = _Tokens(free)
+    try:
+        outcome = _collect(_fork(functools.partial(run.work, tasks)))
+    finally:
+        run.tokens.close()
+    if isinstance(outcome, BaseException):
+        raise outcome
+    return outcome
+
+
+def _memory(done: list[_Done]) -> dict:
+    """Peak resident sizes of this process and of each process that ran a suite.
+
+    ``largest_process_mb`` is what one ``ru_maxrss`` reads.  With forked
+    processes the machine held several of them at once, so ``summed_mb``
+    adds the peak of each.  A forked process's peak counts the pages it
+    shares with its parent since the fork, so the sum bounds the concurrent
+    peak from above and the largest process bounds it from below.
     """
     parent = _maxrss_mb()
     if parent is None:
         return {}
     peaks = {os.getpid(): parent}
-    for run in per_space:
-        peaks[run.pid] = max(peaks.get(run.pid, 0.0), run.maxrss_mb)
+    for d in done:
+        peaks[d.pid] = max(peaks.get(d.pid, 0.0), d.maxrss_mb)
     return {
         "largest_process_mb": max(peaks.values()),
         "processes": len(peaks),
@@ -556,38 +719,38 @@ def run_suites_timed(names: list[str], cfg: RunConfig) -> tuple[list[CheckRecord
     """The records of ``run_suites`` and a timings document of the run.
 
     The document holds the wall seconds of each suite on each space, each
-    space's total and peak resident size, the worker count used, the wall
-    seconds of the whole run and the peak resident sizes of its processes
-    (see ``_memory``).  The spaces run in forked worker processes when
-    ``_pool_size`` gives two or more, and in this process otherwise.
+    space's total and the largest peak resident size of a process that ran
+    one of its suites, the number of processes that ran suites
+    (``workers``), the wall seconds of the whole run and the peak resident
+    sizes of its processes (see ``_memory``).
     """
     selected = list(_SUITES) if "all" in names else [n for n in _SUITES if n in names]
     unknown = set(names) - set(_SUITES) - {"all"}
     if unknown:
         raise KeyError(f"unknown suite names: {sorted(unknown)}")
     spaces = cfg.spaces()
-    run = functools.partial(_space_records, cfg, selected)
-    workers = _pool_size(len(spaces))
     start = time.perf_counter()
-    per_space = _fork_pool_map(run, spaces, workers) if workers > 1 else None
-    if per_space is None:
-        workers, per_space = 1, [run(sp) for sp in spaces]
+    done = _run_tasks(cfg, selected, spaces)
     wall = time.perf_counter() - start
     # suite-major, as one process would run them: every space of a suite, then the next suite
-    records = [r for i in range(len(selected)) for done in per_space for r in done.suites[i][0]]
-    timings = {
-        "maxrss": _memory(per_space),
-        "spaces": [
+    per_space = [[done[s, k] for k in range(len(selected))] for s in range(len(spaces))]
+    records = [r for k in range(len(selected)) for tasks in per_space for r in tasks[k].records]
+    space_docs = []
+    for sp, tasks in zip(spaces, per_space):
+        peaks = [d.maxrss_mb for d in tasks]
+        space_docs.append(
             {
                 **space_to_dict(sp),
-                "maxrss_mb": done.maxrss_mb,
-                "suite_s": {name: secs for name, (_, secs) in zip(selected, done.suites)},
-                "total_s": sum(secs for _, secs in done.suites),
+                "maxrss_mb": None if None in peaks else max(peaks),
+                "suite_s": {name: d.seconds for name, d in zip(selected, tasks)},
+                "total_s": sum(d.seconds for d in tasks),
             }
-            for sp, done in zip(spaces, per_space)
-        ],
+        )
+    timings = {
+        "maxrss": _memory(list(done.values())),
+        "spaces": space_docs,
         "wall_s": wall,
-        "workers": workers,
+        "workers": len({d.pid for d in done.values()}),
     }
     return records, timings
 

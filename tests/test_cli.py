@@ -144,7 +144,8 @@ class TestCheck:
         timings = json.loads(path.read_text())
         assert [s["dim"] for s in timings["spaces"]] == [3, 4]
         assert all(set(s["suite_s"]) == {"star", "metric"} for s in timings["spaces"])
-        assert 1 <= timings["workers"] <= 2 and timings["wall_s"] > 0
+        # at most one process per (space, suite) task
+        assert 1 <= timings["workers"] <= 4 and timings["wall_s"] > 0
         assert timings["maxrss"]["largest_process_mb"] <= timings["maxrss"]["summed_mb"]
 
     def test_json_format_star_suite(self, capsys):
@@ -439,6 +440,36 @@ class TestDocumentHeader:
         doc = self.document(command)
         doc["dR"]["signature"] = []
         self.fails_with_one_error_line(command, doc, tmp_path, capsys, "signature lists")
+
+    def test_fractional_and_boolean_header_integers(self, tmp_path, capsys):
+        # int() would read this as the Lorentzian n=4 document that gen wrote
+        path = tmp_path / "jet.json"
+        assert main(["gen", "--signature", "-1,1,1,1", "--seed", "3", "--out", str(path)]) == 0
+        capsys.readouterr()
+        doc = json.loads(path.read_text())
+        doc.update(dim=4.9, signature=[-1.5, 1.2, 1, True])
+        for name in ("R", "dR", "d2R"):
+            doc[name]["dim"] = 4.2
+        self.fails_with_one_error_line("fit", doc, tmp_path, capsys, "must be an integer")
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("fit", lambda d: d.update(dim=3.0)),
+            ("fit", lambda d: d.update(signature=[1, True, 1])),
+            ("extend", lambda d: d["R"].update(valence=4.5)),
+            ("extend", lambda d: d["dR"].update(dim="3")),
+            ("metric", lambda d: d.update(degree=4.7)),
+            ("metric", lambda d: d["entries"].append([0.5, 1, [1, 0, 0], 0.1])),
+            ("metric", lambda d: d["entries"].append([0, 1, [1.5, 0, 0], 0.1])),
+            ("metric", lambda d: d["entries"].append([0, False, [1, 0, 0], 0.1])),
+        ],
+        ids=["dim", "sign", "valence", "tensor-dim", "degree", "index", "exponent", "bool-index"],
+    )
+    def test_each_integer_field_rejects_a_non_integer(self, command, edit, tmp_path, capsys):
+        doc = self.document(command)
+        edit(doc)
+        self.fails_with_one_error_line(command, doc, tmp_path, capsys, "must be an integer")
 
     @pytest.mark.parametrize("command", ["gen", "metric"])
     def test_written_document_reads_back_unchanged(self, command, tmp_path, capsys):

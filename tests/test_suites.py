@@ -1,7 +1,6 @@
 """Check suites: run scope, NaN-propagating aggregation, suite independence."""
 
 import math
-import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from curvjet import identities, spaces, suites
+from curvjet.jets import validate_two_jet
 from curvjet.spaces import Space, run_scope
 from curvjet.suites import (
     _einstein_jet,
@@ -117,6 +117,12 @@ class TestRunSuites:
             kept = {key[0].__name__ for key in spaces._MEMO}
         assert "_einstein_jet" in kept and "random_einstein_one_jet" not in kept
 
+    def test_einstein_jet_is_memoized_without_its_rotation(self):
+        with run_scope():
+            j = _einstein_jet(E3, 2)
+            assert "rotation" not in vars(j) and "einstein_gaps" in vars(j)
+        assert j.residuals == validate_two_jet(_einstein_jet(E3, 2))[1]
+
     @pytest.mark.parametrize("name", [n for n in suite_names() if n != "all"])
     def test_single_suite_matches_all(self, name, three_seeds):
         cfg, everything = three_seeds
@@ -138,26 +144,59 @@ def default_check():
     return run_suites(["all"], make_config())
 
 
-FORK = "fork" in multiprocessing.get_all_start_methods()
+FORK = hasattr(os, "fork")
+L4 = (-1, 1, 1, 1)
 
 
 @pytest.fixture
 def two_cpus(monkeypatch):
-    """Two usable CPUs and one BLAS thread, so that two spaces get two workers."""
+    """Two usable CPUs and one BLAS thread, so that a run splits across two processes."""
     monkeypatch.setattr(suites, "_usable_cpus", lambda: 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+
+def no_child_left() -> bool:
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
 
 
 class TestWorkers:
     def test_in_process_loop_matches_the_pool(self, two_cpus, monkeypatch):
         cfg = make_config(seeds=2)
-        pooled, timings = run_suites_timed(["all"], cfg)
-        assert timings["workers"] == (2 if FORK else 1)
+        split, timings = run_suites_timed(["all"], cfg)
+        assert timings["workers"] >= 2 if FORK else timings["workers"] == 1
         monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         looped, timings = run_suites_timed(["all"], cfg)
         assert timings["workers"] == 1
         # record equality covers the name, residual, worst_seed and samples
-        assert looped == pooled
+        assert looped == split
+        assert no_child_left()
+
+    def test_one_space_split_matches_the_in_process_run(self, two_cpus, monkeypatch):
+        # one space: the helpers take tail halves of its suites
+        cfg = make_config(signature=L4, seeds=2)
+        split, timings = run_suites_timed(["all"], cfg)
+        assert timings["workers"] >= 2 if FORK else timings["workers"] == 1
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+        looped, timings = run_suites_timed(["all"], cfg)
+        assert timings["workers"] == 1
+        assert looped == split
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="no /proc/self/fd")
+    def test_more_processes_than_cores_match_and_leave_no_pipe_open(self, monkeypatch):
+        # eight CPUs claimed on whatever the machine has: seven tokens in one pipe
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 8)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        cfg = make_config(seeds=1)
+        fds = set(os.listdir("/proc/self/fd"))
+        split, timings = run_suites_timed(["all"], cfg)
+        assert set(os.listdir("/proc/self/fd")) == fds and no_child_left()
+        assert timings["workers"] >= 2 if FORK else timings["workers"] == 1
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
+        assert run_suites(["all"], cfg) == split
 
     def test_a_worker_error_reaches_the_caller(self, two_cpus, monkeypatch):
         def boom(cfg, sp):
@@ -167,7 +206,24 @@ class TestWorkers:
         with pytest.raises(RuntimeError, match="boom at n="):
             run_suites(["eigenvalue", "star"], make_config(seeds=1))
         assert spaces._MEMO is None
-        assert multiprocessing.active_children() == []
+        assert no_child_left()
+
+    @pytest.mark.skipif(not FORK, reason="no fork on this platform")
+    def test_an_error_in_a_helper_forked_mid_space_reaches_the_caller(self, two_cpus, monkeypatch):
+        # the last suite of the only space runs in a helper that was handed the tail
+        # half of the suites, and its error passes through the process that forked it
+        def boom(cfg, sp):
+            raise ValueError(f"identities failed in process {os.getpid()}")
+
+        monkeypatch.setitem(suites._SUITES, "identities", boom)
+        with pytest.raises(ValueError, match="identities failed in process") as caught:
+            run_suites(["all"], make_config(signature=L4, seeds=1))
+        assert str(os.getpid()) not in str(caught.value)
+        # each process on the way adds the traceback it received as the cause
+        assert isinstance(caught.value.__cause__, suites.HelperTraceback)
+        assert "HelperTraceback" in str(caught.value.__cause__)
+        assert spaces._MEMO is None
+        assert no_child_left()
 
     @pytest.mark.parametrize(
         "cpus, env, workers",
@@ -177,7 +233,7 @@ class TestWorkers:
             (2, {"OMP_NUM_THREADS": "1"}, 2),
             (2, {"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 1),
             (4, {"OPENBLAS_NUM_THREADS": "2"}, 2),
-            (8, {"OPENBLAS_NUM_THREADS": "1"}, 3),  # one worker per space at most
+            (8, {"OPENBLAS_NUM_THREADS": "1"}, 8),  # no cap per space: tasks split spaces
             (1, {"OPENBLAS_NUM_THREADS": "1"}, 1),
             (2, {"OPENBLAS_NUM_THREADS": "0"}, 1),  # not a thread count: the default
         ],
@@ -188,19 +244,31 @@ class TestWorkers:
             monkeypatch.delenv(var, raising=False)
         for var, value in env.items():
             monkeypatch.setenv(var, value)
-        assert suites._pool_size(3) == workers
+        assert suites._pool_size() == workers
+
+    @pytest.mark.parametrize(
+        "tasks, kept",
+        [
+            ([(1, 0), (1, 1), (0, 0), (0, 1), (2, 0)], 2),  # whole spaces go first
+            ([(1, 0), (1, 1), (1, 2), (1, 3), (1, 4)], 3),  # one space: the tail half
+            ([(0, 3), (0, 4)], 1),
+        ],
+    )
+    def test_hand_off_gives_whole_spaces_then_a_tail_half(self, tasks, kept):
+        assert suites._hand_off(tasks) == (tasks[:kept], tasks[kept:])
 
     def test_memory_counts_each_process(self, two_cpus):
         _, timings = run_suites_timed(["eigenvalue"], make_config(seeds=1))
         memory = timings["maxrss"]
-        # this process and one or two workers: a fast worker may take both spaces
-        assert memory["processes"] in ((2, 3) if FORK else (1,))
+        # this process, the process that runs n=4 and the helper it forks for n=3
+        assert memory["processes"] == (3 if FORK else 1)
         assert memory["largest_process_mb"] == max(
             [memory["this_process_mb"]] + [s["maxrss_mb"] for s in timings["spaces"]]
         )
         assert memory["largest_process_mb"] <= memory["summed_mb"]
 
-    def test_timings_cover_each_suite_on_each_space(self):
+    def test_timings_cover_each_suite_on_each_space(self, monkeypatch):
+        monkeypatch.setattr(suites, "_usable_cpus", lambda: 1)
         records, timings = run_suites_timed(["eigenvalue", "fit"], make_config(dim=3, seeds=1))
         assert timings["workers"] == 1
         (space,) = timings["spaces"]
@@ -210,7 +278,7 @@ class TestWorkers:
         assert [r.name.split("/")[0] for r in records] == ["eigenvalue"] * 3 + ["fit"] * 2
 
     def test_import_leaves_multiprocessing_out(self):
-        # the pool imports it on demand: at module level it slows every import
+        # at module level it would add about 20 ms to every import; the run forks directly
         code = "import sys, curvjet; print('multiprocessing' in sys.modules)"
         src = os.path.dirname(os.path.dirname(suites.__file__))
         env = dict(os.environ)
