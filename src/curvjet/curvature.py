@@ -17,9 +17,23 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, SymBiform, Tensor, _group_sum, metric_trace
+from .spaces import (
+    Space,
+    SymBiform,
+    Tensor,
+    _gather,
+    _group_sum,
+    _in_blocks,
+    _norm,
+    _normal_draws,
+    _rel,
+    _scalar_trace,
+    _tail,
+    _trace,
+    metric_trace,
+)
 from .subspace import PackedRows, image, packing
-from .young import hook_content_dim, is_member_Ck, tableau_sum, young_apply
+from .young import _young, hook_content_dim, is_member_Ck, tableau_sum
 
 __all__ = [
     "RicciData",
@@ -52,26 +66,37 @@ class RicciData:
     scalar: float
 
 
+def _ric(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Ricci forms of the curvature tensors on the last four axes of R.
+
+    The trace runs over curvature slots 2 and 4, so on a first derivative
+    dR it gives grad ric (``ricci_derivative``).
+    """
+    return -1.0 * _trace(R, -3, -1, eps)
+
+
 def ricci(R: Tensor) -> RicciData:
     if R.valence != 4:
         raise ValueError("ricci needs a valence-4 tensor")
-    ric = -1.0 * metric_trace(R, 2, 4)
-    scalar = float(metric_trace(ric, 1, 2).data)
-    return RicciData(ric, scalar)
+    ric = _ric(R.data, R.space.eps)
+    return RicciData(Tensor(R.space, ric), float(_scalar_trace(ric, R.space.eps)))
+
+
+def _kn(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Kulkarni-Nomizu products of the bilinear forms on the last two axes of A and B."""
+    return (
+        np.einsum("...ac,...bd->...abcd", A, B)
+        + np.einsum("...bd,...ac->...abcd", A, B)
+        - np.einsum("...ad,...bc->...abcd", A, B)
+        - np.einsum("...bc,...ad->...abcd", A, B)
+    )
 
 
 def kn_pair(a: Tensor, b: Tensor) -> Tensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms."""
     if a.valence != 2 or b.valence != 2:
         raise ValueError("kn_pair needs two valence-2 tensors")
-    A, B = a.data, b.data
-    out = (
-        np.einsum("ac,bd->abcd", A, B)
-        + np.einsum("bd,ac->abcd", A, B)
-        - np.einsum("ad,bc->abcd", A, B)
-        - np.einsum("bc,ad->abcd", A, B)
-    )
-    return Tensor(a.space, out)
+    return Tensor(a.space, _kn(a.data, b.data))
 
 
 @lru_cache(maxsize=None)
@@ -93,18 +118,22 @@ def kulkarni(h: SymBiform) -> Tensor:
     """
     if h.m < 2:
         raise ValueError("kulkarni needs degree m >= 2")
-    k = h.m - 2
-    d = h.tensor.data
+    return Tensor(h.space, _kulkarni(h.tensor.data, h.m))
+
+
+def _kulkarni(d: np.ndarray, m: int) -> np.ndarray:
+    """``kulkarni`` of each degree-m SymBiform tensor on the last m + 2 axes of d."""
+    k = m - 2
+
     # input layout (y_1..y_k, u, v, p, q) -> terms h(y.., x_a, x_b; x_c, x_d)
     def term(qa, qb, qc, qd):
         # out axis k+lab-1 reads the input axis holding x_lab
         full = list(range(k)) + [0, 0, 0, 0]
         for in_off, lab in enumerate((qa, qb, qc, qd)):
             full[k + lab - 1] = k + in_off
-        return np.transpose(d, axes=full)
+        return _tail(d, full)
 
-    out = term(1, 3, 2, 4) + term(2, 4, 1, 3) - term(1, 4, 2, 3) - term(2, 3, 1, 4)
-    return Tensor(h.space, out)
+    return term(1, 3, 2, 4) + term(2, 4, 1, 3) - term(1, 4, 2, 3) - term(2, 3, 1, 4)
 
 
 @dataclass(frozen=True)
@@ -121,17 +150,21 @@ def decompose(R: Tensor) -> Decomposition:
     Normalized so that R = g KN g has scalar_part = R.
     """
     sp = R.space
-    n = sp.dim
-    if n < 3:
+    if sp.dim < 3:
         raise NotImplementedError("decompose needs dim >= 3")
-    rd = ricci(R)
-    g = sp.metric_tensor()
-    s = rd.scalar
-    ric0 = rd.ric - (s / n) * g
-    scalar_part = Tensor(sp, (-s / (2.0 * n * (n - 1))) * _kn_metric(sp))
-    ricci_part = (-1.0 / (n - 2)) * kn_pair(g, ric0)
-    weyl_part = R - scalar_part - ricci_part
-    return Decomposition(scalar_part, ricci_part, weyl_part)
+    return Decomposition(*(Tensor(sp, part) for part in _decompose(R.data, sp)))
+
+
+def _decompose(R: np.ndarray, sp: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scalar, trace-free Ricci and Weyl parts of each curvature tensor on the last four axes."""
+    n = sp.dim
+    g = sp.metric_matrix()
+    ric = _ric(R, sp.eps)
+    s = _scalar_trace(ric, sp.eps)
+    ric0 = ric - g * (s / n)[..., None, None]
+    scalar_part = (-s / (2.0 * n * (n - 1)))[..., None, None, None, None] * _kn_metric(sp)
+    ricci_part = _kn(g, ric0) * (-1.0 / (n - 2))
+    return scalar_part, ricci_part, R - scalar_part - ricci_part
 
 
 @lru_cache(maxsize=None)
@@ -157,24 +190,40 @@ def _slot_plan(shape: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarr
     return moved, back
 
 
-def _slot_sum(M: np.ndarray, a: np.ndarray, width: int) -> np.ndarray:
+def _slot_sum(M: np.ndarray, a: np.ndarray, width: int, batch: int = 0) -> np.ndarray:
     """Sum over every group of ``width`` slots of a of M applied in those slots.
 
-    M has shape lead + (n**width, n**width): its last axis contracts the
-    group's slots (row-major) and its second-to-last fills them.  One gather
-    stacks a copy of a per group with the group at the back, one stacked
-    matrix product applies M to every copy (lead axes last), and one gather
-    brings each product back to the slot order of a; the groups are added
-    in lexicographic order.  The result has shape lead + a.shape.
+    M has shape batch + lead + (n**width, n**width): its last axis contracts
+    the group's slots (row-major) and its second-to-last fills them.  The
+    first ``batch`` axes of M and of a are batch axes (seeds): each tensor of
+    a meets the operator of its own batch entry.  One gather stacks a copy
+    of a per group with the group at the back, one stacked matrix product
+    applies M to every copy (lead axes last), and one gather brings each
+    product back to the slot order of a; the groups are added in
+    lexicographic order.  A batch axis is an outer axis of every step, so
+    each tensor gets the same sums as alone; a large batch goes in blocks.
+    The result has shape batch + lead + tensor shape.
     """
-    lead, size = M.shape[:-2], M.shape[-1]
-    moved, back = _slot_plan(a.shape, width)
-    copies = a.ravel()[moved].reshape(len(moved), a.size // size, size)
+    outer, lead, size = M.shape[:batch], M.shape[batch:-2], M.shape[-1]
+    shape = a.shape[batch:]
+    moved, back = _slot_plan(shape, width)
+    count = math.prod(lead)
+    rest = math.prod(shape) // size
+    if batch:
+        # an elementwise result can come out in another memory order in a batch;
+        # in C order, every operator's matrix is laid out as a lone one is
+        M = np.ascontiguousarray(M)
+        product_bytes = 8 * len(moved) * math.prod(shape) * count
+        blocks = _in_blocks(lambda M, a: _slot_sum(M, a, width, 1), (M, a), batch, product_bytes)
+        if blocks is not None:
+            return blocks
+    copies = _gather(a.reshape(outer + (-1,)), moved).reshape(outer + (len(moved), rest, size))
     # Mt[c, (f, l)] = M[l, f, c]: the filled slots ahead of the lead axes
-    Mt = M.reshape(-1, size, size).transpose(2, 1, 0).reshape(size, -1)
-    terms = (copies @ Mt).reshape(-1, math.prod(lead))
+    Mt = _tail(M.reshape(outer + (count, size, size)), (2, 1, 0)).reshape(outer + (1, size, -1))
+    terms = (copies @ Mt).reshape(outer + (len(moved) * rest * size, count))
+    summed = np.take(terms, back, axis=batch).sum(axis=batch)
     # C order for the result, whose layout every later elementwise op inherits
-    return np.ascontiguousarray(np.take(terms, back, axis=0).sum(axis=0).T).reshape(lead + a.shape)
+    return np.ascontiguousarray(summed.swapaxes(-1, -2)).reshape(outer + lead + shape)
 
 
 def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
@@ -191,29 +240,32 @@ def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
     return Tensor(A.space, _slot_sum(-W, A.data, 1))
 
 
-def _pair_kernel(R: Tensor) -> np.ndarray:
+def _pair_kernel(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """K = M + M^T with M[a,d,j,c] = eps_j eps_c R[a,j,d,c] and M^T = M[d,a,c,j].
 
     Contracting A's slots (j, c) against M yields the ordered-pair term
     sum_j eps_j A(.., e_j, .., R_{x_a, e_j} x_d, ..); K adds the term of the
     swapped pair, so one contraction covers an unordered slot pair.
     """
-    eps = R.space.eps
-    M = R.data.transpose(0, 2, 1, 3) * np.multiply.outer(eps, eps)
-    return M + M.transpose(1, 0, 3, 2)
+    M = _tail(R, (0, 2, 1, 3)) * np.multiply.outer(eps, eps)
+    return M + _tail(M, (1, 0, 3, 2))
 
 
-def _ric_endo(R: Tensor) -> np.ndarray:
-    """E[a,b] = (Ric e_a)^b."""
-    rd = ricci(R)
-    return rd.ric.data * R.space.eps[None, :]
+def _star(R: np.ndarray, A: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """R*A for each curvature tensor on the last four axes of R and the A of its batch entry."""
+    batch = R.ndim - 4
+    n = len(eps)
+    ric_terms = _slot_sum(_ric(R, eps) * eps, A, 1, batch)
+    K = _pair_kernel(R, eps).reshape(R.shape[:batch] + (n * n, n * n))
+    return ric_terms + _slot_sum(K, A, 2, batch)
 
 
 def star_action(R: Tensor, A: Tensor) -> Tensor:
     """Curvature action R*A = -sum_i sum_j eps_j (R_{x_i,e_j}.A)(.., e_j at i, ..).
 
-    Expanded form: the Ricci endomorphism applied in each slot, plus the
-    rotation term of each ordered slot pair (i, m), i != m,
+    Expanded form: the Ricci endomorphism E[a, b] = (Ric e_a)^b applied in
+    each slot, plus the rotation term of each ordered slot pair (i, m),
+    i != m,
 
         einsum("..q..r..,adqr->..a..d..", A, M)   with q, a at slot i and r, d at m,
 
@@ -227,9 +279,13 @@ def star_action(R: Tensor, A: Tensor) -> Tensor:
         raise ValueError("star_action needs a valence-4 curvature tensor")
     if R.space != A.space:
         raise ValueError("mismatched spaces")
-    n = A.space.dim
-    ric_terms = _slot_sum(_ric_endo(R), A.data, 1)
-    return Tensor(A.space, ric_terms + _slot_sum(_pair_kernel(R).reshape(n * n, n * n), A.data, 2))
+    return Tensor(A.space, _star(R.data, A.data, R.space.eps))
+
+
+def _rotate(R: np.ndarray, T: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``pair_derivation`` of each curvature tensor on the last four axes of R on its batch's T."""
+    # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
+    return _slot_sum(-(R * eps), T, 1, R.ndim - 4)
 
 
 def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
@@ -240,27 +296,26 @@ def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     """
     if R.valence != 4:
         raise ValueError("pair_derivation needs a valence-4 curvature tensor")
-    K = R.data * R.space.eps  # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
-    return _slot_sum(-K, T.data, 1)
+    return _rotate(R.data, T.data, R.space.eps)
 
 
 def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # trace of a rotation-action 6-tensor in (second rotation slot, slot 1)
-    return np.einsum("aiiqrs,i->aqrs", six, eps)
+    return np.einsum("...aiiqrs,i->...aqrs", six, eps)
 
 
-def _ricci_rotation_sum(Rp: Tensor, ric: Tensor) -> np.ndarray:
+def _ricci_rotation_sum(Rp: np.ndarray, ric: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """The signed four-term sum of rotations of ric by the planes of R'.
 
     (R'_{x2,x4}.ric)(x1,x3) - (R'_{x2,x3}.ric)(x1,x4)
     + (R'_{x1,x3}.ric)(x2,x4) - (R'_{x1,x4}.ric)(x2,x3)
     """
-    Gp = pair_derivation(Rp, ric)
+    Gp = _rotate(Rp, ric, eps)
     return (
-        np.transpose(Gp, (2, 0, 3, 1))
-        - np.transpose(Gp, (2, 0, 1, 3))
-        + np.transpose(Gp, (0, 2, 1, 3))
-        - np.transpose(Gp, (0, 2, 3, 1))
+        _tail(Gp, (2, 0, 3, 1))
+        - _tail(Gp, (2, 0, 1, 3))
+        + _tail(Gp, (0, 2, 1, 3))
+        - _tail(Gp, (0, 2, 3, 1))
     )
 
 
@@ -274,43 +329,44 @@ def star_identity_residuals(R: Tensor, Rp: Tensor, seed: int = 0) -> dict[str, f
     component only (equivalently: on the Jacobi diagonal, which determines
     that component), so the expansion is projected before comparing.  The
     rotation terms are killed by the projection; the derivation terms are
-    not.  Raw 4-tensor equality fails by O(1).
+    not.  Raw 4-tensor equality fails by O(1).  The 8 Jacobi samples (x, y)
+    are drawn in turn from ``default_rng(seed)``.
     """
-    sp = R.space
-    SS = star_action(R, Rp)
-    Dp = pair_derivation(R, Rp)  # (R_{ab} . R')
-    T1 = _pair_trace(Dp, sp.eps)
-    T2 = np.transpose(T1, (1, 0, 2, 3))
-    rhs = -(2.0 * T1 - 2.0 * T2) - _ricci_rotation_sum(Rp, ricci(R).ric)
-    proj = young_apply(Tensor(sp, rhs), 0).data / 12.0
-    scale = max(np.linalg.norm(SS.data), 1.0)
-    res: dict[str, float] = {}
-    res["six_term"] = float(np.linalg.norm(proj - SS.data)) / scale
-    # Jacobi diagonal: R*R'(x,y,x,y) doubles the derivation terms alone; the
-    # 8 samples (x, y) are drawn in turn from one stream
-    xy = np.random.default_rng(seed).standard_normal((8, 2, sp.dim))
-    x, y = xy[:, 0], xy[:, 1]
-    lhs_val = np.einsum("abcd,ta,tb,tc,td->t", SS.data, x, y, x, y)
-    rhs_val = -2.0 * (
-        np.einsum("aqrs,ta,tq,tr,ts->t", T1, x, y, x, y)
-        + np.einsum("aqrs,ta,tq,tr,ts->t", T1, y, x, y, x)
-    )
-    den = np.maximum(np.maximum(np.abs(lhs_val), np.abs(rhs_val)), scale)
-    res["jacobi"] = float(np.max(np.abs(lhs_val - rhs_val) / den))
-    st = star_action(R, ricci(Rp).ric)
-    res["ricci_trace"] = _ricci_of_star_gap(SS, st)[2]
-    res["scalar_trace"] = abs(float(metric_trace(st, 1, 2).data)) / max(
-        np.linalg.norm(st.data), 1.0
-    )
+    (xy,) = _normal_draws(seed, (8, 2, R.space.dim))
+    res = _star_residuals(R.data, Rp.data, R.space.eps, xy)
+    return {key: float(v) for key, v in res.items()}
+
+
+def _star_residuals(
+    R: np.ndarray, Rp: np.ndarray, eps: np.ndarray, xy: np.ndarray
+) -> dict[str, np.ndarray]:
+    """``star_identity_residuals`` of each pair (R, R') of a batch, with its samples xy."""
+    batch = R.ndim - 4
+    SS = _star(R, Rp, eps)
+    T1 = _pair_trace(_rotate(R, Rp, eps), eps)  # trace of (R_{ab} . R')
+    T2 = _tail(T1, (1, 0, 2, 3))
+    rhs = -(2.0 * T1 - 2.0 * T2) - _ricci_rotation_sum(Rp, _ric(R, eps), eps)
+    proj = _young(rhs, 0, batch) / 12.0
+    scale = np.maximum(_norm(SS, batch), 1.0)
+    res = {"six_term": _norm(proj - SS, batch) / scale}
+    # Jacobi diagonal: R*R'(x,y,x,y) doubles the derivation terms alone
+    x, y = xy[..., 0, :], xy[..., 1, :]
+    form = "...abcd,...ta,...tb,...tc,...td->...t"
+    lhs_val = np.einsum(form, SS, x, y, x, y)
+    rhs_val = -2.0 * (np.einsum(form, T1, x, y, x, y) + np.einsum(form, T1, y, x, y, x))
+    den = np.maximum(np.maximum(np.abs(lhs_val), np.abs(rhs_val)), scale[..., None])
+    res["jacobi"] = np.max(np.abs(lhs_val - rhs_val) / den, axis=-1)
+    st = _star(R, _ric(Rp, eps), eps)
+    res["ricci_trace"] = _ricci_of_star(SS, st, eps, batch)[2]
+    res["scalar_trace"] = np.abs(_scalar_trace(st, eps)) / np.maximum(_norm(st, batch), 1.0)
     return res
 
 
-def _ricci_of_star_gap(star: Tensor, star_ric: Tensor) -> tuple[Tensor, Tensor, float]:
-    """``ricci_of_star`` from R*R' and R*ric'."""
-    lhs = metric_trace(star, 2, 4)
-    rhs = -1.0 * star_ric
-    scale = max(lhs.norm(), rhs.norm(), 1.0)
-    return lhs, rhs, (lhs - rhs).norm() / scale
+def _ricci_of_star(SS: np.ndarray, st: np.ndarray, eps: np.ndarray, lead: int = 0):
+    """``ricci_of_star`` of each pair after ``lead`` axes, from R*R' and R*ric'."""
+    lhs = _trace(SS, -3, -1, eps)
+    rhs = -1.0 * st
+    return lhs, rhs, _rel(lhs, rhs, lead)
 
 
 def ricci_of_star(R: Tensor, Rp: Tensor) -> tuple[Tensor, Tensor, float]:
@@ -318,7 +374,9 @@ def ricci_of_star(R: Tensor, Rp: Tensor) -> tuple[Tensor, Tensor, float]:
 
     Returns (lhs, rhs, relative difference).
     """
-    return _ricci_of_star_gap(star_action(R, Rp), star_action(R, ricci(Rp).ric))
+    SS, st = star_action(R, Rp), star_action(R, ricci(Rp).ric)
+    lhs, rhs, gap = _ricci_of_star(SS.data, st.data, R.space.eps)
+    return Tensor(R.space, lhs), Tensor(R.space, rhs), gap
 
 
 def divergence(dR: Tensor, tol: float = 1e-8) -> Tensor:
@@ -334,7 +392,7 @@ def ricci_derivative(dR: Tensor) -> Tensor:
     """grad ric as a valence-3 tensor (a; x, y) from a first derivative of R."""
     if dR.valence != 5:
         raise ValueError("needs a valence-5 tensor")
-    return -1.0 * metric_trace(dR, 3, 5)
+    return Tensor(dR.space, _ric(dR.data, dR.space.eps))
 
 
 def exterior_ricci_derivative(dR: Tensor) -> Tensor:
@@ -347,8 +405,16 @@ def jacobi_form(T: Tensor) -> SymBiform:
     """Degree-2 SymBiform h(u,v;x,y) from the slot pattern T(x,u,v,y)."""
     if T.valence != 4:
         raise ValueError("jacobi_form needs a valence-4 tensor")
-    arranged = np.transpose(T.data, axes=(1, 2, 0, 3))
-    return SymBiform(T.space, 2, Tensor(T.space, arranged))
+    return SymBiform(T.space, 2, Tensor(T.space, _jacobi_layout(T.data)))
+
+
+def _jacobi_layout(t: np.ndarray, k: int = 0) -> np.ndarray:
+    """Each k-th curvature derivative after any leading axes in Jacobi order.
+
+    The k derivative slots and curvature slots 2, 3 come first (they are
+    symmetrized together), then curvature slots 1, 4 (the bilinear pair).
+    """
+    return _tail(t, tuple(range(k)) + (k + 1, k + 2, k, k + 3))
 
 
 def _nk_defects(t: np.ndarray, m: int) -> np.ndarray:

@@ -4,9 +4,11 @@ Each entry reproduces one of the auxiliary tableau-trace identities used by
 the trace analysis of the projected second derivative: rotation-trace
 expansions, the metric-embedding trace factors, the Kulkarni-Nomizu
 completion constants, and the two displays for the associated second Ricci
-derivative.  Every verifier returns a dict of named relative residuals;
-keys documenting a raw form that only holds after projection are reported
-for reference and are order one on generic input.
+derivative.  Every verifier takes a space and a tuple of seeds and returns a
+dict of named relative residuals, one per seed: its inputs are the seeds'
+draws stacked on a leading axis, which every kernel carries along.  Keys
+documenting a raw form that only holds after projection are reported for
+reference and are order one on generic input.
 """
 
 from __future__ import annotations
@@ -16,108 +18,108 @@ from typing import Callable
 
 import numpy as np
 
-from .curvature import (
-    _pair_trace,
-    decompose,
-    jacobi_form,
-    kulkarni,
-    pair_derivation,
-    ricci,
+from .curvature import _decompose, _jacobi_layout, _kulkarni, _pair_trace, _ric, _rotate
+from .jets import (
+    _div_der,
+    _hat_embed,
+    _hess_ric,
+    _hessian_tableau,
+    _rough_lap,
+    _tilde,
+    _two_jet_chunk,
 )
-from .jets import _hessian_tableau, hat_embed, jet_traces, random_two_jet, tilde_ops
-from .spaces import Space, SymBiform, Tensor, _rel, memoized, sym_product
-from .young import random_ck, tableau_apply, young_apply
+from .spaces import Space, _norm, _rel, _sym_biform, _sym_product_layout, _tail, memoized
+from .young import _ck_chunk, _young, tableau_sum
 
 __all__ = ["verify_identity", "identity_names"]
 
+# residuals of one seed each, for a tuple of seeds
+Residuals = dict[str, np.ndarray]
 
-def _traced_tableau(space: Space, arranged: np.ndarray, row1=(1, 3)) -> np.ndarray:
-    """Trace over slots 1 and 3 of the tableau with rows ``row1`` and (2, 4) of a 6-tensor."""
-    projected = tableau_apply(Tensor(space, arranged), row1, (2, 4))
-    return np.einsum("ibidef,i->bdef", projected.data, space.eps)
+
+def _traced_tableau(eps: np.ndarray, arranged: np.ndarray, row1=(1, 3)) -> np.ndarray:
+    """Trace over slots 1 and 3 of the tableau with rows ``row1`` and (2, 4) of each 6-tensor."""
+    projected = tableau_sum(arranged, [s - 1 for s in row1], (1, 3), lead=arranged.ndim - 6)
+    return np.einsum("...ibidef,i->...bdef", projected, eps)
 
 
 def _pair_sum(F: np.ndarray) -> np.ndarray:
     """Sum over the swap groups of axes (0,1) and (2,3)."""
-    return (
-        F
-        + np.transpose(F, (1, 0, 2, 3))
-        + np.transpose(F, (0, 1, 3, 2))
-        + np.transpose(F, (1, 0, 3, 2))
-    )
+    return F + _tail(F, (1, 0, 2, 3)) + _tail(F, (0, 1, 3, 2)) + _tail(F, (1, 0, 3, 2))
 
 
 @memoized
-def _ricci_rotation(space: Space, seed: int) -> np.ndarray:
-    """The Ricci rotation ``pair_derivation(R, ric)`` of ``R = random_ck(space, 0, seed)``."""
-    R = random_ck(space, 0, seed)
-    return pair_derivation(R, ricci(R).ric)
+def _ricci_rotation(space: Space, seeds: tuple[int, ...]) -> np.ndarray:
+    """The Ricci rotation ``pair_derivation(R, ric)`` of each ``R = random_ck(space, 0, seed)``."""
+    R = _ck_chunk(space, 0, seeds)
+    return _rotate(R, _ric(R, space.eps), space.eps)
 
 
 @memoized
-def _rotation_data(space: Space, seed: int):
-    """The rotation 6-tensor of ``random_ck(space, 0, seed)``, its trace and its Ricci rotation."""
-    R = random_ck(space, 0, seed)
-    D = pair_derivation(R, R)
-    return D, _pair_trace(D, space.eps), _ricci_rotation(space, seed)
+def _rotation_data(space: Space, seeds: tuple[int, ...]):
+    """The rotation 6-tensor of each ``random_ck(space, 0, seed)``, its trace and Ricci rotation."""
+    R = _ck_chunk(space, 0, seeds)
+    D = _rotate(R, R, space.eps)
+    return D, _pair_trace(D, space.eps), _ricci_rotation(space, seeds)
 
 
-def _derivation_trace_pair(space: Space, seed: int) -> dict[str, float]:
+def _derivation_trace_pair(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # the traced (2,2) tableau of both rotation arrangements equals the same
     # three-fold combination of the rotation trace and the Ricci rotation
-    D, T1, Gn = _rotation_data(space, seed)
+    D, T1, Gn = _rotation_data(space, seeds)
     rhs = 3.0 * (
-        np.transpose(T1, (1, 2, 0, 3))
-        + np.transpose(T1, (2, 1, 0, 3))
-        + np.transpose(Gn, (1, 2, 0, 3))
-        + np.transpose(Gn, (2, 1, 0, 3))
+        _tail(T1, (1, 2, 0, 3))
+        + _tail(T1, (2, 1, 0, 3))
+        + _tail(Gn, (1, 2, 0, 3))
+        + _tail(Gn, (2, 1, 0, 3))
     )
-    lhs_a = _traced_tableau(space, np.transpose(D, (2, 3, 1, 4, 0, 5)))
-    lhs_b = _traced_tableau(space, np.transpose(D, (1, 3, 2, 4, 0, 5)))
-    return {"first_arrangement": _rel(lhs_a, rhs), "second_arrangement": _rel(lhs_b, rhs)}
+    lhs_a = _traced_tableau(space.eps, _tail(D, (2, 3, 1, 4, 0, 5)))
+    lhs_b = _traced_tableau(space.eps, _tail(D, (1, 3, 2, 4, 0, 5)))
+    return {"first_arrangement": _rel(lhs_a, rhs, 1), "second_arrangement": _rel(lhs_b, rhs, 1)}
 
 
-def _derivation_trace_six(space: Space, seed: int) -> dict[str, float]:
+def _derivation_trace_six(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # traced (3,2)-row tableau of the rotation tensor, factor six
-    D, T1, Gn = _rotation_data(space, seed)
-    lhs = _traced_tableau(space, np.transpose(D, (2, 3, 4, 5, 0, 1)), (1, 3, 6))
+    D, T1, Gn = _rotation_data(space, seeds)
+    lhs = _traced_tableau(space.eps, _tail(D, (2, 3, 4, 5, 0, 1)), (1, 3, 6))
     rhs = 6.0 * (
-        -2.0 * np.transpose(Gn, (2, 3, 0, 1))
-        + np.transpose(T1, (1, 3, 0, 2))
-        + np.transpose(T1, (3, 1, 0, 2))
-        - np.transpose(Gn, (1, 2, 0, 3))
-        - np.transpose(Gn, (2, 1, 0, 3))
+        -2.0 * _tail(Gn, (2, 3, 0, 1))
+        + _tail(T1, (1, 3, 0, 2))
+        + _tail(T1, (3, 1, 0, 2))
+        - _tail(Gn, (1, 2, 0, 3))
+        - _tail(Gn, (2, 1, 0, 3))
     )
-    return {"residual": _rel(lhs, rhs)}
+    return {"residual": _rel(lhs, rhs, 1)}
 
 
-def _hessian_trace_expansion(space: Space, seed: int) -> dict[str, float]:
+def _hessian_trace_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # traced (2,2) tableau of the second derivative itself, expanded into the
     # three signed traces and the rotation trace; needs a coupled jet
-    j = random_two_jet(space, seed)
-    hess, div_der, lap = (t.data for t in jet_traces(j))
-    T1 = _pair_trace(j.rotation, space.eps)
-    lhs = -_traced_tableau(space, np.transpose(j.d2R.data, (0, 3, 1, 5, 2, 4)))
+    eps = space.eps
+    j = _two_jet_chunk(space, seeds)
+    hess, div_der, lap = _hess_ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
+    T1 = _pair_trace(j.rotation, eps)
+    lhs = -_traced_tableau(eps, _tail(j.d2R, (0, 3, 1, 5, 2, 4)))
     F = (
-        np.transpose(lap, (1, 3, 0, 2))
+        _tail(lap, (1, 3, 0, 2))
         + hess
-        - 2.0 * np.transpose(div_der, (0, 2, 1, 3))
-        - np.transpose(T1, (0, 2, 1, 3))
+        - 2.0 * _tail(div_der, (0, 2, 1, 3))
+        - _tail(T1, (0, 2, 1, 3))
     )
-    return {"residual": _rel(lhs, _pair_sum(F))}
+    return {"residual": _rel(lhs, _pair_sum(F), 1)}
 
 
-def _ricci_rotation_vanishes(space: Space, seed: int) -> dict[str, float]:
+def _ricci_rotation_vanishes(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # the (2,2) tableau kills the Ricci rotation term identically
-    Gn = _ricci_rotation(space, seed)
-    projected = young_apply(Tensor(space, Gn), 0)
-    return {"residual": projected.norm() / max(float(np.linalg.norm(Gn)), 1.0)}
+    Gn = _ricci_rotation(space, seeds)
+    projected = _young(Gn, 0, 1)
+    return {"residual": _norm(projected, 1) / np.maximum(_norm(Gn, 1), 1.0)}
 
 
 @memoized
-def _ricci_flat_input(space: Space, seed: int) -> Tensor:
-    # a Ricci-flat curvature tensor; vanishes identically below dim 4
-    return decompose(random_ck(space, 0, seed)).weyl_part
+def _ricci_flat_input(space: Space, seeds: tuple[int, ...]) -> np.ndarray:
+    """Ricci-flat curvature tensors, the Weyl parts of the seeds' C_0 draws; zero below dim 4."""
+    return _decompose(_ck_chunk(space, 0, seeds), space)[2]
 
 
 # the metric-embedding trace factors: name -> (einsum of g and S into the
@@ -132,49 +134,50 @@ _EMBED_TRACES = {
 }
 
 
-def _embed_trace(name: str, space: Space, seed: int) -> dict[str, float]:
+def _embed_trace(name: str, space: Space, seeds: tuple[int, ...]) -> Residuals:
     spec, row1, factor, (first, second) = _EMBED_TRACES[name]
-    S = _ricci_flat_input(space, seed).data
-    tr = _traced_tableau(space, np.einsum(spec, space.metric_matrix(), S), row1)
-    rhs = factor(space.dim) * (np.transpose(S, first) + np.transpose(S, second))
-    return {"residual": _rel(tr, rhs)}
+    S = _ricci_flat_input(space, seeds)
+    embedded = np.einsum(spec.replace(",", ",...").replace("->", "->..."), space.metric_matrix(), S)
+    tr = _traced_tableau(space.eps, embedded, row1)
+    rhs = factor(space.dim) * (_tail(S, first) + _tail(S, second))
+    return {"residual": _rel(tr, rhs, 1)}
 
 
-def _projected_kulkarni(space: Space, seed: int) -> dict[str, float]:
+def _projected_kulkarni(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # tableau projection equals -2 (k+2)! times the Kulkarni-Nomizu completion
     # of the symmetrized Jacobi arrangement, for derivative orders 0, 1, 2
-    out: dict[str, float] = {}
-    R = random_ck(space, 0, seed)
-    out["order_0"] = _rel(
-        young_apply(R, 0).data, -4.0 * kulkarni(jacobi_form(R)).data
-    )
-    dR = random_ck(space, 1, seed)
-    arranged = SymBiform(space, 3, Tensor(space, np.transpose(dR.data, (0, 2, 3, 1, 4))))
-    out["order_1"] = _rel(young_apply(dR, 1).data, -12.0 * kulkarni(arranged).data)
-    completed = sym_product(jacobi_form(R), space.metric_tensor())
-    out["order_2"] = _rel(hat_embed(R).data, -48.0 * kulkarni(completed).data)
+    R = _ck_chunk(space, 0, seeds)
+    jacobi = _sym_biform(_jacobi_layout(R), 2, 1)  # jacobi_form(R)
+    out = {"order_0": _rel(_young(R, 0, 1), -4.0 * _kulkarni(jacobi, 2), 1)}
+    dR = _ck_chunk(space, 1, seeds)
+    arranged = _sym_biform(_jacobi_layout(dR, 1), 3, 1)
+    out["order_1"] = _rel(_young(dR, 1, 1), -12.0 * _kulkarni(arranged, 3), 1)
+    # sym_product(jacobi_form(R), g)
+    completed = _sym_biform(_sym_product_layout(jacobi, 2, space.metric_matrix()), 4, 1)
+    out["order_2"] = _rel(_hat_embed(R, space.eps), -48.0 * _kulkarni(completed, 4), 1)
     return out
 
 
 @memoized
-def _assoc_displays(space: Space, seed: int):
+def _assoc_displays(space: Space, seeds: tuple[int, ...]):
     """Shared data for the two associated-second-derivative displays."""
-    j = random_two_jet(space, seed)
-    tilde_hess, _ = (t.data for t in tilde_ops(j))
-    hess, div_der, lap = (t.data for t in jet_traces(j))
-    T1 = _pair_trace(j.rotation, space.eps)
+    eps = space.eps
+    j = _two_jet_chunk(space, seeds)
+    tilde_hess, _ = _tilde(j.d2R, eps)
+    hess, div_der, lap = _hess_ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
+    T1 = _pair_trace(j.rotation, eps)
     SS = j.star_square
-    Gn = pair_derivation(j.R, ricci(j.R).ric)
+    Gn = _rotate(j.R, _ric(j.R, eps), eps)
 
     sums = {
-        "lap": _pair_sum(np.transpose(lap, (0, 2, 1, 3))),
-        "ss": _pair_sum(np.transpose(SS, (0, 2, 1, 3))),
-        "grn": _pair_sum(np.transpose(Gn, (0, 2, 1, 3))),
-        "dd": _pair_sum(np.transpose(div_der, (1, 3, 0, 2))),
-        "hrs": _pair_sum(np.transpose(hess, (2, 3, 0, 1))),
+        "lap": _pair_sum(_tail(lap, (0, 2, 1, 3))),
+        "ss": _pair_sum(_tail(SS, (0, 2, 1, 3))),
+        "grn": _pair_sum(_tail(Gn, (0, 2, 1, 3))),
+        "dd": _pair_sum(_tail(div_der, (1, 3, 0, 2))),
+        "hrs": _pair_sum(_tail(hess, (2, 3, 0, 1))),
         "hrt": _pair_sum(hess),
-        "t1a": _pair_sum(np.transpose(T1, (0, 2, 1, 3))),
-        "t1b": _pair_sum(np.transpose(T1, (1, 3, 0, 2))),
+        "t1a": _pair_sum(_tail(T1, (0, 2, 1, 3))),
+        "t1b": _pair_sum(_tail(T1, (1, 3, 0, 2))),
     }
     expansion = (
         2.0 * sums["lap"]
@@ -189,35 +192,33 @@ def _assoc_displays(space: Space, seed: int):
     return tilde_hess, hess, Gn, sums, expansion, displayed
 
 
-def _project_c0(space: Space, arr: np.ndarray) -> np.ndarray:
-    # normalized tableau projection of a [x5,x2,x6,x4]-ordered 4-tensor
-    return _hessian_tableau(space, arr) / 12.0
+def _project_c0(arr: np.ndarray) -> np.ndarray:
+    # normalized tableau projection of each [x5,x2,x6,x4]-ordered 4-tensor of a batch
+    return _hessian_tableau(arr, 1) / 12.0
 
 
-def _assoc_hessian_expansion(space: Space, seed: int) -> dict[str, float]:
-    tilde_hess, _, _, _, expansion, displayed = _assoc_displays(space, seed)
+def _assoc_hessian_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
+    tilde_hess, _, _, _, expansion, displayed = _assoc_displays(space, seeds)
     return {
-        "raw_expansion": _rel(tilde_hess, expansion),
-        "projected_display": _rel(
-            _project_c0(space, tilde_hess), _project_c0(space, displayed)
-        ),
-        "raw_display": _rel(tilde_hess, displayed),
+        "raw_expansion": _rel(tilde_hess, expansion, 1),
+        "projected_display": _rel(_project_c0(tilde_hess), _project_c0(displayed), 1),
+        "raw_display": _rel(tilde_hess, displayed, 1),
     }
 
 
-def _assoc_hessian_difference(space: Space, seed: int) -> dict[str, float]:
-    tilde_hess, hess, Gn, sums, expansion, _ = _assoc_displays(space, seed)
+def _assoc_hessian_difference(space: Space, seeds: tuple[int, ...]) -> Residuals:
+    tilde_hess, hess, Gn, sums, expansion, _ = _assoc_displays(space, seeds)
     delta = tilde_hess - 80.0 * hess
     displayed = -80.0 * Gn + 2.0 * (-sums["ss"] + 2.0 * sums["grn"])
     corrected = -40.0 * Gn + (expansion - 20.0 * sums["hrt"])
     return {
-        "projected_display": _rel(_project_c0(space, delta), _project_c0(space, displayed)),
-        "raw_corrected": _rel(delta, corrected),
-        "raw_display": _rel(delta, displayed),
+        "projected_display": _rel(_project_c0(delta), _project_c0(displayed), 1),
+        "raw_corrected": _rel(delta, corrected, 1),
+        "raw_display": _rel(delta, displayed, 1),
     }
 
 
-_REGISTRY: dict[str, Callable[[Space, int], dict[str, float]]] = {
+_REGISTRY: dict[str, Callable[[Space, tuple[int, ...]], Residuals]] = {
     "derivation_trace_pair": _derivation_trace_pair,
     "derivation_trace_six": _derivation_trace_six,
     "hessian_trace_expansion": _hessian_trace_expansion,
@@ -235,14 +236,20 @@ def identity_names() -> tuple[str, ...]:
 
 
 @memoized
-def verify_identity(name: str, space: Space, seed: int = 0) -> dict[str, float]:
-    """Evaluate a registered identity on seeded input; returns named residuals.
-
-    Raises ValueError for names outside the registry.
-    """
+def _verify_seeds(name: str, space: Space, seeds: tuple[int, ...]) -> Residuals:
+    """The residuals of a registered identity on each seed of a tuple, as arrays."""
     try:
         check = _REGISTRY[name]
     except KeyError:
         known = ", ".join(identity_names())
         raise ValueError(f"unknown identity {name!r}; known: {known}") from None
-    return check(space, seed)
+    return check(space, seeds)
+
+
+@memoized
+def verify_identity(name: str, space: Space, seed: int = 0) -> dict[str, float]:
+    """Evaluate a registered identity on seeded input; returns named residuals.
+
+    Raises ValueError for names outside the registry.
+    """
+    return {key: float(v[0]) for key, v in _verify_seeds(name, space, (seed,)).items()}

@@ -20,41 +20,48 @@ one-jet to a full Einstein two-jet.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
 
 import numpy as np
 
 from .curvature import (
+    _jacobi_layout,
     _kn_metric,
     _pair_trace,
+    _ric,
     _ricci_rotation_sum,
+    _rotate,
+    _star,
     decompose,
-    pair_derivation,
-    ricci,
     ricci_derivative,
-    star_action,
 )
 from .spaces import (
     Space,
     SymBiform,
     Tensor,
+    _gather,
     _header_tensors,
+    _norm,
+    _normal_draws,
     _rel,
+    _scalar_trace,
+    _tail,
     memoized,
     space_to_dict,
     tensor_to_dict,
 )
 from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
 from .young import (
+    _ck_defect_norms,
     _ck_packing,
     _ck_stack,
     _packed_young,
     _packed_young_plan,
-    ck_residuals,
-    young_apply,
+    _young,
 )
 
 __all__ = [
@@ -138,28 +145,24 @@ class TwoJet(_Jet):
     @cached_property
     def rotation(self) -> np.ndarray:
         """``pair_derivation(R, R)``, the right side of the Ricci identity, as a read-only array."""
-        return _read_only(pair_derivation(self.R, self.R))
+        return _read_only(_rotate(self.R.data, self.R.data, self.space.eps))
 
     @cached_property
     def residuals(self) -> Mapping[str, float]:
         """The relative residuals of ``validate_two_jet``, as a read-only mapping."""
-        residuals = {
-            "curvature": _slice_residual(self.R, 0),
-            "derivative": _slice_residual(self.dR, 1),
-            "second_derivative": _slice_residual(self.d2R, 1),
-            "ricci_identity": _ricci_gap(self.d2R, self.rotation, self.R.norm() ** 2),
-        }
-        return MappingProxyType(residuals)
+        parts = (self.R.data, self.dR.data, self.d2R.data, self.rotation)
+        return _floats(_two_jet_residuals(*parts))
 
     @cached_property
     def einstein_gaps(self) -> tuple[float, float]:
         """The one-jet Einstein gaps of R and dR (see ``_one_jet_gaps``)."""
-        return _one_jet_gaps(self.R, self.dR)
+        res_ric, res_dric = _one_jet_gaps(self.R.data, self.dR.data, self.space.eps)
+        return float(res_ric), float(res_dric)
 
     @cached_property
     def star_square(self) -> np.ndarray:
         """R*R, the curvature action of R on itself, as a read-only array."""
-        return _read_only(star_action(self.R, self.R).data)
+        return _read_only(_star(self.R.data, self.R.data, self.space.eps))
 
 
 @dataclass(frozen=True)
@@ -183,26 +186,50 @@ class SectionTwoJet(_Jet):
     @cached_property
     def rotation(self) -> np.ndarray:
         """``pair_derivation(background, Rp)``, the right side of the Ricci identity, read-only."""
-        return _read_only(pair_derivation(self.background, self.Rp))
+        return _read_only(_rotate(self.background.data, self.Rp.data, self.space.eps))
 
     @cached_property
     def residuals(self) -> Mapping[str, float]:
         """The relative residuals of ``validate_section_jet``, as a read-only mapping."""
-        residuals = {
-            "background": _slice_residual(self.background, 0),
-            "section": _slice_residual(self.Rp, 0),
-            "derivative": _slice_residual(self.dRp, 0),
-            "second_derivative": _slice_residual(self.d2Rp, 0),
-            "ricci_identity": _ricci_gap(
-                self.d2Rp, self.rotation, self.background.norm() * self.Rp.norm()
-            ),
-        }
-        return MappingProxyType(residuals)
+        parts = (self.background.data, self.Rp.data, self.dRp.data, self.d2Rp.data)
+        return _floats(_section_residuals(*parts, self.rotation))
+
+
+class _JetStack:
+    """Two-jets of several seeds, each component stacked on a leading seed axis.
+
+    The suites' batched counterpart of ``TwoJet``: raw arrays in place of
+    checked tensors, with ``rotation`` and ``star_square`` cached as on a
+    jet.  A builder may seed those, and the one-jet gaps ``einstein_gaps``,
+    with ``_seed``.  A plain class: a frozen dataclass takes about 1.6 ms
+    more of ``import curvjet``.
+    """
+
+    def __init__(self, space: Space, R: np.ndarray, dR: np.ndarray, d2R: np.ndarray):
+        self.space, self.R, self.dR, self.d2R = space, R, dR, d2R
+
+    @cached_property
+    def rotation(self) -> np.ndarray:
+        return _read_only(_rotate(self.R, self.R, self.space.eps))
+
+    @cached_property
+    def star_square(self) -> np.ndarray:
+        return _read_only(_star(self.R, self.R, self.space.eps))
+
+    def jet(self, i: int) -> TwoJet:
+        """The i-th jet of the stack as a ``TwoJet`` (with its own copies)."""
+        parts = (getattr(self, name)[i] for name in TwoJet.__match_args__)
+        return TwoJet(*(Tensor(self.space, t) for t in parts))
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _floats(values: dict[str, np.ndarray]) -> Mapping[str, float]:
+    """A lone jet's residuals as a read-only mapping of floats."""
+    return MappingProxyType({key: float(v) for key, v in values.items()})
 
 
 def _seed(j: _Jet, **values) -> _Jet:
@@ -237,38 +264,76 @@ class JacobiFit:
 # signed traces of the second derivative
 
 
+# Every kernel below reads its tensors on the trailing axes, so leading (seed)
+# axes ride along; the public functions call them without one.
+
+
 def _hess_ric(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # second Ricci derivative: trace over curvature slots 2 and 4
-    return -np.einsum("abuivi,i->abuv", d2, eps)
+    return -np.einsum("...abuivi,i->...abuv", d2, eps)
 
 
 def _div_der(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # derivative of the divergence: inner derivative against slot 1
-    return -np.einsum("aiizuv,i->azuv", d2, eps)
+    return -np.einsum("...aiizuv,i->...azuv", d2, eps)
 
 
 def _rough_lap(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    return -np.einsum("iiabcd,i->abcd", d2, eps)
+    return -np.einsum("...iiabcd,i->...abcd", d2, eps)
 
 
-def _hessian_tableau(sp: Space, hess: np.ndarray) -> np.ndarray:
+def _hessian_tableau(hess: np.ndarray, lead: int = 0) -> np.ndarray:
     """The C_0 tableau of a second Ricci derivative, read in the slot order (0, 2, 1, 3)."""
-    return young_apply(Tensor(sp, np.transpose(hess, (0, 2, 1, 3))), 0).data
+    return _young(_tail(hess, (0, 2, 1, 3)), 0, lead)
 
 
 # ---------------------------------------------------------------------------
 # validation
 
 
-def _slice_residual(t: Tensor, k: int) -> float:
-    """Largest C_k residual over the slices and symmetries of t, over max(|t|, 1); NaN if any is."""
-    return float(np.max(list(ck_residuals(t, k).values()))) / max(t.norm(), 1.0)
+def _slice_residual(t: np.ndarray, k: int, lead: int) -> np.ndarray:
+    """Largest C_k residual over the slices and symmetries of each tensor after ``lead`` axes.
+
+    Each is relative to max(|t|, 1), and NaN if any of its residuals is.
+    """
+    norms = _ck_defect_norms(t, k)
+    worst = norms.reshape(norms.shape[:1] + t.shape[:lead] + (-1,)).max(axis=(0, -1))
+    return worst / np.maximum(_norm(t, lead), 1.0)
 
 
-def _ricci_gap(d2: Tensor, rotation: np.ndarray, scale: float) -> float:
+def _ricci_gap(d2: np.ndarray, rotation: np.ndarray, scale, lead: int) -> np.ndarray:
     """The Ricci-identity residual |d2[a, b] - d2[b, a] - rotation| / max(|d2|, scale, 1)."""
-    gap = d2.data - np.transpose(d2.data, (1, 0, 2, 3, 4, 5)) - rotation
-    return float(np.linalg.norm(gap)) / max(d2.norm(), scale, 1.0)
+    gap = d2 - _tail(d2, (1, 0, 2, 3, 4, 5)) - rotation
+    return _norm(gap, lead) / np.maximum(np.maximum(_norm(d2, lead), scale), 1.0)
+
+
+def _two_jet_residuals(R, dR, d2R, rotation) -> dict[str, np.ndarray]:
+    """``validate_two_jet`` residuals of each jet of a batch (any leading axes)."""
+    lead = R.ndim - 4
+    # a float's square, as a lone jet takes it (a power of an array may round otherwise)
+    if lead:
+        scale = np.reshape([float(v) ** 2 for v in np.ravel(_norm(R, lead))], R.shape[:lead])
+    else:
+        scale = float(_norm(R)) ** 2
+    return {
+        "curvature": _slice_residual(R, 0, lead),
+        "derivative": _slice_residual(dR, 1, lead),
+        "second_derivative": _slice_residual(d2R, 1, lead),
+        "ricci_identity": _ricci_gap(d2R, rotation, scale, lead),
+    }
+
+
+def _section_residuals(background, Rp, dRp, d2Rp, rotation) -> dict[str, np.ndarray]:
+    """``validate_section_jet`` residuals of each section jet of a batch."""
+    lead = Rp.ndim - 4
+    scale = _norm(background, lead) * _norm(Rp, lead)
+    return {
+        "background": _slice_residual(background, 0, lead),
+        "section": _slice_residual(Rp, 0, lead),
+        "derivative": _slice_residual(dRp, 0, lead),
+        "second_derivative": _slice_residual(d2Rp, 0, lead),
+        "ricci_identity": _ricci_gap(d2Rp, rotation, scale, lead),
+    }
 
 
 def _verdict(j: _Jet, tol: float) -> tuple[bool, dict[str, float]]:
@@ -360,23 +425,58 @@ def _packed_cycle(d: np.ndarray) -> np.ndarray:
     order d + d(a, z, x, y) + d(a, y, z, x), so the result equals the packed
     full cycle to the bit.
     """
-    n = d.shape[0]
-    terms = d.ravel()[_cycle_gather(n)]
-    return (terms[0] + terms[1] + terms[2]) * _h_solver(n)[3].weight
+    n = d.shape[-1]
+    terms = _gather(d.reshape(d.shape[:-6] + (-1,)), _cycle_gather(n))
+    return (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]) * _h_solver(n)[3].weight
 
 
-def _particular_d2(R: Tensor, rotation: np.ndarray) -> np.ndarray:
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ v for each vector v on the last axis of x: one matrix-vector product each, as alone."""
+    return A @ x if x.ndim == 1 else (A @ x[..., None])[..., 0]
+
+
+def _particular_d2(R: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     """A second derivative over R meeting every two-jet constraint; any other differs by C_2.
 
     Half the curvature rotation ``pair_derivation(R, R)`` carries the Ricci
     identity, and the minimum-norm symmetric part from ``_h_solver`` cancels
-    its differentiated Bianchi cycle.
+    its differentiated Bianchi cycle.  R may carry leading axes.
     """
-    basis0 = _ck_stack(R.space.dim, 0)
+    n = R.shape[-1]
+    basis0 = _ck_stack(n, 0)
     particular = 0.5 * rotation
-    ut, vs, pairs, _ = _h_solver(R.space.dim)
-    coeff = (vs @ (ut @ -_packed_cycle(particular))).reshape(-1, len(basis0))
-    return particular + basis0.combine(coeff[pairs])
+    ut, vs, pairs, _ = _h_solver(n)
+    coeff = _matvec(vs, _matvec(ut, -_packed_cycle(particular)))
+    coeff = coeff.reshape(R.shape[:-4] + (-1, len(basis0)))
+    # in C order, as for a lone jet (see ``spaces._gather``)
+    coeff = coeff[pairs] if coeff.ndim == 2 else coeff.take(pairs, axis=-2)
+    return particular + basis0.combine(coeff)
+
+
+def _check_dim(space: Space) -> None:
+    if space.dim not in RANDOM_JET_DIMS:
+        raise ValueError("random jets are supported for dim 3, 4, 5")
+
+
+def _draw_two_jets(space: Space, seeds):
+    """The jet of ``random_two_jet``: R, dR, d2R, the rotation and the residuals of its validation.
+
+    A tuple of seeds stacks them on a leading axis.
+    """
+    _check_dim(space)
+    bases = [_ck_stack(space.dim, k) for k in (0, 1, 2)]
+    coeffs = _normal_draws(seeds, *(len(b) for b in bases))
+    R, dR, homogeneous = (b.combine_each(c) for b, c in zip(bases, coeffs))
+    rotation = _read_only(_rotate(R, R, space.eps))
+    d2R = _particular_d2(R, rotation) + homogeneous
+    return R, dR, d2R, rotation, _checked("two-jet", _two_jet_residuals(R, dR, d2R, rotation))
+
+
+@memoized
+def _two_jet_chunk(space: Space, seeds: tuple[int, ...]) -> _JetStack:
+    """The jets of ``random_two_jet`` for one chunk of seeds, shared in a run scope."""
+    R, dR, d2R, rotation, _ = _draw_two_jets(space, seeds)
+    return _seed(_JetStack(space, R, dR, d2R), rotation=rotation)
 
 
 @memoized
@@ -390,20 +490,30 @@ def random_two_jet(space: Space, seed: int) -> TwoJet:
     values.  In a run scope (``spaces.run_scope``) a jet is drawn once per
     (space, seed).
     """
-    if space.dim not in RANDOM_JET_DIMS:
-        raise ValueError("random jets are supported for dim 3, 4, 5")
-    rng = np.random.default_rng(seed)
-    basis0 = _ck_stack(space.dim, 0)
-    basis1 = _ck_stack(space.dim, 1)
-    basis2 = _ck_stack(space.dim, 2)
-    R = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
-    dR = Tensor(space, basis1.combine(rng.standard_normal(len(basis1))))
+    R, dR, d2R, rotation, residuals = _draw_two_jets(space, seed)
+    j = TwoJet(Tensor(space, R), Tensor(space, dR), Tensor(space, d2R))
+    return _seed(j, rotation=rotation, residuals=_floats(residuals))
 
-    homogeneous = basis2.combine(rng.standard_normal(len(basis2)))
 
-    rotation = _read_only(pair_derivation(R, R))
-    j = TwoJet(R, dR, Tensor(space, _particular_d2(R, rotation) + homogeneous))
-    return _checked_draw(j, rotation)
+def _draw_section_jets(space: Space, seeds, background: np.ndarray):
+    """The section jet of ``random_section_jet``: its components (background, Rp,
+    dRp, d2Rp), its rotation and the residuals of its validation.
+
+    A tuple of seeds, with one background per seed, stacks them on a
+    leading axis.
+    """
+    _check_dim(space)
+    n = space.dim
+    basis0 = _ck_stack(n, 0)
+    size = len(basis0)
+    c_section, c_derivative, c_free = _normal_draws(seeds, size, (n, size), (n, n, size))
+    Rp = basis0.combine_each(c_section)
+    dRp = basis0.combine(c_derivative)
+    sym_free = basis0.combine(c_free)
+    sym_free = 0.5 * (sym_free + _tail(sym_free, (1, 0, 2, 3, 4, 5)))
+    rotation = _read_only(_rotate(background, Rp, space.eps))
+    parts = (background, Rp, dRp, 0.5 * rotation + sym_free)
+    return parts, rotation, _checked("section jet", _section_residuals(*parts, rotation))
 
 
 def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTwoJet:
@@ -413,28 +523,25 @@ def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTw
     second derivative is free.  The jet keeps its rotation and residuals, as
     in ``random_two_jet``, but is not memoized (a tensor is unhashable).
     """
-    if space.dim not in RANDOM_JET_DIMS:
-        raise ValueError("random jets are supported for dim 3, 4, 5")
+    _check_dim(space)
     if background.valence != 4 or background.space != space:
         raise ValueError("background must be a valence-4 tensor on the same space")
-    rng = np.random.default_rng(seed)
-    basis0 = _ck_stack(space.dim, 0)
-    n = space.dim
-    Rp = Tensor(space, basis0.combine(rng.standard_normal(len(basis0))))
-    dRp = basis0.combine(rng.standard_normal((n, len(basis0))))
-    sym_free = basis0.combine(rng.standard_normal((n, n, len(basis0))))
-    sym_free = 0.5 * (sym_free + np.transpose(sym_free, (1, 0, 2, 3, 4, 5)))
-    rotation = _read_only(pair_derivation(background, Rp))
-    sj = SectionTwoJet(background, Rp, Tensor(space, dRp), Tensor(space, 0.5 * rotation + sym_free))
-    return _checked_draw(sj, rotation)
+    parts, rotation, residuals = _draw_section_jets(space, seed, background.data)
+    sj = SectionTwoJet(*(Tensor(space, t) for t in parts))
+    return _seed(sj, rotation=rotation, residuals=_floats(residuals))
 
 
-def _checked_draw(j: _Jet, rotation: np.ndarray) -> _Jet:
-    """Seed a drawn jet with the rotation that built it and validate it; both stay cached."""
-    ok, residuals = _verdict(_seed(j, rotation=rotation), 1e-8)
-    if not ok:
-        raise RuntimeError(f"{j._KIND} construction failed: {residuals}")
-    return j
+def _checked(kind: str, residuals: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The residuals of drawn jets; RuntimeError unless every jet passes at 1e-8 (NaN fails).
+
+    The message names the residuals of the first jet that fails.
+    """
+    passed = np.ravel(reduce(np.logical_and, [v <= 1e-8 for v in residuals.values()]))
+    if not passed.all():
+        first = np.flatnonzero(~passed)[0]
+        failed = {key: float(np.ravel(v)[first]) for key, v in residuals.items()}
+        raise RuntimeError(f"{kind} construction failed: {failed}")
+    return residuals
 
 
 @lru_cache(maxsize=None)
@@ -471,17 +578,20 @@ def random_einstein_one_jet(space: Space, seed: int) -> tuple[Tensor, Tensor]:
     random C_0 combination taken on the Weyl images of the basis rows
     (``_weyl_rows``), one packed product per draw.
     """
-    rng = np.random.default_rng(seed)
-    weyl = _weyl_rows(space)
-    coeff = rng.standard_normal(len(weyl))
-    R = Tensor(space, rng.standard_normal() * _kn_metric(space) + weyl.combine(coeff))
+    R, dR = _einstein_one_jets(space, seed)
+    return Tensor(space, R), Tensor(space, dR)
 
+
+def _einstein_one_jets(space: Space, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """The (R, dR) of ``random_einstein_one_jet``; a tuple of seeds stacks them."""
+    weyl = _weyl_rows(space)
     dirs = _parallel_ricci_dirs(space)
+    # each seed draws the Weyl coefficients, the multiple of g owedge g, then dR's
+    coeff, scalar, d_coeff = _normal_draws(seeds, len(weyl), (), len(dirs))
+    R = scalar[..., None, None, None, None] * _kn_metric(space) + weyl.combine_each(coeff)
     if len(dirs) == 0:
-        dR = Tensor(space, np.zeros((space.dim,) * 5))
-    else:
-        dR = Tensor(space, dirs.combine(rng.standard_normal(len(dirs))))
-    return R, dR
+        return R, np.zeros(scalar.shape + (space.dim,) * 5)
+    return R, dirs.combine_each(d_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -517,9 +627,7 @@ def sym_jacobi(j: TwoJet, k: int) -> SymBiform:
     if k not in (0, 1, 2):
         raise ValueError("derivative order must be 0, 1 or 2")
     part = (j.R, j.dR, j.d2R)[k]
-    axes = tuple(range(k)) + (k + 1, k + 2, k, k + 3)
-    arranged = np.transpose(part.data, axes)
-    return SymBiform(j.space, k + 2, Tensor(j.space, arranged))
+    return SymBiform(j.space, k + 2, Tensor(j.space, _jacobi_layout(part.data, k)))
 
 
 def tilde_ops(j: TwoJet) -> tuple[Tensor, Tensor]:
@@ -529,19 +637,26 @@ def tilde_ops(j: TwoJet) -> tuple[Tensor, Tensor]:
     slots 1 and 3 and is laid out with the derivative pair first; the second
     traces the two derivative slots.
     """
-    sp = j.space
-    projected = young_apply(j.d2R, 2).data
-    hess = -np.einsum("xyaibi,i->xyab", projected, sp.eps)
-    return Tensor(sp, hess), Tensor(sp, _rough_lap(projected, sp.eps))
+    return tuple(Tensor(j.space, t) for t in _tilde(j.d2R.data, j.space.eps))
+
+
+def _tilde(d2: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``tilde_ops`` of each second derivative on the last six axes of d2."""
+    projected = _young(d2, 2, d2.ndim - 6)
+    return -np.einsum("...xyaibi,i->...xyab", projected, eps), _rough_lap(projected, eps)
 
 
 def hat_embed(S: Tensor) -> Tensor:
     """Tableau projection of g (x) S; lands in C_2 for S in C_0."""
     if S.valence != 4:
         raise ValueError("embedding expects a valence-4 tensor")
-    sp = S.space
-    raw = np.einsum("uv,abcd->uvabcd", sp.metric_matrix(), S.data)
-    return young_apply(Tensor(sp, raw), 2)
+    return Tensor(S.space, _hat_embed(S.data, S.space.eps))
+
+
+def _hat_embed(S: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``hat_embed`` of each tensor on the last four axes of S."""
+    raw = np.einsum("uv,...abcd->...uvabcd", np.diag(eps), S)
+    return _young(raw, 2, S.ndim - 4)
 
 
 # ---------------------------------------------------------------------------
@@ -562,30 +677,37 @@ def weitzenbock_check(sj: SectionTwoJet) -> dict[str, float]:
     - ``displayed_raw``: the same right side without projection, reported
       for reference (order one in general).
     """
-    sp = sj.space
-    eps = sp.eps
-    d2p = sj.d2Rp.data
+    parts = (sj.background.data, sj.Rp.data, sj.d2Rp.data, sj.rotation)
+    return {key: float(v) for key, v in _weitzenbock(*parts, sj.space.eps).items()}
 
+
+def _weitzenbock(background, Rp, d2p, rotation, eps) -> dict[str, np.ndarray]:
+    """``weitzenbock_check`` of each section jet of a batch, from its components and rotation."""
+    lead = Rp.ndim - 4
     lap = _rough_lap(d2p, eps)
-    dddel = _div_der(d2p, eps) + np.einsum("yiixuv,i->xyuv", d2p, eps)
-    deld = lap - np.einsum("iyziuv,i->yzuv", d2p, eps) - np.einsum("iziyuv,i->yzuv", d2p, eps)
+    dddel = _div_der(d2p, eps) + np.einsum("...yiixuv,i->...xyuv", d2p, eps)
+    deld = (
+        lap
+        - np.einsum("...iyziuv,i->...yzuv", d2p, eps)
+        - np.einsum("...iziyuv,i->...yzuv", d2p, eps)
+    )
     laplace = dddel + deld
 
-    T1 = _pair_trace(sj.rotation, eps)
-    commutator = T1 - np.transpose(T1, (1, 0, 2, 3))
+    T1 = _pair_trace(rotation, eps)
+    commutator = T1 - _tail(T1, (1, 0, 2, 3))
 
-    SS = star_action(sj.background, sj.Rp).data
-    ric_terms = _ricci_rotation_sum(sj.Rp, ricci(sj.background).ric)
+    SS = _star(background, Rp, eps)
+    ric_terms = _ricci_rotation_sum(Rp, _ric(background, eps), eps)
     displayed = lap + 0.5 * SS + 0.5 * ric_terms
 
-    projected = young_apply(Tensor(sp, laplace), 0).data / 12.0
-    displayed_projected = young_apply(Tensor(sp, displayed), 0).data / 12.0
+    projected = _young(laplace, 0, lead) / 12.0
+    displayed_projected = _young(displayed, 0, lead) / 12.0
 
     return {
-        "calibrated": _rel(laplace, lap - commutator),
-        "strict": _rel(projected, lap + 0.5 * SS),
-        "displayed_projected": _rel(displayed_projected, projected),
-        "displayed_raw": _rel(laplace, displayed),
+        "calibrated": _rel(laplace, lap - commutator, lead),
+        "strict": _rel(projected, lap + 0.5 * SS, lead),
+        "displayed_projected": _rel(displayed_projected, projected, lead),
+        "displayed_raw": _rel(laplace, displayed, lead),
     }
 
 
@@ -597,18 +719,19 @@ def weitzenbock_special(j: TwoJet) -> dict[str, float]:
     ``einstein_form`` drops the tableau term (meaningful when
     ``hessian_ricci`` vanishes).
     """
-    sp = j.space
-    eps = sp.eps
-    d2 = j.d2R.data
+    res = _weitzenbock_special(j.d2R.data, j.star_square, j.space.eps)
+    return {key: float(v) for key, v in res.items()}
 
+
+def _weitzenbock_special(d2: np.ndarray, SS: np.ndarray, eps: np.ndarray) -> dict[str, np.ndarray]:
+    """``weitzenbock_special`` of each jet of a batch, from its d2R and R*R."""
+    lead = d2.ndim - 6
     lap = _rough_lap(d2, eps)
     hess = _hess_ric(d2, eps)
-    SS = j.star_square
-
     return {
-        "special": _rel(lap, 0.25 * _hessian_tableau(sp, hess) - 0.5 * SS),
-        "einstein_form": _rel(lap, -0.5 * SS),
-        "hessian_ricci": float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0),
+        "special": _rel(lap, 0.25 * _hessian_tableau(hess, lead) - 0.5 * SS, lead),
+        "einstein_form": _rel(lap, -0.5 * SS, lead),
+        "hessian_ricci": _norm(hess, lead) / np.maximum(_norm(d2, lead), 1.0),
     }
 
 
@@ -688,10 +811,19 @@ def _form_bins(n: int) -> tuple[np.ndarray, int]:
 def _sums_with_metric(
     plan: tuple[np.ndarray, int], d2: np.ndarray, T: np.ndarray, eps: np.ndarray
 ) -> np.ndarray:
-    """Orbit sums of d2 and of g (x) T over the bins of ``plan``, rows of a (2, size) array."""
+    """Orbit sums of d2 and of g (x) T over the bins of ``plan``, rows of a (..., 2, size) array.
+
+    Each jet of a batch sums into its own 2 * size bins, in the order of a
+    lone jet's sums.
+    """
     bins, size = plan
-    values = np.concatenate([d2.ravel(), np.multiply.outer(T.ravel(), eps).ravel()])
-    return np.bincount(bins, values, 2 * size).reshape(2, size)
+    outer = d2.shape[:-6]
+    rows = math.prod(outer)
+    metric = (T.reshape(rows, -1, 1) * eps).reshape(rows, -1)
+    values = np.concatenate([d2.reshape(rows, -1), metric], axis=1)
+    if rows > 1:
+        bins = (bins + 2 * size * np.arange(rows)[:, None]).ravel()
+    return np.bincount(bins, values.ravel(), 2 * size * rows).reshape(outer + (2, size))
 
 
 def _jacobi_pair(d2: np.ndarray, T: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -718,23 +850,23 @@ def _trace_defect(
     """
     shrink = len(eps) + 4.0
     index, coef = _packed_trace_table(pk, pairs)
-    traces = ((images[0] - images[1] / shrink)[index] * coef) @ eps
-    norms = np.linalg.norm(images, axis=1)
-    scale = max(norms[0], norms[1] / shrink, 1.0)
-    return float(np.linalg.norm(traces, axis=1).max() / scale)
+    traces = (_gather(images[..., 0, :] - images[..., 1, :] / shrink, index) * coef) @ eps
+    norms = np.linalg.norm(images, axis=-1)
+    scale = np.maximum(np.maximum(norms[..., 0], norms[..., 1] / shrink), 1.0)
+    return np.linalg.norm(traces, axis=-1).max(axis=-1) / scale
 
 
-def _one_jet_gaps(R: Tensor, dR: Tensor) -> tuple[float, float]:
-    """Einstein gaps of a one-jet: |ric - (s/n) g| / |R| and |grad ric| / |dR|.
+def _one_jet_gaps(R: np.ndarray, dR: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Einstein gaps of each one-jet of a batch: |ric - (s/n) g| / |R| and |grad ric| / |dR|.
 
     Each norm is taken relative to max(norm of the jet component, 1).
     """
-    sp = R.space
-    ric_data = ricci(R)
-    proportional_gap = ric_data.ric.data - (ric_data.scalar / sp.dim) * sp.metric_matrix()
-    res_ric = float(np.linalg.norm(proportional_gap)) / max(R.norm(), 1.0)
-    res_dric = ricci_derivative(dR).norm() / max(dR.norm(), 1.0)
-    return res_ric, res_dric
+    lead = R.ndim - 4
+    ric = _ric(R, eps)
+    scalar = _scalar_trace(ric, eps)
+    proportional_gap = ric - np.diag(eps) * (scalar / len(eps))[..., None, None]
+    res_ric = _norm(proportional_gap, lead) / np.maximum(_norm(R, lead), 1.0)
+    return res_ric, _norm(_ric(dR, eps), lead) / np.maximum(_norm(dR, lead), 1.0)
 
 
 def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]]:
@@ -747,36 +879,41 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     symmetric-product form), which tests play against the verdict.  Both
     are read off packed images, never off full valence-6 tensors.
     """
-    sp = j.space
-    n = sp.dim
-    eps = sp.eps
-    d2 = j.d2R.data
+    report = _einstein_report(j.d2R.data, j.star_square, j.einstein_gaps, j.space.eps)
+    report = {key: float(v) for key, v in report.items()}
+    return _einstein_verdict(report, tol), report
 
-    res_ric, res_dric = j.einstein_gaps
+
+def _einstein_verdict(report: dict, tol: float = 1e-8):
+    """The definitional Einstein verdict of a report, elementwise over a batch's arrays."""
+    one_jet_ok = (report["ricci_proportional"] <= tol) & (report["ricci_derivative"] <= tol)
+    return one_jet_ok & (report["hessian_ricci"] <= tol)
+
+
+def _einstein_report(d2: np.ndarray, SS: np.ndarray, gaps, eps: np.ndarray) -> dict:
+    """``einstein_check`` report of each jet of a batch, from d2R, R*R and the one-jet gaps."""
+    n = len(eps)
+    lead = d2.ndim - 6
+    res_ric, res_dric = gaps
     hess = _hess_ric(d2, eps)
-    res_hess = float(np.linalg.norm(hess)) / max(j.d2R.norm(), 1.0)
-
-    one_jet_ok = res_ric <= tol and res_dric <= tol
-    verdict = one_jet_ok and res_hess <= tol
-
-    SS = j.star_square
+    res_hess = _norm(hess, lead) / np.maximum(_norm(d2, lead), 1.0)
 
     # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4), from
     # the packed images of d2R and g (x) R*R under the valence-6 symmetrizer
-    images = _packed_young(_sums_with_metric(_tableau_bins(n), d2, SS, eps), n, 2)
+    sums = _sums_with_metric(_tableau_bins(n), d2, SS, eps)
+    images = _packed_young(sums.reshape(-1, sums.shape[-1]), n, 2).reshape(sums.shape[:-1] + (-1,))
     res_tableau = _trace_defect(images, _ck_packing(n, 2), eps, _TABLEAU_TRACES)
 
     # symmetric-product form: traces of R^(2) - (Jacobi form of R*R) . g/(n+4)
     res_form = _trace_defect(_jacobi_pair(d2, SS, eps), _form_packing(n), eps, _FORM_TRACES)
 
-    report = {
+    return {
         "ricci_proportional": res_ric,
         "ricci_derivative": res_dric,
         "hessian_ricci": res_hess,
         "tableau_trace_defect": res_tableau,
         "form_trace_defect": res_form,
     }
-    return verdict, report
 
 
 def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
@@ -863,28 +1000,41 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     Raises ValueError if the input is not finite or not an Einstein one-jet,
     and RuntimeError if the correction solve leaves a gap.
     """
-    if not (np.isfinite(R.data).all() and np.isfinite(dR.data).all()):
+    d2, rotation, gaps = _extend(R.space, R.data, dR.data, tol)
+    jet = TwoJet(R, dR, Tensor(R.space, d2))
+    return _seed(jet, rotation=rotation, einstein_gaps=tuple(float(g) for g in gaps))
+
+
+def _extend(sp: Space, R: np.ndarray, dR: np.ndarray, tol: float = 1e-6):
+    """``einstein_extend`` of each one-jet of a batch (any leading axes).
+
+    Returns the second derivatives, the rotations and the one-jet gaps;
+    raises as ``einstein_extend`` does if any one-jet fails.
+    """
+    if not (np.isfinite(R).all() and np.isfinite(dR).all()):
         raise ValueError("one-jet has non-finite entries")
-    sp = R.space
-    res_ric, res_dric = _one_jet_gaps(R, dR)
-    if res_ric > tol:
+    lead = R.ndim - 4
+    res_ric, res_dric = _one_jet_gaps(R, dR, sp.eps)
+    if np.any(res_ric > tol):
         raise ValueError("ric ∉ ℝ·g: curvature part is not Einstein")
-    if res_dric > tol:
+    if np.any(res_dric > tol):
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
-    rotation = _read_only(pair_derivation(R, R))
+    rotation = _read_only(_rotate(R, R, sp.eps))
     provisional = _particular_d2(R, rotation)
     directions, system, ut, vs, _ = _extension_solver(sp)
-    target = -80.0 * _hess_ric(provisional, sp.eps).ravel()
-    coeff = vs @ (ut @ target)
-    solve_gap = float(np.linalg.norm(system @ coeff - target))
-    if solve_gap > 1e-6 * max(float(np.linalg.norm(target)), 1.0):
+    target = -80.0 * _hess_ric(provisional, sp.eps).reshape(R.shape[:lead] + (-1,))
+    coeff = _matvec(vs, _matvec(ut, target))
+    solve_gap = np.ravel(_norm(_matvec(system, coeff) - target, lead))
+    # a NaN gap fails too
+    failed = ~(solve_gap <= 1e-6 * np.maximum(np.ravel(_norm(target, lead)), 1.0))
+    if failed.any():
         raise RuntimeError(
-            f"extension failed: trace defect not cancellable (residual {solve_gap:.3e})"
+            "extension failed: trace defect not cancellable "
+            f"(residual {solve_gap[np.flatnonzero(failed)[0]]:.3e})"
         )
-    d2 = provisional + directions.combine(coeff) / 80.0
-    jet = TwoJet(R, dR, Tensor(sp, d2))
-    return _seed(jet, rotation=rotation, einstein_gaps=(res_ric, res_dric))
+    d2 = provisional + directions.combine_each(coeff) / 80.0
+    return d2, rotation, (res_ric, res_dric)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ coefficients is pinned by that round trip.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, count, product
@@ -31,7 +32,17 @@ from itertools import combinations_with_replacement, count, product
 import numpy as np
 
 from .jets import TwoJet, _read_only
-from .spaces import Space, Tensor, _integer, space_from_dict, space_to_dict
+from .spaces import (
+    Space,
+    Tensor,
+    _in_blocks,
+    _integer,
+    _normal_draws,
+    _real,
+    _tail,
+    space_from_dict,
+    space_to_dict,
+)
 
 __all__ = [
     "PolyMetric",
@@ -88,7 +99,11 @@ class PolyMetric:
 # of a product table are sorted by their product row, so the pairs that
 # land on one row are a contiguous segment and np.add.reduceat sums each
 # segment in one fixed order; every tensor entry is summed in the same
-# order, and Gamma^k_ij == Gamma^k_ji holds bitwise.
+# order, and Gamma^k_ij == Gamma^k_ji holds bitwise.  (A dense 0/1 segment
+# matrix in place of reduceat breaks that symmetry at n=3.)  Every field
+# operation also takes leading (seed) axes in front of the row axis, which
+# ride along as outer axes of each product and sum, so each field of a
+# batch gets the same sums as alone.
 
 
 def _rows(n: int, degree: int) -> int:
@@ -171,61 +186,76 @@ def _power_segments(n: int, order: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _contraction(spec: str) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
-    """Plan of a two-factor einsum spec, batched over a leading pair axis, as a matmul.
+def _contraction(
+    spec: str, lead: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int]:
+    """Plan of a two-factor einsum spec, batched over a pair axis after ``lead`` axes, as a matmul.
 
     Every index the factors share is summed.  Returns the axis orders that
-    put the factors in (pair, free, summed) and (pair, summed, free) form,
-    the axis order of the result, and the number of free axes of the first.
+    put the factors in (lead, pair, free, summed) and (lead, pair, summed,
+    free) form, the axis order of the result, and the number of free axes of
+    the first.
     """
     inputs, result = spec.split("->")
     first, second = inputs.split(",")
     summed = [c for c in first if c in second]
     free_a = [c for c in first if c not in summed]
     free_b = [c for c in second if c not in summed]
-    to_a = (0,) + tuple(1 + first.index(c) for c in free_a + summed)
-    to_b = (0,) + tuple(1 + second.index(c) for c in summed + free_b)
-    to_out = (0,) + tuple(1 + (free_a + free_b).index(c) for c in result)
+    front = tuple(range(lead + 1))
+    to_a = front + tuple(lead + 1 + first.index(c) for c in free_a + summed)
+    to_b = front + tuple(lead + 1 + second.index(c) for c in summed + free_b)
+    to_out = front + tuple(lead + 1 + (free_a + free_b).index(c) for c in result)
     return to_a, to_b, to_out, len(free_a)
 
 
 def _mul(a: np.ndarray, b: np.ndarray, spec: str, n: int, cap: int) -> np.ndarray:
     """Product truncated at total degree cap; tensor parts contract by an einsum spec.
 
-    Both factors need rows up to degree cap.  The tensor parts of every row
-    pair are multiplied in one batched matmul, and the pairs of each product
-    row are summed as one segment.
+    Both factors need rows up to degree cap and the same leading axes, if
+    any, in front of the row axis.  The tensor parts of every row pair are
+    multiplied in one batched matmul, and the pairs of each product row are
+    summed as one segment.
     """
+    lead = a.ndim - 1 - spec.index(",")
     left, right, starts = _product_table(n, cap)
-    to_a, to_b, to_out, n_free = _contraction(spec)
-    a, b = a[left].transpose(to_a), b[right].transpose(to_b)
-    free_a, summed = a.shape[1 : 1 + n_free], a.shape[1 + n_free :]
+    # a batch goes in blocks: each field's row pairs take copies of both factors and products
+    pair_bytes = 8 * len(left) * sum(n ** len(part) for part in re.split(",|->", spec))
+    blocks = _in_blocks(lambda a, b: _mul(a, b, spec, n, cap), (a, b), lead, pair_bytes)
+    if blocks is not None:
+        return blocks
+    to_a, to_b, to_out, n_free = _contraction(spec, lead)
+    a = np.take(a, left, axis=lead).transpose(to_a)
+    b = np.take(b, right, axis=lead).transpose(to_b)
+    outer = a.shape[:lead]
+    free_a, summed = a.shape[lead + 1 : lead + 1 + n_free], a.shape[lead + 1 + n_free :]
     pairs = np.matmul(
-        a.reshape(len(left), math.prod(free_a), -1),
-        b.reshape(len(right), math.prod(summed), -1),
+        a.reshape(outer + (len(left), math.prod(free_a), -1)),
+        b.reshape(outer + (len(right), math.prod(summed), -1)),
     )
-    out = np.add.reduceat(pairs, starts, axis=0)
-    return out.reshape((len(starts),) + free_a + b.shape[1 + len(summed) :]).transpose(to_out)
+    out = np.add.reduceat(pairs, starts, axis=lead)
+    shape = outer + (len(starts),) + free_a + b.shape[lead + 1 + len(summed) :]
+    return out.reshape(shape).transpose(to_out)
 
 
-def _grad(a: np.ndarray, n: int, cap: int) -> np.ndarray:
+def _grad(a: np.ndarray, n: int, cap: int, lead: int = 0) -> np.ndarray:
     """Gradient truncated at degree cap, derivative slot first in the tensor part.
 
-    The field needs rows up to degree cap + 1.
+    The field, with ``lead`` leading axes, needs rows up to degree cap + 1.
     """
     source, factor = _gradient_table(n, cap)
-    terms = factor.reshape(factor.shape + (1,) * (a.ndim - 1)) * a[source]
-    return np.moveaxis(terms, 0, 1)
+    factor = factor.reshape(factor.shape + (1,) * (a.ndim - 1 - lead))
+    terms = factor * np.take(a, source, axis=lead)
+    return np.moveaxis(terms, lead, lead + 1)
 
 
 def _inverse_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
     """Truncated Neumann series for the inverse metric; exact under truncation."""
     n = len(eps)
     # the signature matrix is its own inverse
-    B = -eps[:, None] * G[: _rows(n, cap)]
-    B[0] = 0.0
+    B = -eps[:, None] * G[..., : _rows(n, cap), :, :]
+    B[..., 0, :, :] = 0.0
     inv = np.zeros_like(B)
-    inv[0] = np.diag(eps)
+    inv[..., 0, :, :] = np.diag(eps)
     cur = inv
     for _ in range(cap):
         cur = _mul(B, cur, "ij,jk->ik", n, cap)
@@ -234,26 +264,28 @@ def _inverse_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
 
 
 def _gamma_field(G: np.ndarray, eps: np.ndarray, cap: int) -> np.ndarray:
-    """Christoffel coefficients [r, k, i, j] to degree cap; G needs degree cap + 1."""
+    """Christoffel coefficients [..., r, k, i, j] to degree cap; G needs degree cap + 1."""
     n = len(eps)
-    T = _grad(G, n, cap)  # [r, a, i, j] = d_a g_ij
-    U = T + np.transpose(T, (0, 2, 1, 3)) - np.transpose(T, (0, 2, 3, 1))
+    T = _grad(G, n, cap, G.ndim - 3)  # [r, a, i, j] = d_a g_ij
+    U = T + _tail(T, (0, 2, 1, 3)) - _tail(T, (0, 2, 3, 1))
     return 0.5 * _mul(_inverse_field(G, eps, cap), U, "kl,ijl->kij", n, cap)
 
 
-def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
-    """Lowered curvature and its first two covariant derivatives at the origin.
+def _jet_fields(G: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowered curvature and its first two covariant derivatives at the origin, as arrays.
 
-    G is a metric field with rows up to degree 4 at least.
+    G is a metric field with rows up to degree 4 at least, after any leading
+    axes; each result keeps them.
     """
-    n = sp.dim
-    gamma = _gamma_field(G, sp.eps, cap=3)
+    n = len(eps)
+    lead = G.ndim - 3
+    gamma = _gamma_field(G, eps, cap=3)
 
     # derivative of the connection, arranged [r, i, j, k, l] = d_i Gamma^l_{jk}
-    t1 = np.transpose(_grad(gamma, n, 2), (0, 1, 3, 4, 2))
-    t2 = np.transpose(t1, (0, 2, 1, 3, 4))
+    t1 = _tail(_grad(gamma, n, 2, lead), (0, 1, 3, 4, 2))
+    t2 = _tail(t1, (0, 2, 1, 3, 4))
     t3 = _mul(gamma, gamma, "lim,mjk->ijkl", n, 2)
-    t4 = np.transpose(t3, (0, 2, 1, 3, 4))
+    t4 = _tail(t3, (0, 2, 1, 3, 4))
     upper = (t1 - t2) + (t3 - t4)
 
     # pairing with the metric; this orientation makes the commutator of the
@@ -261,13 +293,13 @@ def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
     # seed metrics with coefficient +1
     lowered = _mul(upper, G, "ijkm,ml->ijkl", n, 2)
 
-    cov5 = _grad(lowered, n, 1)
+    cov5 = _grad(lowered, n, 1, lead)
     for spec in ("mai,mjkl->aijkl", "maj,imkl->aijkl", "mak,ijml->aijkl", "mal,ijkm->aijkl"):
         cov5 = cov5 - _mul(gamma, lowered, spec, n, 1)
 
-    cov0 = cov5[0]
-    gamma0 = gamma[0]
-    d2 = cov5[1 : n + 1].copy()  # linear rows: the derivative along e_b
+    cov0 = cov5[..., 0, :, :, :, :, :]
+    gamma0 = gamma[..., 0, :, :, :]
+    d2 = cov5[..., 1 : n + 1, :, :, :, :, :].copy()  # linear rows: the derivative along e_b
     for spec in (
         "mba,mijkl->baijkl",
         "mbi,amjkl->baijkl",
@@ -275,9 +307,14 @@ def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
         "mbk,aijml->baijkl",
         "mbl,aijkm->baijkl",
     ):
-        d2 -= np.einsum(spec, gamma0, cov0)
+        d2 -= np.einsum("..." + spec.replace(",", ",...").replace("->", "->..."), gamma0, cov0)
 
-    return TwoJet(Tensor(sp, lowered[0]), Tensor(sp, cov0), Tensor(sp, d2))
+    return lowered[..., 0, :, :, :, :], cov0, d2
+
+
+def _two_jet_of_field(G: np.ndarray, sp: Space) -> TwoJet:
+    """The two-jet at the origin of one metric field G with rows up to degree 4 at least."""
+    return TwoJet(*(Tensor(sp, t) for t in _jet_fields(G, sp.eps)))
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +360,29 @@ def _seed_field(R: Tensor, dR: Tensor) -> np.ndarray:
         raise ValueError("seed metric expects a one-jet (valences 4 and 5)")
     if dR.space != R.space:
         raise ValueError("one-jet components live on different spaces")
-    n = R.space.dim
+    return _seed_fields(R.data, dR.data, R.space.eps)
+
+
+def _seed_fields(R: np.ndarray, dR: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """``_seed_field`` of each one-jet (R, dR) of a batch; the fields keep the leading axes."""
+    n = len(eps)
+    outer = R.shape[:-4]
     # [i, j, k, l] = R[i, k, l, j] and [i, j, k, l, m] = dR[m, i, k, l, j]; the
     # Jacobi arrangement is symmetric in (i, j) up to roundoff, so average it
     # and the entries match bitwise
-    quad = np.transpose(R.data, (0, 3, 1, 2))
-    quad = _SEED_SIGN * (quad + np.transpose(quad, (1, 0, 2, 3))) / 6.0
-    cubic = np.transpose(dR.data, (1, 4, 2, 3, 0))
-    cubic = _SEED_SIGN * (cubic + np.transpose(cubic, (1, 0, 2, 3, 4))) / 12.0
+    quad = _tail(R, (0, 3, 1, 2))
+    quad = _SEED_SIGN * (quad + _tail(quad, (1, 0, 2, 3))) / 6.0
+    cubic = _tail(dR, (1, 4, 2, 3, 0))
+    cubic = _SEED_SIGN * (cubic + _tail(cubic, (1, 0, 2, 3, 4))) / 12.0
 
-    G = np.zeros((_rows(n, 4), n, n))
-    G[0] = R.space.metric_matrix()
+    G = np.zeros(outer + (_rows(n, 4), n, n))
+    G[..., 0, :, :] = np.diag(eps)
     for order, part in ((2, quad), (3, cubic)):
         tuples, starts = _power_segments(n, order)
-        terms = np.moveaxis(part.reshape(n, n, -1), 2, 0)[tuples]
-        G[_rows(n, order - 1) : _rows(n, order)] = np.add.reduceat(terms, starts, axis=0)
+        terms = np.moveaxis(part.reshape(outer + (n, n, -1)), -1, len(outer))
+        terms = np.take(terms, tuples, axis=len(outer))
+        rows = slice(_rows(n, order - 1), _rows(n, order))
+        G[..., rows, :, :] = np.add.reduceat(terms, starts, axis=len(outer))
     return G
 
 
@@ -356,17 +401,25 @@ def random_poly_metric(
     """
     if degree < 1:
         raise ValueError("perturbation needs degree at least 1")
-    rng = np.random.default_rng(seed)
+    return PolyMetric(space, _random_fields(space, (seed,), degree, amplitude)[0])
+
+
+def _random_fields(space: Space, seeds, degree: int = 4, amplitude: float = 0.25) -> np.ndarray:
+    """The fields of ``random_poly_metric`` for several seeds, stacked on a leading axis.
+
+    Each seed's ``default_rng`` draws the coefficient column of every entry
+    i <= j in turn (row-major).
+    """
     n = space.dim
     mons = _monomials(n, degree)
     scale = np.array([amplitude ** sum(e) for e in mons[1:]])
-
-    G = np.zeros((len(mons), n, n))
-    G[0] = space.metric_matrix()
-    for i in range(n):
-        for j in range(i, n):
-            G[1:, i, j] = G[1:, j, i] = scale * rng.standard_normal(len(mons) - 1)
-    return PolyMetric(space, G)
+    upper = np.triu_indices(n)
+    (draws,) = _normal_draws(seeds, (len(upper[0]), len(mons) - 1))
+    columns = np.swapaxes(scale * draws, -1, -2)
+    G = np.zeros((len(seeds), len(mons), n, n))
+    G[:, 0] = space.metric_matrix()
+    G[:, 1:, upper[0], upper[1]] = G[:, 1:, upper[1], upper[0]] = columns
+    return G
 
 
 def poly_metric_to_dict(gm: PolyMetric) -> dict:
@@ -397,5 +450,5 @@ def poly_metric_from_dict(doc: dict) -> PolyMetric:
         # reject rather than truncate or wrap: either would lose data silently
         if not (0 <= i < n and 0 <= j < n) or key not in index:
             raise ValueError(f"entry record ({i}, {j}, {list(key)}) is outside the ring")
-        G[index[key], i, j] = G[index[key], j, i] = float(c)
+        G[index[key], i, j] = G[index[key], j, i] = _real(c, "a metric coefficient")
     return PolyMetric(space, G)

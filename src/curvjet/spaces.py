@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
+from .subspace import _CHUNK_BYTES
+
 __all__ = [
     "Space",
     "Tensor",
@@ -81,7 +83,7 @@ class Tensor:
         return self.data.ndim
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.data.ravel()))
+        return float(_norm(self.data))
 
     def __add__(self, other: "Tensor") -> "Tensor":
         self._check_same(other)
@@ -114,11 +116,9 @@ class SymBiform:
     def __init__(self, space: Space, m: int, tensor: Tensor):
         if m < 0 or tensor.valence != m + 2:
             raise ValueError(f"need valence m+2 = {m + 2}, got {tensor.valence}")
-        # both symmetrizations in one orbit sum; groups of < 2 slots are trivial
-        summed = _group_sum(tensor.data, (tuple(range(m)), (m, m + 1)))
         self.space = space
         self.m = m
-        self.tensor = Tensor(space, summed / (2 * math.factorial(m)))
+        self.tensor = Tensor(space, _sym_biform(tensor.data, m))
 
     @property
     def valence(self) -> int:
@@ -141,6 +141,14 @@ class SymBiform:
         return SymBiform(self.space, self.m, self.tensor * c)
 
     __rmul__ = __mul__
+
+
+def _sym_biform(data: np.ndarray, m: int, lead: int = 0) -> np.ndarray:
+    """The ``SymBiform`` averaging of each degree-m tensor after ``lead`` axes.
+
+    Both symmetrizations go in one orbit sum; groups of < 2 slots are trivial.
+    """
+    return _group_sum(data, (tuple(range(m)), (m, m + 1)), lead) / (2 * math.factorial(m))
 
 
 def _check_slots(v: int, slots) -> list[int]:
@@ -212,7 +220,13 @@ def _group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
     """
     plan = tuple(tuple(int(a) for a in g) for g in groups)
     ids, weight = _orbit_plan(data.shape[-1], data.ndim - lead, plan)
-    return np.take(_orbit_sums(data, ids, weight), ids, axis=0).T.reshape(data.shape)
+    # a batch goes in blocks: each tensor takes its orbit ids, sums and gather
+    blocks = _in_blocks(lambda d: _group_sum(d, plan, 1), (data,), lead, 8 * 3 * len(ids))
+    if blocks is not None:
+        return blocks
+    # C order, as for a lone tensor, whatever the batch
+    summed = np.take(_orbit_sums(data, ids, weight), ids, axis=0).T
+    return np.ascontiguousarray(summed).reshape(data.shape)
 
 
 def symmetrize(t: Tensor, slots) -> Tensor:
@@ -234,8 +248,23 @@ def metric_trace(t: Tensor, i: int, j: int) -> Tensor:
     if i == j:
         raise ValueError("trace slots must differ")
     _check_slots(t.valence, (i, j))
-    diag = np.diagonal(t.data, axis1=i - 1, axis2=j - 1)
-    return Tensor(t.space, diag @ t.space.eps)
+    if t.valence == 2:
+        return Tensor(t.space, _scalar_trace(t.data, t.space.eps))
+    return Tensor(t.space, _trace(t.data, i - 1 - t.valence, j - 1 - t.valence, t.space.eps))
+
+
+def _trace(data: np.ndarray, axis1: int, axis2: int, eps: np.ndarray) -> np.ndarray:
+    """Signed trace over two axes counted from the end, so that leading axes ride along."""
+    return np.diagonal(data, axis1=axis1, axis2=axis2) @ eps
+
+
+def _scalar_trace(m: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Signed trace of each 2-tensor on the last two axes: one (1, n) @ (n, 1) dot product each.
+
+    That is the 1-D product a lone 2-tensor's trace takes; a batch of
+    diagonals times eps would be a matrix-vector product instead.
+    """
+    return (np.diagonal(m, axis1=-2, axis2=-1)[..., None, :] @ eps[:, None])[..., 0, 0]
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
@@ -258,27 +287,84 @@ def sym_product(a, b):
     if isinstance(a, SymBiform):
         if a.space != b.space:
             raise ValueError("mismatched spaces")
-        # layout (a-sym slots, b slots, bilinear pair)
-        raw = np.multiply.outer(a.tensor.data, b.data)
-        m = a.m + b.valence
-        axes = (
-            list(range(a.m))
-            + list(range(a.m + 2, a.m + 2 + b.valence))
-            + [a.m, a.m + 1]
-        )
-        arranged = Tensor(a.space, np.transpose(raw, axes=axes))
-        return SymBiform(a.space, m, arranged)
+        arranged = Tensor(a.space, _sym_product_layout(a.tensor.data, a.m, b.data))
+        return SymBiform(a.space, a.m + b.valence, arranged)
     out = tensor_product(a, b)
     if out.valence > 1:
         out = symmetrize(out, tuple(range(1, out.valence + 1)))
     return out
 
 
-def _rel(a: np.ndarray, b: np.ndarray) -> float:
-    """Relative gap |a - b| / max(|a|, |b|, 1) in the Frobenius norm."""
-    gap = float(np.linalg.norm((a - b).ravel()))
-    scale = max(float(np.linalg.norm(a.ravel())), float(np.linalg.norm(b.ravel())), 1.0)
-    return gap / scale
+def _sym_product_layout(form: np.ndarray, m: int, b: np.ndarray) -> np.ndarray:
+    """The outer product of each degree-m form after any leading axes with b, before averaging.
+
+    Laid out as ``sym_product`` takes it: the form's symmetric slots, b's
+    slots, then the form's bilinear pair.
+    """
+    raw = form[(...,) + (None,) * b.ndim] * b
+    return _tail(raw, tuple(range(m)) + tuple(range(m + 2, m + 2 + b.ndim)) + (m, m + 1))
+
+
+def _tail(x: np.ndarray, axes) -> np.ndarray:
+    """x with its trailing len(axes) axes permuted by ``axes``; leading axes stay in front."""
+    lead = x.ndim - len(axes)
+    if lead == 0:
+        return x.transpose(axes)
+    return x.transpose(tuple(range(lead)) + tuple(lead + a for a in axes))
+
+
+def _gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``x[..., index]`` in C order.
+
+    A lone 1-D x takes the plain fancy index; over leading axes ``take``
+    does it, since a fancy index there is slower and puts those axes
+    innermost in memory, where a later product would meet them strided.
+    """
+    return x[index] if x.ndim == 1 else x.take(index, axis=-1)
+
+
+def _in_blocks(kernel, arrays, lead: int, item_bytes: int):
+    """``kernel(*arrays)`` on blocks of the entries of their ``lead`` leading axes, or None.
+
+    A block holds as many entries as keep ``item_bytes`` of temporaries per
+    entry within ``_CHUNK_BYTES``; None means one block would take them all,
+    and the caller goes on.  The kernel gets one flattened leading axis and
+    computes each entry as in one call, so the blocks give the same bits.
+    """
+    if not lead:
+        return None
+    outer = arrays[0].shape[:lead]
+    step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
+    if math.prod(outer) <= step:
+        return None
+    flat = [x.reshape((-1,) + x.shape[lead:]) for x in arrays]
+    parts = [kernel(*(x[i : i + step] for x in flat)) for i in range(0, len(flat[0]), step)]
+    out = np.concatenate(parts)
+    return out.reshape(outer + out.shape[1:])
+
+
+def _norm(x: np.ndarray, lead: int = 0) -> np.ndarray:
+    """Frobenius norm of each tensor of x after its ``lead`` batch axes, shape ``x.shape[:lead]``.
+
+    Each is one dot product of the C-order entries, contiguous, (1, d) @ (d, 1):
+    the sum that ``np.linalg.norm`` of the raveled tensor takes, to the bit,
+    for any batch (a pairwise ``sum``, an ``einsum`` or a strided dot would
+    not be).
+    """
+    flat = np.ascontiguousarray(x).reshape(x.shape[:lead] + (-1,))
+    if lead == 0:  # the same dot product, without the stacked product's overhead
+        return np.sqrt(flat.dot(flat))
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
+
+
+def _rel(a: np.ndarray, b: np.ndarray, lead: int = 0):
+    """Relative gap |a - b| / max(|a|, |b|, 1), Frobenius, per tensor after ``lead`` axes.
+
+    A float without lead axes, else an array of shape ``a.shape[:lead]``.
+    """
+    gap = _norm(a - b, lead)
+    out = gap / np.maximum(np.maximum(_norm(a, lead), _norm(b, lead)), 1.0)
+    return float(out) if lead == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +401,9 @@ def _freeze(value):
     elif isinstance(value, (tuple, dict)):
         for v in value.values() if isinstance(value, dict) else value:
             _freeze(v)
+    elif hasattr(value, "__dict__"):  # a plain object: its attributes
+        for v in vars(value).values():
+            _freeze(v)
     return value
 
 
@@ -350,6 +439,22 @@ def memoized(fn):
     return wrapper
 
 
+def _normal_draws(seeds, *shapes) -> list[np.ndarray]:
+    """Standard normal draws of the given shapes, each seed's ``default_rng`` drawing them in turn.
+
+    With one seed the draws are returned as drawn; with a tuple of seeds
+    each shape's draws are stacked on a leading seed axis.
+    """
+    if not isinstance(seeds, tuple):
+        rng = np.random.default_rng(seeds)
+        return [rng.standard_normal(shape) for shape in shapes]
+    draws = [np.empty((len(seeds),) + ((s,) if isinstance(s, int) else s)) for s in shapes]
+    for i, seed in enumerate(seeds):
+        for out, value in zip(draws, _normal_draws(seed, *shapes)):
+            out[i] = value
+    return draws
+
+
 def random_tensor(space: Space, valence: int, seed: int) -> Tensor:
     """Deterministic i.i.d. standard-normal entries for the given seed."""
     rng = np.random.default_rng(seed)
@@ -372,6 +477,17 @@ def _integer(value, what: str) -> int:
     return int(value)
 
 
+def _real(value, what: str) -> float:
+    """A document's number field; a bool, a string or another non-number is malformed.
+
+    ``float()`` would read ``"0.3"`` as 0.3 and ``true`` as 1.0, so a
+    document would parse as one it does not say.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def space_from_dict(doc: dict) -> Space:
     """The space of a document header, whose signature must list ``dim`` signs (no default)."""
     dim = _integer(doc["dim"], "dim")
@@ -388,7 +504,7 @@ def tensor_to_dict(t: Tensor) -> dict:
 def tensor_from_dict(doc: dict) -> Tensor:
     space = space_from_dict(doc)
     v = _integer(doc["valence"], "valence")
-    data = np.array(doc["data"], dtype=float).reshape((space.dim,) * v)
+    data = np.array([_real(x, "tensor data") for x in doc["data"]]).reshape((space.dim,) * v)
     if not np.isfinite(data).all():
         raise ValueError("tensor data must be finite")
     return Tensor(space, data)

@@ -43,9 +43,10 @@ RTOL = 1e-10
 _OVERSAMPLE = 8
 
 # bytes of unpacked tensors per chunk: per call of the sampled map in
-# ``image``, and per stack of ``PackedRows.unpacked_chunks``; the index-plan
-# kernels hold a few chunk-sized temporaries (up to nine permuted copies in
-# the C_k defect check), so chunks are kept small
+# ``image``, per stack of ``PackedRows.unpacked_chunks`` and per seed chunk
+# of the check suites (one stacked valence-6 array); the index-plan kernels
+# hold a few chunk-sized temporaries, and the C_k defect check and a batched
+# slot sum go in blocks of about this size, so chunks are kept small
 _CHUNK_BYTES = 1 << 19
 
 
@@ -139,6 +140,18 @@ class PackedRows:
     def combine(self, coeff: np.ndarray) -> np.ndarray:
         """Full tensors sum_i coeff[..., i] * row_i, combined before unpacking."""
         return self.unpack(coeff @ self.rows)
+
+    def combine_each(self, coeff: np.ndarray) -> np.ndarray:
+        """``combine`` of each coefficient vector on the last axis of coeff, in C order.
+
+        Each is its own vector-matrix product, (1, d) @ rows, as a lone
+        vector's ``combine`` is, so a stack of draws holds the same bits
+        (a stacked (S, d) @ rows would be one matrix product).
+        """
+        if coeff.ndim == 1:
+            return self.combine(coeff)
+        packed = (coeff[..., None, :] @ self.rows)[..., 0, :]
+        return np.ascontiguousarray(self.unpack(packed))
 
     def unpacked(self) -> np.ndarray:
         """Every row as a full tensor, stacked; a fresh array the caller owns."""

@@ -10,6 +10,16 @@ records and ``dimensions/*`` (no seeds) are reduced otherwise, and carry no
 seed unless a seeded value is their worst.  The default configuration covers
 dimensions 3 and 4 with 25 seeds; full mode widens to dimension 5 and 100
 seeds for nightly runs.
+A suite runs its seeds in chunks (``_chunks``) along one seed axis: it
+draws the inputs of each seed of a chunk from that seed's own
+``default_rng``, stacks them on a leading axis, and every kernel it calls
+carries that axis along; ``_worst_over`` takes ``residuals(seeds)``, one
+value per seed of a chunk for each key, and merges the chunks in seed
+order.  A chunk holds as many seeds as keep one stacked valence-6 array
+within ``subspace._CHUNK_BYTES`` (``_chunk``: 89 at n=3, 16 at n=4, 4 at
+n=5), so the run-scope memo holds chunk stacks, never a stack of the whole
+run.  Each kernel gives every seed the bits of a call on that seed alone,
+so the records do not depend on the chunk length.
 ``run_suites`` runs each selected suite on every configured space.  A task
 is one suite on one space; the tasks run largest space first, each space's
 suites in registry order, and each space in its own run scope
@@ -41,40 +51,57 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import spaces as _spaces
-from .curvature import _kn_metric, _nk_stack, kulkarni, star_identity_residuals
-from .identities import _ricci_flat_input, identity_names, verify_identity
+from .curvature import _kn_metric, _nk_stack, _rotate, _star_residuals, kulkarni
+from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
     RANDOM_JET_DIMS,
     JacobiFit,
     TwoJet,
     _div_der,
+    _draw_section_jets,
     _eigenvalue_gap,
+    _einstein_one_jets,
+    _einstein_report,
+    _einstein_verdict,
+    _extend,
+    _hat_embed,
     _hess_kernel_stack,
     _hess_ric,
     _hessian_tableau,
+    _JetStack,
     _rough_lap,
-    einstein_check,
-    einstein_extend,
+    _seed,
+    _tilde,
+    _two_jet_chunk,
+    _two_jet_residuals,
+    _weitzenbock,
+    _weitzenbock_special,
     fit_jacobi_relation,
-    hat_embed,
-    jet_traces,
-    random_einstein_one_jet,
-    random_section_jet,
-    random_two_jet,
-    tilde_ops,
-    validate_two_jet,
-    weitzenbock_check,
-    weitzenbock_special,
 )
-from .polymetric import curvature_two_jet, random_poly_metric, seed_metric
+from .polymetric import _jet_fields, _random_fields, _seed_fields
 from .report import CheckRecord
-from .spaces import Space, SymBiform, Tensor, _rel, memoized, run_scope, space_to_dict
-from .young import _ck_packing, _ck_stack, random_ck, young_apply, young_eigenvalue
+from .spaces import (
+    Space,
+    SymBiform,
+    Tensor,
+    _norm,
+    _normal_draws,
+    _rel,
+    _tail,
+    memoized,
+    run_scope,
+    space_to_dict,
+)
+from .subspace import _CHUNK_BYTES
+from .young import _ck_chunk, _ck_packing, _ck_stack, _young, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites", "run_suites_timed"]
 
 # keys of verify_identity results that document projection-only raw forms
 _REPORT_ONLY = {"raw_display"}
+
+# the seeds of one chunk
+Seeds = tuple[int, ...]
 
 
 def _worst(*values: float) -> float:
@@ -82,18 +109,22 @@ def _worst(*values: float) -> float:
     return math.nan if any(math.isnan(v) for v in values) else max(values)
 
 
-@memoized
-def _einstein_jet(sp: Space, seed: int) -> TwoJet:
-    """Einstein extension of the seeded Einstein one-jet.
+def _worst_rows(*values: np.ndarray) -> np.ndarray:
+    """``_worst`` of the values of each seed: the largest, or NaN if any is NaN."""
+    return np.max(np.stack(values), axis=0)
 
-    Only the extended jet is memoized: it holds its own copies of R and dR.
-    It is kept without the rotation that ``einstein_extend`` caches (n^6
-    floats per seed, which no suite reads); a caller that validates the jet
-    computes it again.
+
+@memoized
+def _einstein_jets(sp: Space, seeds: Seeds) -> _JetStack:
+    """Einstein extensions of the seeded Einstein one-jets of one chunk.
+
+    The stack holds the extended jets and their one-jet gaps, without the
+    rotations that ``_extend`` computed (n^6 floats per seed, which no suite
+    reads).
     """
-    j = einstein_extend(*random_einstein_one_jet(sp, seed))
-    vars(j).pop("rotation", None)
-    return j
+    R, dR = _einstein_one_jets(sp, seeds)
+    d2, _, gaps = _extend(sp, R, dR)
+    return _seed(_JetStack(sp, R, dR, d2), einstein_gaps=gaps)
 
 
 def _verdicts_agree(verdict: bool, rep: dict[str, float]) -> bool:
@@ -166,19 +197,50 @@ class Worst:
         return CheckRecord(name, self.value, threshold, self.seed, self.samples)
 
 
-def _worst_over(cfg: RunConfig, residuals: Callable[[int], dict[str, float]]) -> dict[str, Worst]:
+def _chunk(sp: Space) -> int:
+    """Seeds per chunk on sp: as many as keep one stacked valence-6 array within ``_CHUNK_BYTES``.
+
+    That is 89 seeds at n=3, 16 at n=4 and 4 at n=5.
+    """
+    return max(1, _CHUNK_BYTES // (8 * sp.dim**6))
+
+
+def _chunks(cfg: RunConfig, sp: Space) -> list[Seeds]:
+    """The configured seeds in consecutive chunks of ``_chunk(sp)``."""
+    seeds, size = cfg.seed_range(), _chunk(sp)
+    return [tuple(seeds[i : i + size]) for i in range(0, len(seeds), size)]
+
+
+def _worst_over(
+    cfg: RunConfig, sp: Space, residuals: Callable[[Seeds], Residuals]
+) -> dict[str, Worst]:
     """Worst value of each residual key over the configured seeds.
 
+    ``residuals(seeds)`` maps each key to one value per seed of a chunk
+    (``_chunks``); the chunks are reduced in seed order with ``_merge``.
     Keys keep their first-seen order; a NaN on any seed makes its key NaN.
     The seed kept is the loop seed (not a suite's offset seed) of the first
     NaN, or else of the first largest value.
     """
     worst: dict[str, Worst] = {}
-    for seed in cfg.seed_range():
-        for key, v in residuals(seed).items():
-            found = Worst(_worst(0.0, v), seed, 1)
+    for seeds in _chunks(cfg, sp):
+        for key, values in residuals(seeds).items():
+            found = _seeded_worst(values, seeds)
             worst[key] = _merge(worst[key], found) if key in worst else found
     return worst
+
+
+def _seeded_worst(values, seeds: Seeds) -> Worst:
+    """Worst of one value per seed: the first NaN, else the first largest (at least 0.0).
+
+    No values give 0.0 with no seed and no samples.
+    """
+    values = np.maximum(np.asarray(values, dtype=float), 0.0)
+    if len(values) == 0:
+        return Worst(0.0, None, 0)
+    nan = np.flatnonzero(np.isnan(values))
+    at = int(nan[0]) if len(nan) else int(np.argmax(values))
+    return Worst(float(values[at]), seeds[at], len(values))
 
 
 def _merge(a: Worst, b: Worst) -> Worst:
@@ -193,31 +255,36 @@ def _records(cfg: RunConfig, prefix: str, worst: dict[str, Worst]) -> list[Check
     return [worst[key].record(f"{prefix}/{key}", cfg.tol) for key in sorted(worst)]
 
 
-def _draws_worst(values: list[float]) -> Worst:
+def _draws_worst(values) -> Worst:
     """Worst of values that come from no loop seed (fixed families, kernel draws)."""
+    values = [float(v) for v in values]
     return Worst(_worst(0.0, *values), None, len(values))
+
+
+def _offset(seeds: Seeds, offset: int) -> Seeds:
+    return tuple(s + offset for s in seeds)
 
 
 def _identity_worst(cfg: RunConfig, sp: Space, name: str) -> dict[str, Worst]:
     """Worst residuals of a registered identity, without its report-only keys."""
 
-    def residuals(seed: int) -> dict[str, float]:
-        res = verify_identity(name, sp, seed)
+    def residuals(seeds: Seeds) -> Residuals:
+        res = _verify_seeds(name, sp, seeds)
         return {key: v for key, v in res.items() if key not in _REPORT_ONLY}
 
-    return _worst_over(cfg, residuals)
+    return _worst_over(cfg, sp, residuals)
 
 
-def _kernel_draws(cfg: RunConfig, sp: Space) -> list[np.ndarray]:
-    """Up to ``cfg.seeds`` random C_2 elements with vanishing second Ricci derivative.
+def _kernel_draws(cfg: RunConfig, sp: Space) -> np.ndarray:
+    """Up to ``cfg.seeds`` random C_2 elements with vanishing second Ricci derivative, stacked.
 
-    The draws come from ``default_rng(cfg.base_seed)``; the list is empty
-    when that kernel is trivial.
+    The draws come in turn from ``default_rng(cfg.base_seed)``; the stack is
+    empty when that kernel is trivial.
     """
     kernel = _hess_kernel_stack(sp)
-    rng = np.random.default_rng(cfg.base_seed)
     count = min(cfg.seeds, len(kernel))
-    return [kernel.combine(rng.standard_normal(len(kernel))) for _ in range(count)]
+    coeff = np.random.default_rng(cfg.base_seed).standard_normal((count, len(kernel)))
+    return kernel.combine_each(coeff)
 
 
 def suite_eigenvalue(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
@@ -225,21 +292,22 @@ def suite_eigenvalue(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     for k in (0, 1, 2):
         factor = young_eigenvalue(k)
 
-        def residual(seed: int) -> dict[str, float]:
-            t = random_ck(sp, k, seed)
-            return {f"k{k}": _rel(young_apply(t, k).data, factor * t.data)}
+        def residual(seeds: Seeds) -> Residuals:
+            t = _ck_chunk(sp, k, seeds)
+            return {f"k{k}": _rel(_young(t, k, 1), factor * t, 1)}
 
-        out += _records(cfg, f"eigenvalue/n{sp.dim}", _worst_over(cfg, residual))
+        out += _records(cfg, f"eigenvalue/n{sp.dim}", _worst_over(cfg, sp, residual))
     return out
 
 
 def suite_star(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
-    worst = _worst_over(
-        cfg,
-        lambda seed: star_identity_residuals(
-            random_ck(sp, 0, seed), random_ck(sp, 0, seed + 10_000), seed=seed
-        ),
-    )
+    def residuals(seeds: Seeds) -> Residuals:
+        # each seed draws its own 8 Jacobi samples, as star_identity_residuals does
+        (xy,) = _normal_draws(seeds, (8, 2, sp.dim))
+        R, Rp = _ck_chunk(sp, 0, seeds), _ck_chunk(sp, 0, _offset(seeds, 10_000))
+        return _star_residuals(R, Rp, sp.eps, xy)
+
+    worst = _worst_over(cfg, sp, residuals)
     # ricci_trace is the relative difference that ricci_of_star returns
     return _records(cfg, f"star/n{sp.dim}", worst) + [
         worst["ricci_trace"].record(f"star/n{sp.dim}/ricci_of_star", cfg.tol)
@@ -247,65 +315,65 @@ def suite_star(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 
 def suite_weitzenbock(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
-    def residuals(seed: int) -> dict[str, float]:
-        sj = random_section_jet(sp, seed, random_ck(sp, 0, seed + 20_000))
-        res = weitzenbock_check(sj)
+    eps = sp.eps
+
+    def residuals(seeds: Seeds) -> Residuals:
+        background = _ck_chunk(sp, 0, _offset(seeds, 20_000))
+        (_, Rp, _, d2Rp), rotation, _ = _draw_section_jets(sp, seeds, background)
+        res = _weitzenbock(background, Rp, d2Rp, rotation, eps)
+        j = _two_jet_chunk(sp, seeds)
         return {
-            "special": weitzenbock_special(random_two_jet(sp, seed))["special"],
+            "special": _weitzenbock_special(j.d2R, j.star_square, eps)["special"],
             **{key: res[key] for key in ("calibrated", "displayed_projected", "strict")},
         }
 
     prefix = f"weitzenbock/n{sp.dim}"
-    worst = _worst_over(cfg, residuals)
+    worst = _worst_over(cfg, sp, residuals)
     out = [w.record(f"{prefix}/{key}", cfg.tol) for key, w in worst.items()]
     draws = _kernel_draws(cfg, sp)
-    if draws:  # the einstein form needs a flat Ricci hessian
-        n = sp.dim
-        zero4, zero5 = Tensor(sp, np.zeros((n,) * 4)), Tensor(sp, np.zeros((n,) * 5))
-        forms = (TwoJet(zero4, zero5, Tensor(sp, d2)) for d2 in draws)
-        worst_form = _draws_worst([weitzenbock_special(j)["einstein_form"] for j in forms])
-        out.append(worst_form.record(f"{prefix}/einstein_form", cfg.tol))
+    if len(draws):  # the einstein form needs a flat Ricci hessian
+        # R = 0, so R*R vanishes
+        forms = _weitzenbock_special(draws, np.zeros(draws.shape[:-2]), eps)["einstein_form"]
+        out.append(_draws_worst(forms).record(f"{prefix}/einstein_form", cfg.tol))
     return out
 
 
 def suite_hierarchy(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     eps = sp.eps
 
-    def residuals(seed: int) -> dict[str, float]:
-        d2 = random_ck(sp, 2, seed).data
+    def residuals(seeds: Seeds) -> Residuals:
+        d2 = _ck_chunk(sp, 2, seeds)
         hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
         return {
             "divergence_derivative": _rel(
-                dd, np.transpose(hess, (0, 2, 1, 3)) - np.transpose(hess, (0, 2, 3, 1))
+                dd, _tail(hess, (0, 2, 1, 3)) - _tail(hess, (0, 2, 3, 1)), 1
             ),
-            "laplacian_tableau": _rel(lap, 0.25 * _hessian_tableau(sp, hess)),
-            "laplacian_divergence": _rel(lap, dd - np.transpose(dd, (1, 0, 2, 3))),
+            "laplacian_tableau": _rel(lap, 0.25 * _hessian_tableau(hess, 1), 1),
+            "laplacian_divergence": _rel(lap, dd - _tail(dd, (1, 0, 2, 3)), 1),
         }
 
     prefix = f"hierarchy/n{sp.dim}"
-    out = _records(cfg, prefix, _worst_over(cfg, residuals))
+    out = _records(cfg, prefix, _worst_over(cfg, sp, residuals))
     draws = _kernel_draws(cfg, sp)
-    if draws:
-        chain = _draws_worst(
-            [
-                float(np.linalg.norm(trace(d2, eps))) / max(float(np.linalg.norm(d2)), 1.0)
-                for d2 in draws
-                for trace in (_div_der, _rough_lap)
-            ]
-        )
+    if len(draws):
+        scale = np.maximum(_norm(draws, 1), 1.0)
+        chains = [_norm(trace(draws, eps), 1) / scale for trace in (_div_der, _rough_lap)]
+        # draw by draw, each draw's two traces in turn
+        chain = _draws_worst(np.stack(chains, axis=1).ravel())
         out.append(chain.record(f"{prefix}/vanishing_chain", cfg.tol))
     return out
 
 
 def suite_tilde(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
-    def residual(seed: int) -> dict[str, float]:
-        j = random_two_jet(sp, seed)
-        lap = jet_traces(j)[2].data
-        return {
-            "rough_laplacian_80_16": _rel(tilde_ops(j)[1].data, 80.0 * lap + 16.0 * j.star_square)
-        }
+    eps = sp.eps
 
-    out = _records(cfg, f"tilde/n{sp.dim}", _worst_over(cfg, residual))
+    def residual(seeds: Seeds) -> Residuals:
+        j = _two_jet_chunk(sp, seeds)
+        lap = _rough_lap(j.d2R, eps)
+        tilde_lap = _tilde(j.d2R, eps)[1]
+        return {"rough_laplacian_80_16": _rel(tilde_lap, 80.0 * lap + 16.0 * j.star_square, 1)}
+
+    out = _records(cfg, f"tilde/n{sp.dim}", _worst_over(cfg, sp, residual))
     for name in ("assoc_hessian_difference", "assoc_hessian_expansion"):
         out += _records(cfg, f"tilde/n{sp.dim}/{name}", _identity_worst(cfg, sp, name))
     return out
@@ -315,16 +383,16 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     n = sp.dim
     eps = sp.eps
 
-    def residuals(seed: int) -> dict[str, float]:
-        S = _ricci_flat_input(sp, seed)
-        hat = hat_embed(S).data
-        pair = np.transpose(S.data, (0, 2, 1, 3)) + np.transpose(S.data, (0, 2, 3, 1))
+    def residuals(seeds: Seeds) -> Residuals:
+        S = _ricci_flat_input(sp, seeds)
+        hat = _hat_embed(S, eps)
+        pair = _tail(S, (0, 2, 1, 3)) + _tail(S, (0, 2, 3, 1))
         return {
-            "hessian_constant": _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair),
-            "laplacian_constant": _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S.data),
+            "hessian_constant": _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair, 1),
+            "laplacian_constant": _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S, 1),
         }
 
-    out = _records(cfg, f"embed/n{n}", _worst_over(cfg, residuals))
+    out = _records(cfg, f"embed/n{n}", _worst_over(cfg, sp, residuals))
     for name in ("embed_trace_22", "embed_trace_32", "embed_trace_inner"):
         worst = _identity_worst(cfg, sp, name)["residual"]
         out.append(worst.record(f"embed/n{n}/{name}", cfg.tol))
@@ -332,23 +400,31 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 
 def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
+    eps = sp.eps
     agreement: list[bool] = []  # one entry per checked jet, not a maximum
 
-    def residuals(seed: int) -> dict[str, float]:
-        j = _einstein_jet(sp, seed)
-        verdict, rep = einstein_check(j)
-        tilde_hess = tilde_ops(j)[0].data
+    def agrees(report: Residuals, i: int) -> bool:
+        rep = {key: float(v[i]) for key, v in report.items()}
+        return _verdicts_agree(bool(_einstein_verdict(rep)), rep)
+
+    def residuals(seeds: Seeds) -> Residuals:
+        j = _einstein_jets(sp, seeds)
         SS = j.star_square
-        display = -4.0 * (np.transpose(SS, (0, 2, 1, 3)) + np.transpose(SS, (0, 2, 3, 1)))
-        bad = TwoJet(j.R, j.dR, j.d2R + 1e-2 * random_ck(sp, 2, seed))
-        agreement.extend((_verdicts_agree(verdict, rep), _verdicts_agree(*einstein_check(bad))))
+        rep = _einstein_report(j.d2R, SS, j.einstein_gaps, eps)
+        tilde_hess = _tilde(j.d2R, eps)[0]
+        display = -4.0 * (_tail(SS, (0, 2, 1, 3)) + _tail(SS, (0, 2, 3, 1)))
+        # the same one-jet with a perturbed d2R: the same gaps and the same R*R
+        bad_d2 = j.d2R + _ck_chunk(sp, 2, seeds) * 1e-2
+        bad = _einstein_report(bad_d2, SS, j.einstein_gaps, eps)
+        for i in range(len(seeds)):
+            agreement.extend((agrees(rep, i), agrees(bad, i)))
         return {
-            "extension_defect": _worst(*rep.values()),
-            "trace_display": _rel(tilde_hess, display),
+            "extension_defect": _worst_rows(*rep.values()),
+            "trace_display": _rel(tilde_hess, display, 1),
         }
 
     prefix = f"einstein/n{sp.dim}"
-    worst = _worst_over(cfg, residuals)
+    worst = _worst_over(cfg, sp, residuals)
     disagreement = agreement.count(False) / len(agreement)
     out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, len(agreement))]
     return out + _records(cfg, prefix, worst)
@@ -359,24 +435,25 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     zero5 = Tensor(sp, np.zeros((n,) * 5))
     zero6 = Tensor(sp, np.zeros((n,) * 6))
 
-    def corollary(j: TwoJet, fit: JacobiFit) -> dict[str, float]:
+    def corollary(j: TwoJet, fit: JacobiFit) -> list[float]:
         # the eigenvalue corollary applies only where the Jacobi relation fits
-        return {"corollary": _eigenvalue_gap(j, fit.c)} if fit.clean else {}
-
-    def seeded(seed: int) -> dict[str, float]:
-        j = _einstein_jet(sp, seed)
-        return corollary(j, fit_jacobi_relation(j))
+        return [_eigenvalue_gap(j, fit.c)] if fit.clean else []
 
     family, family_corollary = [], []
     for lam in (1.0, -2.0, 0.5):
         j = TwoJet(Tensor(sp, lam * _kn_metric(sp)), zero5, zero6)
         fit = fit_jacobi_relation(j)
         family += [abs(fit.c), fit.residual]
-        family_corollary += corollary(j, fit).values()
-    worst_corollary = _merge(
-        _draws_worst(family_corollary),
-        _worst_over(cfg, seeded).get("corollary", Worst(0.0, None, 0)),
-    )
+        family_corollary += corollary(j, fit)
+    seeded, fitted = [], []
+    for seeds in _chunks(cfg, sp):
+        stack = _einstein_jets(sp, seeds)
+        for i, seed in enumerate(seeds):
+            j = stack.jet(i)
+            gaps = corollary(j, fit_jacobi_relation(j))
+            seeded += gaps
+            fitted += [seed] * len(gaps)
+    worst_corollary = _merge(_draws_worst(family_corollary), _seeded_worst(seeded, fitted))
     return [
         _draws_worst(family).record(f"fit/n{n}/symmetric_family", cfg.tol),
         worst_corollary.record(f"fit/n{n}/corollary", 10.0 * cfg.tol),
@@ -409,17 +486,20 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 
 def suite_metric(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
-    def residuals(seed: int) -> dict[str, float]:
-        _, res = validate_two_jet(curvature_two_jet(random_poly_metric(sp, seed)))
-        R = random_ck(sp, 0, seed)
-        dR = random_ck(sp, 1, seed + 30_000)
-        back = curvature_two_jet(seed_metric(R, dR))
+    eps = sp.eps
+
+    def residuals(seeds: Seeds) -> Residuals:
+        R_g, dR_g, d2R_g = _jet_fields(_random_fields(sp, seeds), eps)
+        validity = _two_jet_residuals(R_g, dR_g, d2R_g, _rotate(R_g, R_g, eps))
+        R = _ck_chunk(sp, 0, seeds)
+        dR = _ck_chunk(sp, 1, _offset(seeds, 30_000))
+        back_R, back_dR, _ = _jet_fields(_seed_fields(R, dR, eps), eps)
         return {
-            "jet_validity": _worst(*res.values()),
-            "seed_round_trip": _worst(_rel(back.R.data, R.data), _rel(back.dR.data, dR.data)),
+            "jet_validity": _worst_rows(*validity.values()),
+            "seed_round_trip": _worst_rows(_rel(back_R, R, 1), _rel(back_dR, dR, 1)),
         }
 
-    return _records(cfg, f"metric/n{sp.dim}", _worst_over(cfg, residuals))
+    return _records(cfg, f"metric/n{sp.dim}", _worst_over(cfg, sp, residuals))
 
 
 def suite_identities(cfg: RunConfig, sp: Space) -> list[CheckRecord]:

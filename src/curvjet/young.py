@@ -25,7 +25,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import Space, Tensor, _orbit_plan, _orbit_sums, memoized
+from .spaces import (
+    Space,
+    Tensor,
+    _in_blocks,
+    _normal_draws,
+    _orbit_plan,
+    _orbit_sums,
+    memoized,
+)
 from .subspace import Packing, PackedRows, image, packing
 
 __all__ = [
@@ -72,9 +80,16 @@ def tableau_sum(data: np.ndarray, row1, row2, lead: int = 0) -> np.ndarray:
     """
     row1, row2 = tuple(int(a) for a in row1), tuple(int(a) for a in row2)
     ids, weight, table, signs = _tableau_plan(data.shape[-1], data.ndim - lead, row1, row2)
+    # a batch goes in blocks: each tensor takes its orbit ids, sums and signed terms
+    item_bytes = 8 * (len(signs) + 2) * len(ids)
+    blocks = _in_blocks(lambda d: tableau_sum(d, row1, row2, 1), (data,), lead, item_bytes)
+    if blocks is not None:
+        return blocks
     terms = np.take(_orbit_sums(data, ids, weight), table, axis=0)
-    # the batch axis is last (see ``_orbit_sums``); move it back to the front
-    return (signs @ terms.reshape(len(signs), -1)).reshape(terms.shape[1:]).T.reshape(data.shape)
+    # the batch axis is last (see ``_orbit_sums``); move it back to the front, in
+    # C order as for a lone tensor, so later products and sums see the same layout
+    summed = (signs @ terms.reshape(len(signs), -1)).reshape(terms.shape[1:])
+    return np.ascontiguousarray(summed.T).reshape(data.shape)
 
 
 def _label_axes(k: int) -> tuple[list[int], list[int]]:
@@ -131,8 +146,12 @@ def young_apply(t: Tensor, k: int) -> Tensor:
         raise ValueError("k must be >= 0")
     if t.valence != k + 4:
         raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
-    row1, row2 = _label_axes(k)
-    return Tensor(t.space, tableau_sum(t.data, row1, row2))
+    return Tensor(t.space, _young(t.data, k))
+
+
+def _young(t: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
+    """``young_apply`` of shape (k + 2, 2) on each tensor of t after ``lead`` axes."""
+    return tableau_sum(t, *_label_axes(k), lead=lead)
 
 
 def tableau_apply(t: Tensor, row1_slots, row2_slots) -> Tensor:
@@ -210,11 +229,26 @@ def _ck_defects(d: np.ndarray, k: int, b: int) -> dict[str, np.ndarray]:
     One gather of the permuted copies of every slice, one signed matrix
     product and one batched norm; a NaN or inf stays in its own slice.
     """
-    names, table, signs = _defect_plan(d.shape[-1], k)
-    # per slice: the same gather, matrix product and norm as a lone tensor
-    defects = signs @ np.take(d.reshape(-1, table.shape[1]), table, axis=1)
-    norms = np.sqrt(np.einsum("bdi,bdi->db", defects, defects))
+    names = _defect_plan(d.shape[-1], k)[0]
+    norms = _ck_defect_norms(d, k)
     return {name: norms[i].reshape(d.shape[:b]) for i, name in enumerate(names)}
+
+
+def _ck_defect_norms(d: np.ndarray, k: int) -> np.ndarray:
+    """The norms of ``_ck_defects`` as one array: defect first, then every slice of d, raveled.
+
+    The slices go in blocks whose permuted copies take about ``_CHUNK_BYTES``.
+    """
+    table, signs = _defect_plan(d.shape[-1], k)[1:]
+    flat = d.reshape(-1, table.shape[1])
+
+    def slice_norms(block: np.ndarray) -> np.ndarray:
+        # per slice: the same gather, matrix product and norm as a lone tensor
+        defects = signs @ np.take(block, table, axis=1)
+        return np.sqrt(np.einsum("bdi,bdi->db", defects, defects)).T
+
+    norms = _in_blocks(slice_norms, (flat,), 1, 8 * table.size)
+    return (slice_norms(flat) if norms is None else norms).T
 
 
 def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
@@ -287,9 +321,23 @@ def basis_Ck(space: Space, k: int) -> list[Tensor]:
     return [Tensor(space, b) for b in _ck_stack(space.dim, k).unpacked()]
 
 
+def _ck_draws(n: int, k: int, seeds) -> np.ndarray:
+    """Random elements of C_k: normal coefficients against the cached basis.
+
+    One seed gives one tensor; a tuple of seeds stacks theirs on a leading
+    axis (see ``spaces._normal_draws`` and ``PackedRows.combine_each``).
+    """
+    basis = _ck_stack(n, k)
+    return basis.combine_each(_normal_draws(seeds, len(basis))[0])
+
+
+@memoized
+def _ck_chunk(space: Space, k: int, seeds: tuple[int, ...]) -> np.ndarray:
+    """``_ck_draws`` of one chunk of seeds, shared in a run scope."""
+    return _ck_draws(space.dim, k, seeds)
+
+
 @memoized
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
-    basis = _ck_stack(space.dim, k)
-    coeff = np.random.default_rng(seed).standard_normal(len(basis))
-    return Tensor(space, basis.combine(coeff))
+    return Tensor(space, _ck_draws(space.dim, k, seed))

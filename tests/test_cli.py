@@ -471,6 +471,24 @@ class TestDocumentHeader:
         edit(doc)
         self.fails_with_one_error_line(command, doc, tmp_path, capsys, "must be an integer")
 
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("fit", lambda d: d["R"].update(data=[str(x) for x in d["R"]["data"]])),
+            ("fit", lambda d: d["dR"]["data"].__setitem__(3, True)),
+            ("extend", lambda d: d["R"]["data"].__setitem__(0, "0.12")),
+            ("extend", lambda d: d["dR"]["data"].__setitem__(1, False)),
+            ("metric", lambda d: d["entries"][1].__setitem__(3, "0.3")),
+            ("metric", lambda d: d["entries"][2].__setitem__(3, True)),
+        ],
+        ids=["fit-str", "fit-bool", "extend-str", "extend-bool", "metric-str", "metric-bool"],
+    )
+    def test_each_number_field_rejects_a_non_number(self, command, edit, tmp_path, capsys):
+        # float() would read "0.3" as 0.3 and true as 1.0
+        doc = self.document(command)
+        edit(doc)
+        self.fails_with_one_error_line(command, doc, tmp_path, capsys, "must be a number")
+
     @pytest.mark.parametrize("command", ["gen", "metric"])
     def test_written_document_reads_back_unchanged(self, command, tmp_path, capsys):
         # gen -> fit's reader, metric -> metric --in's reader, each writing the same text

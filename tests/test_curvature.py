@@ -250,13 +250,13 @@ class TestStarIdentities:
     def test_each_star_once_and_the_jacobi_samples_batched(self, sp, monkeypatch):
         import curvjet.curvature as curvature
 
-        calls, star = [], curvature.star_action
+        calls, star = [], curvature._star
 
-        def counted(R, A):
+        def counted(R, A, eps):
             calls.append(1)
-            return star(R, A)
+            return star(R, A, eps)
 
-        monkeypatch.setattr(curvature, "star_action", counted)
+        monkeypatch.setattr(curvature, "_star", counted)
         for seed in range(3):
             R, Rp = random_ck(sp, 0, 100 + seed), random_ck(sp, 0, 200 + seed)
             calls.clear()

@@ -3,9 +3,8 @@
 import numpy as np
 import pytest
 
-from curvjet.curvature import pair_derivation
+from curvjet.curvature import _rotate
 from curvjet.identities import identity_names, verify_identity
-from curvjet.jets import random_two_jet
 from curvjet.spaces import Space, run_scope
 
 E3 = Space(3)
@@ -65,24 +64,24 @@ def test_raw_display_fails_off_projection():
 
 def test_expansions_read_the_drawn_rotation(monkeypatch):
     # both expansions take the rotation pair_derivation(R, R) of the memoized
-    # drawn jet, which the draw computed
+    # drawn jets, which the draw computed
     import curvjet.identities as identities
     import curvjet.jets as jets
 
     calls = []
 
-    def counted(R, T):
+    def counted(R, T, eps):
         if T is R:
             calls.append(1)
-        return pair_derivation(R, T)
+        return _rotate(R, T, eps)
 
-    monkeypatch.setattr(jets, "pair_derivation", counted)
-    monkeypatch.setattr(identities, "pair_derivation", counted)
+    monkeypatch.setattr(jets, "_rotate", counted)
+    monkeypatch.setattr(identities, "_rotate", counted)
     with run_scope():
-        random_two_jet(E4, 4)
+        jets._two_jet_chunk(E4, (4, 5))
         drawn = len(calls)
         for name in ("hessian_trace_expansion", "assoc_hessian_expansion"):
-            verify_identity(name, E4, 4)
+            identities._verify_seeds(name, E4, (4, 5))
     assert drawn == 1 and len(calls) == drawn
 
 
@@ -93,10 +92,10 @@ def test_ricci_rotation_check_computes_only_the_ricci_rotation(monkeypatch):
 
     calls = []
 
-    def counted(R, T):
+    def counted(R, T, eps):
         calls.append(1)
-        return pair_derivation(R, T)
+        return _rotate(R, T, eps)
 
-    monkeypatch.setattr(identities, "pair_derivation", counted)
+    monkeypatch.setattr(identities, "_rotate", counted)
     verify_identity("ricci_rotation_vanishes", E4, 3)
     assert len(calls) == 1

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from curvjet.curvature import (
     _kn_metric,
+    _rotate,
     decompose,
     is_member_Nk,
     jacobi_form,
@@ -249,11 +250,11 @@ class TestRandomTwoJet:
 
         calls = []
 
-        def counted(R, T):
+        def counted(R, T, eps):
             calls.append(1)
-            return pair_derivation(R, T)
+            return _rotate(R, T, eps)
 
-        monkeypatch.setattr(jets, "pair_derivation", counted)
+        monkeypatch.setattr(jets, "_rotate", counted)
         validate_two_jet(random_two_jet(E3, 5))
         assert len(calls) == 1
 
@@ -264,11 +265,11 @@ class TestRandomTwoJet:
 
         calls = []
 
-        def counted(R, T):
+        def counted(R, T, eps):
             calls.append(1)
-            return pair_derivation(R, T)
+            return _rotate(R, T, eps)
 
-        monkeypatch.setattr(jets, "pair_derivation", counted)
+        monkeypatch.setattr(jets, "_rotate", counted)
         sj = random_section_jet(E4, 3, random_ck(E4, 0, 10))
         validate_section_jet(sj)
         weitzenbock_check(sj)
@@ -401,9 +402,9 @@ class TestJetCache:
 
         calls, gaps = [], jets._one_jet_gaps
 
-        def counted(R, dR):
+        def counted(R, dR, eps):
             calls.append(1)
-            return gaps(R, dR)
+            return gaps(R, dR, eps)
 
         monkeypatch.setattr(jets, "_one_jet_gaps", counted)
         einstein_check(einstein_extend(*random_einstein_one_jet(E4, 1)))
@@ -416,12 +417,12 @@ class TestJetCache:
 
         calls = []
 
-        def counted(R, T):
+        def counted(R, T, eps):
             calls.append(1)
-            return pair_derivation(R, T)
+            return _rotate(R, T, eps)
 
         R, dR = random_einstein_one_jet(E4, 2)
-        monkeypatch.setattr(jets, "pair_derivation", counted)
+        monkeypatch.setattr(jets, "_rotate", counted)
         validate_two_jet(einstein_extend(R, dR))
         assert len(calls) == 1
 

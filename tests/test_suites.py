@@ -6,13 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from curvjet import identities, spaces, suites
-from curvjet.jets import validate_two_jet
+from curvjet.jets import einstein_extend, random_einstein_one_jet
 from curvjet.spaces import Space, run_scope
 from curvjet.suites import (
-    _einstein_jet,
+    _einstein_jets,
     _worst,
     _worst_over,
     make_config,
@@ -42,19 +43,49 @@ class TestWorst:
         assert math.isnan(_worst(*values))
 
 
+def by_seed(values: dict[int, float]):
+    """A residuals(seeds) form that reads one value per seed of each chunk."""
+    return lambda seeds: {"r": np.array([values[s] for s in seeds]), "s": np.zeros(len(seeds))}
+
+
+@pytest.fixture(params=[1, 2, 4], ids=["chunk1", "chunk2", "chunk4"])
+def chunk(request, monkeypatch):
+    """Chunks of 1, 2 or 4 seeds: merging across chunks and reducing within one agree."""
+    monkeypatch.setattr(suites, "_chunk", lambda sp: request.param)
+    return request.param
+
+
 class TestWorstSeed:
     def test_keeps_the_loop_seed_of_the_first_largest_value(self):
         cfg = make_config(dim=3, seed=10, seeds=4)
-        values = {10: 1.0, 11: 3.0, 12: 3.0, 13: 2.0}
-        worst = _worst_over(cfg, lambda seed: {"r": values[seed], "s": 0.0})
+        worst = _worst_over(cfg, E3, by_seed({10: 1.0, 11: 3.0, 12: 3.0, 13: 2.0}))
         assert (worst["r"].value, worst["r"].seed, worst["r"].samples) == (3.0, 11, 4)
-        assert (worst["s"].value, worst["s"].seed) == (0.0, 10)
+        assert (worst["s"].value, worst["s"].seed, worst["s"].samples) == (0.0, 10, 4)
 
     def test_the_first_nan_seed_wins(self):
         cfg = make_config(dim=3, seed=0, seeds=4)
-        values = [1.0, math.nan, 5.0, math.nan]
-        worst = _worst_over(cfg, lambda seed: {"r": values[seed]})["r"]
-        assert math.isnan(worst.value) and worst.seed == 1
+        worst = _worst_over(cfg, E3, by_seed({0: 1.0, 1: math.nan, 2: 5.0, 3: math.nan}))["r"]
+        assert math.isnan(worst.value) and worst.seed == 1 and worst.samples == 4
+
+    # the same checks with the seeds split into chunks of 1, 2 or 4
+    def test_keeps_the_loop_seed_of_the_first_largest_value_in_chunks(self, chunk):
+        self.test_keeps_the_loop_seed_of_the_first_largest_value()
+
+    def test_the_first_nan_seed_wins_in_chunks(self, chunk):
+        self.test_the_first_nan_seed_wins()
+
+    def test_chunks_cover_the_seeds_in_order(self, chunk):
+        cfg = make_config(dim=3, seed=5, seeds=7)
+        chunks = suites._chunks(cfg, E3)
+        assert [s for c in chunks for s in c] == list(cfg.seed_range())
+        assert all(len(c) == chunk for c in chunks[:-1]) and 0 < len(chunks[-1]) <= chunk
+
+    def test_chunk_keeps_one_valence_6_stack_within_the_chunk_bytes(self):
+        from curvjet.subspace import _CHUNK_BYTES
+
+        assert [suites._chunk(Space(n)) for n in (3, 4, 5)] == [89, 16, 4]
+        for n in (3, 4, 5):
+            assert suites._chunk(Space(n)) * 8 * n**6 <= _CHUNK_BYTES
 
     def test_offset_seeds_report_the_loop_seed(self, three_seeds):
         cfg, records = three_seeds
@@ -69,13 +100,16 @@ class TestNaNFails:
         cfg = make_config(dim=3, seeds=3)
         real = identities._REGISTRY["ricci_rotation_vanishes"]
 
-        def flaky(space, seed):
-            return {"residual": math.nan} if seed == cfg.base_seed + 1 else real(space, seed)
+        def flaky(space, seeds):
+            res = real(space, seeds)
+            bad = np.array([s == cfg.base_seed + 1 for s in seeds])
+            return {key: np.where(bad, math.nan, v) for key, v in res.items()}
 
         monkeypatch.setitem(identities._REGISTRY, "ricci_rotation_vanishes", flaky)
         records = {r.name: r for r in run_suites(["identities"], cfg)}
         bad = records["identities/n3/ricci_rotation_vanishes/residual"]
         assert math.isnan(bad.residual) and not bad.passed
+        assert bad.worst_seed == cfg.base_seed + 1 and bad.samples == 3
         assert records["identities/n3/embed_trace_22/residual"].passed
 
     def test_eigenvalue_nan_on_a_middle_seed_fails(self, monkeypatch):
@@ -83,13 +117,26 @@ class TestNaNFails:
         real = suites._rel
         calls = []
 
-        def flaky(a, b):
-            calls.append(None)
-            return math.nan if len(calls) == 2 else real(a, b)
+        def flaky(a, b, lead=0):
+            # NaN on the middle seed of the first eigenvalue check (k = 0) only
+            calls.append(len(a))
+            out = real(a, b, lead)
+            if a.ndim == lead + 4:
+                seeds = list(suites._chunks(cfg, E3)[len(calls) - 1])
+                out = np.where(np.array(seeds) == cfg.base_seed + 1, math.nan, out)
+            return out
 
         monkeypatch.setattr(suites, "_rel", flaky)
         records = run_suites(["eigenvalue"], cfg)
         assert [r.passed for r in records] == [False, True, True]
+        assert records[0].worst_seed == cfg.base_seed + 1 and records[0].samples == 3
+
+    # the same checks with the seeds split into chunks of 1, 2 or 4
+    def test_identity_nan_on_a_middle_seed_fails_in_chunks(self, monkeypatch, chunk):
+        self.test_identity_nan_on_a_middle_seed_fails(monkeypatch)
+
+    def test_eigenvalue_nan_on_a_middle_seed_fails_in_chunks(self, monkeypatch, chunk):
+        self.test_eigenvalue_nan_on_a_middle_seed_fails(monkeypatch)
 
 
 class TestRunSuites:
@@ -107,21 +154,37 @@ class TestRunSuites:
 
     def test_einstein_jet_is_shared_in_a_scope(self):
         with run_scope():
-            assert _einstein_jet(E3, 2) is _einstein_jet(E3, 2)
-        assert _einstein_jet(E3, 2) is not _einstein_jet(E3, 2)
+            assert _einstein_jets(E3, (2, 3)) is _einstein_jets(E3, (2, 3))
+        assert _einstein_jets(E3, (2, 3)) is not _einstein_jets(E3, (2, 3))
 
     def test_einstein_one_jet_is_kept_only_in_its_extension(self):
-        # the memoized extended jet holds its own copies of R and dR
+        # the memoized stack of extended jets holds the one-jets' R and dR
         with run_scope():
-            _einstein_jet(E3, 2)
+            _einstein_jets(E3, (2, 3))
             kept = {key[0].__name__ for key in spaces._MEMO}
-        assert "_einstein_jet" in kept and "random_einstein_one_jet" not in kept
+        assert kept == {"_einstein_jets"}
 
     def test_einstein_jet_is_memoized_without_its_rotation(self):
         with run_scope():
-            j = _einstein_jet(E3, 2)
-            assert "rotation" not in vars(j) and "einstein_gaps" in vars(j)
-        assert j.residuals == validate_two_jet(_einstein_jet(E3, 2))[1]
+            stack = _einstein_jets(E3, (2, 3))
+            assert "rotation" not in vars(stack) and "einstein_gaps" in vars(stack)
+        for i, seed in enumerate((2, 3)):
+            jet = einstein_extend(*random_einstein_one_jet(E3, seed))
+            # bitwise the jet of a lone extension
+            for part in ("R", "dR", "d2R"):
+                assert np.array_equal(getattr(jet, part).data, getattr(stack, part)[i])
+            assert jet.einstein_gaps == tuple(float(g[i]) for g in stack.einstein_gaps)
+
+    @pytest.mark.parametrize("seeds", [3, 25])
+    def test_records_do_not_depend_on_the_chunk_length(self, seeds, monkeypatch):
+        # one seed per chunk, against every seed in one chunk (one seed makes one
+        # chunk either way); the chunking does not depend on the dimension, so
+        # 25 seeds run at n=3 only
+        cfg = make_config(dim=3 if seeds == 25 else None, seeds=seeds)
+        monkeypatch.setattr(suites, "_chunk", lambda sp: 1)
+        one = run_suites(["all"], cfg)
+        monkeypatch.setattr(suites, "_chunk", lambda sp: seeds)
+        assert run_suites(["all"], cfg) == one
 
     @pytest.mark.parametrize("name", [n for n in suite_names() if n != "all"])
     def test_single_suite_matches_all(self, name, three_seeds):
