@@ -197,7 +197,7 @@ def cmd_fit(args) -> int:
         return 1
     pairs = {"c": fit.c, "residual": fit.residual}
     if einstein_check(jet)[0] and fit.clean:
-        pairs["eigenvalue_residual"] = _eigenvalue_gap(jet, fit.c)
+        pairs["eigenvalue_residual"] = _eigenvalue_gap(jet)
     _print_pairs(pairs, args.format == "json")
     return 0
 

@@ -473,7 +473,7 @@ def nk_basis(space: Space, m: int) -> list[SymBiform]:
 
 def random_nk(space: Space, m: int, seed: int) -> SymBiform:
     basis = _nk_stack(space.dim, m)
-    coeff = np.random.default_rng(seed).standard_normal(len(basis))
+    (coeff,) = _normal_draws(seed, len(basis))
     return SymBiform(space, m, Tensor(space, basis.combine(coeff)))
 
 

@@ -246,7 +246,6 @@ def _verify_seeds(name: str, space: Space, seeds: tuple[int, ...]) -> Residuals:
     return check(space, seeds)
 
 
-@memoized
 def verify_identity(name: str, space: Space, seed: int = 0) -> dict[str, float]:
     """Evaluate a registered identity on seeded input; returns named residuals.
 

@@ -43,6 +43,7 @@ from .spaces import (
     Space,
     SymBiform,
     Tensor,
+    _dot,
     _gather,
     _header_tensors,
     _norm,
@@ -216,11 +217,6 @@ class _JetStack:
     def star_square(self) -> np.ndarray:
         return _read_only(_star(self.R, self.R, self.space.eps))
 
-    def jet(self, i: int) -> TwoJet:
-        """The i-th jet of the stack as a ``TwoJet`` (with its own copies)."""
-        parts = (getattr(self, name)[i] for name in TwoJet.__match_args__)
-        return TwoJet(*(Tensor(self.space, t) for t in parts))
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
@@ -243,6 +239,9 @@ def _seed(j: _Jet, **values) -> _Jet:
     return j
 
 
+_CLEAN_FIT = 1e-9  # the fit residual below which the eigenvalue corollary applies
+
+
 @dataclass(frozen=True)
 class JacobiFit:
     """Best constant in a first-order linear Jacobi relation.
@@ -257,7 +256,7 @@ class JacobiFit:
     @property
     def clean(self) -> bool:
         """Whether the relation fits closely enough for the eigenvalue corollary."""
-        return self.residual < 1e-9
+        return self.residual < _CLEAN_FIT
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +478,6 @@ def _two_jet_chunk(space: Space, seeds: tuple[int, ...]) -> _JetStack:
     return _seed(_JetStack(space, R, dR, d2R), rotation=rotation)
 
 
-@memoized
 def random_two_jet(space: Space, seed: int) -> TwoJet:
     """Draw a random valid two-jet.
 
@@ -487,8 +485,7 @@ def random_two_jet(space: Space, seed: int) -> TwoJet:
     derivative solving the differentiated Bianchi identity on top of half
     the curvature rotation, and a random C_2 contribution.  The jet keeps
     that rotation and the residuals of the draw's validation as cached
-    values.  In a run scope (``spaces.run_scope``) a jet is drawn once per
-    (space, seed).
+    values.
     """
     R, dR, d2R, rotation, residuals = _draw_two_jets(space, seed)
     j = TwoJet(Tensor(space, R), Tensor(space, dR), Tensor(space, d2R))
@@ -521,9 +518,8 @@ def random_section_jet(space: Space, seed: int, background: Tensor) -> SectionTw
 
     The Ricci identity is the only coupling, so the symmetric part of the
     second derivative is free.  The jet keeps its rotation and residuals, as
-    in ``random_two_jet``, but is not memoized (a tensor is unhashable).
+    in ``random_two_jet``.
     """
-    _check_dim(space)
     if background.valence != 4 or background.space != space:
         raise ValueError("background must be a valence-4 tensor on the same space")
     parts, rotation, residuals = _draw_section_jets(space, seed, background.data)
@@ -925,27 +921,42 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
     degree-4 SymBiforms, taken in packed coordinates; R^(0) is
     ``sym_jacobi(j, 0)``, the Jacobi form of R.
     """
-    if j.R.norm() == 0.0:
-        raise ValueError("fit undefined: vanishing curvature part")
-    R2, G = _jacobi_pair(j.d2R.data, j.R.data, j.space.eps)
-
-    norm_R2 = float(np.linalg.norm(R2))
-    if norm_R2 == 0.0:
-        return JacobiFit(0.0, 0.0)
-    norm2_G = float(G @ G)
-    if norm2_G == 0.0:
-        raise ValueError("fit undefined: vanishing Jacobi form")
-    c = float(R2 @ G) / norm2_G
-    residual = float(np.linalg.norm(R2 - c * G)) / norm_R2
-    return JacobiFit(c, residual)
+    c, residual, _ = _jacobi_fit(j.d2R.data, j.R.data, j.space.eps)
+    return JacobiFit(float(c), float(residual))
 
 
-def _eigenvalue_gap(j: TwoJet, c: float) -> float:
-    """Relative gap of the eigenvalue corollary rough_lap = -(n + 4) c / 2 * R."""
-    n = j.space.dim
-    lap = _rough_lap(j.d2R.data, j.space.eps)
-    gap = np.linalg.norm(lap + ((n + 4.0) * c / 2.0) * j.R.data)
-    return float(gap / max(j.R.norm(), 1.0))
+def _eigenvalue_gap(j: TwoJet) -> float:
+    """The eigenvalue gap of ``_jacobi_fit`` of j: NaN unless its fit is clean."""
+    return float(_jacobi_fit(j.d2R.data, j.R.data, j.space.eps)[2])
+
+
+def _jacobi_fit(d2: np.ndarray, R: np.ndarray, eps: np.ndarray):
+    """The fit (c, residual) of ``fit_jacobi_relation`` and the eigenvalue gap of each jet of a batch.
+
+    The gap |rough_lap + (n + 4) c / 2 * R| / max(|R|, 1) is taken where the
+    fit is clean (``_CLEAN_FIT``), and is NaN elsewhere.  Raises as
+    ``fit_jacobi_relation`` does if any jet has no fit.
+    """
+    lead = R.ndim - 4
+    pair = _jacobi_pair(d2, R, eps)
+    R2, G = pair[..., 0, :], pair[..., 1, :]
+    norm_R, norm_R2, norm2_G = _norm(R, lead), _norm(R2, lead), _dot(G, G)
+    fits = norm_R2 != 0.0  # a zero R^(2) fits exactly with c = 0
+    if (norm2_G == 0.0).any():  # G vanishes where R does
+        if (norm_R == 0.0).any():
+            raise ValueError("fit undefined: vanishing curvature part")
+        if (fits & (norm2_G == 0.0)).any():
+            raise ValueError("fit undefined: vanishing Jacobi form")
+    c = np.divide(_dot(R2, G), norm2_G, out=np.zeros(norm_R.shape), where=fits)
+    misfit = _norm(R2 - c[..., None] * G, lead)
+    residual = np.divide(misfit, norm_R2, out=np.zeros(norm_R.shape), where=fits)
+    gaps = np.full(norm_R.shape, np.nan)
+    clean = residual < _CLEAN_FIT
+    if clean.any():  # the clean jets, stacked on one axis
+        scaled = ((len(eps) + 4.0) * c[clean] / 2.0)[:, None, None, None, None] * R[clean]
+        lap = _rough_lap(d2[clean], eps)
+        gaps[clean] = _norm(lap + scaled, 1) / np.maximum(norm_R[clean], 1.0)
+    return c, residual, gaps
 
 
 # ---------------------------------------------------------------------------

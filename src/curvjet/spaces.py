@@ -15,7 +15,7 @@ import functools
 import math
 import numbers
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -346,15 +346,24 @@ def _in_blocks(kernel, arrays, lead: int, item_bytes: int):
 def _norm(x: np.ndarray, lead: int = 0) -> np.ndarray:
     """Frobenius norm of each tensor of x after its ``lead`` batch axes, shape ``x.shape[:lead]``.
 
-    Each is one dot product of the C-order entries, contiguous, (1, d) @ (d, 1):
+    Each is one dot product of the C-order entries, contiguous (``_dot``):
     the sum that ``np.linalg.norm`` of the raveled tensor takes, to the bit,
     for any batch (a pairwise ``sum``, an ``einsum`` or a strided dot would
     not be).
     """
-    flat = np.ascontiguousarray(x).reshape(x.shape[:lead] + (-1,))
-    if lead == 0:  # the same dot product, without the stacked product's overhead
-        return np.sqrt(flat.dot(flat))
-    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
+    # a batch spells out its trailing size: -1 cannot be inferred on an empty one
+    size = math.prod(x.shape[lead:]) if lead else -1
+    flat = np.ascontiguousarray(x).reshape(x.shape[:lead] + (size,))
+    return np.sqrt(_dot(flat, flat))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each pair of vectors on the last axes of a and b.
+
+    A lone pair takes ``dot`` (a 1-D ``@`` costs more); a batch takes one
+    (1, d) @ (d, 1) product per pair, which sums in the same order.
+    """
+    return a.dot(b) if a.ndim == 1 else (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _rel(a: np.ndarray, b: np.ndarray, lead: int = 0):
@@ -371,7 +380,7 @@ def _rel(a: np.ndarray, b: np.ndarray, lead: int = 0):
 # run-scoped memo of seeded inputs
 #
 # While a run scope is open, a memoized function computes each result once
-# per hashable argument tuple and hands the same object to every later
+# per positional argument tuple and hands the same object to every later
 # caller; the scope is the memo's lifetime, so nothing outlives a run.
 
 _MEMO: dict | None = None
@@ -395,9 +404,6 @@ def _freeze(value):
     # a shared result must not change under another caller
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif is_dataclass(value):
-        for f in fields(value):
-            _freeze(getattr(value, f.name))
     elif isinstance(value, (tuple, dict)):
         for v in value.values() if isinstance(value, dict) else value:
             _freeze(v)
@@ -419,21 +425,20 @@ def _hand_out(value):
 def memoized(fn):
     """Memoize ``fn`` inside a run scope; outside one, call straight through.
 
-    Calls with an unhashable argument are never memoized.  Arrays in a
-    memoized result are read-only and dicts are handed out as copies.
+    The memo is keyed on the positional arguments, which must be hashable:
+    only chunk functions are memoized, on a space, a tuple of seeds and an
+    order or a name.  Arrays in a memoized result are read-only and dicts
+    are handed out as copies.
     """
 
     @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def wrapper(*args):
         if _MEMO is None:
-            return fn(*args, **kwargs)
-        key = (fn, args, tuple(sorted(kwargs.items())))
-        try:
-            hit = _MEMO.get(key)
-        except TypeError:
-            return fn(*args, **kwargs)
+            return fn(*args)
+        key = (fn, args)
+        hit = _MEMO.get(key)
         if hit is None:
-            hit = _MEMO[key] = _freeze(fn(*args, **kwargs))
+            hit = _MEMO[key] = _freeze(fn(*args))
         return _hand_out(hit)
 
     return wrapper
@@ -457,8 +462,8 @@ def _normal_draws(seeds, *shapes) -> list[np.ndarray]:
 
 def random_tensor(space: Space, valence: int, seed: int) -> Tensor:
     """Deterministic i.i.d. standard-normal entries for the given seed."""
-    rng = np.random.default_rng(seed)
-    return Tensor(space, rng.standard_normal((space.dim,) * valence))
+    (data,) = _normal_draws(seed, (space.dim,) * valence)
+    return Tensor(space, data)
 
 
 def space_to_dict(space: Space) -> dict:

@@ -17,9 +17,12 @@ carries that axis along; ``_worst_over`` takes ``residuals(seeds)``, one
 value per seed of a chunk for each key, and merges the chunks in seed
 order.  A chunk holds as many seeds as keep one stacked valence-6 array
 within ``subspace._CHUNK_BYTES`` (``_chunk``: 89 at n=3, 16 at n=4, 4 at
-n=5), so the run-scope memo holds chunk stacks, never a stack of the whole
-run.  Each kernel gives every seed the bits of a call on that seed alone,
-so the records do not depend on the chunk length.
+n=5).  Seeded inputs live only in chunk stacks: no suite walks the seeds
+one at a time or builds a per-seed jet (``fit`` fits each stack of
+Einstein jets at once), and the run-scope memo holds only what the chunk
+functions return, never a per-seed input or a stack of the whole run.
+Each kernel gives every seed the bits of a call on that seed alone, so the
+records do not depend on the chunk length.
 ``run_suites`` runs each selected suite on every configured space.  A task
 is one suite on one space; the tasks run largest space first, each space's
 suites in registry order, and each space in its own run scope
@@ -46,7 +49,7 @@ import pickle
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,12 +57,10 @@ from . import spaces as _spaces
 from .curvature import _kn_metric, _nk_stack, _rotate, _star_residuals, kulkarni
 from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
+    _CLEAN_FIT,
     RANDOM_JET_DIMS,
-    JacobiFit,
-    TwoJet,
     _div_der,
     _draw_section_jets,
-    _eigenvalue_gap,
     _einstein_one_jets,
     _einstein_report,
     _einstein_verdict,
@@ -68,6 +69,7 @@ from .jets import (
     _hess_kernel_stack,
     _hess_ric,
     _hessian_tableau,
+    _jacobi_fit,
     _JetStack,
     _rough_lap,
     _seed,
@@ -76,7 +78,6 @@ from .jets import (
     _two_jet_residuals,
     _weitzenbock,
     _weitzenbock_special,
-    fit_jacobi_relation,
 )
 from .polymetric import _jet_fields, _random_fields, _seed_fields
 from .report import CheckRecord
@@ -104,13 +105,8 @@ _REPORT_ONLY = {"raw_display"}
 Seeds = tuple[int, ...]
 
 
-def _worst(*values: float) -> float:
-    """The largest value, or NaN if any value is NaN (``max`` would drop it)."""
-    return math.nan if any(math.isnan(v) for v in values) else max(values)
-
-
 def _worst_rows(*values: np.ndarray) -> np.ndarray:
-    """``_worst`` of the values of each seed: the largest, or NaN if any is NaN."""
+    """The worst of the values of each seed: the largest, or NaN if any is NaN."""
     return np.max(np.stack(values), axis=0)
 
 
@@ -127,12 +123,12 @@ def _einstein_jets(sp: Space, seeds: Seeds) -> _JetStack:
     return _seed(_JetStack(sp, R, dR, d2), einstein_gaps=gaps)
 
 
-def _verdicts_agree(verdict: bool, rep: dict[str, float]) -> bool:
-    """Whether the definitional, tableau-trace and form-trace verdicts agree."""
-    one_jet = rep["ricci_proportional"] <= 1e-8 and rep["ricci_derivative"] <= 1e-8
-    tableau = one_jet and rep["tableau_trace_defect"] <= 1e-8
-    form = one_jet and rep["form_trace_defect"] <= 1e-8
-    return verdict == tableau == form
+def _verdicts_agree(verdict: np.ndarray, rep: Residuals) -> np.ndarray:
+    """Whether the definitional, tableau-trace and form-trace verdicts agree, jet by jet."""
+    one_jet = (rep["ricci_proportional"] <= 1e-8) & (rep["ricci_derivative"] <= 1e-8)
+    tableau = one_jet & (rep["tableau_trace_defect"] <= 1e-8)
+    form = one_jet & (rep["form_trace_defect"] <= 1e-8)
+    return (verdict == tableau) & (tableau == form)
 
 
 @dataclass(frozen=True)
@@ -230,7 +226,7 @@ def _worst_over(
     return worst
 
 
-def _seeded_worst(values, seeds: Seeds) -> Worst:
+def _seeded_worst(values, seeds: Sequence[int | None]) -> Worst:
     """Worst of one value per seed: the first NaN, else the first largest (at least 0.0).
 
     No values give 0.0 with no seed and no samples.
@@ -257,8 +253,7 @@ def _records(cfg: RunConfig, prefix: str, worst: dict[str, Worst]) -> list[Check
 
 def _draws_worst(values) -> Worst:
     """Worst of values that come from no loop seed (fixed families, kernel draws)."""
-    values = [float(v) for v in values]
-    return Worst(_worst(0.0, *values), None, len(values))
+    return _seeded_worst(values, (None,) * len(values))
 
 
 def _offset(seeds: Seeds, offset: int) -> Seeds:
@@ -283,7 +278,7 @@ def _kernel_draws(cfg: RunConfig, sp: Space) -> np.ndarray:
     """
     kernel = _hess_kernel_stack(sp)
     count = min(cfg.seeds, len(kernel))
-    coeff = np.random.default_rng(cfg.base_seed).standard_normal((count, len(kernel)))
+    (coeff,) = _normal_draws(cfg.base_seed, (count, len(kernel)))
     return kernel.combine_each(coeff)
 
 
@@ -401,11 +396,7 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     eps = sp.eps
-    agreement: list[bool] = []  # one entry per checked jet, not a maximum
-
-    def agrees(report: Residuals, i: int) -> bool:
-        rep = {key: float(v[i]) for key, v in report.items()}
-        return _verdicts_agree(bool(_einstein_verdict(rep)), rep)
+    agreement: list[np.ndarray] = []  # per chunk, one entry per checked jet, not a maximum
 
     def residuals(seeds: Seeds) -> Residuals:
         j = _einstein_jets(sp, seeds)
@@ -416,8 +407,7 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         # the same one-jet with a perturbed d2R: the same gaps and the same R*R
         bad_d2 = j.d2R + _ck_chunk(sp, 2, seeds) * 1e-2
         bad = _einstein_report(bad_d2, SS, j.einstein_gaps, eps)
-        for i in range(len(seeds)):
-            agreement.extend((agrees(rep, i), agrees(bad, i)))
+        agreement.extend(_verdicts_agree(_einstein_verdict(r), r) for r in (rep, bad))
         return {
             "extension_defect": _worst_rows(*rep.values()),
             "trace_display": _rel(tilde_hess, display, 1),
@@ -425,38 +415,28 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
     prefix = f"einstein/n{sp.dim}"
     worst = _worst_over(cfg, sp, residuals)
-    disagreement = agreement.count(False) / len(agreement)
-    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, len(agreement))]
+    checked = sum(a.size for a in agreement)
+    disagreement = sum(np.count_nonzero(~a) for a in agreement) / checked
+    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, checked)]
     return out + _records(cfg, prefix, worst)
 
 
 def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
-    n = sp.dim
-    zero5 = Tensor(sp, np.zeros((n,) * 5))
-    zero6 = Tensor(sp, np.zeros((n,) * 6))
-
-    def corollary(j: TwoJet, fit: JacobiFit) -> list[float]:
-        # the eigenvalue corollary applies only where the Jacobi relation fits
-        return [_eigenvalue_gap(j, fit.c)] if fit.clean else []
-
-    family, family_corollary = [], []
-    for lam in (1.0, -2.0, 0.5):
-        j = TwoJet(Tensor(sp, lam * _kn_metric(sp)), zero5, zero6)
-        fit = fit_jacobi_relation(j)
-        family += [abs(fit.c), fit.residual]
-        family_corollary += corollary(j, fit)
-    seeded, fitted = [], []
+    n, eps = sp.dim, sp.eps
+    # the symmetric family lam * g owedge g, with vanishing derivatives
+    R = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * _kn_metric(sp)
+    c, residual, gaps = _jacobi_fit(np.zeros(R.shape[:1] + (n,) * 6), R, eps)
+    family = _draws_worst(np.stack([np.abs(c), residual], axis=1).ravel())
+    # the eigenvalue corollary applies only where the Jacobi relation fits
+    corollary = _draws_worst(gaps[residual < _CLEAN_FIT])
     for seeds in _chunks(cfg, sp):
-        stack = _einstein_jets(sp, seeds)
-        for i, seed in enumerate(seeds):
-            j = stack.jet(i)
-            gaps = corollary(j, fit_jacobi_relation(j))
-            seeded += gaps
-            fitted += [seed] * len(gaps)
-    worst_corollary = _merge(_draws_worst(family_corollary), _seeded_worst(seeded, fitted))
+        j = _einstein_jets(sp, seeds)
+        _, residual, gaps = _jacobi_fit(j.d2R, j.R, eps)
+        clean = residual < _CLEAN_FIT
+        corollary = _merge(corollary, _seeded_worst(gaps[clean], np.array(seeds)[clean].tolist()))
     return [
-        _draws_worst(family).record(f"fit/n{n}/symmetric_family", cfg.tol),
-        worst_corollary.record(f"fit/n{n}/corollary", 10.0 * cfg.tol),
+        family.record(f"fit/n{n}/symmetric_family", cfg.tol),
+        corollary.record(f"fit/n{n}/corollary", 10.0 * cfg.tol),
     ]
 
 

@@ -337,7 +337,6 @@ def _ck_chunk(space: Space, k: int, seeds: tuple[int, ...]) -> np.ndarray:
     return _ck_draws(space.dim, k, seeds)
 
 
-@memoized
 def random_ck(space: Space, k: int, seed: int) -> Tensor:
     """Random element of C_k: normal coefficients against the cached basis."""
     return Tensor(space, _ck_draws(space.dim, k, seed))

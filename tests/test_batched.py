@@ -27,11 +27,13 @@ from curvjet.jets import (
     TwoJet,
     _draw_section_jets,
     _draw_two_jets,
+    _eigenvalue_gap,
     _einstein_one_jets,
     _einstein_report,
     _einstein_verdict,
     _extend,
     _hat_embed,
+    _jacobi_fit,
     _section_residuals,
     _tilde,
     _two_jet_chunk,
@@ -40,6 +42,7 @@ from curvjet.jets import (
     _weitzenbock_special,
     einstein_check,
     einstein_extend,
+    fit_jacobi_relation,
     hat_embed,
     random_einstein_one_jet,
     random_section_jet,
@@ -59,6 +62,7 @@ from curvjet.polymetric import (
     random_poly_metric,
 )
 from curvjet.spaces import Space, Tensor, _rel, _scalar_trace, _tail
+from curvjet.suites import _einstein_jets, _verdicts_agree
 from curvjet.young import _ck_draws, random_ck
 
 SEEDS = (3, 4, 5, 6, 7)
@@ -74,10 +78,10 @@ def stacked(singles) -> np.ndarray:
     return np.stack([np.asarray(x) for x in singles])
 
 
-def assert_bitwise(batched, singles):
+def assert_bitwise(batched, singles, equal_nan=False):
     singles = stacked(singles)
     assert batched.shape == singles.shape
-    assert np.array_equal(batched, singles)
+    assert np.array_equal(batched, singles, equal_nan=equal_nan)
 
 
 def ck(sp, k, offset=0):
@@ -141,6 +145,59 @@ def test_einstein_one_jet_draws_extension_and_check(sp):
         assert_bitwise(_einstein_verdict(report), [v for v, _ in singles_checked])
         for key, values in report.items():
             assert_bitwise(values, [rep[key] for _, rep in singles_checked])
+
+
+def test_jacobi_fit(sp):
+    # Einstein jets; jets with d2R = 0.7 g (x) R, which fit cleanly with c = 0.7
+    # and a gap of 0.35 |n - 4| |R| / max(|R|, 1); the lam * g owedge g family
+    # (an exact fit, c = 0); and an Einstein jet with a NaN entry in d2R
+    R, dR = _einstein_one_jets(sp, SEEDS)
+    d2R = _extend(sp, R, dR)[0]
+    scaled = 0.7 * np.einsum("ab,...cdef->...abcdef", np.diag(sp.eps), R[:2])
+    family = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * _kn_metric(sp)
+    R = np.concatenate([R, R[:2], family, R[:1]])
+    dR = np.concatenate([dR, np.zeros((6,) + dR.shape[1:])])
+    d2R = np.concatenate([d2R, scaled, np.zeros((3,) + d2R.shape[1:]), d2R[:1]])
+    d2R[-1, 0, 1, 0, 1, 0, 1] = np.nan
+    c, residual, gap = _jacobi_fit(d2R, R, sp.eps)
+    singles = [TwoJet(*(Tensor(sp, t) for t in parts)) for parts in zip(R, dR, d2R)]
+    fits = [fit_jacobi_relation(j) for j in singles]
+    assert_bitwise(c, [f.c for f in fits], equal_nan=True)
+    assert_bitwise(residual, [f.residual for f in fits], equal_nan=True)
+    assert_bitwise(gap, [_eigenvalue_gap(j) for j in singles], equal_nan=True)
+    # the gap is taken only where the fit is clean, as one norm of the full tensor
+    assert np.array_equal(np.isnan(gap), ~(residual < 1e-9))
+    for i in np.flatnonzero(residual < 1e-9):
+        lap = -np.einsum("iiabcd,i->abcd", d2R[i], sp.eps)
+        corollary = lap + ((sp.dim + 4.0) * fits[i].c / 2.0) * R[i]
+        assert gap[i] == np.linalg.norm(corollary) / max(np.linalg.norm(R[i]), 1.0)
+    assert np.all(residual[5:10] < 1e-9) and np.all(c[5:7] != 0.0)
+    assert np.all(c[7:10] == 0.0) and np.all(residual[7:10] == 0.0) and np.all(gap[7:10] == 0.0)
+    assert np.isnan([c[-1], residual[-1], gap[-1]]).all() and np.isfinite(c[:-1]).all()
+
+
+def agree_one(verdict, rep) -> bool:
+    """Whether the verdicts of one jet's report agree, read off its floats."""
+    one_jet = rep["ricci_proportional"] <= 1e-8 and rep["ricci_derivative"] <= 1e-8
+    tableau = one_jet and rep["tableau_trace_defect"] <= 1e-8
+    form = one_jet and rep["form_trace_defect"] <= 1e-8
+    return verdict == tableau == form
+
+
+def test_verdict_agreement_on_report_arrays(sp):
+    # the reports that suite_einstein reads (Einstein jets and perturbed ones),
+    # and one whose Hessian verdict disagrees with both trace verdicts on jets 1 and 3
+    j = _einstein_jets(sp, SEEDS)
+    reports = [
+        _einstein_report(d2, j.star_square, j.einstein_gaps, sp.eps)
+        for d2 in (j.d2R, j.d2R + 1e-2 * ck(sp, 2))
+    ]
+    reports.append({**reports[0], "hessian_ricci": np.array([0.0, 1.0, 0.0, 1.0, 0.0])})
+    for report in reports:
+        singles = [{key: float(v[i]) for key, v in report.items()} for i in range(len(SEEDS))]
+        expect = [agree_one(_einstein_verdict(rep), rep) for rep in singles]
+        assert_bitwise(_verdicts_agree(_einstein_verdict(report), report), expect)
+    assert expect == [True, False, True, False, True]
 
 
 @pytest.mark.parametrize("valence", [1, 2, 4, 5])

@@ -13,8 +13,9 @@ from curvjet import identities, spaces, suites
 from curvjet.jets import einstein_extend, random_einstein_one_jet
 from curvjet.spaces import Space, run_scope
 from curvjet.suites import (
+    Worst,
+    _draws_worst,
     _einstein_jets,
-    _worst,
     _worst_over,
     make_config,
     run_suites,
@@ -35,12 +36,16 @@ def three_seeds():
 
 class TestWorst:
     def test_finite_values_give_the_max(self):
-        assert _worst(0.0, 2.5e-12, 1e-13) == 2.5e-12
-        assert _worst(3.0) == 3.0
+        assert _draws_worst([2.5e-12, 1e-13]) == Worst(2.5e-12, None, 2)
+        assert _draws_worst(np.array([3.0])) == Worst(3.0, None, 1)
+        # the worst is at least 0.0, and no values give 0.0 with no samples
+        assert _draws_worst([-1.0]) == Worst(0.0, None, 1)
+        assert _draws_worst([]) == Worst(0.0, None, 0)
 
     @pytest.mark.parametrize("values", [(0.0, math.nan), (math.nan, 0.0), (1.0, math.nan, 2.0)])
     def test_nan_propagates(self, values):
-        assert math.isnan(_worst(*values))
+        worst = _draws_worst(values)
+        assert math.isnan(worst.value) and worst.seed is None and worst.samples == len(values)
 
 
 def by_seed(values: dict[int, float]):
