@@ -19,11 +19,11 @@ import sys
 from . import __version__
 from .jets import (
     RANDOM_JET_DIMS,
-    _eigenvalue_gap,
+    JacobiFit,
+    _jacobi_fit,
     einstein_check,
     einstein_extend,
     extension_solution_dim,
-    fit_jacobi_relation,
     random_two_jet,
     random_einstein_one_jet,
     two_jet_from_dict,
@@ -191,13 +191,15 @@ def cmd_fit(args) -> int:
         print(f"error: input is not a valid two-jet: {res}", file=sys.stderr)
         return 1
     try:
-        fit = fit_jacobi_relation(jet)
+        # the fit of ``fit_jacobi_relation`` and its eigenvalue gap, from one fit
+        c, residual, gap = _jacobi_fit(jet.d2R.data, jet.R.data, jet.space.eps)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    fit = JacobiFit(float(c), float(residual))
     pairs = {"c": fit.c, "residual": fit.residual}
     if einstein_check(jet)[0] and fit.clean:
-        pairs["eigenvalue_residual"] = _eigenvalue_gap(jet)
+        pairs["eigenvalue_residual"] = float(gap)
     _print_pairs(pairs, args.format == "json")
     return 0
 

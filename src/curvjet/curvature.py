@@ -150,14 +150,14 @@ def decompose(R: Tensor) -> Decomposition:
     Normalized so that R = g KN g has scalar_part = R.
     """
     sp = R.space
-    if sp.dim < 3:
-        raise NotImplementedError("decompose needs dim >= 3")
     return Decomposition(*(Tensor(sp, part) for part in _decompose(R.data, sp)))
 
 
 def _decompose(R: np.ndarray, sp: Space) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Scalar, trace-free Ricci and Weyl parts of each curvature tensor on the last four axes."""
     n = sp.dim
+    if n < 3:
+        raise NotImplementedError("decompose needs dim >= 3")
     g = sp.metric_matrix()
     ric = _ric(R, sp.eps)
     s = _scalar_trace(ric, sp.eps)

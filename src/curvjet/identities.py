@@ -160,36 +160,32 @@ def _projected_kulkarni(space: Space, seeds: tuple[int, ...]) -> Residuals:
 
 @memoized
 def _assoc_displays(space: Space, seeds: tuple[int, ...]):
-    """Shared data for the two associated-second-derivative displays."""
+    """Shared data of the two associated-second-derivative displays, one array per seed each.
+
+    Returns tilde_hess, hess, the Ricci rotation Gn, the pair sum of hess,
+    the pair sums -(R*R) + 2 Gn in the display's slot order, and the raw
+    expansion of tilde_hess.
+    """
     eps = space.eps
     j = _two_jet_chunk(space, seeds)
     tilde_hess, _ = _tilde(j.d2R, eps)
     hess, div_der, lap = _hess_ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
     T1 = _pair_trace(j.rotation, eps)
-    SS = j.star_square
     Gn = _rotate(j.R, _ric(j.R, eps), eps)
 
-    sums = {
-        "lap": _pair_sum(_tail(lap, (0, 2, 1, 3))),
-        "ss": _pair_sum(_tail(SS, (0, 2, 1, 3))),
-        "grn": _pair_sum(_tail(Gn, (0, 2, 1, 3))),
-        "dd": _pair_sum(_tail(div_der, (1, 3, 0, 2))),
-        "hrs": _pair_sum(_tail(hess, (2, 3, 0, 1))),
-        "hrt": _pair_sum(hess),
-        "t1a": _pair_sum(_tail(T1, (0, 2, 1, 3))),
-        "t1b": _pair_sum(_tail(T1, (1, 3, 0, 2))),
-    }
+    grn = _pair_sum(_tail(Gn, (0, 2, 1, 3)))
+    hrt = _pair_sum(hess)
     expansion = (
-        2.0 * sums["lap"]
-        + 18.0 * sums["hrt"]
-        + 2.0 * sums["hrs"]
-        - 4.0 * sums["dd"]
-        - 6.0 * sums["grn"]
-        + 6.0 * sums["t1a"]
-        - 2.0 * sums["t1b"]
+        2.0 * _pair_sum(_tail(lap, (0, 2, 1, 3)))
+        + 18.0 * hrt
+        + 2.0 * _pair_sum(_tail(hess, (2, 3, 0, 1)))
+        - 4.0 * _pair_sum(_tail(div_der, (1, 3, 0, 2)))
+        - 6.0 * grn
+        + 6.0 * _pair_sum(_tail(T1, (0, 2, 1, 3)))
+        - 2.0 * _pair_sum(_tail(T1, (1, 3, 0, 2)))
     )
-    displayed = 2.0 * (-sums["ss"] + 2.0 * sums["grn"] + 10.0 * sums["hrt"])
-    return tilde_hess, hess, Gn, sums, expansion, displayed
+    star_ricci = -_pair_sum(_tail(j.star_square, (0, 2, 1, 3))) + 2.0 * grn
+    return tilde_hess, hess, Gn, hrt, star_ricci, expansion
 
 
 def _project_c0(arr: np.ndarray) -> np.ndarray:
@@ -198,7 +194,8 @@ def _project_c0(arr: np.ndarray) -> np.ndarray:
 
 
 def _assoc_hessian_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
-    tilde_hess, _, _, _, expansion, displayed = _assoc_displays(space, seeds)
+    tilde_hess, _, _, hrt, star_ricci, expansion = _assoc_displays(space, seeds)
+    displayed = 2.0 * (star_ricci + 10.0 * hrt)
     return {
         "raw_expansion": _rel(tilde_hess, expansion, 1),
         "projected_display": _rel(_project_c0(tilde_hess), _project_c0(displayed), 1),
@@ -207,10 +204,10 @@ def _assoc_hessian_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
 
 
 def _assoc_hessian_difference(space: Space, seeds: tuple[int, ...]) -> Residuals:
-    tilde_hess, hess, Gn, sums, expansion, _ = _assoc_displays(space, seeds)
+    tilde_hess, hess, Gn, hrt, star_ricci, expansion = _assoc_displays(space, seeds)
     delta = tilde_hess - 80.0 * hess
-    displayed = -80.0 * Gn + 2.0 * (-sums["ss"] + 2.0 * sums["grn"])
-    corrected = -40.0 * Gn + (expansion - 20.0 * sums["hrt"])
+    displayed = -80.0 * Gn + 2.0 * star_ricci
+    corrected = -40.0 * Gn + (expansion - 20.0 * hrt)
     return {
         "projected_display": _rel(_project_c0(delta), _project_c0(displayed), 1),
         "raw_corrected": _rel(delta, corrected, 1),
@@ -237,7 +234,10 @@ def identity_names() -> tuple[str, ...]:
 
 @memoized
 def _verify_seeds(name: str, space: Space, seeds: tuple[int, ...]) -> Residuals:
-    """The residuals of a registered identity on each seed of a tuple, as arrays."""
+    """The residuals of a registered identity on each seed of a tuple, as arrays.
+
+    In a run scope the memo holds them as a read-only mapping of read-only arrays.
+    """
     try:
         check = _REGISTRY[name]
     except KeyError:

@@ -25,10 +25,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
 from .curvature import (
+    _decompose,
     _jacobi_layout,
     _kn_metric,
     _pair_trace,
@@ -36,8 +38,6 @@ from .curvature import (
     _ricci_rotation_sum,
     _rotate,
     _star,
-    decompose,
-    ricci_derivative,
 )
 from .spaces import (
     Space,
@@ -196,26 +196,19 @@ class SectionTwoJet(_Jet):
         return _floats(_section_residuals(*parts, self.rotation))
 
 
-class _JetStack:
+class _JetStack(NamedTuple):
     """Two-jets of several seeds, each component stacked on a leading seed axis.
 
     The suites' batched counterpart of ``TwoJet``: raw arrays in place of
-    checked tensors, with ``rotation`` and ``star_square`` cached as on a
-    jet.  A builder may seed those, and the one-jet gaps ``einstein_gaps``,
-    with ``_seed``.  A plain class: a frozen dataclass takes about 1.6 ms
-    more of ``import curvjet``.
+    checked tensors, with the rotation R_{e_a, e_b} . R and R*R of each jet,
+    which every reader of a stack needs.
     """
 
-    def __init__(self, space: Space, R: np.ndarray, dR: np.ndarray, d2R: np.ndarray):
-        self.space, self.R, self.dR, self.d2R = space, R, dR, d2R
-
-    @cached_property
-    def rotation(self) -> np.ndarray:
-        return _read_only(_rotate(self.R, self.R, self.space.eps))
-
-    @cached_property
-    def star_square(self) -> np.ndarray:
-        return _read_only(_star(self.R, self.R, self.space.eps))
+    R: np.ndarray
+    dR: np.ndarray
+    d2R: np.ndarray
+    rotation: np.ndarray
+    star_square: np.ndarray
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -475,7 +468,7 @@ def _draw_two_jets(space: Space, seeds):
 def _two_jet_chunk(space: Space, seeds: tuple[int, ...]) -> _JetStack:
     """The jets of ``random_two_jet`` for one chunk of seeds, shared in a run scope."""
     R, dR, d2R, rotation, _ = _draw_two_jets(space, seeds)
-    return _seed(_JetStack(space, R, dR, d2R), rotation=rotation)
+    return _JetStack(R, dR, d2R, rotation, _star(R, R, space.eps))
 
 
 def random_two_jet(space: Space, seed: int) -> TwoJet:
@@ -544,9 +537,8 @@ def _checked(kind: str, residuals: dict[str, np.ndarray]) -> dict[str, np.ndarra
 def _parallel_ricci_dirs(space: Space) -> PackedRows:
     """C_1 directions with vanishing Ricci derivative, packed; may be empty."""
     basis1 = _ck_stack(space.dim, 1)
-    rows = np.stack(
-        [ricci_derivative(Tensor(space, b)).data.ravel() for b in basis1.unpacked()]
-    )
+    # the Ricci derivative of every basis tensor, one row each
+    rows = _ric(basis1.unpacked(), space.eps).reshape(len(basis1), -1)
     return PackedRows(kernel(rows.T) @ basis1.rows, basis1.pk)
 
 
@@ -559,9 +551,7 @@ def _weyl_rows(space: Space) -> PackedRows:
     the rows are cached per space, not per dimension.
     """
     basis0 = _ck_stack(space.dim, 0)
-    weyl = np.stack(
-        [decompose(Tensor(space, b)).weyl_part.data.ravel() for b in basis0.unpacked()]
-    )
+    weyl = _decompose(basis0.unpacked(), space)[2].reshape(len(basis0), -1)
     return PackedRows(_read_only(basis0.pk.pack_checked(weyl)), basis0.pk)
 
 
@@ -917,17 +907,13 @@ def fit_jacobi_relation(j: TwoJet) -> JacobiFit:
 
     Undefined for a vanishing curvature part or a vanishing Jacobi form
     g . R^(0) (ValueError).  The residual is relative to |R^(2)|; a zero
-    symmetrized second derivative fits exactly with c = 0.  Both forms are
+    symmetrized second derivative fits exactly with c = 0, unless R holds
+    a NaN, which makes c and the residual NaN.  Both forms are
     degree-4 SymBiforms, taken in packed coordinates; R^(0) is
     ``sym_jacobi(j, 0)``, the Jacobi form of R.
     """
     c, residual, _ = _jacobi_fit(j.d2R.data, j.R.data, j.space.eps)
     return JacobiFit(float(c), float(residual))
-
-
-def _eigenvalue_gap(j: TwoJet) -> float:
-    """The eigenvalue gap of ``_jacobi_fit`` of j: NaN unless its fit is clean."""
-    return float(_jacobi_fit(j.d2R.data, j.R.data, j.space.eps)[2])
 
 
 def _jacobi_fit(d2: np.ndarray, R: np.ndarray, eps: np.ndarray):
@@ -941,7 +927,8 @@ def _jacobi_fit(d2: np.ndarray, R: np.ndarray, eps: np.ndarray):
     pair = _jacobi_pair(d2, R, eps)
     R2, G = pair[..., 0, :], pair[..., 1, :]
     norm_R, norm_R2, norm2_G = _norm(R, lead), _norm(R2, lead), _dot(G, G)
-    fits = norm_R2 != 0.0  # a zero R^(2) fits exactly with c = 0
+    # a zero R^(2) fits exactly with c = 0, unless a NaN in R makes the fit NaN
+    fits = (norm_R2 != 0.0) | np.isnan(norm_R)
     if (norm2_G == 0.0).any():  # G vanishes where R does
         if (norm_R == 0.0).any():
             raise ValueError("fit undefined: vanishing curvature part")
@@ -1026,9 +1013,9 @@ def _extend(sp: Space, R: np.ndarray, dR: np.ndarray, tol: float = 1e-6):
         raise ValueError("one-jet has non-finite entries")
     lead = R.ndim - 4
     res_ric, res_dric = _one_jet_gaps(R, dR, sp.eps)
-    if np.any(res_ric > tol):
+    if (res_ric > tol).any():
         raise ValueError("ric ∉ ℝ·g: curvature part is not Einstein")
-    if np.any(res_dric > tol):
+    if (res_dric > tol).any():
         raise ValueError("∇ric ≠ 0: derivative part has nonparallel Ricci trace")
 
     rotation = _read_only(_rotate(R, R, sp.eps))

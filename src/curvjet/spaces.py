@@ -16,6 +16,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -380,8 +381,8 @@ def _rel(a: np.ndarray, b: np.ndarray, lead: int = 0):
 # run-scoped memo of seeded inputs
 #
 # While a run scope is open, a memoized function computes each result once
-# per positional argument tuple and hands the same object to every later
-# caller; the scope is the memo's lifetime, so nothing outlives a run.
+# per positional argument tuple and hands the same read-only object to every
+# later caller; the scope is the memo's lifetime, so nothing outlives a run.
 
 _MEMO: dict | None = None
 
@@ -401,24 +402,20 @@ def run_scope():
 
 
 def _freeze(value):
-    # a shared result must not change under another caller
+    """A memoized result made read-only, so that no caller can change it under another.
+
+    Arrays lose their write flag in place, so no array is copied.  A tuple
+    (a ``NamedTuple`` too) keeps its type and has its items frozen in place,
+    so it should hold arrays and tuples; a dict becomes a read-only mapping
+    of frozen values.
+    """
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, (tuple, dict)):
-        for v in value.values() if isinstance(value, dict) else value:
+    elif isinstance(value, tuple):
+        for v in value:
             _freeze(v)
-    elif hasattr(value, "__dict__"):  # a plain object: its attributes
-        for v in vars(value).values():
-            _freeze(v)
-    return value
-
-
-def _hand_out(value):
-    # dicts stay mutable, so each caller gets its own copy
-    if isinstance(value, dict):
-        return dict(value)
-    if isinstance(value, tuple) and any(isinstance(v, dict) for v in value):
-        return tuple(_hand_out(v) for v in value)
+    elif isinstance(value, dict):
+        return MappingProxyType({key: _freeze(v) for key, v in value.items()})
     return value
 
 
@@ -427,8 +424,9 @@ def memoized(fn):
 
     The memo is keyed on the positional arguments, which must be hashable:
     only chunk functions are memoized, on a space, a tuple of seeds and an
-    order or a name.  Arrays in a memoized result are read-only and dicts
-    are handed out as copies.
+    order or a name.  They return arrays, tuples of arrays or dicts of
+    arrays; the memo holds them read-only (``_freeze``) and hands every
+    caller the same object.
     """
 
     @functools.wraps(fn)
@@ -439,7 +437,7 @@ def memoized(fn):
         hit = _MEMO.get(key)
         if hit is None:
             hit = _MEMO[key] = _freeze(fn(*args))
-        return _hand_out(hit)
+        return hit
 
     return wrapper
 

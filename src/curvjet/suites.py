@@ -13,14 +13,18 @@ seeds for nightly runs.
 A suite runs its seeds in chunks (``_chunks``) along one seed axis: it
 draws the inputs of each seed of a chunk from that seed's own
 ``default_rng``, stacks them on a leading axis, and every kernel it calls
-carries that axis along; ``_worst_over`` takes ``residuals(seeds)``, one
-value per seed of a chunk for each key, and merges the chunks in seed
-order.  A chunk holds as many seeds as keep one stacked valence-6 array
-within ``subspace._CHUNK_BYTES`` (``_chunk``: 89 at n=3, 16 at n=4, 4 at
-n=5).  Seeded inputs live only in chunk stacks: no suite walks the seeds
-one at a time or builds a per-seed jet (``fit`` fits each stack of
-Einstein jets at once), and the run-scope memo holds only what the chunk
-functions return, never a per-seed input or a stack of the whole run.
+carries that axis along.  ``residuals(seeds)`` gives one value per seed of
+a chunk for each key; ``_over_seeds`` concatenates each key's values over
+the chunks in seed order, and ``_worst_over`` reduces each key in one pass
+(``_seeded_worst``); ``einstein``'s verdict agreement and ``fit``'s
+corollary read the same concatenated values.  A chunk holds as many seeds
+as keep one stacked valence-6 array within ``subspace._CHUNK_BYTES``
+(``_chunk``: 89 at n=3, 16 at n=4, 4 at n=5).  Seeded inputs live only in
+chunk stacks: no suite walks the seeds one at a time or builds a per-seed
+jet (``fit`` fits each stack of Einstein jets at once).  The run-scope
+memo holds only what the chunk functions return, read-only arrays, tuples
+of them and read-only mappings of them, never a per-seed input or a stack
+of the whole run.
 Each kernel gives every seed the bits of a call on that seed alone, so the
 records do not depend on the chunk length.
 ``run_suites`` runs each selected suite on every configured space.  A task
@@ -43,7 +47,6 @@ so the report does not depend on how the tasks were split.
 from __future__ import annotations
 
 import functools
-import math
 import os
 import pickle
 import sys
@@ -54,7 +57,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import spaces as _spaces
-from .curvature import _kn_metric, _nk_stack, _rotate, _star_residuals, kulkarni
+from .curvature import _kn_metric, _nk_stack, _rotate, _star, _star_residuals, kulkarni
 from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
     _CLEAN_FIT,
@@ -70,9 +73,7 @@ from .jets import (
     _hess_ric,
     _hessian_tableau,
     _jacobi_fit,
-    _JetStack,
     _rough_lap,
-    _seed,
     _tilde,
     _two_jet_chunk,
     _two_jet_residuals,
@@ -111,16 +112,15 @@ def _worst_rows(*values: np.ndarray) -> np.ndarray:
 
 
 @memoized
-def _einstein_jets(sp: Space, seeds: Seeds) -> _JetStack:
-    """Einstein extensions of the seeded Einstein one-jets of one chunk.
+def _einstein_jets(sp: Space, seeds: Seeds):
+    """Einstein extensions of the seeded Einstein one-jets of one chunk: (R, dR, d2R, gaps).
 
-    The stack holds the extended jets and their one-jet gaps, without the
-    rotations that ``_extend`` computed (n^6 floats per seed, which no suite
-    reads).
+    ``gaps`` are the one-jet gaps that ``_extend`` checked.  The rotations
+    it computed (n^6 floats per seed, which no suite reads) are not kept.
     """
     R, dR = _einstein_one_jets(sp, seeds)
-    d2, _, gaps = _extend(sp, R, dR)
-    return _seed(_JetStack(sp, R, dR, d2), einstein_gaps=gaps)
+    d2R, _, gaps = _extend(sp, R, dR)
+    return R, dR, d2R, gaps
 
 
 def _verdicts_agree(verdict: np.ndarray, rep: Residuals) -> np.ndarray:
@@ -207,23 +207,32 @@ def _chunks(cfg: RunConfig, sp: Space) -> list[Seeds]:
     return [tuple(seeds[i : i + size]) for i in range(0, len(seeds), size)]
 
 
+def _over_seeds(
+    cfg: RunConfig, sp: Space, residuals: Callable[[Seeds], Residuals]
+) -> tuple[list[int], Residuals]:
+    """The configured seeds and each residual key's values over them, in seed order.
+
+    ``residuals(seeds)`` maps each key to one value per seed of a chunk
+    (``_chunks``), the same keys for every chunk; each key's values are
+    concatenated over the chunks in seed order.
+    """
+    chunks = _chunks(cfg, sp)
+    found = [residuals(seeds) for seeds in chunks]
+    values = {key: np.concatenate([f[key] for f in found]) for key in found[0]}
+    return [s for seeds in chunks for s in seeds], values
+
+
 def _worst_over(
     cfg: RunConfig, sp: Space, residuals: Callable[[Seeds], Residuals]
 ) -> dict[str, Worst]:
-    """Worst value of each residual key over the configured seeds.
+    """Worst value of each residual key over the configured seeds (see ``_over_seeds``).
 
-    ``residuals(seeds)`` maps each key to one value per seed of a chunk
-    (``_chunks``); the chunks are reduced in seed order with ``_merge``.
-    Keys keep their first-seen order; a NaN on any seed makes its key NaN.
-    The seed kept is the loop seed (not a suite's offset seed) of the first
-    NaN, or else of the first largest value.
+    Keys keep their order; a NaN on any seed makes its key NaN.  The seed
+    kept is the loop seed (not a suite's offset seed) of the first NaN, or
+    else of the first largest value.
     """
-    worst: dict[str, Worst] = {}
-    for seeds in _chunks(cfg, sp):
-        for key, values in residuals(seeds).items():
-            found = _seeded_worst(values, seeds)
-            worst[key] = _merge(worst[key], found) if key in worst else found
-    return worst
+    seeds, values = _over_seeds(cfg, sp, residuals)
+    return {key: _seeded_worst(v, seeds) for key, v in values.items()}
 
 
 def _seeded_worst(values, seeds: Sequence[int | None]) -> Worst:
@@ -237,13 +246,6 @@ def _seeded_worst(values, seeds: Sequence[int | None]) -> Worst:
     nan = np.flatnonzero(np.isnan(values))
     at = int(nan[0]) if len(nan) else int(np.argmax(values))
     return Worst(float(values[at]), seeds[at], len(values))
-
-
-def _merge(a: Worst, b: Worst) -> Worst:
-    """The worse of a and then b: b wins only over a non-NaN a, if NaN or larger."""
-    later = not math.isnan(a.value) and (math.isnan(b.value) or b.value > a.value)
-    top = b if later else a
-    return Worst(top.value, top.seed, a.samples + b.samples)
 
 
 def _records(cfg: RunConfig, prefix: str, worst: dict[str, Worst]) -> list[CheckRecord]:
@@ -396,44 +398,52 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
 def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     eps = sp.eps
-    agreement: list[np.ndarray] = []  # per chunk, one entry per checked jet, not a maximum
 
     def residuals(seeds: Seeds) -> Residuals:
-        j = _einstein_jets(sp, seeds)
-        SS = j.star_square
-        rep = _einstein_report(j.d2R, SS, j.einstein_gaps, eps)
-        tilde_hess = _tilde(j.d2R, eps)[0]
+        R, _, d2R, gaps = _einstein_jets(sp, seeds)
+        SS = _star(R, R, eps)
+        rep = _einstein_report(d2R, SS, gaps, eps)
+        tilde_hess = _tilde(d2R, eps)[0]
         display = -4.0 * (_tail(SS, (0, 2, 1, 3)) + _tail(SS, (0, 2, 3, 1)))
         # the same one-jet with a perturbed d2R: the same gaps and the same R*R
-        bad_d2 = j.d2R + _ck_chunk(sp, 2, seeds) * 1e-2
-        bad = _einstein_report(bad_d2, SS, j.einstein_gaps, eps)
-        agreement.extend(_verdicts_agree(_einstein_verdict(r), r) for r in (rep, bad))
+        bad = _einstein_report(d2R + _ck_chunk(sp, 2, seeds) * 1e-2, SS, gaps, eps)
+        agree = [_verdicts_agree(_einstein_verdict(r), r) for r in (rep, bad)]
         return {
             "extension_defect": _worst_rows(*rep.values()),
             "trace_display": _rel(tilde_hess, display, 1),
+            "agreement": np.stack(agree, axis=1),  # two verdicts per seed, not a maximum
         }
 
     prefix = f"einstein/n{sp.dim}"
-    worst = _worst_over(cfg, sp, residuals)
-    checked = sum(a.size for a in agreement)
-    disagreement = sum(np.count_nonzero(~a) for a in agreement) / checked
-    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, checked)]
+    seeds, values = _over_seeds(cfg, sp, residuals)
+    agree = values.pop("agreement")
+    disagreement = np.count_nonzero(~agree) / agree.size
+    out = [CheckRecord(f"{prefix}/verdict_agreement", disagreement, cfg.tol, None, agree.size)]
+    worst = {key: _seeded_worst(v, seeds) for key, v in values.items()}
     return out + _records(cfg, prefix, worst)
 
 
 def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     n, eps = sp.dim, sp.eps
     # the symmetric family lam * g owedge g, with vanishing derivatives
-    R = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * _kn_metric(sp)
-    c, residual, gaps = _jacobi_fit(np.zeros(R.shape[:1] + (n,) * 6), R, eps)
+    lam_g = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * _kn_metric(sp)
+    c, residual, gaps = _jacobi_fit(np.zeros(lam_g.shape[:1] + (n,) * 6), lam_g, eps)
     family = _draws_worst(np.stack([np.abs(c), residual], axis=1).ravel())
-    # the eigenvalue corollary applies only where the Jacobi relation fits
-    corollary = _draws_worst(gaps[residual < _CLEAN_FIT])
-    for seeds in _chunks(cfg, sp):
-        j = _einstein_jets(sp, seeds)
-        _, residual, gaps = _jacobi_fit(j.d2R, j.R, eps)
-        clean = residual < _CLEAN_FIT
-        corollary = _merge(corollary, _seeded_worst(gaps[clean], np.array(seeds)[clean].tolist()))
+
+    def fits(seeds: Seeds) -> Residuals:
+        R, _, d2R, _ = _einstein_jets(sp, seeds)
+        _, residual, gaps = _jacobi_fit(d2R, R, eps)
+        return {"residual": residual, "gap": gaps}
+
+    seeds, values = _over_seeds(cfg, sp, fits)
+    # the eigenvalue corollary applies only where the Jacobi relation fits:
+    # the family's clean gaps, from no loop seed, then the seeds' in order
+    clean = np.concatenate([residual, values["residual"]]) < _CLEAN_FIT
+    origins = [None] * len(gaps) + seeds
+    corollary = _seeded_worst(
+        np.concatenate([gaps, values["gap"]])[clean],
+        [seed for seed, ok in zip(origins, clean) if ok],
+    )
     return [
         family.record(f"fit/n{n}/symmetric_family", cfg.tol),
         corollary.record(f"fit/n{n}/corollary", 10.0 * cfg.tol),

@@ -27,7 +27,6 @@ from curvjet.jets import (
     TwoJet,
     _draw_section_jets,
     _draw_two_jets,
-    _eigenvalue_gap,
     _einstein_one_jets,
     _einstein_report,
     _einstein_verdict,
@@ -150,21 +149,24 @@ def test_einstein_one_jet_draws_extension_and_check(sp):
 def test_jacobi_fit(sp):
     # Einstein jets; jets with d2R = 0.7 g (x) R, which fit cleanly with c = 0.7
     # and a gap of 0.35 |n - 4| |R| / max(|R|, 1); the lam * g owedge g family
-    # (an exact fit, c = 0); and an Einstein jet with a NaN entry in d2R
+    # (an exact fit, c = 0); an Einstein jet with a NaN entry in d2R; and a
+    # family jet with a NaN entry in R and d2R = 0
     R, dR = _einstein_one_jets(sp, SEEDS)
     d2R = _extend(sp, R, dR)[0]
     scaled = 0.7 * np.einsum("ab,...cdef->...abcdef", np.diag(sp.eps), R[:2])
     family = np.array([1.0, -2.0, 0.5])[:, None, None, None, None] * _kn_metric(sp)
-    R = np.concatenate([R, R[:2], family, R[:1]])
-    dR = np.concatenate([dR, np.zeros((6,) + dR.shape[1:])])
-    d2R = np.concatenate([d2R, scaled, np.zeros((3,) + d2R.shape[1:]), d2R[:1]])
-    d2R[-1, 0, 1, 0, 1, 0, 1] = np.nan
+    R = np.concatenate([R, R[:2], family, R[:1], family[:1]])
+    dR = np.concatenate([dR, np.zeros((7,) + dR.shape[1:])])
+    d2R = np.concatenate([d2R, scaled, np.zeros((3,) + d2R.shape[1:]), d2R[:1], d2R[:1] * 0.0])
+    d2R[-2, 0, 1, 0, 1, 0, 1] = np.nan
+    R[-1, 0, 1, 0, 1] = np.nan
     c, residual, gap = _jacobi_fit(d2R, R, sp.eps)
     singles = [TwoJet(*(Tensor(sp, t) for t in parts)) for parts in zip(R, dR, d2R)]
     fits = [fit_jacobi_relation(j) for j in singles]
     assert_bitwise(c, [f.c for f in fits], equal_nan=True)
     assert_bitwise(residual, [f.residual for f in fits], equal_nan=True)
-    assert_bitwise(gap, [_eigenvalue_gap(j) for j in singles], equal_nan=True)
+    lone = [_jacobi_fit(j.d2R.data, j.R.data, sp.eps)[2] for j in singles]
+    assert_bitwise(gap, lone, equal_nan=True)
     # the gap is taken only where the fit is clean, as one norm of the full tensor
     assert np.array_equal(np.isnan(gap), ~(residual < 1e-9))
     for i in np.flatnonzero(residual < 1e-9):
@@ -173,7 +175,7 @@ def test_jacobi_fit(sp):
         assert gap[i] == np.linalg.norm(corollary) / max(np.linalg.norm(R[i]), 1.0)
     assert np.all(residual[5:10] < 1e-9) and np.all(c[5:7] != 0.0)
     assert np.all(c[7:10] == 0.0) and np.all(residual[7:10] == 0.0) and np.all(gap[7:10] == 0.0)
-    assert np.isnan([c[-1], residual[-1], gap[-1]]).all() and np.isfinite(c[:-1]).all()
+    assert np.isnan([c[-2:], residual[-2:], gap[-2:]]).all() and np.isfinite(c[:-2]).all()
 
 
 def agree_one(verdict, rep) -> bool:
@@ -187,11 +189,9 @@ def agree_one(verdict, rep) -> bool:
 def test_verdict_agreement_on_report_arrays(sp):
     # the reports that suite_einstein reads (Einstein jets and perturbed ones),
     # and one whose Hessian verdict disagrees with both trace verdicts on jets 1 and 3
-    j = _einstein_jets(sp, SEEDS)
-    reports = [
-        _einstein_report(d2, j.star_square, j.einstein_gaps, sp.eps)
-        for d2 in (j.d2R, j.d2R + 1e-2 * ck(sp, 2))
-    ]
+    R, _, d2R, gaps = _einstein_jets(sp, SEEDS)
+    SS = _star(R, R, sp.eps)
+    reports = [_einstein_report(d2, SS, gaps, sp.eps) for d2 in (d2R, d2R + 1e-2 * ck(sp, 2))]
     reports.append({**reports[0], "hessian_ricci": np.array([0.0, 1.0, 0.0, 1.0, 0.0])})
     for report in reports:
         singles = [{key: float(v[i]) for key, v in report.items()} for i in range(len(SEEDS))]

@@ -680,6 +680,13 @@ class TestFit:
         fit = fit_jacobi_relation(jet_with_nan(reference_jet(E4, "einstein"), part, entry))
         assert np.isnan(fit.c) and np.isnan(fit.residual)
 
+    def test_nan_in_R_gives_nan_fit_where_the_second_derivative_vanishes(self):
+        # an extended Einstein jet at n=3 has d2R = 0, so R^(2) vanishes
+        j = reference_jet(E3, "einstein")
+        assert not j.d2R.data.any()
+        fit = fit_jacobi_relation(jet_with_nan(j, "R", (0, 1, 0, 1)))
+        assert np.isnan(fit.c) and np.isnan(fit.residual) and not fit.clean
+
     def test_residual_is_scale_free(self):
         j = random_two_jet(E4, 12)
         scaled = TwoJet(j.R, j.dR, 2.0 * j.d2R)

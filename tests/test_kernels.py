@@ -9,7 +9,14 @@ import pytest
 from curvjet.curvature import _slot_sum
 from curvjet.jets import TwoJet, random_two_jet, validate_two_jet
 from curvjet.spaces import Space, Tensor, _group_sum
-from curvjet.young import _ck_defects, _label_axes, random_ck, tableau_sum
+from curvjet.young import (
+    _ck_defects,
+    _label_axes,
+    random_ck,
+    tableau_apply,
+    tableau_sum,
+    young_apply,
+)
 
 
 def _permuted(data: np.ndarray, axes, images, lead: int) -> np.ndarray:
@@ -83,6 +90,25 @@ def test_tableau_sum_matches_the_signed_row_column_sum(k, lead):
     expect = _explicit_tableau(data, row1, row2, lead)
     got = tableau_sum(data, row1, row2, lead)
     assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_tableau_apply_on_the_label_slots_is_young_apply(k):
+    sp = Space(3, (-1, 1, 1))
+    t = Tensor(sp, np.random.default_rng(k).standard_normal((3,) * (k + 4)))
+    row1, row2 = _label_axes(k)
+    got = tableau_apply(t, [a + 1 for a in row1], [a + 1 for a in row2])
+    assert got.space == sp and np.array_equal(got.data, young_apply(t, k).data)
+
+
+@pytest.mark.parametrize("rows", [((1, 4, 5), (3, 2)), ((2, 5), (4,)), ((5, 1), (4, 2))])
+def test_tableau_apply_matches_the_signed_row_column_sum(rows):
+    # 1-based slots; a slot outside both rows is left alone
+    t = Tensor(Space(3), np.random.default_rng(5).standard_normal((3,) * 5))
+    row1, row2 = ([s - 1 for s in row] for row in rows)
+    expect = _explicit_tableau(t.data, row1, row2)
+    got = tableau_apply(t, *rows)
+    assert np.abs(got.data - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
 def _transpose_defects(d: np.ndarray, k: int) -> dict[str, float]:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -171,14 +172,32 @@ class TestRunSuites:
 
     def test_einstein_jet_is_memoized_without_its_rotation(self):
         with run_scope():
-            stack = _einstein_jets(E3, (2, 3))
-            assert "rotation" not in vars(stack) and "einstein_gaps" in vars(stack)
+            # the components and the one-jet gaps, no rotation
+            R, dR, d2R, gaps = _einstein_jets(E3, (2, 3))
         for i, seed in enumerate((2, 3)):
             jet = einstein_extend(*random_einstein_one_jet(E3, seed))
             # bitwise the jet of a lone extension
-            for part in ("R", "dR", "d2R"):
-                assert np.array_equal(getattr(jet, part).data, getattr(stack, part)[i])
-            assert jet.einstein_gaps == tuple(float(g[i]) for g in stack.einstein_gaps)
+            for part, stacked in zip(("R", "dR", "d2R"), (R, dR, d2R)):
+                assert np.array_equal(getattr(jet, part).data, stacked[i])
+            assert jet.einstein_gaps == tuple(float(g[i]) for g in gaps)
+
+    def test_memo_holds_only_read_only_arrays(self):
+        # every suite on one space in one scope: each memo value is a read-only
+        # array, a tuple of them or a read-only mapping of them, never a copy
+        def read_only(value) -> bool:
+            if isinstance(value, np.ndarray):
+                return not value.flags.writeable
+            if isinstance(value, MappingProxyType):
+                value = tuple(value.values())
+            return isinstance(value, tuple) and all(read_only(v) for v in value)
+
+        cfg = make_config(dim=3, seeds=2)
+        with run_scope():
+            for suite in suites._SUITES.values():
+                suite(cfg, E3)
+            memo = dict(spaces._MEMO)
+        assert len(memo) > 10
+        assert [key[0].__name__ for key, value in memo.items() if not read_only(value)] == []
 
     @pytest.mark.parametrize("seeds", [3, 25])
     def test_records_do_not_depend_on_the_chunk_length(self, seeds, monkeypatch):
