@@ -96,6 +96,8 @@ def kn_pair(a: Tensor, b: Tensor) -> Tensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms."""
     if a.valence != 2 or b.valence != 2:
         raise ValueError("kn_pair needs two valence-2 tensors")
+    if a.space != b.space:
+        raise ValueError("mismatched spaces")
     return Tensor(a.space, _kn(a.data, b.data))
 
 
@@ -234,6 +236,8 @@ def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
     """
     if B.valence != 2:
         raise ValueError("skew_action needs a valence-2 form")
+    if B.space != A.space:
+        raise ValueError("mismatched spaces")
     if float(np.linalg.norm(B.data + B.data.T)) > tol * max(B.norm(), 1e-300):
         raise ValueError("form is not antisymmetric")
     W = B.data * A.space.eps[None, :]  # W[b,a] = eps_a B(e_b, e_a) = (B e_b)^a
@@ -296,6 +300,8 @@ def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     """
     if R.valence != 4:
         raise ValueError("pair_derivation needs a valence-4 curvature tensor")
+    if R.space != T.space:
+        raise ValueError("mismatched spaces")
     return _rotate(R.data, T.data, R.space.eps)
 
 
@@ -417,16 +423,15 @@ def _jacobi_layout(t: np.ndarray, k: int = 0) -> np.ndarray:
     return _tail(t, tuple(range(k)) + (k + 1, k + 2, k, k + 3))
 
 
-def _nk_defects(t: np.ndarray, m: int) -> np.ndarray:
-    """Norm of the symmetrization over the first m+1 slots of each tensor in the batch t."""
+def _nk_residual(t: np.ndarray, m: int) -> np.ndarray:
+    """|Symmetrization over the first m+1 slots| / max(|t|, 1e-300), each tensor of the batch t."""
     sym = _group_sum(t, [range(m + 1)], lead=1) / math.factorial(m + 1)
-    return np.linalg.norm(sym.reshape(len(t), -1), axis=1)
+    return _norm(sym, 1) / np.maximum(_norm(t, 1), 1e-300)
 
 
 def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
     """Test the defining property: symmetrization over the first m+1 slots vanishes."""
-    t = h.tensor
-    return bool(_nk_defects(t.data[None], h.m)[0] <= tol * max(t.norm(), 1e-300))
+    return bool(_nk_residual(h.tensor.data[None], h.m)[0] <= tol)
 
 
 @lru_cache(maxsize=None)
@@ -448,8 +453,7 @@ def _nk_stack(n: int, m: int) -> PackedRows:
     # symmetric in slots 1..m and m+1, m+2, so the SymBiform averaging that
     # is_member_Nk reads them through would leave them as they are
     for stack in basis.unpacked_chunks():
-        scale = np.maximum(np.linalg.norm(stack.reshape(len(stack), -1), axis=1), 1e-300)
-        if not np.all(_nk_defects(stack, m) <= 1e-8 * scale):
+        if not np.all(_nk_residual(stack, m) <= 1e-8):
             raise RuntimeError("projected N_m basis vector fails the membership check")
     return basis
 

@@ -57,8 +57,8 @@ from .spaces import (
 )
 from .subspace import Packing, PackedRows, kernel, lstsq_factors, packing
 from .young import (
-    _ck_defect_norms,
     _ck_packing,
+    _ck_residual,
     _ck_stack,
     _packed_young,
     _packed_young_plan,
@@ -283,16 +283,6 @@ def _hessian_tableau(hess: np.ndarray, lead: int = 0) -> np.ndarray:
 # validation
 
 
-def _slice_residual(t: np.ndarray, k: int, lead: int) -> np.ndarray:
-    """Largest C_k residual over the slices and symmetries of each tensor after ``lead`` axes.
-
-    Each is relative to max(|t|, 1), and NaN if any of its residuals is.
-    """
-    norms = _ck_defect_norms(t, k)
-    worst = norms.reshape(norms.shape[:1] + t.shape[:lead] + (-1,)).max(axis=(0, -1))
-    return worst / np.maximum(_norm(t, lead), 1.0)
-
-
 def _ricci_gap(d2: np.ndarray, rotation: np.ndarray, scale, lead: int) -> np.ndarray:
     """The Ricci-identity residual |d2[a, b] - d2[b, a] - rotation| / max(|d2|, scale, 1)."""
     gap = d2 - _tail(d2, (1, 0, 2, 3, 4, 5)) - rotation
@@ -303,14 +293,11 @@ def _two_jet_residuals(R, dR, d2R, rotation) -> dict[str, np.ndarray]:
     """``validate_two_jet`` residuals of each jet of a batch (any leading axes)."""
     lead = R.ndim - 4
     # a float's square, as a lone jet takes it (a power of an array may round otherwise)
-    if lead:
-        scale = np.reshape([float(v) ** 2 for v in np.ravel(_norm(R, lead))], R.shape[:lead])
-    else:
-        scale = float(_norm(R)) ** 2
+    scale = np.reshape([float(v) ** 2 for v in np.ravel(_norm(R, lead))], R.shape[:lead])
     return {
-        "curvature": _slice_residual(R, 0, lead),
-        "derivative": _slice_residual(dR, 1, lead),
-        "second_derivative": _slice_residual(d2R, 1, lead),
+        "curvature": _ck_residual(R, 0, lead),
+        "derivative": _ck_residual(dR, 1, lead),
+        "second_derivative": _ck_residual(d2R, 1, lead),
         "ricci_identity": _ricci_gap(d2R, rotation, scale, lead),
     }
 
@@ -320,10 +307,10 @@ def _section_residuals(background, Rp, dRp, d2Rp, rotation) -> dict[str, np.ndar
     lead = Rp.ndim - 4
     scale = _norm(background, lead) * _norm(Rp, lead)
     return {
-        "background": _slice_residual(background, 0, lead),
-        "section": _slice_residual(Rp, 0, lead),
-        "derivative": _slice_residual(dRp, 0, lead),
-        "second_derivative": _slice_residual(d2Rp, 0, lead),
+        "background": _ck_residual(background, 0, lead),
+        "section": _ck_residual(Rp, 0, lead),
+        "derivative": _ck_residual(dRp, 0, lead),
+        "second_derivative": _ck_residual(d2Rp, 0, lead),
         "ricci_identity": _ricci_gap(d2Rp, rotation, scale, lead),
     }
 
@@ -439,9 +426,8 @@ def _particular_d2(R: np.ndarray, rotation: np.ndarray) -> np.ndarray:
     particular = 0.5 * rotation
     ut, vs, pairs, _ = _h_solver(n)
     coeff = _matvec(vs, _matvec(ut, -_packed_cycle(particular)))
-    coeff = coeff.reshape(R.shape[:-4] + (-1, len(basis0)))
-    # in C order, as for a lone jet (see ``spaces._gather``)
-    coeff = coeff[pairs] if coeff.ndim == 2 else coeff.take(pairs, axis=-2)
+    # one coefficient row per entry of the pair matrix, in C order (see ``spaces._gather``)
+    coeff = coeff.reshape(R.shape[:-4] + (-1, len(basis0))).take(pairs, axis=-2)
     return particular + basis0.combine(coeff)
 
 
@@ -867,13 +853,17 @@ def einstein_check(j: TwoJet, tol: float = 1e-8) -> tuple[bool, dict[str, float]
     """
     report = _einstein_report(j.d2R.data, j.star_square, j.einstein_gaps, j.space.eps)
     report = {key: float(v) for key, v in report.items()}
-    return _einstein_verdict(report, tol), report
+    return _einstein_verdicts(report, tol)[0], report
 
 
-def _einstein_verdict(report: dict, tol: float = 1e-8):
-    """The definitional Einstein verdict of a report, elementwise over a batch's arrays."""
-    one_jet_ok = (report["ricci_proportional"] <= tol) & (report["ricci_derivative"] <= tol)
-    return one_jet_ok & (report["hessian_ricci"] <= tol)
+def _einstein_verdicts(report: dict, tol: float = 1e-8):
+    """The definitional, tableau-trace and form-trace Einstein verdicts of a report.
+
+    Each is the one-jet gate and one second-order defect within tol, elementwise over a batch.
+    """
+    one_jet = (report["ricci_proportional"] <= tol) & (report["ricci_derivative"] <= tol)
+    keys = ("hessian_ricci", "tableau_trace_defect", "form_trace_defect")
+    return tuple(one_jet & (report[key] <= tol) for key in keys)
 
 
 def _einstein_report(d2: np.ndarray, SS: np.ndarray, gaps, eps: np.ndarray) -> dict:

@@ -20,7 +20,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .subspace import _CHUNK_BYTES
+from .subspace import _per_chunk
 
 __all__ = [
     "Space",
@@ -328,14 +328,13 @@ def _in_blocks(kernel, arrays, lead: int, item_bytes: int):
     """``kernel(*arrays)`` on blocks of the entries of their ``lead`` leading axes, or None.
 
     A block holds as many entries as keep ``item_bytes`` of temporaries per
-    entry within ``_CHUNK_BYTES``; None means one block would take them all,
-    and the caller goes on.  The kernel gets one flattened leading axis and
-    computes each entry as in one call, so the blocks give the same bits.
+    entry within ``subspace._CHUNK_BYTES`` (``_per_chunk``); None means one
+    block would take them all, as with no leading axes, and the caller goes
+    on.  The kernel gets one flattened leading axis and computes each entry
+    as in one call, so the blocks give the same bits.
     """
-    if not lead:
-        return None
     outer = arrays[0].shape[:lead]
-    step = max(1, _CHUNK_BYTES // max(item_bytes, 1))
+    step = _per_chunk(max(item_bytes, 1))
     if math.prod(outer) <= step:
         return None
     flat = [x.reshape((-1,) + x.shape[lead:]) for x in arrays]

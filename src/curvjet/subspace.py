@@ -17,8 +17,9 @@ packing is an isometry from the class onto R^P, and unpacking spreads each
 packed value back over its orbit with the permutation signs.  ``image``
 runs its SVD on the packed images: it first checks that the images lie in
 the declared class (``Packing.pack_checked``: unpacking the packed images
-must give them back to ``RTOL``) and raises RuntimeError otherwise.  The rank gate and cutoff are
-those of the unpacked SVD, whose singular values the packed one shares.
+must give each image back to ``RTOL`` of its own norm) and raises
+RuntimeError otherwise.  The rank gate and cutoff are those of the
+unpacked SVD, whose singular values the packed one shares.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
 whose images have no symmetry.  The rows stay packed (``PackedRows``):
 a combination of them is formed in the P packed coordinates and only the
@@ -45,8 +46,8 @@ _OVERSAMPLE = 8
 # bytes of unpacked tensors per chunk: per call of the sampled map in
 # ``image``, per stack of ``PackedRows.unpacked_chunks`` and per seed chunk
 # of the check suites (one stacked valence-6 array); the index-plan kernels
-# hold a few chunk-sized temporaries, and the C_k defect check and a batched
-# slot sum go in blocks of about this size, so chunks are kept small
+# hold a few chunk-sized temporaries, and the C_k residual and a batched
+# slot sum go in blocks of about this size (``_per_chunk``), so chunks are kept small
 _CHUNK_BYTES = 1 << 19
 
 
@@ -77,17 +78,16 @@ class Packing:
         return out
 
     def pack_checked(self, flat: np.ndarray) -> np.ndarray:
-        """``pack`` of raveled tensors claimed to lie in the class.
+        """``pack`` of raveled tensors claimed to lie in the class, one per row.
 
-        Raises RuntimeError unless unpacking gives them back to ``RTOL``,
-        relative to their joint norm.
+        Raises RuntimeError unless unpacking gives each row back to ``RTOL`` of
+        its own norm (1 for a zero row; a NaN fails), so the joint gap is within it too.
         """
         packed = self.pack(flat)
-        gap = float(np.linalg.norm(self.unpack(packed) - flat))
-        scale = float(np.linalg.norm(flat))
-        ratio = gap / (scale if scale > 0.0 else 1.0)
-        if not ratio <= RTOL:
-            raise RuntimeError(f"tensors leave their symmetry class: relative gap {ratio:.3e}")
+        scale = np.linalg.norm(flat, axis=-1)
+        ratio = np.linalg.norm(self.unpack(packed) - flat, axis=-1) / np.where(scale, scale, 1.0)
+        if not np.all(ratio <= RTOL):
+            raise RuntimeError(f"a row leaves its symmetry class: relative gap {ratio.max():.3e}")
         return packed
 
 
@@ -114,9 +114,9 @@ def _group_table(n: int, kind: str, size: int):
     return rep, orbit, index, sign
 
 
-def _chunk_count(count: int, pk: Packing) -> int:
-    """Number of chunks that keep ``count`` unpacked tensors near ``_CHUNK_BYTES`` each."""
-    return max(min(count, -(-count * 8 * len(pk.index) // _CHUNK_BYTES)), 1)
+def _per_chunk(item_bytes: int) -> int:
+    """Items per chunk: as many as keep ``item_bytes`` each within ``_CHUNK_BYTES`` (at least 1)."""
+    return max(1, _CHUNK_BYTES // item_bytes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,9 +158,10 @@ class PackedRows:
         return self.unpack(self.rows)
 
     def unpacked_chunks(self) -> Iterator[np.ndarray]:
-        """The unpacked rows, stacked in consecutive chunks of about ``_CHUNK_BYTES``."""
-        for rows in np.array_split(self.rows, _chunk_count(len(self.rows), self.pk)):
-            yield self.unpack(rows)
+        """The unpacked rows, stacked in consecutive chunks of at most ``_CHUNK_BYTES``."""
+        step = _per_chunk(8 * len(self.pk.index))
+        for start in range(0, len(self.rows), step):
+            yield self.unpack(self.rows[start : start + step])
 
     def entries(self, flat: np.ndarray) -> np.ndarray:
         """Entries of every unpacked row at the raveled indices ``flat``, rows first."""
@@ -212,9 +213,10 @@ def image(
     # the map runs on chunks of samples, so the unpacked images are never
     # held all at once; the draws are those of a single call
     packed = np.empty((count, len(pk.rep)))
-    for rows in np.array_split(np.arange(count), _chunk_count(count, pk)):
-        images = apply(rng.standard_normal((len(rows),) + pk.shape)).reshape(len(rows), -1)
-        packed[rows] = pk.pack_checked(images)
+    step = _per_chunk(8 * len(pk.index))
+    for start in range(0, count, step):
+        images = apply(rng.standard_normal((min(step, count - start),) + pk.shape))
+        packed[start : start + step] = pk.pack_checked(images.reshape(len(images), -1))
     _, s, vt = np.linalg.svd(packed, full_matrices=False)
     s = np.append(s, 0.0)  # s[rank] exists even if rank is the ambient dimension
     if not (s[rank - 1] > RTOL * s[0] and s[rank] <= RTOL * s[0]):

@@ -20,8 +20,9 @@ the chunks in seed order, and ``_worst_over`` reduces each key in one pass
 corollary read the same concatenated values.  A chunk holds as many seeds
 as keep one stacked valence-6 array within ``subspace._CHUNK_BYTES``
 (``_chunk``: 89 at n=3, 16 at n=4, 4 at n=5).  Seeded inputs live only in
-chunk stacks: no suite walks the seeds one at a time or builds a per-seed
-jet (``fit`` fits each stack of Einstein jets at once).  The run-scope
+chunk stacks: no suite walks the seeds or basis vectors one at a time or
+builds a per-seed jet (``fit`` fits each stack of Einstein jets at once;
+``dimensions`` maps chunks of N_m basis vectors).  The run-scope
 memo holds only what the chunk functions return, read-only arrays, tuples
 of them and read-only mappings of them, never a per-seed input or a stack
 of the whole run.
@@ -57,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import spaces as _spaces
-from .curvature import _kn_metric, _nk_stack, _rotate, _star, _star_residuals, kulkarni
+from .curvature import _kn_metric, _kulkarni, _nk_stack, _rotate, _star, _star_residuals
 from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
     _CLEAN_FIT,
@@ -66,7 +67,7 @@ from .jets import (
     _draw_section_jets,
     _einstein_one_jets,
     _einstein_report,
-    _einstein_verdict,
+    _einstein_verdicts,
     _extend,
     _hat_embed,
     _hess_kernel_stack,
@@ -84,17 +85,16 @@ from .polymetric import _jet_fields, _random_fields, _seed_fields
 from .report import CheckRecord
 from .spaces import (
     Space,
-    SymBiform,
-    Tensor,
     _norm,
     _normal_draws,
     _rel,
+    _sym_biform,
     _tail,
     memoized,
     run_scope,
     space_to_dict,
 )
-from .subspace import _CHUNK_BYTES
+from .subspace import _per_chunk
 from .young import _ck_chunk, _ck_packing, _ck_stack, _young, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites", "run_suites_timed"]
@@ -123,11 +123,9 @@ def _einstein_jets(sp: Space, seeds: Seeds):
     return R, dR, d2R, gaps
 
 
-def _verdicts_agree(verdict: np.ndarray, rep: Residuals) -> np.ndarray:
+def _verdicts_agree(rep: Residuals) -> np.ndarray:
     """Whether the definitional, tableau-trace and form-trace verdicts agree, jet by jet."""
-    one_jet = (rep["ricci_proportional"] <= 1e-8) & (rep["ricci_derivative"] <= 1e-8)
-    tableau = one_jet & (rep["tableau_trace_defect"] <= 1e-8)
-    form = one_jet & (rep["form_trace_defect"] <= 1e-8)
+    verdict, tableau, form = _einstein_verdicts(rep)
     return (verdict == tableau) & (tableau == form)
 
 
@@ -198,7 +196,7 @@ def _chunk(sp: Space) -> int:
 
     That is 89 seeds at n=3, 16 at n=4 and 4 at n=5.
     """
-    return max(1, _CHUNK_BYTES // (8 * sp.dim**6))
+    return _per_chunk(8 * sp.dim**6)
 
 
 def _chunks(cfg: RunConfig, sp: Space) -> list[Seeds]:
@@ -407,7 +405,7 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         display = -4.0 * (_tail(SS, (0, 2, 1, 3)) + _tail(SS, (0, 2, 3, 1)))
         # the same one-jet with a perturbed d2R: the same gaps and the same R*R
         bad = _einstein_report(d2R + _ck_chunk(sp, 2, seeds) * 1e-2, SS, gaps, eps)
-        agree = [_verdicts_agree(_einstein_verdict(r), r) for r in (rep, bad)]
+        agree = [_verdicts_agree(r) for r in (rep, bad)]
         return {
             "extension_defect": _worst_rows(*rep.values()),
             "trace_display": _rel(tilde_hess, display, 1),
@@ -459,16 +457,15 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         basis = _nk_stack(n, m)
         gap = abs(len(basis) - len(_ck_stack(n, m - 2)))
         out.append(CheckRecord(f"dimensions/n{n}/nk_matches_ck_m{m}", float(gap), cfg.tol))
-        # Kulkarni images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2,
-        # where packing is an isometry: the rank is taken on packed columns
-        # (1500 x 420 at n=5, m=4, against 15625 x 420 unpacked), one basis
-        # vector unpacked at a time
+        # Kulkarni images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2, where packing
+        # is an isometry: the rank is taken on packed columns (1500 x 420 at n=5, m=4,
+        # against 15625 x 420 unpacked), each chunk of basis vectors checked in its class
         pk = _ck_packing(n, m - 2)
-        cols = np.empty((len(pk.rep), len(basis)))
-        for c, row in enumerate(basis.rows):
-            b = basis.unpack(row)
-            cols[:, c] = pk.pack_checked(kulkarni(SymBiform(sp, m, Tensor(sp, b))).data.ravel())
-        rank = int(np.linalg.matrix_rank(cols, tol=1e-9))
+        cols = [
+            pk.pack_checked(_kulkarni(_sym_biform(stack, m, 1), m).reshape(len(stack), -1))
+            for stack in basis.unpacked_chunks()
+        ]
+        rank = int(np.linalg.matrix_rank(np.concatenate(cols).T, tol=1e-9))
         out.append(
             CheckRecord(f"dimensions/n{n}/kulkarni_kernel_m{m}", float(len(basis) - rank), cfg.tol)
         )

@@ -12,10 +12,11 @@ dimension, the valence and the slot groups, never by the batch length: the
 row sums are one ``bincount`` of orbit sums (``spaces._group_sum``), the
 column antisymmetrization is one signed gather of those sums, and the C_k
 symmetry defects are one gather of the permuted copies, one signed matrix
-product and one batched norm.  Every image of the symmetrizer lies in the
-class Sym^k (x) L^2 (x) L^2 (``_ck_packing``); ``_packed_young`` gives the
-image in its packed coordinates, gathering the orbit sums only at the
-packed representatives.
+product and one batched norm; every C_k membership check reads them
+through ``_ck_residual``.  Every image of the symmetrizer lies in the class
+Sym^k (x) L^2 (x) L^2 (``_ck_packing``); ``_packed_young`` gives the image
+in its packed coordinates, gathering the orbit sums only at the packed
+representatives.
 """
 
 from __future__ import annotations
@@ -28,7 +29,9 @@ import numpy as np
 from .spaces import (
     Space,
     Tensor,
+    _check_slots,
     _in_blocks,
+    _norm,
     _normal_draws,
     _orbit_plan,
     _orbit_sums,
@@ -155,10 +158,15 @@ def _young(t: np.ndarray, k: int, lead: int = 0) -> np.ndarray:
 
 
 def tableau_apply(t: Tensor, row1_slots, row2_slots) -> Tensor:
-    """Tableau symmetrizer with explicit 1-based slot lists (slots = axes+1)."""
-    r1 = [s - 1 for s in row1_slots]
-    r2 = [s - 1 for s in row2_slots]
-    return Tensor(t.space, tableau_sum(t.data, r1, r2))
+    """Tableau symmetrizer with explicit 1-based slot lists (slots = axes+1).
+
+    ValueError unless the slots are distinct slots of t and row 2 is no longer than row 1.
+    """
+    row1, row2 = list(row1_slots), list(row2_slots)
+    if len(row2) > len(row1):
+        raise ValueError(f"second row {row2} is longer than the first {row1}")
+    axes = [s - 1 for s in _check_slots(t.valence, row1 + row2)]
+    return Tensor(t.space, tableau_sum(t.data, axes[: len(row1)], axes[len(row1) :]))
 
 
 def young_eigenvalue(k: int) -> float:
@@ -187,6 +195,8 @@ def _defect_plan(n: int, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
     axis c = k), row t of ``table`` gathers the t-th distinct permuted copy
     of d (the identity first), and defect i is ``signs[i] @ copies``.
     """
+    if k not in (0, 1, 2):
+        raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
     v, c = k + 4, k
 
     def perm(images: dict[int, int]) -> tuple[int, ...]:
@@ -223,21 +233,12 @@ def _defect_plan(n: int, k: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
     return tuple(defects), table, signs
 
 
-def _ck_defects(d: np.ndarray, k: int, b: int) -> dict[str, np.ndarray]:
-    """Norms of the C_k symmetry defects of each slice over the b leading axes of d.
+def _ck_defect_norms(d: np.ndarray, k: int) -> np.ndarray:
+    """Norms of the C_k symmetry defects of each valence k + 4 slice of d, defect first.
 
     One gather of the permuted copies of every slice, one signed matrix
-    product and one batched norm; a NaN or inf stays in its own slice.
-    """
-    names = _defect_plan(d.shape[-1], k)[0]
-    norms = _ck_defect_norms(d, k)
-    return {name: norms[i].reshape(d.shape[:b]) for i, name in enumerate(names)}
-
-
-def _ck_defect_norms(d: np.ndarray, k: int) -> np.ndarray:
-    """The norms of ``_ck_defects`` as one array: defect first, then every slice of d, raveled.
-
-    The slices go in blocks whose permuted copies take about ``_CHUNK_BYTES``.
+    product and one batched norm; a NaN or inf stays in its own slice.  The
+    slices go in blocks whose permuted copies take about ``_CHUNK_BYTES``.
     """
     table, signs = _defect_plan(d.shape[-1], k)[1:]
     flat = d.reshape(-1, table.shape[1])
@@ -251,6 +252,16 @@ def _ck_defect_norms(d: np.ndarray, k: int) -> np.ndarray:
     return (slice_norms(flat) if norms is None else norms).T
 
 
+def _ck_residual(t: np.ndarray, k: int, lead: int) -> np.ndarray:
+    """Largest C_k residual over the slices and symmetries of each tensor after ``lead`` axes.
+
+    Each is relative to max(|t|, 1), and NaN if any of its residuals is.
+    """
+    norms = _ck_defect_norms(t, k)
+    worst = norms.reshape(norms.shape[:1] + t.shape[:lead] + (-1,)).max(axis=(0, -1))
+    return worst / np.maximum(_norm(t, lead), 1.0)
+
+
 def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
     """Absolute residuals of the defining symmetries of C_k, keyed by name.
 
@@ -258,12 +269,11 @@ def ck_residuals(t: Tensor, k: int) -> dict[str, float | np.ndarray]:
     its b leading axes: each residual is then an array of shape (n,) * b
     holding the norm of every slice, and a float when b is 0.
     """
-    if k not in (0, 1, 2):
-        raise NotImplementedError(f"k={k} not supported (need 0, 1 or 2)")
+    names = _defect_plan(t.space.dim, k)[0]  # NotImplementedError for another k
     if t.valence < k + 4:
         raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
     b = t.valence - (k + 4)  # batch axes
-    res = _ck_defects(t.data, k, b)
+    res = dict(zip(names, _ck_defect_norms(t.data, k).reshape((-1,) + t.data.shape[:b])))
     return res if b else {name: float(v) for name, v in res.items()}
 
 
@@ -276,9 +286,7 @@ def is_member_Ck(t: Tensor, k: int, tol: float = 1e-9) -> bool:
     """
     if t.valence != k + 4:
         raise ValueError(f"need valence {k + 4} for k={k}, got {t.valence}")
-    scale = max(t.norm(), 1.0)
-    res = ck_residuals(t, k)
-    return all(v <= tol * scale for v in res.values())
+    return bool(_ck_residual(t.data, k, 0) <= tol)
 
 
 # Hard cap on the ambient dimension n**(k+4) of the projection problem.
@@ -302,8 +310,7 @@ def _ck_stack(n: int, k: int) -> PackedRows:
     )
     # the membership test of is_member_Ck(tol=1e-7), on a chunk of vectors at once
     for stack in basis.unpacked_chunks():
-        scale = np.maximum(np.linalg.norm(stack.reshape(len(stack), -1), axis=1), 1.0)
-        if not all(np.all(v <= 1e-7 * scale) for v in _ck_defects(stack, k, 1).values()):
+        if not np.all(_ck_residual(stack, k, 1) <= 1e-7):
             raise RuntimeError("projected basis vector fails the symmetry checks")
     return basis
 

@@ -29,7 +29,7 @@ from curvjet.jets import (
     _draw_two_jets,
     _einstein_one_jets,
     _einstein_report,
-    _einstein_verdict,
+    _einstein_verdicts,
     _extend,
     _hat_embed,
     _jacobi_fit,
@@ -141,7 +141,7 @@ def test_einstein_one_jet_draws_extension_and_check(sp):
         checked = jets_d2 or [TwoJet(j.R, j.dR, Tensor(sp, d)) for j, d in zip(extended, d2)]
         report = _einstein_report(d2, SS, einstein_gaps, sp.eps)
         singles_checked = [einstein_check(j) for j in checked]
-        assert_bitwise(_einstein_verdict(report), [v for v, _ in singles_checked])
+        assert_bitwise(_einstein_verdicts(report)[0], [v for v, _ in singles_checked])
         for key, values in report.items():
             assert_bitwise(values, [rep[key] for _, rep in singles_checked])
 
@@ -195,8 +195,8 @@ def test_verdict_agreement_on_report_arrays(sp):
     reports.append({**reports[0], "hessian_ricci": np.array([0.0, 1.0, 0.0, 1.0, 0.0])})
     for report in reports:
         singles = [{key: float(v[i]) for key, v in report.items()} for i in range(len(SEEDS))]
-        expect = [agree_one(_einstein_verdict(rep), rep) for rep in singles]
-        assert_bitwise(_verdicts_agree(_einstein_verdict(report), report), expect)
+        expect = [agree_one(_einstein_verdicts(rep)[0], rep) for rep in singles]
+        assert_bitwise(_verdicts_agree(report), expect)
     assert expect == [True, False, True, False, True]
 
 

@@ -452,6 +452,25 @@ def close_to(got: np.ndarray, ref: np.ndarray) -> bool:
     return np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize(
+    "other", [Space(4, (-1, 1, 1, 1)), Space(3)], ids=["signature", "dimension"]
+)
+def test_binary_operations_reject_mismatched_spaces(other):
+    R, g = random_ck(E4, 0, 1), E4.metric_tensor()
+    B = Tensor(E4, np.triu(np.ones((4, 4)), 1) - np.tril(np.ones((4, 4)), -1))
+    R_other, g_other = random_ck(other, 0, 1), other.metric_tensor()
+    with pytest.raises(ValueError, match="mismatched spaces"):
+        pair_derivation(R, R_other)
+    with pytest.raises(ValueError, match="mismatched spaces"):
+        pair_derivation(R_other, R)
+    with pytest.raises(ValueError, match="mismatched spaces"):
+        kn_pair(g, g_other)
+    with pytest.raises(ValueError, match="mismatched spaces"):
+        skew_action(B, R_other)
+    with pytest.raises(ValueError, match="mismatched spaces"):
+        star_action(R, R_other)
+
+
 @pytest.mark.parametrize("signature", SLOT_SIGNATURES)
 @pytest.mark.parametrize("valence", [0, 1, 2, 3, 4, 5, 6])
 def test_star_action_matches_per_ordered_pair_reference(signature, valence):

@@ -10,8 +10,8 @@ from curvjet.curvature import _slot_sum
 from curvjet.jets import TwoJet, random_two_jet, validate_two_jet
 from curvjet.spaces import Space, Tensor, _group_sum
 from curvjet.young import (
-    _ck_defects,
     _label_axes,
+    ck_residuals,
     random_ck,
     tableau_apply,
     tableau_sum,
@@ -111,6 +111,16 @@ def test_tableau_apply_matches_the_signed_row_column_sum(rows):
     assert np.abs(got.data - expect).max() <= 1e-13 * np.abs(expect).max()
 
 
+@pytest.mark.parametrize(
+    "rows", [((1, 1), (2, 3)), ((0, 2), (3, 4)), ((1, 9), (2, 3)), ((1,), (2, 3))],
+    ids=["repeated", "slot_0", "slot_9", "second_row_longer"],
+)
+def test_tableau_apply_rejects_malformed_slots(rows):
+    t = Tensor(Space(3), np.random.default_rng(6).standard_normal((3,) * 4))
+    with pytest.raises(ValueError):
+        tableau_apply(t, *rows)
+
+
 def _transpose_defects(d: np.ndarray, k: int) -> dict[str, float]:
     """The C_k defects of one tensor, each spelled out with transposes."""
     c = k
@@ -138,13 +148,13 @@ def _transpose_defects(d: np.ndarray, k: int) -> dict[str, float]:
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_ck_defects_match_the_transpose_formulas(k):
     d = np.random.default_rng(k).standard_normal((3,) * (k + 4))
-    got = _ck_defects(d, k, 0)
+    got = ck_residuals(Tensor(Space(3), d), k)
     expect = _transpose_defects(d, k)
     assert list(got) == list(expect)
     for name, value in expect.items():
         assert float(got[name]) == pytest.approx(value, rel=1e-14)
-    member = random_ck(Space(3), k, 4).data
-    assert max(float(v) for v in _ck_defects(member, k, 0).values()) <= 1e-13
+    member = random_ck(Space(3), k, 4)
+    assert max(ck_residuals(member, k).values()) <= 1e-13
 
 
 @pytest.mark.parametrize("part", ["dR", "d2R"])
@@ -155,7 +165,7 @@ def test_nan_stays_in_its_slice(part):
     k = data.ndim - 5  # read as C_1 slices over the leading axes
     data[(1,) * (data.ndim - 4) + (0, 1, 2, 0)] = np.nan
     batch = data.ndim - (k + 4)
-    res = _ck_defects(data, k, batch)
+    res = ck_residuals(Tensor(sp, data), k)
     bad = (1,) * batch
     assert any(np.isnan(v[bad]) for v in res.values())
     for v in res.values():

@@ -139,6 +139,23 @@ def test_image_rejects_images_outside_the_class():
         image(lambda batch: batch, packing(3, (("sym", 2),)), 6)
 
 
+def test_pack_checked_checks_each_row_against_its_own_norm():
+    # a large antisymmetric row and a small symmetric one: the joint gap is
+    # 1e-12 of the joint norm, but the small row leaves the class entirely
+    pk = packing(3, (("alt", 2),))
+    member = np.array([[0.0, 1, 2], [-1, 0, 3], [-2, -3, 0]]).ravel() * 1e6
+    outside = np.eye(3).ravel() * 1e-6
+    batch = np.stack([member, outside])
+    assert np.linalg.norm(pk.unpack(pk.pack(batch)) - batch) <= RTOL * np.linalg.norm(batch)
+    assert np.array_equal(pk.pack_checked(batch[:1]), pk.pack(batch[:1]))
+    with pytest.raises(RuntimeError, match="symmetry class"):
+        pk.pack_checked(batch)
+    # a zero row is measured against 1, and a NaN fails
+    assert np.array_equal(pk.pack_checked(np.zeros((2, 9))), np.zeros((2, 3)))
+    with pytest.raises(RuntimeError, match="symmetry class"):
+        pk.pack_checked(np.stack([member, np.full(9, np.nan)]))
+
+
 def _full_image(apply, shape, rank) -> np.ndarray:
     """Rows from an SVD of the unpacked images, on the samples ``image`` draws."""
     samples = np.random.default_rng(0).standard_normal((rank + 8,) + shape)
