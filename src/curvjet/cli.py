@@ -1,7 +1,8 @@
 """Command-line surface: generate, check, extend, fit, and metric evaluation.
 
 Exit codes: 0 on success, 1 on a failed check or violated precondition, 2 on
-usage errors.  Each JSON document starts with the header of its space, from
+usage errors; a violated precondition or usage error prints one ``error:`` line
+on stderr.  Each JSON document starts with the header of its space, from
 which ``extend`` and ``fit`` take theirs; a header that contradicts the
 tensors makes a document malformed.  Reports are deterministic for a fixed
 configuration.
@@ -93,13 +94,16 @@ def _emit(doc: dict, path: str | None) -> None:
     text = json_text(doc)
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 class DocumentError(Exception):
-    """An input document that cannot be read or does not parse."""
+    """A document that cannot be read or written, or an input one that does not parse."""
 
 
 def _load(path: str, parse):
@@ -171,11 +175,7 @@ def cmd_check(args) -> int:
 
 def cmd_extend(args) -> int:
     R, dR = _load(getattr(args, "in"), lambda doc: _header_tensors(doc, "R", "dR"))
-    try:
-        jet = einstein_extend(R, dR)
-    except (ValueError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    jet = einstein_extend(R, dR)
     _, report = einstein_check(jet)
     if args.out is not None:
         _emit(two_jet_to_dict(jet), args.out)
@@ -188,14 +188,9 @@ def cmd_fit(args) -> int:
     jet = _load(getattr(args, "in"), two_jet_from_dict)
     ok, res = validate_two_jet(jet)
     if not ok:
-        print(f"error: input is not a valid two-jet: {res}", file=sys.stderr)
-        return 1
-    try:
-        # the fit of ``fit_jacobi_relation`` and its eigenvalue gap, from one fit
-        c, residual, gap = _jacobi_fit(jet.d2R.data, jet.R.data, jet.space.eps)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"input is not a valid two-jet: {res}")
+    # the fit of ``fit_jacobi_relation`` and its eigenvalue gap, from one fit
+    c, residual, gap = _jacobi_fit(jet.d2R.data, jet.R.data, jet.space.eps)
     fit = JacobiFit(float(c), float(residual))
     pairs = {"c": fit.c, "residual": fit.residual}
     if einstein_check(jet)[0] and fit.clean:
@@ -319,12 +314,13 @@ def main(argv: list[str] | None = None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
         # the reader left early: the null device takes the rest, so exit stays quiet
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (DocumentError, ValueError, RuntimeError) as exc:
+        # the library's precondition errors; any other type is a bug and keeps its traceback
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

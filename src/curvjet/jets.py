@@ -292,8 +292,8 @@ def _ricci_gap(d2: np.ndarray, rotation: np.ndarray, scale, lead: int) -> np.nda
 def _two_jet_residuals(R, dR, d2R, rotation) -> dict[str, np.ndarray]:
     """``validate_two_jet`` residuals of each jet of a batch (any leading axes)."""
     lead = R.ndim - 4
-    # a float's square, as a lone jet takes it (a power of an array may round otherwise)
-    scale = np.reshape([float(v) ** 2 for v in np.ravel(_norm(R, lead))], R.shape[:lead])
+    norm = _norm(R, lead)
+    scale = norm * norm
     return {
         "curvature": _ck_residual(R, 0, lead),
         "derivative": _ck_residual(dR, 1, lead),
@@ -985,9 +985,16 @@ def einstein_extend(R: Tensor, dR: Tensor, tol: float = 1e-6) -> TwoJet:
     1/80-scaled correction from C_2, which preserves the jet constraints.
     The jet keeps the rotation and the one-jet gaps as cached values.
 
-    Raises ValueError if the input is not finite or not an Einstein one-jet,
-    and RuntimeError if the correction solve leaves a gap.
+    Raises ValueError if R and dR do not have valences 4 and 5 on one space,
+    or are not finite or not an Einstein one-jet, and RuntimeError if the
+    correction solve leaves a gap.
     """
+    if (R.valence, dR.valence) != (4, 5):
+        raise ValueError(
+            f"einstein_extend needs R and dR of valences (4, 5), got ({R.valence}, {dR.valence})"
+        )
+    if R.space != dR.space:
+        raise ValueError(f"mismatched spaces: R on {R.space}, dR on {dR.space}")
     d2, rotation, gaps = _extend(R.space, R.data, dR.data, tol)
     jet = TwoJet(R, dR, Tensor(R.space, d2))
     return _seed(jet, rotation=rotation, einstein_gaps=tuple(float(g) for g in gaps))

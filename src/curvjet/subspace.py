@@ -19,7 +19,9 @@ runs its SVD on the packed images: it first checks that the images lie in
 the declared class (``Packing.pack_checked``: unpacking the packed images
 must give each image back to ``RTOL`` of its own norm) and raises
 RuntimeError otherwise.  The rank gate and cutoff are those of the
-unpacked SVD, whose singular values the packed one shares.
+unpacked SVD, whose singular values the packed one shares; ``numerical_rank``
+is the one rule that counts every rank.  Each row ``image`` returns is then
+checked with the class's own residual kernel against its bound.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
 whose images have no symmetry.  The rows stay packed (``PackedRows``):
 a combination of them is formed in the P packed coordinates and only the
@@ -34,7 +36,10 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-__all__ = ["RTOL", "Packing", "PackedRows", "packing", "image", "kernel", "lstsq_factors"]
+__all__ = [
+    "RTOL", "Packing", "PackedRows", "packing", "image", "kernel", "lstsq_factors",
+    "numerical_rank",
+]
 
 # relative singular-value cutoff shared by every rank decision
 RTOL = 1e-10
@@ -197,7 +202,11 @@ def packing(n: int, groups: tuple[tuple[str, int], ...]) -> Packing:
 
 
 def image(
-    apply: Callable[[np.ndarray], np.ndarray], pk: Packing, rank: int
+    apply: Callable[[np.ndarray], np.ndarray],
+    pk: Packing,
+    rank: int,
+    residual: Callable[[np.ndarray], np.ndarray],
+    bound: float,
 ) -> PackedRows:
     """``rank`` orthonormal rows spanning the image of a linear map.
 
@@ -205,9 +214,23 @@ def image(
     first) to a batch of images in the class of ``pk``.  The samples come
     from ``default_rng(0)``, so the rows are identical on every run; they
     are returned read-only in the packed coordinates of ``pk``.  Raises
-    RuntimeError if an image leaves the class or unless the sampled images
-    have numerical rank exactly ``rank``.
+    RuntimeError if an image leaves the class, if the sampled images do not
+    have numerical rank exactly ``rank``, or if ``residual`` of a stack of
+    unpacked rows exceeds ``bound`` on any row (a NaN fails).
     """
+    basis = PackedRows(_sampled_rows(apply, pk, rank), pk)
+    res = np.concatenate([residual(stack) for stack in basis.unpacked_chunks()])
+    if not np.all(res <= bound):
+        raise RuntimeError(
+            f"an image row fails its class check: residual {res.max():.3e} > {bound:.0e}"
+        )
+    return basis
+
+
+def _sampled_rows(
+    apply: Callable[[np.ndarray], np.ndarray], pk: Packing, rank: int
+) -> np.ndarray:
+    """``image``'s rows before their check; the samples and the SVD are freed on return."""
     rng = np.random.default_rng(0)
     count = rank + _OVERSAMPLE
     # the map runs on chunks of samples, so the unpacked images are never
@@ -219,14 +242,19 @@ def image(
         packed[start : start + step] = pk.pack_checked(images.reshape(len(images), -1))
     _, s, vt = np.linalg.svd(packed, full_matrices=False)
     s = np.append(s, 0.0)  # s[rank] exists even if rank is the ambient dimension
-    if not (s[rank - 1] > RTOL * s[0] and s[rank] <= RTOL * s[0]):
+    if numerical_rank(s) != rank:
         raise RuntimeError(
             f"image rank check failed: expected {rank}, singular ratios "
             f"{s[rank - 1] / s[0]:.3e} and {s[rank] / s[0]:.3e} around the cutoff {RTOL:.0e}"
         )
     rows = vt[:rank].copy()  # not a view: the oversampled rows are dropped
     rows.flags.writeable = False
-    return PackedRows(rows, pk)
+    return rows
+
+
+def numerical_rank(s: np.ndarray) -> int:
+    """The count of singular values ``s`` above ``RTOL`` times the largest; every rank uses it."""
+    return int(np.sum(s > RTOL * s.max(initial=0.0)))
 
 
 def kernel(matrix: np.ndarray) -> np.ndarray:
@@ -244,5 +272,5 @@ def lstsq_factors(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     remaining right singular vectors, which span the null space.
     """
     u, s, vt = np.linalg.svd(matrix, full_matrices=matrix.shape[0] < matrix.shape[1])
-    rank = int(np.sum(s > RTOL * s.max(initial=0.0)))
+    rank = numerical_rank(s)
     return np.ascontiguousarray(u[:, :rank].T), vt[:rank].T / s[:rank], vt[rank:]

@@ -94,7 +94,7 @@ from .spaces import (
     run_scope,
     space_to_dict,
 )
-from .subspace import _per_chunk
+from .subspace import _per_chunk, numerical_rank
 from .young import _ck_chunk, _ck_packing, _ck_stack, _young, young_eigenvalue
 
 __all__ = ["RunConfig", "make_config", "suite_names", "run_suites", "run_suites_timed"]
@@ -458,14 +458,14 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         gap = abs(len(basis) - len(_ck_stack(n, m - 2)))
         out.append(CheckRecord(f"dimensions/n{n}/nk_matches_ck_m{m}", float(gap), cfg.tol))
         # Kulkarni images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2, where packing
-        # is an isometry: the rank is taken on packed columns (1500 x 420 at n=5, m=4,
-        # against 15625 x 420 unpacked), each chunk of basis vectors checked in its class
+        # is an isometry: the rank is taken on packed images (420 x 1500 at n=5, m=4,
+        # against 420 x 15625 unpacked), each chunk of basis vectors checked in its class
         pk = _ck_packing(n, m - 2)
         cols = [
             pk.pack_checked(_kulkarni(_sym_biform(stack, m, 1), m).reshape(len(stack), -1))
             for stack in basis.unpacked_chunks()
         ]
-        rank = int(np.linalg.matrix_rank(np.concatenate(cols).T, tol=1e-9))
+        rank = numerical_rank(np.linalg.svd(np.concatenate(cols), compute_uv=False))
         out.append(
             CheckRecord(f"dimensions/n{n}/kulkarni_kernel_m{m}", float(len(basis) - rank), cfg.tol)
         )
@@ -740,9 +740,12 @@ def _run_tasks(cfg: RunConfig, names: list[str], spaces: list[Space]) -> dict[_T
     With one process allowed (``_pool_size``), one task or no ``fork``, all
     tasks run in this process.  Otherwise they run in a forked process that
     holds this process's CPU and splits them further, and this process only
-    waits for it: on 2 vCPUs with one BLAS thread, a default check whose
+    waits for it.  On 2 vCPUs with one BLAS thread, a default check whose
     first worker was this process peaked at 49.4-52.2 MB, against
-    45.3-47.8 MB with a forked one.
+    45.3-47.8 MB with a forked one.  That gap is no saving: a forked child
+    counts a file-backed page (a library or module) only once it touches
+    it, and just after the fork its file-backed pages read 8.4 MB below
+    those that the waiting parent still holds.
     """
     run = _Run(cfg, names, spaces)
     tasks = run.tasks()

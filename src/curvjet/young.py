@@ -303,16 +303,14 @@ def _ck_stack(n: int, k: int) -> PackedRows:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
     row1, row2 = _label_axes(k)
     # batched symmetrizer over the leading sample axis
-    basis = image(
+    # each row passes the membership test of is_member_Ck(tol=1e-7)
+    return image(
         lambda batch: tableau_sum(batch, row1, row2, lead=1),
         _ck_packing(n, k),
         hook_content_dim(n, k),
+        lambda stack: _ck_residual(stack, k, 1),
+        1e-7,
     )
-    # the membership test of is_member_Ck(tol=1e-7), on a chunk of vectors at once
-    for stack in basis.unpacked_chunks():
-        if not np.all(_ck_residual(stack, k, 1) <= 1e-7):
-            raise RuntimeError("projected basis vector fails the symmetry checks")
-    return basis
 
 
 def basis_Ck(space: Space, k: int) -> list[Tensor]:

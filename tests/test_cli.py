@@ -501,6 +501,57 @@ class TestDocumentHeader:
         assert json_text(write(read(json.loads(text)))) == text
 
 
+class TestFailurePath:
+    # main turns every command failure into exit 1, one error line and no stdout
+    @staticmethod
+    def fails_with_one_error_line(argv, capsys, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 1
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0] and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["gen", "metric", "extend", "check"])
+    def test_unwritable_out(self, command, tmp_path, capsys):
+        out = tmp_path / "missing" / "doc.json"
+        argv = {
+            "gen": ["gen", "--dim", "3"],
+            "metric": ["metric", "--dim", "3"],
+            "extend": ["extend", "--in", str(tmp_path / "one.json")],
+            "check": ["check", "--dim", "3", "--seeds", "1", "--suite", "star"],
+        }[command]
+        jet = symmetric_jet(1.0)
+        (tmp_path / "one.json").write_text(json.dumps(one_jet_doc(jet.R, jet.dR)))
+        self.fails_with_one_error_line(argv + ["--out", str(out)], capsys, f"cannot write {out}")
+
+    def test_unwritable_timings(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "timings.json"
+        argv = ["check", "--dim", "3", "--seeds", "1", "--suite", "star", "--timings", str(path)]
+        self.fails_with_one_error_line(argv, capsys, f"cannot write {path}")
+
+    def test_metric_of_degree_three(self, tmp_path, capsys):
+        path = tmp_path / "met.json"
+        assert main(["metric", "--dim", "3", "--seed", "2", "--out", str(path)]) == 0
+        doc = json.loads(path.read_text())
+        doc["degree"] = 3
+        doc["entries"] = [e for e in doc["entries"] if sum(e[2]) <= 3]
+        path.write_text(json.dumps(doc))
+        self.fails_with_one_error_line(
+            ["metric", "--in", str(path)], capsys, "degree must be at least 4"
+        )
+
+    def test_extend_with_swapped_tensors(self, tmp_path, capsys):
+        # R and dR swapped: the document parses, and extend names the valences
+        jet = symmetric_jet(1.0)
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(one_jet_doc(jet.dR, jet.R)))
+        self.fails_with_one_error_line(
+            ["extend", "--in", str(path)], capsys, "valences (4, 5), got (5, 4)"
+        )
+
+
 class TestLeadingMinusSignature:
     # "--signature -1,1,1,1" must reach --signature as its value, not be read
     # as an unknown option, on every subcommand that takes a signature; extend

@@ -706,6 +706,17 @@ class TestExtend:
         with pytest.raises(ValueError, match="nonparallel"):
             einstein_extend(R, random_ck(E4, 1, 15))
 
+    def test_rejects_swapped_valences(self):
+        R, dR = random_einstein_one_jet(E4, 14)
+        with pytest.raises(ValueError, match=r"valences \(4, 5\), got \(5, 4\)"):
+            einstein_extend(dR, R)
+
+    def test_rejects_mismatched_spaces(self):
+        R, dR = random_einstein_one_jet(E4, 14)
+        lorentz = Space(4, (-1, 1, 1, 1))
+        with pytest.raises(ValueError, match="mismatched spaces"):
+            einstein_extend(R, Tensor(lorentz, dR.data))
+
     @pytest.mark.parametrize("part", ["R", "dR"])
     def test_rejects_nan(self, part):
         R, dR = random_einstein_one_jet(E4, 16)

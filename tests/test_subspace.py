@@ -16,7 +16,7 @@ from curvjet.jets import (
     random_two_jet,
 )
 from curvjet.spaces import Space, _group_sum
-from curvjet.subspace import RTOL, PackedRows, image, kernel, packing
+from curvjet.subspace import RTOL, PackedRows, image, kernel, numerical_rank, packing
 from curvjet.young import _ck_stack, _label_axes, basis_Ck, hook_content_dim, tableau_sum
 
 
@@ -34,28 +34,50 @@ def _coordinate_projector(r: int):
     return apply
 
 
+def _beyond(r: int):
+    """The residual kernel of the first r coordinates: each row's norm past them."""
+    return lambda stack: np.linalg.norm(stack[:, r:], axis=1)
+
+
 def test_image_spans_the_range():
-    rows = image(_coordinate_projector(3), _vectors(7), 3).unpacked()
+    rows = image(_coordinate_projector(3), _vectors(7), 3, _beyond(3), 1e-12).unpacked()
     assert rows.shape == (3, 7)
     assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-12)
     assert np.linalg.norm(rows[:, 3:]) < 1e-12
 
 
 def test_image_is_reproducible():
-    a = image(_coordinate_projector(4), _vectors(9), 4)
-    b = image(_coordinate_projector(4), _vectors(9), 4)
+    a = image(_coordinate_projector(4), _vectors(9), 4, _beyond(4), 1e-12)
+    b = image(_coordinate_projector(4), _vectors(9), 4, _beyond(4), 1e-12)
     assert np.array_equal(a.rows, b.rows)
 
 
 @pytest.mark.parametrize("claimed", [2, 4])
 def test_image_rejects_a_wrong_rank(claimed):
-    with pytest.raises(RuntimeError):
-        image(_coordinate_projector(3), _vectors(7), claimed)
+    with pytest.raises(RuntimeError, match="rank check failed"):
+        image(_coordinate_projector(3), _vectors(7), claimed, _beyond(3), 1e-12)
 
 
 def test_image_of_the_identity_fills_the_space():
-    rows = image(lambda batch: batch, _vectors(5), 5).unpacked()
+    rows = image(lambda batch: batch, _vectors(5), 5, _beyond(5), 0.0).unpacked()
     assert np.allclose(rows @ rows.T, np.eye(5), atol=1e-12)
+
+
+def test_image_rejects_a_row_that_fails_the_residual_kernel():
+    # the image of the first 3 coordinates checked against the first 2 names its worst row
+    rows = image(_coordinate_projector(3), _vectors(7), 3, _beyond(3), 1e-12).unpacked()
+    worst = _beyond(2)(rows).max()
+    with pytest.raises(RuntimeError, match=f"class check: residual {worst:.3e} > 1e-12"):
+        image(_coordinate_projector(3), _vectors(7), 3, _beyond(2), 1e-12)
+    with pytest.raises(RuntimeError, match="class check: residual nan"):
+        image(_coordinate_projector(3), _vectors(7), 3, lambda s: np.full(len(s), np.nan), 1.0)
+
+
+def test_numerical_rank_is_relative():
+    M = np.random.default_rng(2).standard_normal((6, 4)) @ np.diag([1.0, 1.0, 1.0, 0.0])
+    s = np.linalg.svd(M, compute_uv=False)
+    assert numerical_rank(s) == numerical_rank(np.linalg.svd(1e-12 * M, compute_uv=False)) == 3
+    assert numerical_rank(np.zeros(3)) == 0
 
 
 def test_kernel_of_a_known_matrix():
@@ -136,7 +158,7 @@ def test_packed_dimensions(n, name, size):
 
 def test_image_rejects_images_outside_the_class():
     with pytest.raises(RuntimeError, match="symmetry class"):
-        image(lambda batch: batch, packing(3, (("sym", 2),)), 6)
+        image(lambda batch: batch, packing(3, (("sym", 2),)), 6, _beyond(9), 0.0)
 
 
 def test_pack_checked_checks_each_row_against_its_own_norm():
