@@ -67,12 +67,22 @@ class RicciData:
 
 
 def _ric(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """Ricci forms of the curvature tensors on the last four axes of R.
+    """Ricci contraction of the curvature slots on the last four axes of R.
 
-    The trace runs over curvature slots 2 and 4, so on a first derivative
-    dR it gives grad ric (``ricci_derivative``).
+    The signed trace runs over curvature slots 2 and 4, and any derivative
+    or batch axes in front ride along: on R it gives ric, on a first
+    derivative dR the Ricci derivative grad ric (``ricci_derivative``), and
+    on a second derivative d2R the second Ricci derivative
+    ``hess_ric[a, b, u, v]`` (``jets.jet_traces``).
     """
     return -1.0 * _trace(R, -3, -1, eps)
+
+
+def _trace_free_ric(R: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The trace-free Ricci form ric - (s/n) g and the scalar curvature s of each R."""
+    ric = _ric(R, eps)
+    s = _scalar_trace(ric, eps)
+    return ric - np.diag(eps) * (s / len(eps))[..., None, None], s
 
 
 def ricci(R: Tensor) -> RicciData:
@@ -161,9 +171,7 @@ def _decompose(R: np.ndarray, sp: Space) -> tuple[np.ndarray, np.ndarray, np.nda
     if n < 3:
         raise NotImplementedError("decompose needs dim >= 3")
     g = sp.metric_matrix()
-    ric = _ric(R, sp.eps)
-    s = _scalar_trace(ric, sp.eps)
-    ric0 = ric - g * (s / n)[..., None, None]
+    ric0, s = _trace_free_ric(R, sp.eps)
     scalar_part = (-s / (2.0 * n * (n - 1)))[..., None, None, None, None] * _kn_metric(sp)
     ricci_part = _kn(g, ric0) * (-1.0 / (n - 2))
     return scalar_part, ricci_part, R - scalar_part - ricci_part

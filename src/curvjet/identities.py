@@ -19,15 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .curvature import _decompose, _jacobi_layout, _kulkarni, _pair_trace, _ric, _rotate
-from .jets import (
-    _div_der,
-    _hat_embed,
-    _hess_ric,
-    _hessian_tableau,
-    _rough_lap,
-    _tilde,
-    _two_jet_chunk,
-)
+from .jets import _div_der, _hat_embed, _hessian_tableau, _rough_lap, _tilde, _two_jet_chunk
 from .spaces import Space, _norm, _rel, _sym_biform, _sym_product_layout, _tail, memoized
 from .young import _ck_chunk, _young, tableau_sum
 
@@ -49,18 +41,14 @@ def _pair_sum(F: np.ndarray) -> np.ndarray:
 
 
 @memoized
-def _ricci_rotation(space: Space, seeds: tuple[int, ...]) -> np.ndarray:
-    """The Ricci rotation ``pair_derivation(R, ric)`` of each ``R = random_ck(space, 0, seed)``."""
-    R = _ck_chunk(space, 0, seeds)
-    return _rotate(R, _ric(R, space.eps), space.eps)
-
-
-@memoized
 def _rotation_data(space: Space, seeds: tuple[int, ...]):
-    """The rotation 6-tensor of each ``random_ck(space, 0, seed)``, its trace and Ricci rotation."""
-    R = _ck_chunk(space, 0, seeds)
-    D = _rotate(R, R, space.eps)
-    return D, _pair_trace(D, space.eps), _ricci_rotation(space, seeds)
+    """The rotation of each drawn jet (``_two_jet_chunk``), its trace and its Ricci rotation.
+
+    The jet's R is ``random_ck(space, 0, seed)``: each seed draws R's coefficients first.
+    """
+    j = _two_jet_chunk(space, seeds)
+    Gn = _rotate(j.R, _ric(j.R, space.eps), space.eps)
+    return j.rotation, _pair_trace(j.rotation, space.eps), Gn
 
 
 def _derivation_trace_pair(space: Space, seeds: tuple[int, ...]) -> Residuals:
@@ -97,8 +85,8 @@ def _hessian_trace_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # three signed traces and the rotation trace; needs a coupled jet
     eps = space.eps
     j = _two_jet_chunk(space, seeds)
-    hess, div_der, lap = _hess_ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
-    T1 = _pair_trace(j.rotation, eps)
+    hess, div_der, lap = _ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
+    T1 = _rotation_data(space, seeds)[1]
     lhs = -_traced_tableau(eps, _tail(j.d2R, (0, 3, 1, 5, 2, 4)))
     F = (
         _tail(lap, (1, 3, 0, 2))
@@ -111,7 +99,7 @@ def _hessian_trace_expansion(space: Space, seeds: tuple[int, ...]) -> Residuals:
 
 def _ricci_rotation_vanishes(space: Space, seeds: tuple[int, ...]) -> Residuals:
     # the (2,2) tableau kills the Ricci rotation term identically
-    Gn = _ricci_rotation(space, seeds)
+    Gn = _rotation_data(space, seeds)[2]
     projected = _young(Gn, 0, 1)
     return {"residual": _norm(projected, 1) / np.maximum(_norm(Gn, 1), 1.0)}
 
@@ -169,9 +157,8 @@ def _assoc_displays(space: Space, seeds: tuple[int, ...]):
     eps = space.eps
     j = _two_jet_chunk(space, seeds)
     tilde_hess, _ = _tilde(j.d2R, eps)
-    hess, div_der, lap = _hess_ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
-    T1 = _pair_trace(j.rotation, eps)
-    Gn = _rotate(j.R, _ric(j.R, eps), eps)
+    hess, div_der, lap = _ric(j.d2R, eps), _div_der(j.d2R, eps), _rough_lap(j.d2R, eps)
+    _, T1, Gn = _rotation_data(space, seeds)
 
     grn = _pair_sum(_tail(Gn, (0, 2, 1, 3)))
     hrt = _pair_sum(hess)

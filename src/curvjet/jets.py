@@ -16,6 +16,12 @@ Jacobi forms, the tableau-projected trace operators and the metric embedding
 iota, the two Weitzenboeck checks, the Einstein criterion in its three
 equivalent forms, Jacobi-relation fitting, and the extension of an Einstein
 one-jet to a full Einstein two-jet.
+
+Index patterns that the lower layers define are read from them, not
+restated: the Ricci contraction at every order and the trace-free Ricci
+form come from ``curvature._ric`` and ``curvature._trace_free_ric``, the
+divergence traces from ``curvature._pair_trace``, and the three terms of
+the second Bianchi cycle from ``young._defect_plan``.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .curvature import (
     _ricci_rotation_sum,
     _rotate,
     _star,
+    _trace_free_ric,
 )
 from .spaces import (
     Space,
@@ -49,7 +56,6 @@ from .spaces import (
     _norm,
     _normal_draws,
     _rel,
-    _scalar_trace,
     _tail,
     memoized,
     space_to_dict,
@@ -60,6 +66,7 @@ from .young import (
     _ck_packing,
     _ck_residual,
     _ck_stack,
+    _defect_plan,
     _packed_young,
     _packed_young_plan,
     _young,
@@ -257,17 +264,13 @@ class JacobiFit:
 
 
 # Every kernel below reads its tensors on the trailing axes, so leading (seed)
-# axes ride along; the public functions call them without one.
-
-
-def _hess_ric(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    # second Ricci derivative: trace over curvature slots 2 and 4
-    return -np.einsum("...abuivi,i->...abuv", d2, eps)
+# axes ride along; the public functions call them without one.  The second
+# Ricci derivative of d2 is ``curvature._ric(d2, eps)``.
 
 
 def _div_der(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
     # derivative of the divergence: inner derivative against slot 1
-    return -np.einsum("...aiizuv,i->...azuv", d2, eps)
+    return -_pair_trace(d2, eps)
 
 
 def _rough_lap(d2: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -341,6 +344,24 @@ def validate_section_jet(sj: SectionTwoJet, tol: float = 1e-8) -> tuple[bool, di
 
 
 @lru_cache(maxsize=None)
+def _cycle_gather(n: int) -> tuple[np.ndarray, Packing]:
+    """Where the three terms of the second Bianchi cycle read, at each packed target.
+
+    The cycle over the inner derivative slot and c_1, c_2 (axes 1, 2, 3) of
+    a valence-6 tensor antisymmetric in (c_1, c_2) is totally antisymmetric
+    in those slots, so it lies in V (x) L^3 (x) L^2, packed by the returned
+    ``pk``.  Row t of the flat indices, shape (3, P), is the t-th
+    ``second_bianchi`` copy of ``young._defect_plan(n, 2)`` read at
+    ``pk.rep``: at each representative (a, x, y, z, u, v) the entries
+    (a, x, y, z), (a, z, x, y) and (a, y, z, x), each followed by (u, v).
+    """
+    names, table, signs = _defect_plan(n, 2)
+    copies = np.flatnonzero(signs[names.index("second_bianchi")])  # the identity first
+    pk = packing(n, (("sym", 1), ("alt", 3), ("alt", 2)))
+    return _read_only(table[copies][:, pk.rep]), pk
+
+
+@lru_cache(maxsize=None)
 def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
     """Solver for the Bianchi-cycle system over Sym^2 V* (x) C_0 in dimension n.
 
@@ -350,51 +371,28 @@ def _h_solver(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, Packing]:
     (ut, vs) of the system, for the minimum-norm solution ``vs @ (ut @ t)``
     of a raveled cycle target t (rank deficiency is expected: the
     homogeneous solutions are exactly C_2), the (n, n) map from a matrix
-    entry to its pair p, and the packing of the cycle targets.
+    entry to its pair p, and the packing ``pk`` of the cycle targets.
 
-    The cycle over (inner derivative, c_1, c_2) of a tensor antisymmetric in
-    (c_1, c_2) is totally antisymmetric in those slots, so each column lies
-    in V (x) L^3 (x) L^2; the system is formed and solved in its packed
-    coordinates, and ``ut`` stays packed: it acts on ``pk.pack`` of the
-    raveled target.  The system uses no metric, so one solver serves every
-    signature.
+    The system is formed and solved in the packed coordinates of
+    ``_cycle_gather``, whose table of cycle terms it unravels, and ``ut``
+    stays packed: it acts on ``pk.pack`` of the raveled target.  The system
+    uses no metric, so one solver serves every signature.
     """
+    index, pk = _cycle_gather(n)
     stack0 = _ck_stack(n, 0).unpacked()
     upper = np.triu_indices(n)
     pairs = np.empty((n, n), dtype=np.intp)
     pairs[upper] = pairs[upper[::-1]] = np.arange(len(upper[0]))
-    pk = packing(n, (("sym", 1), ("alt", 3), ("alt", 2)))
-    a, x, y, z, u, v = np.unravel_index(pk.rep, pk.shape)
-    # the cycle of sym_p (x) b_i at (a, x, y, z, u, v) is
-    # sum over the cyclic shifts (x, y, z) of sym_p[a, x] * b_i[y, z, u, v]
+    # the term of sym_p (x) b_i that reads (a, p, q, r, u, v) is sym_p[a, p] * b_i[q, r, u, v];
+    # a target's three terms read distinct pairs (a, p), so at most one is nonzero
     one_hot = np.eye(len(upper[0]))
     packed = sum(
         one_hot[pairs[a, p]][:, :, None] * stack0[:, q, r, u, v].T[:, None, :]
-        for p, q, r in ((x, y, z), (y, z, x), (z, x, y))
+        for a, p, q, r, u, v in zip(*np.unravel_index(index, pk.shape))
     )
     packed = packed.reshape(len(pk.rep), -1) * pk.weight[:, None]
     ut, vs, _ = lstsq_factors(packed)
     return _read_only(ut), _read_only(vs), _read_only(pairs), pk
-
-
-@lru_cache(maxsize=None)
-def _cycle_gather(n: int) -> np.ndarray:
-    """Flat indices, shape (3, P), of the three terms of the Bianchi cycle at ``pk.rep``.
-
-    Row t holds the entry that the t-th term of the cycle over the inner
-    derivative slot and c_1, c_2 (axes 1, 2, 3) reads at each packed
-    representative (a, x, y, z, u, v): d at (a, x, y, z), (a, z, x, y) and
-    (a, y, z, x), each followed by (u, v).
-    """
-    pk = _h_solver(n)[3]
-    a, x, y, z, u, v = np.unravel_index(pk.rep, pk.shape)
-    index = np.stack(
-        [
-            np.ravel_multi_index((a, p, q, r, u, v), pk.shape)
-            for p, q, r in ((x, y, z), (z, x, y), (y, z, x))
-        ]
-    )
-    return _read_only(index)
 
 
 def _packed_cycle(d: np.ndarray) -> np.ndarray:
@@ -404,9 +402,9 @@ def _packed_cycle(d: np.ndarray) -> np.ndarray:
     order d + d(a, z, x, y) + d(a, y, z, x), so the result equals the packed
     full cycle to the bit.
     """
-    n = d.shape[-1]
-    terms = _gather(d.reshape(d.shape[:-6] + (-1,)), _cycle_gather(n))
-    return (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]) * _h_solver(n)[3].weight
+    index, pk = _cycle_gather(d.shape[-1])
+    terms = _gather(d.reshape(d.shape[:-6] + (-1,)), index)
+    return (terms[..., 0, :] + terms[..., 1, :] + terms[..., 2, :]) * pk.weight
 
 
 def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -584,7 +582,7 @@ def jet_traces(j: TwoJet) -> tuple[Tensor, Tensor, Tensor]:
     sp = j.space
     d2 = j.d2R.data
     return (
-        Tensor(sp, _hess_ric(d2, sp.eps)),
+        Tensor(sp, _ric(d2, sp.eps)),
         Tensor(sp, _div_der(d2, sp.eps)),
         Tensor(sp, _rough_lap(d2, sp.eps)),
     )
@@ -615,7 +613,7 @@ def tilde_ops(j: TwoJet) -> tuple[Tensor, Tensor]:
 def _tilde(d2: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``tilde_ops`` of each second derivative on the last six axes of d2."""
     projected = _young(d2, 2, d2.ndim - 6)
-    return -np.einsum("...xyaibi,i->...xyab", projected, eps), _rough_lap(projected, eps)
+    return _ric(projected, eps), _rough_lap(projected, eps)
 
 
 def hat_embed(S: Tensor) -> Tensor:
@@ -657,7 +655,8 @@ def _weitzenbock(background, Rp, d2p, rotation, eps) -> dict[str, np.ndarray]:
     """``weitzenbock_check`` of each section jet of a batch, from its components and rotation."""
     lead = Rp.ndim - 4
     lap = _rough_lap(d2p, eps)
-    dddel = _div_der(d2p, eps) + np.einsum("...yiixuv,i->...xyuv", d2p, eps)
+    D = _div_der(d2p, eps)
+    dddel = D - _tail(D, (1, 0, 2, 3))
     deld = (
         lap
         - np.einsum("...iyziuv,i->...yzuv", d2p, eps)
@@ -699,7 +698,7 @@ def _weitzenbock_special(d2: np.ndarray, SS: np.ndarray, eps: np.ndarray) -> dic
     """``weitzenbock_special`` of each jet of a batch, from its d2R and R*R."""
     lead = d2.ndim - 6
     lap = _rough_lap(d2, eps)
-    hess = _hess_ric(d2, eps)
+    hess = _ric(d2, eps)
     return {
         "special": _rel(lap, 0.25 * _hessian_tableau(hess, lead) - 0.5 * SS, lead),
         "einstein_form": _rel(lap, -0.5 * SS, lead),
@@ -834,10 +833,7 @@ def _one_jet_gaps(R: np.ndarray, dR: np.ndarray, eps: np.ndarray) -> tuple[np.nd
     Each norm is taken relative to max(norm of the jet component, 1).
     """
     lead = R.ndim - 4
-    ric = _ric(R, eps)
-    scalar = _scalar_trace(ric, eps)
-    proportional_gap = ric - np.diag(eps) * (scalar / len(eps))[..., None, None]
-    res_ric = _norm(proportional_gap, lead) / np.maximum(_norm(R, lead), 1.0)
+    res_ric = _norm(_trace_free_ric(R, eps)[0], lead) / np.maximum(_norm(R, lead), 1.0)
     return res_ric, _norm(_ric(dR, eps), lead) / np.maximum(_norm(dR, lead), 1.0)
 
 
@@ -871,7 +867,7 @@ def _einstein_report(d2: np.ndarray, SS: np.ndarray, gaps, eps: np.ndarray) -> d
     n = len(eps)
     lead = d2.ndim - 6
     res_ric, res_dric = gaps
-    hess = _hess_ric(d2, eps)
+    hess = _ric(d2, eps)
     res_hess = _norm(hess, lead) / np.maximum(_norm(d2, lead), 1.0)
 
     # tableau form: all metric traces of Young(d2R) - iota(R*R)/(n+4), from
@@ -957,8 +953,8 @@ def _extension_solver(
     packed like the C_2 basis.
     """
     directions = _ck_stack(space.dim, 2)
-    # _hess_ric of every direction, read off the packed rows at the entries
-    # (a, b, u, i, v, i) that its trace sums over
+    # the second Ricci derivative (``_ric``) of every direction, read off the
+    # packed rows at the entries (a, b, u, i, v, i) that its trace sums over
     summed = directions.entries(_trace_table(space.dim, ((3, 5),))[0])
     system = np.ascontiguousarray(-(summed @ space.eps).T)
     ut, vs, null = lstsq_factors(system)
@@ -1018,7 +1014,7 @@ def _extend(sp: Space, R: np.ndarray, dR: np.ndarray, tol: float = 1e-6):
     rotation = _read_only(_rotate(R, R, sp.eps))
     provisional = _particular_d2(R, rotation)
     directions, system, ut, vs, _ = _extension_solver(sp)
-    target = -80.0 * _hess_ric(provisional, sp.eps).reshape(R.shape[:lead] + (-1,))
+    target = -80.0 * _ric(provisional, sp.eps).reshape(R.shape[:lead] + (-1,))
     coeff = _matvec(vs, _matvec(ut, target))
     solve_gap = np.ravel(_norm(_matvec(system, coeff) - target, lead))
     # a NaN gap fails too

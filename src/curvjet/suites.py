@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import spaces as _spaces
-from .curvature import _kn_metric, _kulkarni, _nk_stack, _rotate, _star, _star_residuals
+from .curvature import _kn_metric, _kulkarni, _nk_stack, _ric, _rotate, _star, _star_residuals
 from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
     _CLEAN_FIT,
@@ -71,7 +71,6 @@ from .jets import (
     _extend,
     _hat_embed,
     _hess_kernel_stack,
-    _hess_ric,
     _hessian_tableau,
     _jacobi_fit,
     _rough_lap,
@@ -133,12 +132,12 @@ def _verdicts_agree(rep: Residuals) -> np.ndarray:
 class RunConfig:
     """Effective parameters of a check run."""
 
-    dims: tuple[int, ...] = (3, 4)
-    signature: tuple[int, ...] | None = None
-    seeds: int = 25
-    base_seed: int = 0
-    tol: float = 1e-9
-    full: bool = False
+    dims: tuple[int, ...]
+    signature: tuple[int, ...] | None
+    seeds: int
+    base_seed: int
+    tol: float
+    full: bool
 
     def spaces(self) -> list[Space]:
         if self.signature is not None:
@@ -338,7 +337,7 @@ def suite_hierarchy(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
 
     def residuals(seeds: Seeds) -> Residuals:
         d2 = _ck_chunk(sp, 2, seeds)
-        hess, dd, lap = _hess_ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
+        hess, dd, lap = _ric(d2, eps), _div_der(d2, eps), _rough_lap(d2, eps)
         return {
             "divergence_derivative": _rel(
                 dd, _tail(hess, (0, 2, 1, 3)) - _tail(hess, (0, 2, 3, 1)), 1
@@ -383,7 +382,7 @@ def suite_embed(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         hat = _hat_embed(S, eps)
         pair = _tail(S, (0, 2, 1, 3)) + _tail(S, (0, 2, 3, 1))
         return {
-            "hessian_constant": _rel(_hess_ric(hat, eps), -4.0 * (n + 4.0) * pair, 1),
+            "hessian_constant": _rel(_ric(hat, eps), -4.0 * (n + 4.0) * pair, 1),
             "laplacian_constant": _rel(_rough_lap(hat, eps), -24.0 * (n + 4.0) * S, 1),
         }
 
@@ -448,6 +447,21 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     ]
 
 
+def _packed_kulkarni(n: int, m: int) -> np.ndarray:
+    """The Kulkarni image of each N_m basis vector, one packed row each.
+
+    The images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2, where
+    packing is an isometry (420 x 1500 at n=5, m=4, against 420 x 15625
+    unpacked); each chunk of basis vectors is checked in its class.
+    """
+    pk = _ck_packing(n, m - 2)
+    cols = [
+        pk.pack_checked(_kulkarni(_sym_biform(stack, m, 1), m).reshape(len(stack), -1))
+        for stack in _nk_stack(n, m).unpacked_chunks()
+    ]
+    return np.concatenate(cols)
+
+
 def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     n = sp.dim
     expected = n * n * (n * n - 1) // 12
@@ -457,15 +471,7 @@ def suite_dimensions(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
         basis = _nk_stack(n, m)
         gap = abs(len(basis) - len(_ck_stack(n, m - 2)))
         out.append(CheckRecord(f"dimensions/n{n}/nk_matches_ck_m{m}", float(gap), cfg.tol))
-        # Kulkarni images lie in the C_{m-2} class Sym^{m-2} (x) L^2 (x) L^2, where packing
-        # is an isometry: the rank is taken on packed images (420 x 1500 at n=5, m=4,
-        # against 420 x 15625 unpacked), each chunk of basis vectors checked in its class
-        pk = _ck_packing(n, m - 2)
-        cols = [
-            pk.pack_checked(_kulkarni(_sym_biform(stack, m, 1), m).reshape(len(stack), -1))
-            for stack in basis.unpacked_chunks()
-        ]
-        rank = numerical_rank(np.linalg.svd(np.concatenate(cols), compute_uv=False))
+        rank = numerical_rank(np.linalg.svd(_packed_kulkarni(n, m), compute_uv=False))
         out.append(
             CheckRecord(f"dimensions/n{n}/kulkarni_kernel_m{m}", float(len(basis) - rank), cfg.tol)
         )

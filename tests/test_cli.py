@@ -212,12 +212,27 @@ class TestCommonOptions:
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
-    @pytest.mark.parametrize("tol", ["-1", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "nan", "x"])
     def test_bad_tolerance_is_usage_error(self, tol, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["check", "--suite", "eigenvalue", "--dim", "3", "--tol", tol])
         assert exc.value.code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["gen", "--seed", "abc"], "--seed must be an integer"),
+            (["gen", "--dim", "3", "--signature", "-1,1,1,1"], "--dim contradicts"),
+            (["metric", "--dim", "3", "--signature", "1,1,1,1"], "--dim contradicts"),
+        ],
+        ids=["seed", "gen-dim", "metric-dim"],
+    )
+    def test_malformed_value_is_usage_error(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
 
     @pytest.mark.parametrize(
         "command, option, value",

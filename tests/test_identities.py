@@ -86,8 +86,8 @@ def test_expansions_read_the_drawn_rotation(monkeypatch):
 
 
 def test_ricci_rotation_check_computes_only_the_ricci_rotation(monkeypatch):
-    # outside a run scope the check builds pair_derivation(R, ric) alone, not
-    # the rotation pair_derivation(R, R) that the trace identities read
+    # outside a run scope the check builds pair_derivation(R, ric) once; the
+    # rotation pair_derivation(R, R) comes from the drawn jet, not from here
     import curvjet.identities as identities
 
     calls = []

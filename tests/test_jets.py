@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 
 from curvjet.curvature import (
     _kn_metric,
+    _ric,
     _rotate,
     decompose,
     is_member_Nk,
     jacobi_form,
     kn_pair,
     pair_derivation,
-    ricci,
     star_action,
 )
 from curvjet.jets import (
@@ -25,7 +25,6 @@ from curvjet.jets import (
     TwoJet,
     _extension_solver,
     _h_solver,
-    _hess_ric,
     _packed_cycle,
     _parallel_ricci_dirs,
     einstein_check,
@@ -837,7 +836,7 @@ def _full_coordinate_extension(R: Tensor) -> np.ndarray:
     """The second derivative of ``einstein_extend`` against the unpacked C_2 stack."""
     directions, _, ut, vs, _ = _extension_solver(R.space)
     provisional = _full_coordinate_particular_d2(R)
-    coeff = vs @ (ut @ (-80.0 * _hess_ric(provisional, R.space.eps).ravel()))
+    coeff = vs @ (ut @ (-80.0 * _ric(provisional, R.space.eps).ravel()))
     return provisional + np.tensordot(coeff, directions.unpacked(), (0, 0)) / 80.0
 
 

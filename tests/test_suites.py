@@ -17,6 +17,7 @@ from curvjet.suites import (
     Worst,
     _draws_worst,
     _einstein_jets,
+    _packed_kulkarni,
     _worst_over,
     make_config,
     run_suites,
@@ -33,6 +34,17 @@ CHECK_RECORDS = Path(__file__).resolve().parents[1] / "perfbench/reference/check
 def three_seeds():
     cfg = make_config(seeds=3)
     return cfg, run_suites(["all"], cfg)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_packed_kulkarni_is_a_scaled_isometry(n, m):
+    # the Kulkarni map is sqrt(4(m+1)/(m-1)) times an isometry from N_m onto
+    # C_{m-2}: a defect that scales or mixes the images keeps the rank that
+    # dimensions/*/kulkarni_kernel_m* counts, but not these singular values
+    singular = np.linalg.svd(_packed_kulkarni(n, m), compute_uv=False)
+    assert len(singular) == len(suites._nk_stack(n, m))
+    assert np.max(np.abs(singular**2 - 4.0 * (m + 1) / (m - 1))) <= 1e-12
 
 
 class TestWorst:
