@@ -5,12 +5,12 @@ Sign conventions in force throughout the package:
   (B . A)(y_1,...) = -sum_m A(..., B y_m, ...)          for skew B
   R*A       = -sum_i sum_j eps_j (R_{x_i,e_j} . A)(..., e_j at i, ...)
 With these, sum_j eps_j R_{x,e_j}e_j = Ric x, and the star action on a
-1-form is alpha o Ric.
+1-form is alpha o Ric.  Term i of R*A is one signed trace (``_slot_trace``)
+of the rotation D[a, b, ...] = (R_{e_a,e_b} . A)(...) of ``pair_derivation``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -178,45 +178,40 @@ def _decompose(R: np.ndarray, sp: Space) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 @lru_cache(maxsize=None)
-def _slot_plan(shape: tuple[int, ...], width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gather tables for every group of ``width`` slots of a tensor of this shape.
+def _slot_plan(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather tables for every slot of a tensor of this shape.
 
-    Groups come in lexicographic order.  Row g of ``moved`` gathers the
-    raveled tensor with group g moved to the back, in its own order, behind
-    the remaining slots.  Row g of ``back`` holds, for each raveled entry of
-    the tensor, its row in the stack of every group's moved layout.
+    Row s of ``moved`` gathers the raveled tensor with slot s moved to the
+    back, behind the remaining slots.  Row s of ``back`` holds, for each
+    raveled entry of the tensor, its row in the stack of every slot's moved
+    layout.
     """
-    v, size = len(shape), math.prod(shape)
+    size = math.prod(shape)
     flat = np.arange(size).reshape(shape)
     moved = np.array(
-        [
-            flat.transpose(tuple(s for s in range(v) if s not in group) + group).ravel()
-            for group in itertools.combinations(range(v), width)
-        ],
-        dtype=np.intp,
+        [np.moveaxis(flat, s, -1).ravel() for s in range(len(shape))], dtype=np.intp
     ).reshape(-1, size)
     back = np.argsort(moved, axis=1) + size * np.arange(len(moved))[:, None]
     moved.flags.writeable = back.flags.writeable = False
     return moved, back
 
 
-def _slot_sum(M: np.ndarray, a: np.ndarray, width: int, batch: int = 0) -> np.ndarray:
-    """Sum over every group of ``width`` slots of a of M applied in those slots.
+def _slot_sum(M: np.ndarray, a: np.ndarray, batch: int = 0) -> np.ndarray:
+    """Sum over every slot of a of the endomorphism M applied in that slot.
 
-    M has shape batch + lead + (n**width, n**width): its last axis contracts
-    the group's slots (row-major) and its second-to-last fills them.  The
-    first ``batch`` axes of M and of a are batch axes (seeds): each tensor of
-    a meets the operator of its own batch entry.  One gather stacks a copy
-    of a per group with the group at the back, one stacked matrix product
-    applies M to every copy (lead axes last), and one gather brings each
-    product back to the slot order of a; the groups are added in
-    lexicographic order.  A batch axis is an outer axis of every step, so
-    each tensor gets the same sums as alone; a large batch goes in blocks.
-    The result has shape batch + lead + tensor shape.
+    M has shape batch + lead + (n, n): its last axis contracts the slot and
+    its second-to-last fills it.  The first ``batch`` axes of M and of a
+    are batch axes (seeds): each tensor of a meets the operator of its own
+    batch entry.  One gather stacks a copy of a per slot with the slot at
+    the back, one stacked matrix product applies M to every copy (lead
+    axes last), and one gather brings each product back to the slot order
+    of a; the slots are added in order.  A batch axis is an outer axis of
+    every step, so each tensor gets the same sums as alone; a large batch
+    goes in blocks.  The result has shape batch + lead + tensor shape.
     """
     outer, lead, size = M.shape[:batch], M.shape[batch:-2], M.shape[-1]
     shape = a.shape[batch:]
-    moved, back = _slot_plan(shape, width)
+    moved, back = _slot_plan(shape)
     count = math.prod(lead)
     rest = math.prod(shape) // size
     if batch:
@@ -224,11 +219,11 @@ def _slot_sum(M: np.ndarray, a: np.ndarray, width: int, batch: int = 0) -> np.nd
         # in C order, every operator's matrix is laid out as a lone one is
         M = np.ascontiguousarray(M)
         product_bytes = 8 * len(moved) * math.prod(shape) * count
-        blocks = _in_blocks(lambda M, a: _slot_sum(M, a, width, 1), (M, a), batch, product_bytes)
+        blocks = _in_blocks(lambda M, a: _slot_sum(M, a, 1), (M, a), batch, product_bytes)
         if blocks is not None:
             return blocks
     copies = _gather(a.reshape(outer + (-1,)), moved).reshape(outer + (len(moved), rest, size))
-    # Mt[c, (f, l)] = M[l, f, c]: the filled slots ahead of the lead axes
+    # Mt[c, (f, l)] = M[l, f, c]: the filled slot ahead of the lead axes
     Mt = _tail(M.reshape(outer + (count, size, size)), (2, 1, 0)).reshape(outer + (1, size, -1))
     terms = (copies @ Mt).reshape(outer + (len(moved) * rest * size, count))
     summed = np.take(terms, back, axis=batch).sum(axis=batch)
@@ -249,43 +244,17 @@ def skew_action(B: Tensor, A: Tensor, tol: float = 1e-8) -> Tensor:
     if float(np.linalg.norm(B.data + B.data.T)) > tol * max(B.norm(), 1e-300):
         raise ValueError("form is not antisymmetric")
     W = B.data * A.space.eps[None, :]  # W[b,a] = eps_a B(e_b, e_a) = (B e_b)^a
-    return Tensor(A.space, _slot_sum(-W, A.data, 1))
-
-
-def _pair_kernel(R: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """K = M + M^T with M[a,d,j,c] = eps_j eps_c R[a,j,d,c] and M^T = M[d,a,c,j].
-
-    Contracting A's slots (j, c) against M yields the ordered-pair term
-    sum_j eps_j A(.., e_j, .., R_{x_a, e_j} x_d, ..); K adds the term of the
-    swapped pair, so one contraction covers an unordered slot pair.
-    """
-    M = _tail(R, (0, 2, 1, 3)) * np.multiply.outer(eps, eps)
-    return M + _tail(M, (1, 0, 3, 2))
-
-
-def _star(R: np.ndarray, A: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    """R*A for each curvature tensor on the last four axes of R and the A of its batch entry."""
-    batch = R.ndim - 4
-    n = len(eps)
-    ric_terms = _slot_sum(_ric(R, eps) * eps, A, 1, batch)
-    K = _pair_kernel(R, eps).reshape(R.shape[:batch] + (n * n, n * n))
-    return ric_terms + _slot_sum(K, A, 2, batch)
+    return Tensor(A.space, _slot_sum(-W, A.data))
 
 
 def star_action(R: Tensor, A: Tensor) -> Tensor:
     """Curvature action R*A = -sum_i sum_j eps_j (R_{x_i,e_j}.A)(.., e_j at i, ..).
 
-    Expanded form: the Ricci endomorphism E[a, b] = (Ric e_a)^b applied in
-    each slot, plus the rotation term of each ordered slot pair (i, m),
-    i != m,
-
-        einsum("..q..r..,adqr->..a..d..", A, M)   with q, a at slot i and r, d at m,
-
-    M as in _pair_kernel.  The terms of (i, m) and (m, i) are summed as one
-    contraction against K = M + M^T per unordered pair.  ``_slot_sum`` applies
-    the Ricci endomorphism in every slot, and K in every unordered pair
-    i < m, each as one gather, one stacked matrix product and one gather
-    back; the Ricci terms are added first.  A 1-form maps to alpha o Ric.
+    The rotation D = ``pair_derivation(R, A)`` holds every (R_{e_a,e_b}.A);
+    term i is the signed trace of D over its second plane slot b and slot i
+    of A, with the first plane slot a put in slot i (``_slot_trace``), and
+    the terms are added in slot order.  A 1-form maps to alpha o Ric, and a
+    scalar to zero.
     """
     if R.valence != 4:
         raise ValueError("star_action needs a valence-4 curvature tensor")
@@ -297,7 +266,7 @@ def star_action(R: Tensor, A: Tensor) -> Tensor:
 def _rotate(R: np.ndarray, T: np.ndarray, eps: np.ndarray) -> np.ndarray:
     """``pair_derivation`` of each curvature tensor on the last four axes of R on its batch's T."""
     # K[a,b,u,c] = (R_{e_a,e_b} e_u)^c
-    return _slot_sum(-(R * eps), T, 1, R.ndim - 4)
+    return _slot_sum(-(R * eps), T, R.ndim - 4)
 
 
 def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
@@ -313,9 +282,30 @@ def pair_derivation(R: Tensor, T: Tensor) -> np.ndarray:
     return _rotate(R.data, T.data, R.space.eps)
 
 
+def _slot_trace(D: np.ndarray, eps: np.ndarray, i: int, valence: int) -> np.ndarray:
+    """sum_j eps_j D[.., a, j, .., j at slot i, ..] with a put in slot i, for D of shape
+    lead + (n, n) + the shape of a valence-v tensor: term i of R*A, if D is its rotation."""
+    slots = "cdefghijkl"[:valence]
+    return np.einsum(f"...ab{slots[:i]}b{slots[i + 1:]},b->...{slots[:i]}a{slots[i + 1:]}", D, eps)
+
+
+def _star_of(D: np.ndarray, eps: np.ndarray, valence: int) -> np.ndarray:
+    """R*A from the rotation D = ``_rotate(R, A)`` of a valence-v A (leading axes ride along)."""
+    lead = D.ndim - 2 - valence
+    out = np.zeros(D.shape[:lead] + D.shape[lead + 2 :])
+    for i in range(valence):
+        out -= _slot_trace(D, eps, i, valence)
+    return out
+
+
+def _star(R: np.ndarray, A: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """R*A for each curvature tensor on the last four axes of R and the A of its batch entry."""
+    return _star_of(_rotate(R, A, eps), eps, A.ndim - (R.ndim - 4))
+
+
 def _pair_trace(six: np.ndarray, eps: np.ndarray) -> np.ndarray:
-    # trace of a rotation-action 6-tensor in (second rotation slot, slot 1)
-    return np.einsum("...aiiqrs,i->...aqrs", six, eps)
+    """Trace of a rotation 6-tensor in (second plane slot, slot 1): the first term of R*A."""
+    return _slot_trace(six, eps, 0, 4)
 
 
 def _ricci_rotation_sum(Rp: np.ndarray, ric: np.ndarray, eps: np.ndarray) -> np.ndarray:
@@ -356,8 +346,9 @@ def _star_residuals(
 ) -> dict[str, np.ndarray]:
     """``star_identity_residuals`` of each pair (R, R') of a batch, with its samples xy."""
     batch = R.ndim - 4
-    SS = _star(R, Rp, eps)
-    T1 = _pair_trace(_rotate(R, Rp, eps), eps)  # trace of (R_{ab} . R')
+    D = _rotate(R, Rp, eps)
+    SS = _star_of(D, eps, 4)
+    T1 = _pair_trace(D, eps)  # trace of (R_{ab} . R')
     T2 = _tail(T1, (1, 0, 2, 3))
     rhs = -(2.0 * T1 - 2.0 * T2) - _ricci_rotation_sum(Rp, _ric(R, eps), eps)
     proj = _young(rhs, 0, batch) / 12.0
@@ -448,18 +439,20 @@ def _nk_stack(n: int, m: int) -> PackedRows:
     if m < 2:
         raise ValueError(f"N_m needs degree m >= 2, got {m}")
     sym, bi = tuple(range(m)), (m, m + 1)
+    pk = packing(n, (("sym", m), ("sym", 2)))
 
     def project(batch: np.ndarray) -> np.ndarray:
         # P A P over the leading sample axis: P symmetrizes slots 1..m and
         # slots m+1, m+2, A antisymmetrizes the columns (1, m+1), (2, m+2)
-        return _group_sum(tableau_sum(batch, sym, bi, lead=1), (sym, bi), lead=1)
+        images = _group_sum(tableau_sum(batch, sym, bi, lead=1), (sym, bi), lead=1)
+        return pk.pack_checked(images.reshape(len(images), -1))
 
     # each row passes is_member_Nk: unpacked rows are exactly symmetric in
     # slots 1..m and m+1, m+2, so the SymBiform averaging that is_member_Nk
     # reads them through would leave them as they are
     return image(
         project,
-        packing(n, (("sym", m), ("sym", 2))),
+        pk,
         hook_content_dim(n, m - 2),
         lambda stack: _nk_residual(stack, m),
         1e-8,

@@ -43,7 +43,7 @@ from .curvature import (
     _ric,
     _ricci_rotation_sum,
     _rotate,
-    _star,
+    _star_of,
     _trace_free_ric,
 )
 from .spaces import (
@@ -169,8 +169,8 @@ class TwoJet(_Jet):
 
     @cached_property
     def star_square(self) -> np.ndarray:
-        """R*R, the curvature action of R on itself, as a read-only array."""
-        return _read_only(_star(self.R.data, self.R.data, self.space.eps))
+        """R*R, the curvature action of R on itself, read off ``rotation``, as a read-only array."""
+        return _read_only(_star_of(self.rotation, self.space.eps, 4))
 
 
 @dataclass(frozen=True)
@@ -452,7 +452,7 @@ def _draw_two_jets(space: Space, seeds):
 def _two_jet_chunk(space: Space, seeds: tuple[int, ...]) -> _JetStack:
     """The jets of ``random_two_jet`` for one chunk of seeds, shared in a run scope."""
     R, dR, d2R, rotation, _ = _draw_two_jets(space, seeds)
-    return _JetStack(R, dR, d2R, rotation, _star(R, R, space.eps))
+    return _JetStack(R, dR, d2R, rotation, _star_of(rotation, space.eps, 4))
 
 
 def random_two_jet(space: Space, seed: int) -> TwoJet:
@@ -657,17 +657,15 @@ def _weitzenbock(background, Rp, d2p, rotation, eps) -> dict[str, np.ndarray]:
     lap = _rough_lap(d2p, eps)
     D = _div_der(d2p, eps)
     dddel = D - _tail(D, (1, 0, 2, 3))
-    deld = (
-        lap
-        - np.einsum("...iyziuv,i->...yzuv", d2p, eps)
-        - np.einsum("...iziyuv,i->...yzuv", d2p, eps)
-    )
+    # d2p is antisymmetric in curvature slots 1, 2: its (0, 2) trace is -E^T
+    E = np.einsum("...iyziuv,i->...yzuv", d2p, eps)
+    deld = lap - (E - _tail(E, (1, 0, 2, 3)))
     laplace = dddel + deld
 
     T1 = _pair_trace(rotation, eps)
     commutator = T1 - _tail(T1, (1, 0, 2, 3))
 
-    SS = _star(background, Rp, eps)
+    SS = _star_of(rotation, eps, 4)
     ric_terms = _ricci_rotation_sum(Rp, _ric(background, eps), eps)
     displayed = lap + 0.5 * SS + 0.5 * ric_terms
 

@@ -15,13 +15,14 @@ the group action (sorted indices within each group, strictly increasing in
 an antisymmetric one) scaled by the square root of the orbit size, so
 packing is an isometry from the class onto R^P, and unpacking spreads each
 packed value back over its orbit with the permutation signs.  ``image``
-runs its SVD on the packed images: it first checks that the images lie in
-the declared class (``Packing.pack_checked``: unpacking the packed images
-must give each image back to ``RTOL`` of its own norm) and raises
-RuntimeError otherwise.  The rank gate and cutoff are those of the
-unpacked SVD, whose singular values the packed one shares; ``numerical_rank``
-is the one rule that counts every rank.  Each row ``image`` returns is then
-checked with the class's own residual kernel against its bound.
+runs its SVD on the packed images that its map returns: a map computes
+them in packed coordinates, or packs full images with
+``Packing.pack_checked``, which raises RuntimeError unless unpacking gives
+each image back to ``RTOL`` of its own norm.  The rank gate and cutoff are
+those of the unpacked SVD, whose singular values the packed one shares;
+``numerical_rank`` is the one rule that counts every rank.  Each row
+``image`` returns is then checked with the class's own residual kernel
+against its bound.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
 whose images have no symmetry.  The rows stay packed (``PackedRows``):
 a combination of them is formed in the P packed coordinates and only the
@@ -211,11 +212,11 @@ def image(
     """``rank`` orthonormal rows spanning the image of a linear map.
 
     ``apply`` maps a batch of tensors of shape ``pk.shape`` (batch axis
-    first) to a batch of images in the class of ``pk``.  The samples come
-    from ``default_rng(0)``, so the rows are identical on every run; they
-    are returned read-only in the packed coordinates of ``pk``.  Raises
-    RuntimeError if an image leaves the class, if the sampled images do not
-    have numerical rank exactly ``rank``, or if ``residual`` of a stack of
+    first) to their images in the class of ``pk``, one packed row each.
+    The samples come from ``default_rng(0)``, so the rows are identical on
+    every run; they are returned read-only in the packed coordinates of
+    ``pk``.  Raises RuntimeError if the sampled images do not have
+    numerical rank exactly ``rank``, or if ``residual`` of a stack of
     unpacked rows exceeds ``bound`` on any row (a NaN fails).
     """
     basis = PackedRows(_sampled_rows(apply, pk, rank), pk)
@@ -233,13 +234,13 @@ def _sampled_rows(
     """``image``'s rows before their check; the samples and the SVD are freed on return."""
     rng = np.random.default_rng(0)
     count = rank + _OVERSAMPLE
-    # the map runs on chunks of samples, so the unpacked images are never
-    # held all at once; the draws are those of a single call
+    # the map runs on chunks of samples, so the samples are never held all
+    # at once; the draws are those of a single call
     packed = np.empty((count, len(pk.rep)))
     step = _per_chunk(8 * len(pk.index))
     for start in range(0, count, step):
-        images = apply(rng.standard_normal((min(step, count - start),) + pk.shape))
-        packed[start : start + step] = pk.pack_checked(images.reshape(len(images), -1))
+        samples = rng.standard_normal((min(step, count - start),) + pk.shape)
+        packed[start : start + step] = apply(samples)
     _, s, vt = np.linalg.svd(packed, full_matrices=False)
     s = np.append(s, 0.0)  # s[rank] exists even if rank is the ambient dimension
     if numerical_rank(s) != rank:

@@ -143,6 +143,14 @@ def _packed_young(sums: np.ndarray, n: int, k: int) -> np.ndarray:
     return packed
 
 
+def _ck_images(batch: np.ndarray, k: int) -> np.ndarray:
+    """``pack`` of ``_young`` of each tensor of a batch (axis 0), bit for bit, via orbit sums."""
+    ids = _packed_young_plan(batch.shape[-1], k)[0]
+    # batch axis first, in C order: reading a transposed view costs twice as much
+    sums = np.ascontiguousarray(_orbit_sums(batch, ids, np.ones(len(ids))).T)
+    return _packed_young(sums, batch.shape[-1], k)
+
+
 def young_apply(t: Tensor, k: int) -> Tensor:
     """Young symmetrizer of shape (k+2, 2) on a valence k+4 tensor."""
     if k < 0:
@@ -301,11 +309,9 @@ def _ck_stack(n: int, k: int) -> PackedRows:
     v = k + 4
     if n**v > _BASIS_AMBIENT_LIMIT:
         raise RuntimeError(f"basis_Ck ambient dimension {n**v} exceeds the supported limit")
-    row1, row2 = _label_axes(k)
-    # batched symmetrizer over the leading sample axis
     # each row passes the membership test of is_member_Ck(tol=1e-7)
     return image(
-        lambda batch: tableau_sum(batch, row1, row2, lead=1),
+        lambda batch: _ck_images(batch, k),
         _ck_packing(n, k),
         hook_content_dim(n, k),
         lambda stack: _ck_residual(stack, k, 1),

@@ -1,5 +1,7 @@
 """Curvature operators: traces, products, derivation and star actions."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -250,18 +252,22 @@ class TestStarIdentities:
     def test_each_star_once_and_the_jacobi_samples_batched(self, sp, monkeypatch):
         import curvjet.curvature as curvature
 
-        calls, star = [], curvature._star
+        calls, rotate = [], curvature._rotate
 
-        def counted(R, A, eps):
-            calls.append(1)
-            return star(R, A, eps)
+        def counted(R, T, eps):
+            calls.append((R, T))
+            return rotate(R, T, eps)
 
-        monkeypatch.setattr(curvature, "_star", counted)
+        monkeypatch.setattr(curvature, "_rotate", counted)
         for seed in range(3):
             R, Rp = random_ck(sp, 0, 100 + seed), random_ck(sp, 0, 200 + seed)
             calls.clear()
             res = star_identity_residuals(R, Rp, seed=seed)
-            assert len(calls) == 2  # R*R' and R*ric'
+            # R on R' (R*R' and its pair trace), R on ric' (R*ric'); the third
+            # rotation is R' on ric, the Ricci terms of the six-term expansion
+            by_R = [T for rot, T in calls if rot is R.data]
+            assert len(by_R) == 2 and by_R[0] is Rp.data and by_R[1].shape == (sp.dim,) * 2
+            assert [rot is Rp.data for rot, _ in calls].count(True) == 1
             assert res["ricci_trace"] == ricci_of_star(R, Rp)[2]
             assert abs(res["jacobi"] - self.jacobi_loop(R, Rp, seed)) <= 1e-15
 
@@ -419,6 +425,26 @@ def star_action_per_ordered_pair(R: Tensor, A: Tensor) -> np.ndarray:
     return out
 
 
+def star_action_pair_kernel(R: Tensor, A: Tensor) -> np.ndarray:
+    """Reference R*A in expanded form: the Ricci endomorphism in each slot, plus
+    K = M + M^T with M[a,d,j,c] = eps_j eps_c R[a,j,d,c] in each unordered slot pair."""
+    eps = R.space.eps
+    M = np.einsum("ajdc,j,c->adjc", R.data, eps, eps)
+    K = M + M.transpose(1, 0, 3, 2)
+    E = ricci(R).ric.data * eps[None, :]
+    v = A.valence
+    out = np.zeros_like(A.data)
+    base = "abcdefgh"[:v]
+    for i in range(v):
+        sub_in = base[:i] + "z" + base[i + 1 :]
+        out += np.einsum(f"{sub_in},{base[i]}z->{base}", A.data, E)
+    for i, m in itertools.combinations(range(v), 2):
+        sub_in = list(base)
+        sub_in[i], sub_in[m] = "q", "r"
+        out += np.einsum(f"{''.join(sub_in)},{base[i]}{base[m]}qr->{base}", A.data, K)
+    return out
+
+
 def pair_derivation_per_slot(R: Tensor, T: Tensor) -> np.ndarray:
     """Reference (R_{e_a,e_b} . T): one einsum per slot of T."""
     K = np.einsum("abuc,c->abuc", R.data, R.space.eps)
@@ -478,6 +504,16 @@ def test_star_action_matches_per_ordered_pair_reference(signature, valence):
     R = random_ck(sp, 0, 5)
     A = random_tensor(sp, valence, 6)
     assert close_to(star_action(R, A).data, star_action_per_ordered_pair(R, A))
+
+
+@pytest.mark.parametrize("sp", [E3, E4, Space(4, (-1, 1, 1, 1))], ids=str)
+@pytest.mark.parametrize("valence", [0, 1, 2, 3, 4, 5])
+def test_star_action_matches_the_ricci_and_pair_kernel_expansion(sp, valence):
+    R = random_ck(sp, 0, 8)
+    A = random_tensor(sp, valence, 9)
+    got, ref = star_action(R, A).data, star_action_pair_kernel(R, A)
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= 1e-13 * max(np.linalg.norm(ref), 1e-300)
 
 
 @pytest.mark.parametrize("signature, valence", SLOT_CASES, ids=SLOT_IDS)

@@ -157,8 +157,10 @@ def test_packed_dimensions(n, name, size):
 
 
 def test_image_rejects_images_outside_the_class():
+    # a map that packs full images checks their class with pack_checked
+    pk = packing(3, (("sym", 2),))
     with pytest.raises(RuntimeError, match="symmetry class"):
-        image(lambda batch: batch, packing(3, (("sym", 2),)), 6, _beyond(9), 0.0)
+        image(lambda batch: pk.pack_checked(batch.reshape(len(batch), -1)), pk, 6, _beyond(9), 0.0)
 
 
 def test_pack_checked_checks_each_row_against_its_own_norm():

@@ -6,8 +6,10 @@ import pytest
 from curvjet.curvature import jacobi_form, kn_pair, kulkarni
 from curvjet.spaces import Space, Tensor, random_tensor, sym_product, tensor_product
 from curvjet.young import (
+    _ck_images,
     _ck_packing,
     _ck_stack,
+    _label_axes,
     _packed_young,
     _packed_young_plan,
     basis_Ck,
@@ -15,6 +17,7 @@ from curvjet.young import (
     hook_content_dim,
     is_member_Ck,
     random_ck,
+    tableau_sum,
     young_apply,
     young_eigenvalue,
 )
@@ -204,3 +207,13 @@ def test_packed_young_is_the_packed_full_image(n):
     expect = _ck_packing(n, 2).pack(young_apply(t, 2).data.ravel())
     assert np.linalg.norm(packed[0] - expect) <= 1e-14 * np.linalg.norm(expect)
     assert np.isnan(packed[1]).all()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_packed_ck_images_are_the_packed_tableau_sums_bit_for_bit(n, k):
+    # the basis build maps Gaussian draws through _ck_images; packing the
+    # full images gives the same bits, so the cached bases are unchanged
+    draws = np.random.default_rng(0).standard_normal((5,) + (n,) * (k + 4))
+    full = tableau_sum(draws, *_label_axes(k), lead=1).reshape(len(draws), -1)
+    assert np.array_equal(_ck_images(draws, k), _ck_packing(n, k).pack(full))
