@@ -26,6 +26,8 @@ from .spaces import (
     _in_blocks,
     _norm,
     _normal_draws,
+    _orbit_plan,
+    _orbit_sums,
     _rel,
     _scalar_trace,
     _tail,
@@ -92,23 +94,13 @@ def ricci(R: Tensor) -> RicciData:
     return RicciData(Tensor(R.space, ric), float(_scalar_trace(ric, R.space.eps)))
 
 
-def _kn(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Kulkarni-Nomizu products of the bilinear forms on the last two axes of A and B."""
-    return (
-        np.einsum("...ac,...bd->...abcd", A, B)
-        + np.einsum("...bd,...ac->...abcd", A, B)
-        - np.einsum("...ad,...bc->...abcd", A, B)
-        - np.einsum("...bc,...ad->...abcd", A, B)
-    )
-
-
 def kn_pair(a: Tensor, b: Tensor) -> Tensor:
     """Kulkarni-Nomizu product of two symmetric bilinear forms."""
     if a.valence != 2 or b.valence != 2:
         raise ValueError("kn_pair needs two valence-2 tensors")
     if a.space != b.space:
         raise ValueError("mismatched spaces")
-    return Tensor(a.space, _kn(a.data, b.data))
+    return Tensor(a.space, _kulkarni(np.multiply.outer(a.data, b.data), 2))
 
 
 @lru_cache(maxsize=None)
@@ -173,7 +165,7 @@ def _decompose(R: np.ndarray, sp: Space) -> tuple[np.ndarray, np.ndarray, np.nda
     g = sp.metric_matrix()
     ric0, s = _trace_free_ric(R, sp.eps)
     scalar_part = (-s / (2.0 * n * (n - 1)))[..., None, None, None, None] * _kn_metric(sp)
-    ricci_part = _kn(g, ric0) * (-1.0 / (n - 2))
+    ricci_part = _kulkarni(g[:, :, None, None] * ric0[..., None, None, :, :], 2) * (-1.0 / (n - 2))
     return scalar_part, ricci_part, R - scalar_part - ricci_part
 
 
@@ -433,26 +425,33 @@ def is_member_Nk(h: SymBiform, tol: float = 1e-8) -> bool:
     return bool(_nk_residual(h.tensor.data[None], h.m)[0] <= tol)
 
 
+def _nk_images(batch: np.ndarray, m: int) -> np.ndarray:
+    """P A P of each tensor of a batch (axis 0) in the packed coordinates of Sym^m (x) Sym^2.
+
+    A antisymmetrizes the columns (1, m+1), (2, m+2) after the rows are
+    summed (``tableau_sum``); the outer row symmetrizer P is read off its
+    orbit sums at the packed representatives, which are the canonical
+    entries of their orbits: bit for bit ``pack`` of the full image.
+    """
+    n = batch.shape[-1]
+    sym, bi = tuple(range(m)), (m, m + 1)
+    pk = packing(n, (("sym", m), ("sym", 2)))
+    ids, weight = _orbit_plan(n, m + 2, (sym, bi))
+    sums = _orbit_sums(tableau_sum(batch, sym, bi, lead=1), ids)
+    return sums[:, pk.rep] * weight[pk.rep] * pk.weight
+
+
 @lru_cache(maxsize=None)
 def _nk_stack(n: int, m: int) -> PackedRows:
     """Orthonormal basis of N_m in packed coordinates; N_m uses no metric, so n keys it."""
     if m < 2:
         raise ValueError(f"N_m needs degree m >= 2, got {m}")
-    sym, bi = tuple(range(m)), (m, m + 1)
-    pk = packing(n, (("sym", m), ("sym", 2)))
-
-    def project(batch: np.ndarray) -> np.ndarray:
-        # P A P over the leading sample axis: P symmetrizes slots 1..m and
-        # slots m+1, m+2, A antisymmetrizes the columns (1, m+1), (2, m+2)
-        images = _group_sum(tableau_sum(batch, sym, bi, lead=1), (sym, bi), lead=1)
-        return pk.pack_checked(images.reshape(len(images), -1))
-
     # each row passes is_member_Nk: unpacked rows are exactly symmetric in
     # slots 1..m and m+1, m+2, so the SymBiform averaging that is_member_Nk
     # reads them through would leave them as they are
     return image(
-        project,
-        pk,
+        lambda batch: _nk_images(batch, m),
+        packing(n, (("sym", m), ("sym", 2))),
         hook_content_dim(n, m - 2),
         lambda stack: _nk_residual(stack, m),
         1e-8,

@@ -55,6 +55,7 @@ from .spaces import (
     _header_tensors,
     _norm,
     _normal_draws,
+    _orbit_sums,
     _rel,
     _tail,
     memoized,
@@ -782,17 +783,15 @@ def _sums_with_metric(
 ) -> np.ndarray:
     """Orbit sums of d2 and of g (x) T over the bins of ``plan``, rows of a (..., 2, size) array.
 
-    Each jet of a batch sums into its own 2 * size bins, in the order of a
-    lone jet's sums.
+    Each jet of a batch sums into its own 2 * size bins (``_orbit_sums``),
+    in the order of a lone jet's sums.
     """
     bins, size = plan
     outer = d2.shape[:-6]
     rows = math.prod(outer)
     metric = (T.reshape(rows, -1, 1) * eps).reshape(rows, -1)
     values = np.concatenate([d2.reshape(rows, -1), metric], axis=1)
-    if rows > 1:
-        bins = (bins + 2 * size * np.arange(rows)[:, None]).ravel()
-    return np.bincount(bins, values.ravel(), 2 * size * rows).reshape(outer + (2, size))
+    return _orbit_sums(values, bins, 2 * size).reshape(outer + (2, size))
 
 
 def _jacobi_pair(d2: np.ndarray, T: np.ndarray, eps: np.ndarray) -> np.ndarray:

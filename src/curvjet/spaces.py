@@ -196,18 +196,20 @@ def _orbit_plan(
     return ids, weight
 
 
-def _orbit_sums(data: np.ndarray, ids: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Weighted orbit sums of each raveled tensor in data, batch axis last: (len(ids), rows).
+def _orbit_sums(data: np.ndarray, ids: np.ndarray, bins: int | None = None) -> np.ndarray:
+    """Plain orbit sums of each raveled tensor in data, batch axis first: (rows, bins).
 
-    Entry i of row r goes to bin ids[i] * rows + r, so one ``bincount``
-    sums every tensor of the batch, each in the same order as alone.
+    Entry i of a tensor goes to bin ids[i] (``bins`` defaults to len(ids));
+    row r of a batch sums into its own bins, offset by r * bins, so one
+    ``bincount`` sums every tensor, each in the same order as alone.  A
+    lone tensor takes no offsets.  Each reader applies its own weights.
     """
-    size = len(ids)
-    flat = data.reshape(-1, size)
+    bins = len(ids) if bins is None else bins
+    flat = data.reshape(-1, len(ids))
     rows = len(flat)
-    bins = ids * rows + np.arange(rows)[:, None]
-    sums = np.bincount(bins.ravel(), flat.ravel(), size * rows).reshape(size, rows)
-    return sums * weight[:, None]
+    if rows > 1:
+        ids = (ids + bins * np.arange(rows)[:, None]).ravel()
+    return np.bincount(ids, flat.ravel(), bins * rows).reshape(rows, bins)
 
 
 def _group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
@@ -216,8 +218,8 @@ def _group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
     ``data`` holds tensors on its trailing axes after ``lead`` batch axes;
     each group lists 0-based axes of the tensor.  Every entry of an orbit
     receives the same value, (prod |group|!) / |orbit| times the orbit's
-    sum: one ``bincount`` over the orbit ids of ``_orbit_plan`` and one
-    gather back.
+    sum: the weighted rows of ``_orbit_sums`` (one ``bincount``) gathered
+    back at each entry's orbit id, in C order.
     """
     plan = tuple(tuple(int(a) for a in g) for g in groups)
     ids, weight = _orbit_plan(data.shape[-1], data.ndim - lead, plan)
@@ -225,9 +227,7 @@ def _group_sum(data: np.ndarray, groups, lead: int = 0) -> np.ndarray:
     blocks = _in_blocks(lambda d: _group_sum(d, plan, 1), (data,), lead, 8 * 3 * len(ids))
     if blocks is not None:
         return blocks
-    # C order, as for a lone tensor, whatever the batch
-    summed = np.take(_orbit_sums(data, ids, weight), ids, axis=0).T
-    return np.ascontiguousarray(summed).reshape(data.shape)
+    return np.take(_orbit_sums(data, ids) * weight, ids, axis=-1).reshape(data.shape)
 
 
 def symmetrize(t: Tensor, slots) -> Tensor:

@@ -15,14 +15,15 @@ the group action (sorted indices within each group, strictly increasing in
 an antisymmetric one) scaled by the square root of the orbit size, so
 packing is an isometry from the class onto R^P, and unpacking spreads each
 packed value back over its orbit with the permutation signs.  ``image``
-runs its SVD on the packed images that its map returns: a map computes
-them in packed coordinates, or packs full images with
-``Packing.pack_checked``, which raises RuntimeError unless unpacking gives
-each image back to ``RTOL`` of its own norm.  The rank gate and cutoff are
-those of the unpacked SVD, whose singular values the packed one shares;
-``numerical_rank`` is the one rule that counts every rank.  Each row
-``image`` returns is then checked with the class's own residual kernel
-against its bound.
+runs its SVD on the packed images that its map returns, which every basis
+map computes in packed coordinates.  ``Packing.pack_checked`` packs full
+tensors claimed to lie in a class (the Weyl rows and the Kulkarni images)
+and raises RuntimeError unless unpacking gives each back to ``RTOL`` of
+its own norm.  The rank gate and cutoff are those of the unpacked SVD,
+whose singular values the packed one shares; ``numerical_rank`` is the
+one rule that counts every rank.  Each row ``image`` returns is then
+checked with the class's own residual kernel against its bound, the only
+class check of a sampled image.
 One single-slot group per axis is the trivial packing (P = n^v), for maps
 whose images have no symmetry.  The rows stay packed (``PackedRows``):
 a combination of them is formed in the P packed coordinates and only the

@@ -58,7 +58,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import spaces as _spaces
-from .curvature import _kn_metric, _kulkarni, _nk_stack, _ric, _rotate, _star, _star_residuals
+from .curvature import _kn_metric, _kulkarni, _nk_stack, _ric, _rotate, _star_of, _star_residuals
 from .identities import Residuals, _ricci_flat_input, _verify_seeds, identity_names
 from .jets import (
     _CLEAN_FIT,
@@ -112,14 +112,15 @@ def _worst_rows(*values: np.ndarray) -> np.ndarray:
 
 @memoized
 def _einstein_jets(sp: Space, seeds: Seeds):
-    """Einstein extensions of the seeded Einstein one-jets of one chunk: (R, dR, d2R, gaps).
+    """Einstein extensions of the seeded Einstein one-jets of one chunk: (R, dR, d2R, SS, gaps).
 
-    ``gaps`` are the one-jet gaps that ``_extend`` checked.  The rotations
-    it computed (n^6 floats per seed, which no suite reads) are not kept.
+    ``SS`` is R*R, read off the rotation that ``_extend`` computed, and
+    ``gaps`` are the one-jet gaps that it checked.  The rotations (n^6
+    floats per seed, which no suite reads) are not kept.
     """
     R, dR = _einstein_one_jets(sp, seeds)
-    d2R, _, gaps = _extend(sp, R, dR)
-    return R, dR, d2R, gaps
+    d2R, rotation, gaps = _extend(sp, R, dR)
+    return R, dR, d2R, _star_of(rotation, sp.eps, 4), gaps
 
 
 def _verdicts_agree(rep: Residuals) -> np.ndarray:
@@ -397,8 +398,7 @@ def suite_einstein(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     eps = sp.eps
 
     def residuals(seeds: Seeds) -> Residuals:
-        R, _, d2R, gaps = _einstein_jets(sp, seeds)
-        SS = _star(R, R, eps)
+        _, _, d2R, SS, gaps = _einstein_jets(sp, seeds)
         rep = _einstein_report(d2R, SS, gaps, eps)
         tilde_hess = _tilde(d2R, eps)[0]
         display = -4.0 * (_tail(SS, (0, 2, 1, 3)) + _tail(SS, (0, 2, 3, 1)))
@@ -428,7 +428,7 @@ def suite_fit(cfg: RunConfig, sp: Space) -> list[CheckRecord]:
     family = _draws_worst(np.stack([np.abs(c), residual], axis=1).ravel())
 
     def fits(seeds: Seeds) -> Residuals:
-        R, _, d2R, _ = _einstein_jets(sp, seeds)
+        R, _, d2R, _, _ = _einstein_jets(sp, seeds)
         _, residual, gaps = _jacobi_fit(d2R, R, eps)
         return {"residual": residual, "gap": gaps}
 

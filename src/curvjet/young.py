@@ -9,14 +9,14 @@ unnormalized group sums (no 1/|group| factors).
 
 Every slot permutation here runs through a cached index plan, keyed by the
 dimension, the valence and the slot groups, never by the batch length: the
-row sums are one ``bincount`` of orbit sums (``spaces._group_sum``), the
-column antisymmetrization is one signed gather of those sums, and the C_k
-symmetry defects are one gather of the permuted copies, one signed matrix
-product and one batched norm; every C_k membership check reads them
-through ``_ck_residual``.  Every image of the symmetrizer lies in the class
-Sym^k (x) L^2 (x) L^2 (``_ck_packing``); ``_packed_young`` gives the image
-in its packed coordinates, gathering the orbit sums only at the packed
-representatives.
+row sums are the orbit sums of ``spaces._orbit_sums`` (one ``bincount``,
+batch axis first), the column antisymmetrization is one signed gather of
+those sums, weighted in place, and the C_k symmetry defects are one gather
+of the permuted copies, one signed matrix product and one batched norm;
+every C_k membership check reads them through ``_ck_residual``.  Every
+image of the symmetrizer lies in the class Sym^k (x) L^2 (x) L^2
+(``_ck_packing``); ``_packed_young`` gives the image in its packed
+coordinates, gathering the orbit sums only at the packed representatives.
 """
 
 from __future__ import annotations
@@ -88,11 +88,9 @@ def tableau_sum(data: np.ndarray, row1, row2, lead: int = 0) -> np.ndarray:
     blocks = _in_blocks(lambda d: tableau_sum(d, row1, row2, 1), (data,), lead, item_bytes)
     if blocks is not None:
         return blocks
-    terms = np.take(_orbit_sums(data, ids, weight), table, axis=0)
-    # the batch axis is last (see ``_orbit_sums``); move it back to the front, in
-    # C order as for a lone tensor, so later products and sums see the same layout
-    summed = (signs @ terms.reshape(len(signs), -1)).reshape(terms.shape[1:])
-    return np.ascontiguousarray(summed.T).reshape(data.shape)
+    # one signs @ terms product per tensor, as a lone tensor takes it
+    terms = np.take(_orbit_sums(data, ids) * weight, table, axis=-1)
+    return (signs @ terms).reshape(data.shape)
 
 
 def _label_axes(k: int) -> tuple[list[int], list[int]]:
@@ -146,9 +144,7 @@ def _packed_young(sums: np.ndarray, n: int, k: int) -> np.ndarray:
 def _ck_images(batch: np.ndarray, k: int) -> np.ndarray:
     """``pack`` of ``_young`` of each tensor of a batch (axis 0), bit for bit, via orbit sums."""
     ids = _packed_young_plan(batch.shape[-1], k)[0]
-    # batch axis first, in C order: reading a transposed view costs twice as much
-    sums = np.ascontiguousarray(_orbit_sums(batch, ids, np.ones(len(ids))).T)
-    return _packed_young(sums, batch.shape[-1], k)
+    return _packed_young(_orbit_sums(batch, ids), batch.shape[-1], k)
 
 
 def young_apply(t: Tensor, k: int) -> Tensor:

@@ -60,7 +60,7 @@ from curvjet.polymetric import (
     curvature_two_jet,
     random_poly_metric,
 )
-from curvjet.spaces import Space, Tensor, _rel, _scalar_trace, _tail
+from curvjet.spaces import Space, Tensor, _orbit_plan, _orbit_sums, _rel, _scalar_trace, _tail
 from curvjet.suites import _einstein_jets, _verdicts_agree
 from curvjet.young import _ck_draws, random_ck
 
@@ -90,6 +90,21 @@ def ck(sp, k, offset=0):
 def test_ck_draws(sp):
     for k in (0, 1, 2):
         assert_bitwise(ck(sp, k), [random_ck(sp, k, s).data for s in SEEDS])
+
+
+def test_orbit_sums(sp):
+    # each row of a stack sums as alone, into len(ids) bins and into the
+    # 2 * size bins of d2R and g (x) R*R, and a NaN stays in its own row
+    n = sp.dim
+    ids = _orbit_plan(n, 4, ((0, 2), (1, 3)))[0]
+    bins, size = jets_module._tableau_bins(n)
+    rng = np.random.default_rng(2)
+    for plan, total, shape in ((ids, None, (n,) * 4), (bins, 2 * size, (len(bins),))):
+        data = rng.standard_normal((len(SEEDS),) + shape)
+        data.reshape(len(SEEDS), -1)[2, 0] = np.nan
+        sums = _orbit_sums(data, plan, total)
+        assert_bitwise(sums, [_orbit_sums(t, plan, total)[0] for t in data], equal_nan=True)
+        assert np.isnan(sums[2]).any() and not np.isnan(np.delete(sums, 2, axis=0)).any()
 
 
 def test_two_jet_draws(sp):
@@ -189,8 +204,9 @@ def agree_one(verdict, rep) -> bool:
 def test_verdict_agreement_on_report_arrays(sp):
     # the reports that suite_einstein reads (Einstein jets and perturbed ones),
     # and one whose Hessian verdict disagrees with both trace verdicts on jets 1 and 3
-    R, _, d2R, gaps = _einstein_jets(sp, SEEDS)
-    SS = _star(R, R, sp.eps)
+    R, _, d2R, SS, gaps = _einstein_jets(sp, SEEDS)
+    # R*R read off the extension's rotation is a fresh R*R to the bit
+    assert np.array_equal(SS, _star(R, R, sp.eps))
     reports = [_einstein_report(d2, SS, gaps, sp.eps) for d2 in (d2R, d2R + 1e-2 * ck(sp, 2))]
     reports.append({**reports[0], "hessian_ricci": np.array([0.0, 1.0, 0.0, 1.0, 0.0])})
     for report in reports:

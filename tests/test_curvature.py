@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from curvjet.curvature import (
+    _decompose,
     _kn_metric,
+    _trace_free_ric,
     decompose,
     divergence,
     exterior_ricci_derivative,
@@ -34,7 +36,7 @@ from curvjet.spaces import (
     random_tensor,
     tensor_product,
 )
-from curvjet.young import basis_Ck, is_member_Ck, random_ck, young_apply
+from curvjet.young import _ck_draws, basis_Ck, is_member_Ck, random_ck, young_apply
 
 E3 = Space(3)
 E4 = Space(4)
@@ -113,6 +115,29 @@ class TestKulkarni:
         for seed in range(50):
             h = random_nk(E3, 4, seed)
             assert kulkarni(h).norm() >= 0.5 * smin * h.norm() > 0.0
+
+
+    @pytest.mark.parametrize("sp", [E3, Space(4, (-1, 1, 1, 1)), Space(5, (-1, -1, 1, 1, 1))])
+    def test_kn_products_are_the_four_einsum_sum_bit_for_bit(self, sp):
+        # A owedge B as four einsums, in this order; kn_pair and the Ricci part
+        # of _decompose read it off _kulkarni at m = 2, lone and batched
+        def four_einsums(A, B):
+            return (
+                np.einsum("...ac,...bd->...abcd", A, B)
+                + np.einsum("...bd,...ac->...abcd", A, B)
+                - np.einsum("...ad,...bc->...abcd", A, B)
+                - np.einsum("...bc,...ad->...abcd", A, B)
+            )
+
+        n = sp.dim
+        a, b = random_tensor(sp, 2, 1), random_tensor(sp, 2, 2)
+        a, b = a + permute(a, (2, 1)), b + permute(b, (2, 1))
+        assert np.array_equal(kn_pair(a, b).data, four_einsums(a.data, b.data))
+        R = _ck_draws(n, 0, (1, 2, 3))
+        ric0 = _trace_free_ric(R, sp.eps)[0]
+        expect = four_einsums(sp.metric_matrix(), ric0) * (-1.0 / (n - 2))
+        assert np.array_equal(_decompose(R, sp)[1], expect)
+        assert np.array_equal(_decompose(R[1], sp)[1], expect[1])
 
 
 class TestDecompose:

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from curvjet.curvature import _nk_stack, nk_basis
+from curvjet.curvature import _nk_images, _nk_stack, nk_basis
 from curvjet.jets import (
     _extension_solver,
     _h_solver,
@@ -211,6 +211,18 @@ def test_packed_n4_spans_the_full_image():
         hook_content_dim(3, 2),
     )
     assert _projector_gap(_nk_stack(sp.dim, 4).unpacked(), full) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_packed_nk_images_are_the_packed_full_images_bit_for_bit(n, m):
+    # the basis build maps Gaussian draws through _nk_images; packing the
+    # full images P A P gives the same bits, so the cached bases are unchanged
+    sym, bi = tuple(range(m)), (m, m + 1)
+    draws = np.random.default_rng(0).standard_normal((3,) + (n,) * (m + 2))
+    full = _group_sum(tableau_sum(draws, sym, bi, lead=1), (sym, bi), lead=1)
+    pk = packing(n, (("sym", m), ("sym", 2)))
+    assert np.array_equal(_nk_images(draws, m), pk.pack(full.reshape(len(draws), -1)))
 
 
 def test_nk_basis_is_reproducible():

@@ -184,13 +184,14 @@ class TestRunSuites:
 
     def test_einstein_jet_is_memoized_without_its_rotation(self):
         with run_scope():
-            # the components and the one-jet gaps, no rotation
-            R, dR, d2R, gaps = _einstein_jets(E3, (2, 3))
+            # the components, R*R and the one-jet gaps, no rotation
+            R, dR, d2R, SS, gaps = _einstein_jets(E3, (2, 3))
         for i, seed in enumerate((2, 3)):
             jet = einstein_extend(*random_einstein_one_jet(E3, seed))
             # bitwise the jet of a lone extension
             for part, stacked in zip(("R", "dR", "d2R"), (R, dR, d2R)):
                 assert np.array_equal(getattr(jet, part).data, stacked[i])
+            assert np.array_equal(jet.star_square, SS[i])
             assert jet.einstein_gaps == tuple(float(g[i]) for g in gaps)
 
     def test_memo_holds_only_read_only_arrays(self):

@@ -1,6 +1,6 @@
 """Fail on a module-level import that its module neither uses nor exports.
 
-Usage: python tools/unused_imports.py [PACKAGE_DIR]    (default: src/curvjet)
+Usage: python tools/unused_imports.py [DIR ...]    (default: src/curvjet)
 
 Each top-level ``import`` or ``from ... import`` of a module binds names.
 A name counts as used if the module reads it anywhere (annotations too) or
@@ -35,13 +35,14 @@ def unused_imports(path: Path) -> list[tuple[int, str]]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else "src/curvjet")
+    roots = [Path(arg) for arg in argv or ["src/curvjet"]]
     found = [
         f"{path}:{line}: {name}"
+        for root in roots
         for path in sorted(root.rglob("*.py"))
         for line, name in unused_imports(path)
     ]
-    print("\n".join(found) or f"no unused imports in {root}")
+    print("\n".join(found) or f"no unused imports in {' '.join(map(str, roots))}")
     return 1 if found else 0
 
 
